@@ -2,13 +2,17 @@
 
 Run:  pytest benchmarks/bench_batch_campaign.py -q -s [--json PATH]
 
-Two promises of the vectorized campaign engine are asserted:
+Three promises of the vectorized campaign engine are asserted:
 
 * **lockstep throughput** (the PR 7 acceptance gate): stepping K E5
   experiments as lanes of one :class:`repro.cpu.batch.BatchMachine`
   (:class:`repro.faults.batch_campaign.BatchTemExecutor`) must deliver at
   least 3x the trials/s of the scalar interpreter — with bit-identical
   records and per-trial metrics stable views;
+* **footprint-sized lane memory**: the engine-level run's ``tracemalloc``
+  peak (reported as ``peak_traced_mb``) stays at most 32 MB at K=1024 —
+  lane memory holds the words the task touches, not a dense
+  ``(K, memory_words)`` array (128 MiB per chunk on its own);
 * **end-to-end equivalence**: ``run_coverage_campaign(batch=K)`` routes
   the same chunks through the supervisor's ``batch_runner`` seam and must
   reproduce the scalar campaign bit-identically.  The end-to-end speedup
@@ -22,6 +26,7 @@ Both sides of each ratio run back-to-back on the same machine, best of
 
 import os
 import time
+import tracemalloc
 
 import common
 from repro.experiments import run_coverage_campaign
@@ -36,6 +41,8 @@ BATCH = 1_024
 #: PR 7 acceptance: lockstep engine >= 3x the scalar interpreter.
 REQUIRED_SPEEDUP = 3.0
 BEST_OF = 3
+#: Engine-level tracemalloc peak bound (MB) at BATCH lanes.
+MAX_PEAK_TRACED_MB = 32.0
 
 
 def _scalar_replies(harness, faults):
@@ -72,6 +79,14 @@ def test_benchmark_batch_lockstep_vs_scalar():
         lambda: BatchTemExecutor(harness, batch=BATCH).run_experiments(faults),
     )
     speedup = scalar_s / max(batch_s, 1e-9)
+
+    # Separate untimed run: tracemalloc slows every allocation.
+    tracemalloc.start()
+    try:
+        BatchTemExecutor(harness, batch=BATCH).run_experiments(faults)
+        peak_traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     common.report(
         "campaign.batch_lockstep",
         wall_s=batch_s,
@@ -80,6 +95,11 @@ def test_benchmark_batch_lockstep_vs_scalar():
         speedup=round(speedup, 2),
         batch=BATCH,
         cores=os.cpu_count() or 1,
+        peak_traced_mb=round(peak_traced_mb, 1),
+    )
+    assert peak_traced_mb <= MAX_PEAK_TRACED_MB, (
+        f"batch engine traced peak {peak_traced_mb:.1f} MB exceeds "
+        f"{MAX_PEAK_TRACED_MB:.0f} MB at batch={BATCH}"
     )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"lockstep batch engine must be >= {REQUIRED_SPEEDUP}x the scalar "

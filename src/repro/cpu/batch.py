@@ -1,11 +1,12 @@
 """Lockstep batch execution: K machines stepped as numpy array operations.
 
-ROADMAP item 2 — *SIMD across trials*.  A fault-injection campaign runs the
-same program thousands of times, each trial differing only in one injected
-bit flip.  :class:`BatchMachine` exploits that redundancy: the architectural
-state of K trials ("lanes") lives in ``(K, n)`` numpy arrays, one instruction
-is fetched and decoded *once* per step, and its effects are applied to every
-lane with vectorized arithmetic.
+A fault-injection campaign runs the same program thousands of times, each
+trial differing only in one injected bit flip.  :class:`BatchMachine`
+exploits that redundancy: the architectural state of K trials ("lanes")
+lives in numpy arrays — ``(K, registers)`` and ``(K, footprint)`` memory
+columns behind a shared address→column map — one instruction is fetched
+and decoded *once* per step, and its effects are applied to every lane
+with vectorized arithmetic.
 
 Equivalence contract (the same bar as the scalar interpreter against its
 reference oracle — bit-identical or bust, enforced by
@@ -39,7 +40,8 @@ place so the scalar machine replays the correction itself, exactly once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,6 +75,10 @@ _N_COLS = len(ALL_REGISTERS)
 
 _SIGN_BIT = 0x8000_0000
 _TWO_POW_32 = 0x1_0000_0000
+
+#: Initial lane-memory width in columns (the zero column included); it
+#: doubles as the written footprint grows.
+_INITIAL_COLUMNS = 64
 
 
 def _signed(values: np.ndarray) -> np.ndarray:
@@ -111,7 +117,16 @@ class BatchMachine:
 
         k = self.lanes
         self.regs = np.zeros((k, _N_COLS), dtype=np.int64)
-        self.mem = np.zeros((k, self.memory_words), dtype=np.int64)
+        #: Lane memory sized to the footprint, not the address space: word
+        #: ``address`` of lane ``l`` is ``mem[l, _col[address]]``.  A task
+        #: touches a few dozen of its thousands of words, so columns are
+        #: mapped on first write (shared by all lanes) and ``mem`` doubles
+        #: in width as needed.  Column 0 is never mapped, so an address no
+        #: lane wrote reads 0, exactly like ``Memory._clean.get(a, 0)``.
+        self._col = np.zeros(self.memory_words, dtype=np.intp)
+        self.mem = np.zeros((k, _INITIAL_COLUMNS), dtype=np.int64)
+        #: The address of each mapped column, in column order (from 1).
+        self._addresses: List[int] = []
         #: Per-lane sparse ECC error bits: address -> set of flipped bits.
         self.error_bits: List[Dict[int, Set[int]]] = [{} for _ in range(k)]
         self._lane_has_err = np.zeros(k, dtype=bool)
@@ -147,18 +162,8 @@ class BatchMachine:
         #: recomputing it per step dominates small-cohort stepping, and it
         #: only changes when lane membership or injection state changes.
         self._cohort: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Columns any lane may hold a nonzero word in (ROM image, input
-        #: blocks, store targets).  ``to_machine`` gathers just these
-        #: instead of scanning the whole row — the row is hundreds of
-        #: times wider than the footprint a task actually touches.
-        self._touched: Set[int] = set()
-        self._touched_cols: Optional[np.ndarray] = None
 
         self._reg_col = {name: col for col, name in enumerate(ALL_REGISTERS)}
-        self._dispatch = {
-            mnemonic: getattr(self, "_bx_" + mnemonic.lower())
-            for mnemonic in _FAST_HANDLERS
-        }
 
     @property
     def instruction_count(self) -> np.ndarray:
@@ -185,8 +190,8 @@ class BatchMachine:
         if image.size:
             if base < 0 or base + image.size > self.memory_words:
                 raise MachineError("ROM image outside physical memory")
-            self.mem[:, base : base + image.size] = image[None, :]
-            self._note_touched(range(base, base + image.size))
+            cols = self._columns(np.arange(base, base + image.size))
+            self.mem[:, cols] = image[None, :]
 
     def load_program(self, program) -> None:
         """Copy an assembled program into ROM (does not seal)."""
@@ -257,8 +262,8 @@ class BatchMachine:
                 )
             if self._rom_sealed and address < self.rom_words:
                 raise BusError(f"write to ROM address {address:#x}", address=address)
-            self.mem[idx, address] = int(value) & WORD_MASK
-            self._note_touched((address,))
+            col = self._columns(np.array([address]))
+            self.mem[idx, col] = int(value) & WORD_MASK
             if self._lane_has_err[idx].any():
                 for lane in idx.tolist():
                     bits = self.error_bits[lane]
@@ -271,7 +276,16 @@ class BatchMachine:
 
     def peek(self, lane: int, address: int) -> int:
         """Clean value of one word, no ECC side effects (diagnostic)."""
-        return int(self.mem[int(lane), address])
+        return int(self.mem[int(lane), self._col[address]])
+
+    def peek_words(self, lanes: Sequence[int], base: int, count: int) -> np.ndarray:
+        """Clean ``(len(lanes), count)`` word block, no ECC side effects.
+
+        The caller bounds-checks ``[base, base + count)`` once for all lanes.
+        """
+        return self.mem[
+            np.asarray(lanes, dtype=np.intp)[:, None], self._col[base : base + count]
+        ]
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -391,7 +405,8 @@ class BatchMachine:
             return True
 
         # --- fetch with per-lane ECC resolution ---
-        words = self.mem[idx, ref_pc].copy()
+        pc_col = self._col[ref_pc]
+        words = self.mem[idx, pc_col]
         scrub_lanes: List[int] = []
         silent_lanes: List[Tuple[int, int]] = []
         flagged = self._lane_has_err[idx]
@@ -433,7 +448,7 @@ class BatchMachine:
                     return True
 
         if pristine.size:
-            ref_word = int(self.mem[pristine[0], ref_pc])
+            ref_word = int(self.mem[pristine[0], pc_col])
         else:
             ref_word = int(words[0])
             if not (words == ref_word).all():
@@ -475,7 +490,7 @@ class BatchMachine:
                 )
             return True
         self.regs[idx, _PC_COL] = (ref_pc + 1) & WORD_MASK
-        retired = self._dispatch[ins.mnemonic](idx, ins)
+        retired = _DISPATCH[ins.mnemonic](self, idx, ins)
         if retired.size:
             self.copy_steps[retired] += 1
             self.copy_cycles[retired] += cycles
@@ -504,13 +519,6 @@ class BatchMachine:
         self._evicted_now = []
         return out
 
-    def _note_touched(self, columns) -> None:
-        touched = self._touched
-        before = len(touched)
-        touched.update(columns)
-        if len(touched) != before:
-            self._touched_cols = None
-
     def to_machine(self, lane: int) -> Machine:
         """Materialise one lane as a scalar :class:`Machine`.
 
@@ -532,19 +540,12 @@ class BatchMachine:
         for col, name in enumerate(ALL_REGISTERS):
             values[name] = int(row[col])
         mem = machine.memory
-        mem_row = self.mem[lane]
-        cols = self._touched_cols
-        if cols is None:
-            cols = np.fromiter(
-                self._touched, dtype=np.int64, count=len(self._touched)
-            )
-            cols.sort()
-            self._touched_cols = cols
-        col_values = mem_row[cols]
-        nonzero = np.flatnonzero(col_values)
-        mem._clean = dict(
-            zip(cols[nonzero].tolist(), col_values[nonzero].tolist())
-        )
+        values = self.mem[lane, 1 : len(self._addresses) + 1].tolist()
+        mem._clean = {
+            address: value
+            for address, value in sorted(zip(self._addresses, values))
+            if value
+        }
         mem._error_bits = {
             address: set(bits) for address, bits in self.error_bits[lane].items()
         }
@@ -585,14 +586,14 @@ class BatchMachine:
         """
         lane = int(lane)
         mem = machine.memory
-        row = self.mem[lane]
         clean = mem._clean
         if clean:
-            addresses = np.fromiter(clean.keys(), dtype=np.int64, count=len(clean))
-            row[addresses] = np.fromiter(
+            cols = self._columns(
+                np.fromiter(clean.keys(), dtype=np.intp, count=len(clean))
+            )
+            self.mem[lane, cols] = np.fromiter(
                 clean.values(), dtype=np.int64, count=len(clean)
             )
-            self._note_touched(clean.keys())
         self.error_bits[lane] = {
             address: set(bits) for address, bits in mem._error_bits.items()
         }
@@ -623,6 +624,31 @@ class BatchMachine:
             value ^= 1 << bit
         return value & WORD_MASK
 
+    def _columns(self, addresses: np.ndarray) -> np.ndarray:
+        """Columns of in-bounds *addresses*, mapping unseen ones first.
+
+        Mapping may reallocate :attr:`mem`, so a store must call this
+        *before* it evaluates ``self.mem``.
+        """
+        cols = self._col[addresses]
+        if cols.all():
+            return cols
+        new = np.unique(addresses[cols == 0])
+        start = len(self._addresses) + 1
+        end = start + new.size
+        width = self.mem.shape[1]
+        if end > width:
+            while width < end:
+                width *= 2
+            grown = np.zeros(
+                (self.lanes, min(width, self.memory_words + 1)), dtype=np.int64
+            )
+            grown[:, :start] = self.mem[:, :start]
+            self.mem = grown
+        self._col[new] = np.arange(start, end)
+        self._addresses.extend(new.tolist())
+        return self._col[addresses]
+
     def _read_lane(self, lane: int, address: int) -> int:
         if not 0 <= address < self.memory_words:
             raise BusError(
@@ -630,7 +656,7 @@ class BatchMachine:
                 f"{self.memory_words} words",
                 address=address,
             )
-        clean = int(self.mem[lane, address])
+        clean = int(self.mem[lane, self._col[address]])
         errors = self.error_bits[lane].get(address)
         if not errors:
             return clean
@@ -717,7 +743,7 @@ class BatchMachine:
             addresses = addresses[keep]
         if idx.size == 0:
             return idx, addresses
-        values = self.mem[idx, addresses]
+        values = self.mem[idx, self._col[addresses]]
         flagged = self._lane_has_err[idx]
         if flagged.any():
             dropped = np.zeros(idx.shape, dtype=bool)
@@ -782,8 +808,8 @@ class BatchMachine:
             addresses = addresses[keep]
             values = values[keep]
         if idx.size:
-            self.mem[idx, addresses] = values & WORD_MASK
-            self._note_touched(addresses.tolist())
+            cols = self._columns(addresses)
+            self.mem[idx, cols] = values & WORD_MASK
             flagged = self._lane_has_err[idx]
             if flagged.any():
                 for pos in np.flatnonzero(flagged).tolist():
@@ -1050,3 +1076,13 @@ class BatchMachine:
             f"BatchMachine(lanes={self.lanes}, active={int(self.active.sum())}, "
             f"evicted={int(self.evicted.sum())})"
         )
+
+
+#: Mnemonic -> unbound vectorized handler, called ``handler(self, idx,
+#: ins)`` and shared by every batch machine.  A per-instance dict of bound
+#: methods would be a reference cycle, keeping each dropped machine (and
+#: its lane memory) alive until the cyclic collector runs.
+_DISPATCH: "Mapping[str, Callable[..., np.ndarray]]" = MappingProxyType({
+    mnemonic: getattr(BatchMachine, "_bx_" + mnemonic.lower())
+    for mnemonic in _FAST_HANDLERS
+})

@@ -4,8 +4,8 @@ The scalar campaign path (:mod:`repro.faults.campaign`) runs one machine
 per experiment.  All E5-style experiments execute the *same* program on
 the *same* inputs and differ only in the injected fault, so K of them can
 advance as lanes of one :class:`repro.cpu.batch.BatchMachine`: a shared
-fetch/decode per step, vectorized execute across the ``(K, n)`` register
-and memory arrays, and per-lane eviction to a scalar
+fetch/decode per step, vectorized execute across the ``(K, registers)``
+and ``(K, footprint)`` memory arrays, and per-lane eviction to a scalar
 :class:`~repro.cpu.machine.Machine` the moment a lane's control flow
 diverges from the cohort.
 
@@ -312,11 +312,9 @@ class BatchTemExecutor:
             mmu_enabled=machine.mmu.enabled,
             cycle_ticks=machine.cycle_ticks,
         )
-        clean = machine.memory._clean
-        if clean:
-            base = min(clean)
-            image = [clean.get(address, 0) for address in range(base, max(clean) + 1)]
-            bm.load_rom(base, image)
+        # Only the words the template wrote: lane memory is sized to them.
+        for address, word in machine.memory._clean.items():
+            bm.load_rom(address, [word])
         if machine.memory._rom_sealed:
             bm.seal_rom()
         for region in machine.mmu._regions:
@@ -471,7 +469,7 @@ class BatchTemExecutor:
             else:
                 clean.append(lane)
         if clean:
-            block = bm.mem[clean, base:base + count].tolist()
+            block = bm.peek_words(clean, base, count).tolist()
             for lane, words in zip(clean, block):
                 out[lane] = (tuple(words), None)
 

@@ -29,15 +29,27 @@ DEFAULT_TARGET_WEIGHTS = {
     FaultTarget.DATA_MEMORY: 0.20,
 }
 
-#: Pre-normalised (targets, probabilities) for the default weights — the
-#: per-fault normalisation is pure overhead in large random campaigns.
+
 def _normalised_table(table: dict) -> "tuple[list, np.ndarray]":
+    """``(targets, cdf)`` of a target-weight table.
+
+    *cdf* is exactly the table ``Generator.choice(n, p=...)`` inverts for
+    the normalised weights, so ``cdf.searchsorted(rng.random(),
+    side="right")`` consumes the same stream and draws the same index —
+    without choice's per-call validation of ``p``, done here once instead.
+    """
     targets = list(table)
     probabilities = np.array([table[t] for t in targets], dtype=float)
+    if (probabilities < 0).any() or not probabilities.sum() > 0:
+        raise ConfigurationError("target weights must be non-negative, not all zero")
     probabilities /= probabilities.sum()
-    return targets, probabilities
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return targets, cdf
 
 
+#: Pre-normalised table for the default weights — the per-fault
+#: normalisation is pure overhead in large random campaigns.
 _DEFAULT_TARGET_TABLE = _normalised_table(DEFAULT_TARGET_WEIGHTS)
 
 
@@ -63,18 +75,19 @@ def random_fault(
     if max_step <= 0:
         raise ConfigurationError("max_step must be positive")
     if weights is None:
-        targets, probabilities = _DEFAULT_TARGET_TABLE
+        targets, cdf = _DEFAULT_TARGET_TABLE
     else:
-        targets, probabilities = _normalised_table(weights)
-    target = targets[int(rng.choice(len(targets), p=probabilities))]
+        targets, cdf = _normalised_table(weights)
+    # The same draws Generator.choice makes (see _normalised_table).
+    target = targets[int(cdf.searchsorted(rng.random(), side="right"))]
     bit = int(rng.integers(0, 32))
     step = int(rng.integers(0, max_step))
     register: Optional[str] = None
     address: Optional[int] = None
     if target is FaultTarget.DATA_REGISTER:
-        register = str(rng.choice(DATA_REGISTERS))
+        register = DATA_REGISTERS[int(rng.integers(0, len(DATA_REGISTERS)))]
     elif target is FaultTarget.ADDRESS_REGISTER:
-        register = str(rng.choice(ADDRESS_REGISTERS))
+        register = ADDRESS_REGISTERS[int(rng.integers(0, len(ADDRESS_REGISTERS)))]
     elif target is FaultTarget.PC:
         register = "PC"
         # High PC bits almost always leave memory entirely; restrict to the

@@ -8,8 +8,12 @@ the lane to a scalar continuation, and :meth:`BatchMachine.to_machine` /
 The broad randomized equivalence lives in
 ``tests/property/test_batch_differential.py``; these tests pin the
 individual mechanisms (eviction, ECC fetch semantics, materialisation,
-validation).
+footprint-sized lane memory, validation).
 """
+
+import gc
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -18,6 +22,9 @@ from repro.cpu.batch import BatchMachine
 from repro.cpu.exceptions import EccUncorrectableError
 from repro.cpu.machine import Machine
 from repro.errors import MachineError
+from repro.experiments.coverage_table import e5_fault_payloads, make_brake_workload
+from repro.faults.batch_campaign import BatchTemExecutor
+from repro.faults.campaign import TemInjectionHarness
 
 IN = 0x1800
 OUT = 0x1900
@@ -226,6 +233,63 @@ class TestMaterialisation:
         scalar.prepare(PROGRAM.origin)
         scalar.write_words(IN, INPUTS)
         assert _snapshot(bm.to_machine(0)) == _snapshot(scalar)
+
+
+class TestFootprintMemory:
+    def test_lane_memory_is_sized_to_the_footprint(self):
+        bm = _fresh_batch(4)
+        _drive(bm)
+        # ROM image, two inputs, one output: nowhere near the address space.
+        assert bm.mem.shape[1] < bm.memory_words // 100
+        assert bm.peek(0, OUT) == bm.to_machine(0).memory.peek(OUT)
+        assert bm.peek(0, OUT + 1) == 0  # never written: the zero column
+
+    def test_growth_keeps_every_word(self):
+        bm = BatchMachine(3)
+        addresses = [bm.memory_words - 1 - 7 * i for i in range(300)]
+        for n, address in enumerate(addresses):
+            bm.write_words(address, [n + 1], lanes=[n % 3])
+        assert bm.mem.shape[1] > 300  # doubled past the initial width
+        for n, address in enumerate(addresses):
+            assert [bm.peek(lane, address) for lane in range(3)] == [
+                n + 1 if lane == n % 3 else 0 for lane in range(3)
+            ]
+        clean = bm.to_machine(1).memory._clean
+        assert list(clean) == sorted(clean)  # rebuilt in address order
+        assert clean == {a: n + 1 for n, a in enumerate(addresses) if n % 3 == 1}
+
+    def test_block_read_matches_per_word_peek(self):
+        bm = _fresh_batch(3)
+        _drive(bm)
+        block = bm.peek_words([2, 0], IN, 4)
+        assert block.tolist() == [
+            [bm.peek(lane, IN + offset) for offset in range(4)] for lane in (2, 0)
+        ]
+
+    def test_dropped_machine_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            bm = _fresh_batch(2)
+            _drive(bm)
+            ref = weakref.ref(bm)
+            del bm
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_campaign_memory_stays_footprint_sized(self):
+        harness = TemInjectionHarness(make_brake_workload())
+        faults = [fault for _, fault in e5_fault_payloads(2_000, seed=2005)]
+        executor = BatchTemExecutor(harness, batch=1024)
+        executor.run_experiments(faults[:8])  # warm imports and caches
+        tracemalloc.start()
+        try:
+            executor.run_experiments(faults)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A dense (1024, 16384) int64 lane memory alone is 128 MiB.
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestValidation:

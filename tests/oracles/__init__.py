@@ -7,5 +7,7 @@ differential suites compare production against them:
 * :mod:`tests.oracles.reference_cpu` — the string-dispatch interpreter
   (``tests/cpu/test_fastpath_differential.py``);
 * :mod:`tests.oracles.reference_ctmc` — uncached point and grid CTMC
-  solves (``tests/property/test_solver_equivalence.py``).
+  solves (``tests/property/test_solver_equivalence.py``);
+* :mod:`tests.oracles.reference_faults` — random fault draws through
+  ``Generator.choice`` (``tests/faults/test_fault_draw_differential.py``).
 """

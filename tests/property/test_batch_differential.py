@@ -8,7 +8,11 @@ Two layers, both driven by Hypothesis over seeded random inputs:
    memory bit flip per lane, against K independently built scalar
    :class:`~repro.cpu.machine.Machine` runs.  Registers, memory digest,
    instruction/cycle counts, signatures and the EDM exception log must
-   match exactly.
+   match exactly.  A second program family loads, stores, pushes and
+   flips at scattered addresses — the last word of memory, both sides of
+   the ROM boundary, lane-dependent targets and data blocks wider than
+   the initial lane memory — so the batch machine's address→column map
+   and its growth are checked against the scalar sparse memory.
 
 2. **Campaign level** — random E5-style fault lists (including permanent
    stuck-ats, which are not batchable and exercise the executor's
@@ -45,19 +49,26 @@ _POOL = (
 
 _REGISTERS = tuple(f"D{i}" for i in range(8)) + ("A1", "A2", "PC", "SP", "SR")
 
+#: The scratch area every program family loads from and stores to.
+_DATA = tuple(IN + offset for offset in range(DATA_WORDS))
 
-def _random_program(rng):
+#: Footprint edges: last ROM word (stores raise), first RAM word, and the
+#: top two words of memory (the first PUSH target with the default SP).
+_EDGES = (0x0FFF, 0x1000, 0x3FFE, 0x3FFF)
+
+
+def _random_program(rng, pool=_POOL, data=_DATA):
     """Branch-heavy random program ending in HALT (divergence-forcing)."""
     length = int(rng.integers(8, 32))
     words = []
     for index in range(length):
-        mnemonic = _POOL[int(rng.integers(0, len(_POOL)))]
+        mnemonic = pool[int(rng.integers(0, len(pool)))]
         rd = int(rng.integers(0, 16))
         ra = int(rng.integers(0, 16))
         rb = int(rng.integers(0, 16))
         if mnemonic in ("LOAD", "STORE"):
-            ra = 8  # A0 stays 0: address = imm, inside the scratch area
-            imm = IN + int(rng.integers(0, DATA_WORDS))
+            ra = 8  # A0 is 0 unless flipped: address = imm
+            imm = data[int(rng.integers(0, len(data)))]
         elif mnemonic in ("BEQ", "BNE", "BLT", "BGE"):
             imm = int(rng.integers(-min(index, 4), 4))
         elif mnemonic == "SIG":
@@ -69,7 +80,7 @@ def _random_program(rng):
     return words
 
 
-def _lane_flips(rng, lanes, code_words):
+def _lane_flips(rng, lanes, code_words, registers=_REGISTERS, data=_DATA):
     """One optional pre-run flip per lane: register or ECC memory bit."""
     flips = []
     for _ in range(lanes):
@@ -77,25 +88,26 @@ def _lane_flips(rng, lanes, code_words):
         if kind == 0:
             flips.append(None)
         elif kind == 1:
-            name = _REGISTERS[int(rng.integers(0, len(_REGISTERS)))]
+            name = registers[int(rng.integers(0, len(registers)))]
             bit = int(rng.integers(0, 16 if name == "PC" else 32))
             flips.append(("reg", name, bit))
         else:
             address = (
                 int(rng.integers(0, code_words))
                 if rng.integers(0, 2)
-                else IN + int(rng.integers(0, DATA_WORDS))
+                else data[int(rng.integers(0, len(data)))]
             )
             flips.append(("mem", address, int(rng.integers(0, 32))))
     return flips
 
 
-def _scalar_outcome(words, inputs, flip):
+def _scalar_outcome(words, blocks, flip):
     machine = Machine()
     machine.memory.load_rom(0, list(words))
     machine.seal_rom()
     machine.prepare(0)
-    machine.write_words(IN, inputs)
+    for base, values in blocks:
+        machine.write_words(base, values)
     if flip is not None:
         if flip[0] == "reg":
             machine.registers.flip_bit(flip[1], flip[2])
@@ -122,22 +134,17 @@ def _observe(machine):
     }
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_batch_lanes_match_independent_scalar_runs(seed):
-    rng = np.random.default_rng(seed)
-    words = _random_program(rng)
-    lanes = int(rng.integers(2, 7))
-    inputs = [int(v) for v in rng.integers(0, 2**32, size=DATA_WORDS)]
-    flips = _lane_flips(rng, lanes, len(words))
-
-    expected = [_scalar_outcome(words, inputs, flip) for flip in flips]
+def _assert_lanes_match_scalar(words, blocks, flips):
+    """K lanes of one batch machine vs K independent scalar runs."""
+    lanes = len(flips)
+    expected = [_scalar_outcome(words, blocks, flip) for flip in flips]
 
     bm = BatchMachine(lanes)
     bm.load_rom(0, words)
     bm.seal_rom()
     bm.prepare(0)
-    bm.write_words(IN, inputs)
+    for base, values in blocks:
+        bm.write_words(base, values)
     for lane, flip in enumerate(flips):
         if flip is None:
             continue
@@ -165,6 +172,41 @@ def test_batch_lanes_match_independent_scalar_runs(seed):
         for lane in range(lanes)
     ]
     assert results == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batch_lanes_match_independent_scalar_runs(seed):
+    rng = np.random.default_rng(seed)
+    words = _random_program(rng)
+    lanes = int(rng.integers(2, 7))
+    inputs = [int(v) for v in rng.integers(0, 2**32, size=DATA_WORDS)]
+    flips = _lane_flips(rng, lanes, len(words))
+    _assert_lanes_match_scalar(words, [(IN, inputs)], flips)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scattered_footprint_matches_independent_scalar_runs(seed):
+    rng = np.random.default_rng(seed)
+    # Data blocks at random RAM bases, together usually wider than the
+    # batch machine's initial lane memory, so columns are mapped and the
+    # array grows before and while the lanes run.
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(1, 48))
+        base = int(rng.integers(0x1000, 0x4000 - size))
+        blocks.append((base, [int(v) for v in rng.integers(0, 2**32, size=size)]))
+    scattered = tuple(int(a) for a in rng.integers(0x1000, 0x4000, size=6))
+    data = _DATA + _EDGES + scattered + tuple(base for base, _ in blocks)
+    words = _random_program(rng, pool=_POOL + ("PUSH", "POP"), data=data)
+    lanes = int(rng.integers(2, 7))
+    # A0 flips make store targets lane-dependent: columns get mapped for
+    # addresses only some lanes write.
+    flips = _lane_flips(
+        rng, lanes, len(words), registers=_REGISTERS + ("A0",), data=data
+    )
+    _assert_lanes_match_scalar(words, [(IN, list(range(DATA_WORDS)))] + blocks, flips)
 
 
 # ----------------------------------------------------------------------
