@@ -12,7 +12,7 @@ error masking on the mini-ISA machine, then:
   suspicion so the node shuts down for off-line diagnosis.
 
 The campaign runs on the resilient supervisor (repro.harness): pass a jobs
-count to fan the trials out over crash-isolated worker processes, and a
+count to fan the trials out over crash-tolerant shard runners, and a
 journal path to checkpoint the campaign (interrupt it with Ctrl-C or kill
 -9 and rerun with the same path — it resumes where it stopped and the
 statistics come out bit-identical).
@@ -31,7 +31,7 @@ def main() -> None:
     experiments = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000
     jobs = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     journal = sys.argv[3] if len(sys.argv) > 3 else None
-    mode = f"{jobs} crash-isolated workers" if jobs else "serial in-process"
+    mode = f"{jobs} shard runners" if jobs else "serial in-process"
     print(f"Running {experiments} single-bit-flip experiments ({mode}) ...\n")
     result = run_coverage_campaign(
         experiments=experiments, seed=2005,

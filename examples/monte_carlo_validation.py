@@ -9,7 +9,7 @@ Section 3.2.  Agreement here means the analytic transition structures
 really encode the simulated node semantics.
 
 The replicas run on the resilient campaign supervisor (repro.harness):
-pass a jobs count to distribute them over crash-isolated worker processes.
+pass a jobs count to distribute them over crash-tolerant shard runners.
 
 Run:  python examples/monte_carlo_validation.py [replicas] [jobs]
 """

@@ -58,7 +58,7 @@ def _run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for campaign experiments",
+        help="shard runner processes for campaign experiments",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -69,14 +69,10 @@ def _run_parser() -> argparse.ArgumentParser:
         help="directory for checkpoint journals (and shard leases)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="crash-tolerant shard runner processes for campaign "
-             "experiments (requires --resume)",
-    )
-    parser.add_argument(
         "--chaos", type=str, default=None, metavar="SPEC",
-        help="deterministic harness chaos spec, e.g. "
-             "'die:40,stall:80,corrupt:0:tear'",
+        help="deterministic chaos injection into the --jobs shard "
+             "runners, e.g. 'die:40,stall:80,corrupt:0:tear' (die:T, "
+             "stall:T, corrupt:K:MODE)",
     )
     parser.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",
@@ -111,8 +107,6 @@ def _cmd_run(argv: List[str]) -> int:
     if args.resume is not None:
         args.resume.mkdir(parents=True, exist_ok=True)
         overrides["resume_dir"] = str(args.resume)
-    if args.shards is not None:
-        overrides["shards"] = args.shards
     if args.chaos is not None:
         overrides["chaos"] = args.chaos
     if args.chaos_seed is not None:
@@ -121,12 +115,6 @@ def _cmd_run(argv: List[str]) -> int:
         overrides["batch"] = args.batch
     if overrides:
         config = config.replace(**overrides)
-    if config.shards and config.resume_dir is None:
-        print(
-            "error: --shards needs --resume PATH (shard journals and "
-            "lease files live there)", file=sys.stderr,
-        )
-        return 2
     exp = experiment_registry.load_all().get(args.experiment)
     context = runtime.RunContext(config)
     with runtime.activate(context):

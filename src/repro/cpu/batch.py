@@ -883,8 +883,11 @@ class BatchMachine:
         sp = self.regs[idx, _SP_COL]
         idx, sp = self._mmu_filter(idx, sp, ACCESS_READ)
         idx, values = self._mem_read(idx, sp)
+        # SP advances from its pre-pop value, as in the scalar twin: a
+        # ``POP SP`` discards the popped word.
+        new_sp = (self.regs[idx, _SP_COL] + 1) & WORD_MASK
         self.regs[idx, ins.rd] = values
-        self.regs[idx, _SP_COL] = (self.regs[idx, _SP_COL] + 1) & WORD_MASK
+        self.regs[idx, _SP_COL] = new_sp
         return idx
 
     def _bx_add(self, idx: np.ndarray, ins: Instruction) -> np.ndarray:

@@ -37,13 +37,7 @@ from ..faults.campaign import TemInjectionHarness, TemWorkload
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import (
-    ChaosPolicy,
-    ShardConfig,
-    SupervisorConfig,
-    run_experiment_campaign,
-    run_sharded_campaign,
-)
+from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable
 from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
@@ -254,11 +248,7 @@ def run_coverage_campaign(
     journal_path: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
-    chunk_size: Optional[int] = None,
-    batch_replies: bool = False,
-    shards: int = 0,
     chaos: Optional[ChaosPolicy] = None,
-    lease_ttl_s: float = 2.0,
     batch: int = 0,
 ) -> CoverageTableResult:
     """Run the E5 campaign and estimate the paper's parameters.
@@ -275,35 +265,26 @@ def run_coverage_campaign(
         TEM copy cap per job — the schedule's reserved recovery slack; a
         tight cap is what produces omission failures.
     workers / timeout_s / journal_path:
-        Campaign-supervisor knobs (:mod:`repro.harness`): crash-isolated
-        worker processes, per-trial wall-clock budget, and checkpoint
-        journal for interrupt/resume.  The defaults preserve the historic
-        serial in-process behaviour and output bit-for-bit.
-    chunk_size / batch_replies:
-        Worker-dispatch batching knobs (see
-        :class:`repro.harness.SupervisorConfig`): trials shipped per
-        worker message, and chunk-granular replies amortising per-trial
-        IPC.  Outcomes are bit-identical either way.
+        Campaign-supervisor knobs (:mod:`repro.harness`): lease-owned
+        shard runner processes that survive SIGKILLs and wedges,
+        per-trial wall-clock budget, and checkpoint journal for
+        interrupt/resume.  The defaults preserve the historic serial
+        in-process behaviour and output bit-for-bit; outcomes are
+        bit-identical for any ``workers``.
     progress / profile:
         Observability knobs (:mod:`repro.obs`): a live stderr progress
         line (silent when stderr is not a TTY), and opt-in cProfile
         capture of the hottest trials.
-    shards / lease_ttl_s:
-        Crash-tolerant sharded execution (:mod:`repro.harness.shards`):
-        with ``shards >= 1`` the campaign runs as lease-owned shard
-        runner processes that survive SIGKILLs and wedges; needs
-        ``journal_path``.  Outcomes are bit-identical to the serial run.
     chaos:
         Deterministic harness chaos injection
-        (:class:`repro.harness.ChaosPolicy`) — worker kills and delays
-        in pool mode, runner deaths/stalls and journal corruption in
-        sharded mode.
+        (:class:`repro.harness.ChaosPolicy`) — runner deaths/stalls and
+        journal corruption when ``workers >= 1``.
     batch:
-        Vectorised serial execution: step up to ``batch`` experiments in
-        numpy lockstep per chunk (:func:`_e5_batch_runner`).  Records,
-        journal entries and per-trial metrics are bit-identical to
-        scalar execution; composes with ``shards`` (each shard runner
-        batches its own slice).
+        Vectorised execution: step up to ``batch`` experiments in numpy
+        lockstep per chunk (:func:`_e5_batch_runner`).  Records, journal
+        entries and per-trial metrics are bit-identical to scalar
+        execution; composes with ``workers`` (each shard runner batches
+        its own slice).
     """
     kernel_hits = int(np.random.default_rng(seed + 1).binomial(experiments, kernel_share))
     payloads = e5_fault_payloads(
@@ -315,21 +296,13 @@ def run_coverage_campaign(
         journal_path=journal_path,
         master_seed=seed,
         campaign=f"e5-coverage-n{experiments}",
-        chunk_size=chunk_size,
-        batch_replies=batch_replies,
         progress=ProgressReporter("E5 coverage") if progress else None,
         profile_top_k=DEFAULT_TOP_K if profile else 0,
         chaos=chaos,
         batch_size=batch,
         batch_runner=_e5_batch_runner if batch > 0 else None,
     )
-    if shards > 0:
-        stats = run_sharded_campaign(
-            _e5_trial, payloads, config,
-            ShardConfig(shards=shards, lease_ttl_s=lease_ttl_s),
-        ).statistics()
-    else:
-        stats = run_experiment_campaign(_e5_trial, payloads, config)
+    stats = run_experiment_campaign(_e5_trial, payloads, config)
     # Kernel-execution hits: the mini-ISA machine runs no kernel code, so
     # these are modelled directly (the paper does the same when deriving
     # P_FS from the 5% kernel CPU share [10]).  A kernel hit is *effective*
@@ -383,11 +356,9 @@ def _experiment(ctx) -> CoverageTableResult:
         journal_path=cfg.journal_path("e5"),
         progress=cfg.progress,
         profile=cfg.profile,
-        shards=cfg.shards,
         chaos=(
             ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
             if cfg.chaos else None
         ),
-        lease_ttl_s=cfg.lease_ttl_s,
         batch=cfg.batch,
     )

@@ -105,7 +105,6 @@ def build_run_config(
     resume: Optional[Path] = None,
     progress: bool = False,
     profile: bool = False,
-    shards: int = 0,
     chaos: Optional[str] = None,
     chaos_seed: int = 0,
     batch: int = 0,
@@ -122,7 +121,6 @@ def build_run_config(
         resume_dir=str(resume) if resume is not None else None,
         progress=progress,
         profile=profile,
-        shards=shards,
         chaos=chaos,
         chaos_seed=chaos_seed,
         batch=batch,
@@ -254,7 +252,6 @@ def run_report(
     profile: bool = False,
     metrics_path: "Optional[Path | str]" = None,
     config: Optional[runtime.RunConfig] = None,
-    shards: int = 0,
     chaos: Optional[str] = None,
     chaos_seed: int = 0,
     batch: int = 0,
@@ -263,7 +260,7 @@ def run_report(
 
     The whole run executes inside one activated
     :class:`repro.runtime.RunContext`, so every layer — metrics
-    registry stack, profile collector, solver cache, campaign workers —
+    registry stack, profile collector, solver cache, shard runners —
     resolves through the same context and concurrent reports never share
     state.  Pass ``config`` (e.g. loaded via
     :meth:`repro.runtime.RunConfig.from_file`) to override the keyword
@@ -273,8 +270,7 @@ def run_report(
         config = build_run_config(
             fast=fast, jobs=jobs, timeout=timeout, resume=resume,
             progress=progress, profile=profile,
-            shards=shards, chaos=chaos, chaos_seed=chaos_seed,
-            batch=batch,
+            chaos=chaos, chaos_seed=chaos_seed, batch=batch,
         )
     context = runtime.RunContext(config)
     sections = build_sections(context=context)
@@ -311,13 +307,15 @@ def _parse_args(argv: "list[str]") -> argparse.Namespace:
     )
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="crash-isolated worker processes for campaign sections "
-             "(0 = serial in-process, the default)",
+        help="crash-tolerant shard runner processes for campaign "
+             "sections (lease/heartbeat failure detection, fencing-token "
+             "takeover; each runner honours --batch; 0 = serial "
+             "in-process, the default)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget; hung trials are killed and "
-             "classified HARNESS_TIMEOUT",
+        help="per-trial wall-clock budget; hung trials are interrupted "
+             "(SIGALRM) and classified HARNESS_TIMEOUT",
     )
     parser.add_argument(
         "--resume", type=Path, default=None, metavar="PATH",
@@ -325,16 +323,10 @@ def _parse_args(argv: "list[str]") -> argparse.Namespace:
              "the same path again to resume an interrupted run",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="crash-tolerant shard runner processes for campaign sections "
-             "(lease/heartbeat failure detection, fencing-token takeover; "
-             "requires --resume; 0 = unsharded, the default)",
-    )
-    parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
-        help="deterministic harness chaos injection, e.g. "
-             "'die:40,stall:80,corrupt:0:tear' (kill:T, kill-idle:T, "
-             "delay:T:S, die:T, stall:T, corrupt:K:MODE)",
+        help="deterministic chaos injection into the --jobs shard "
+             "runners, e.g. 'die:40,stall:80,corrupt:0:tear' (die:T, "
+             "stall:T, corrupt:K:MODE)",
     )
     parser.add_argument(
         "--chaos-seed", type=int, default=0, metavar="SEED",
@@ -370,17 +362,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _parse_args(argv)
     if args.resume is not None:
         args.resume.mkdir(parents=True, exist_ok=True)
-    if args.shards and args.resume is None:
-        print(
-            "error: --shards needs --resume PATH (shard journals and "
-            "lease files live there)", file=sys.stderr,
-        )
-        return 2
     report = run_report(
         fast=args.fast, jobs=args.jobs, timeout=args.timeout, resume=args.resume,
         progress=not args.no_progress, profile=args.profile,
         metrics_path=args.metrics,
-        shards=args.shards, chaos=args.chaos, chaos_seed=args.chaos_seed,
+        chaos=args.chaos, chaos_seed=args.chaos_seed,
         batch=args.batch,
     )
     print(report.text)

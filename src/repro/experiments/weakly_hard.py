@@ -47,13 +47,7 @@ from ..faults.outcomes import (
     OutcomeClass,
 )
 from ..faults.types import Fault
-from ..harness import (
-    ChaosPolicy,
-    ShardConfig,
-    SupervisorConfig,
-    run_experiment_campaign,
-    run_sharded_campaign,
-)
+from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.ft_analysis import max_tolerable_faults, mk_max_tolerable_faults
 from ..kernel.task import MKWindow, TaskSpec, WeaklyHardConstraint
 from ..obs.profile import DEFAULT_TOP_K
@@ -193,19 +187,15 @@ def run_mk_campaign(
     journal_path: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
-    chunk_size: Optional[int] = None,
-    batch_replies: bool = False,
-    shards: int = 0,
     chaos: Optional[ChaosPolicy] = None,
-    lease_ttl_s: float = 2.0,
     batch: int = 0,
     assignments: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> "tuple[CampaignStatistics, List[MkPayload]]":
     """One (m,k) injection campaign through the full harness stack.
 
     Every knob matches :func:`~repro.experiments.coverage_table.
-    run_coverage_campaign` — serial, ``workers``, ``batch`` lockstep and
-    ``shards`` schedules all produce bit-identical statistics.  Returns
+    run_coverage_campaign` — serial, ``workers`` shard runners and
+    ``batch`` lockstep schedules all produce bit-identical statistics.  Returns
     the statistics *and* the payload list (records are in payload order,
     which is what pairs each outcome with its window prefill for the
     regime estimators).  *assignments* runs heterogeneous per-task (m,k)
@@ -227,21 +217,13 @@ def run_mk_campaign(
         journal_path=journal_path,
         master_seed=seed,
         campaign=name,
-        chunk_size=chunk_size,
-        batch_replies=batch_replies,
         progress=ProgressReporter("E14 weakly-hard") if progress else None,
         profile_top_k=DEFAULT_TOP_K if profile else 0,
         chaos=chaos,
         batch_size=batch,
         batch_runner=_mk_batch_runner if batch > 0 else None,
     )
-    if shards > 0:
-        stats = run_sharded_campaign(
-            _mk_trial, payloads, config,
-            ShardConfig(shards=shards, lease_ttl_s=lease_ttl_s),
-        ).statistics()
-    else:
-        stats = run_experiment_campaign(_mk_trial, payloads, config)
+    stats = run_experiment_campaign(_mk_trial, payloads, config)
     return stats, payloads
 
 
@@ -445,9 +427,7 @@ def run_weakly_hard_experiment(
     journal_mk: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
-    shards: int = 0,
     chaos: Optional[ChaosPolicy] = None,
-    lease_ttl_s: float = 2.0,
     batch: int = 0,
 ) -> WeaklyHardResult:
     """Run the hard and (m,k) campaigns and derive the comparison.
@@ -465,9 +445,7 @@ def run_weakly_hard_experiment(
         timeout_s=timeout_s,
         progress=progress,
         profile=profile,
-        shards=shards,
         chaos=chaos,
-        lease_ttl_s=lease_ttl_s,
         batch=batch,
     )
     hard_stats, _hard_payloads = run_mk_campaign(
@@ -590,11 +568,9 @@ def _experiment(ctx) -> WeaklyHardResult:
         journal_mk=cfg.journal_path("e14-mk"),
         progress=cfg.progress,
         profile=cfg.profile,
-        shards=cfg.shards,
         chaos=(
             ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
             if cfg.chaos else None
         ),
-        lease_ttl_s=cfg.lease_ttl_s,
         batch=cfg.batch,
     )

@@ -1,23 +1,22 @@
 """Resilient campaign execution engine.
 
 The supervisor that every large fault-injection campaign and Monte-Carlo
-study runs on: crash-isolated parallel workers, per-trial wall-clock
-timeouts, bounded retry with exponential backoff, a JSONL checkpoint
-journal with deterministic per-trial seed derivation (interrupt/resume is
-bit-identical), and graceful partial results on budget exhaustion.
+study runs on: per-trial wall-clock timeouts, bounded retry with
+exponential backoff, a JSONL checkpoint journal with deterministic
+per-trial seed derivation (interrupt/resume is bit-identical), optional
+lockstep batching, and graceful partial results on budget exhaustion.
 
-On top of that single-supervisor core sit the node-level fault-tolerance
-pieces the paper's framework uses — applied to the harness itself:
+Process parallelism comes from the node-level fault-tolerance pieces the
+paper's framework uses — applied to the harness itself:
 
-* :mod:`repro.harness.shards` — a sharded campaign coordinator: contiguous
-  seed-range shards, one serial runner process per shard, lease/heartbeat
-  failure detection, fencing-token takeover and commutative shard-journal
-  merge;
+* :mod:`repro.harness.shards` — the sharded campaign coordinator behind
+  ``workers >= 1``: contiguous seed-range shards, one serial runner
+  process per shard, lease/heartbeat failure detection, fencing-token
+  takeover and commutative shard-journal merge;
 * :mod:`repro.harness.leases` — the checkpointed lease files behind it;
 * :mod:`repro.harness.chaos` — deterministic, seeded chaos injection
-  (worker SIGKILLs, heartbeat stalls, journal-tail corruption, delayed
-  replies) used to prove that recovery reproduces the undisturbed run
-  bit-identically.
+  (runner SIGKILLs, heartbeat stalls, journal-tail corruption) used to
+  prove that recovery reproduces the undisturbed run bit-identically.
 
 See :mod:`repro.harness.supervisor` for the core design notes.
 """

@@ -3,10 +3,9 @@
 The repo's fault-injection campaigns prove the *paper's* node-level fault
 tolerance by injecting faults into simulated nodes.  This module turns the
 same discipline on the harness: a seeded :class:`ChaosPolicy` attacks the
-campaign infrastructure — SIGKILLing workers at chosen trial indices,
-stalling shard heartbeats until the lease expires, tearing or poisoning
-journal tails, delaying worker replies past their timeout — and the
-acceptance bar is the repo's signature move: under **any** chaos schedule
+campaign infrastructure — SIGKILLing shard runners at chosen trial
+indices, stalling runner heartbeats until the lease expires, tearing or
+poisoning journal tails — and the acceptance bar is the repo's signature move: under **any** chaos schedule
 the recovered campaign must reproduce the undisturbed serial run's outcome
 counts and deterministic metrics view bit-identically (see
 ``tests/harness/test_chaos_equivalence.py`` and ``tools/chaos_smoke.py``).
@@ -14,18 +13,14 @@ counts and deterministic metrics view bit-identically (see
 Every event is pinned to a trial index or shard id, so a schedule is
 reproducible run-to-run; the only randomness — the bytes used to damage a
 journal tail — is drawn from a ``random.Random`` seeded from the policy
-seed.  Events fire **once**: worker-pool directives are armed by the
-supervisor only on a trial's first attempt, and shard-runner events
-trigger only when their trial is *executed* (a resumed trial replayed from
-the journal never re-fires its event).
+seed.  Events fire **once**: runner events trigger only when their trial
+is *executed* (a resumed trial replayed from the journal never re-fires
+its event), and a shard's journal is corrupted at its first takeover only.
+Chaos acts on ``--jobs N`` (shard-runner) campaigns; a serial campaign
+ignores it.
 
 Spec grammar (the ``--chaos`` CLI knob), comma-separated events::
 
-    kill:T          SIGKILL the pool worker handed trial T (before it replies)
-    kill-idle:T     SIGKILL the pool worker after the chunk containing T
-                    fully replied (death *between* chunks — no in-flight trial)
-    delay:T:S       sleep S seconds before replying to trial T (reply past
-                    the per-trial timeout)
     die:T           shard runner SIGKILLs itself right after journaling
                     trial T (fail-stop node death with a durable journal)
     stall:T         shard runner stops heartbeating after journaling trial
@@ -45,12 +40,19 @@ import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Union
 
 from ..errors import ConfigurationError
 
 #: Journal-corruption modes understood by :meth:`ChaosPolicy.corrupt_journal`.
 CORRUPTION_MODES = ("tear", "garbage", "schema")
+
+#: The event grammar, as quoted in parse errors.
+_GRAMMAR = "die:T, stall:T, corrupt:K:MODE"
+
+#: Directives of the deleted worker pool; rejected with a pointer to
+#: :data:`_GRAMMAR` so an old spec fails loudly instead of silently.
+_POOL_DIRECTIVES = ("kill", "kill-idle", "delay")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,20 +61,11 @@ class ChaosPolicy:
 
     Immutable and picklable: the same policy object travels to the shard
     runner processes (installed process-wide via :func:`install`) and is
-    consulted by the supervisor when arming worker-pool directives.
+    consulted by the coordinator at takeover.
     """
 
     #: Seed for the corruption byte generator (the only entropy source).
     seed: int = 0
-    #: Trials whose pool worker is SIGKILLed before replying (first attempt).
-    kill_trials: "frozenset[int]" = frozenset()
-    #: Trials whose pool worker is SIGKILLed *after* its chunk fully
-    #: replied — the worker dies idle, between chunks.
-    kill_idle_trials: "frozenset[int]" = frozenset()
-    #: trial id -> seconds the worker sleeps before replying (first attempt).
-    delay_trials: "Mapping[int, float]" = dataclasses.field(
-        default_factory=dict
-    )
     #: Trials after whose journal append the shard runner SIGKILLs itself.
     die_after_trials: "frozenset[int]" = frozenset()
     #: Trials after which the shard runner stops heartbeating (wedge).
@@ -89,11 +82,6 @@ class ChaosPolicy:
                     f"unknown journal-corruption mode {mode!r} for shard "
                     f"{shard_id}; choose from {CORRUPTION_MODES}"
                 )
-        for trial_id, delay_s in self.delay_trials.items():
-            if delay_s < 0:
-                raise ConfigurationError(
-                    f"delay for trial {trial_id} must be >= 0, got {delay_s}"
-                )
 
     # ------------------------------------------------------------------
     # Spec parsing (the --chaos CLI knob)
@@ -101,23 +89,20 @@ class ChaosPolicy:
     @classmethod
     def from_spec(cls, spec: str, seed: int = 0) -> "ChaosPolicy":
         """Parse the comma-separated event grammar (module docstring)."""
-        kill: "set[int]" = set()
-        kill_idle: "set[int]" = set()
-        delay: "dict[int, float]" = {}
         die: "set[int]" = set()
         stall: "set[int]" = set()
         corrupt: "dict[int, str]" = {}
         for token in filter(None, (t.strip() for t in spec.split(","))):
             parts = token.split(":")
+            kind = parts[0]
+            if kind in _POOL_DIRECTIVES:
+                raise ConfigurationError(
+                    f"chaos event {token!r} targeted the removed worker "
+                    f"pool; campaigns run on shard runners, whose "
+                    f"directives are: {_GRAMMAR}"
+                )
             try:
-                kind = parts[0]
-                if kind == "kill" and len(parts) == 2:
-                    kill.add(int(parts[1]))
-                elif kind == "kill-idle" and len(parts) == 2:
-                    kill_idle.add(int(parts[1]))
-                elif kind == "delay" and len(parts) == 3:
-                    delay[int(parts[1])] = float(parts[2])
-                elif kind == "die" and len(parts) == 2:
+                if kind == "die" and len(parts) == 2:
                     die.add(int(parts[1]))
                 elif kind == "stall" and len(parts) == 2:
                     stall.add(int(parts[1]))
@@ -127,14 +112,10 @@ class ChaosPolicy:
                     raise ValueError(token)
             except ValueError as exc:
                 raise ConfigurationError(
-                    f"bad chaos event {token!r}; grammar: kill:T, "
-                    "kill-idle:T, delay:T:S, die:T, stall:T, corrupt:K:MODE"
+                    f"bad chaos event {token!r}; grammar: {_GRAMMAR}"
                 ) from exc
         return cls(
             seed=seed,
-            kill_trials=frozenset(kill),
-            kill_idle_trials=frozenset(kill_idle),
-            delay_trials=delay,
             die_after_trials=frozenset(die),
             stall_after_trials=frozenset(stall),
             corrupt_shards=corrupt,
@@ -142,13 +123,7 @@ class ChaosPolicy:
 
     def describe(self) -> str:
         """The canonical spec string of this policy (round-trips)."""
-        tokens = []
-        tokens += [f"kill:{t}" for t in sorted(self.kill_trials)]
-        tokens += [f"kill-idle:{t}" for t in sorted(self.kill_idle_trials)]
-        tokens += [
-            f"delay:{t}:{s:g}" for t, s in sorted(self.delay_trials.items())
-        ]
-        tokens += [f"die:{t}" for t in sorted(self.die_after_trials)]
+        tokens = [f"die:{t}" for t in sorted(self.die_after_trials)]
         tokens += [f"stall:{t}" for t in sorted(self.stall_after_trials)]
         tokens += [
             f"corrupt:{k}:{m}" for k, m in sorted(self.corrupt_shards.items())
@@ -161,8 +136,7 @@ class ChaosPolicy:
     @property
     def any_events(self) -> bool:
         return bool(
-            self.kill_trials or self.kill_idle_trials or self.delay_trials
-            or self.die_after_trials or self.stall_after_trials
+            self.die_after_trials or self.stall_after_trials
             or self.corrupt_shards
         )
 
@@ -229,32 +203,11 @@ class ChaosPolicy:
             raise ConfigurationError(f"unknown corruption mode {mode!r}")
         return mode
 
-    # ------------------------------------------------------------------
-    # Worker-pool directives (supervisor-side arming)
-    # ------------------------------------------------------------------
-    def directives_for(
-        self, trial_ids: "Tuple[int, ...]"
-    ) -> "Optional[dict[str, object]]":
-        """The directive payload shipped with one dispatched chunk.
-
-        The supervisor calls this only with trial ids on their *first*
-        attempt that have not been armed before, which is what gives
-        worker-pool events their fire-once semantics: the retry of a
-        chaos-killed trial runs clean.
-        """
-        kill = [t for t in trial_ids if t in self.kill_trials]
-        kill_idle = [t for t in trial_ids if t in self.kill_idle_trials]
-        delay = {t: self.delay_trials[t] for t in trial_ids
-                 if t in self.delay_trials}
-        if not (kill or kill_idle or delay):
-            return None
-        return {"kill": kill, "kill_idle": kill_idle, "delay": delay}
-
 
 class _ProcessChaos:
     """Process-scoped installed chaos policy.
 
-    Exists per *process* by design — the shard-runner and worker bootstrap
+    Exists per *process* by design — the shard-runner bootstrap
     install the campaign's policy here so harness code deep in the trial
     loop can consult it without threading it through every signature.
     Everyone outside this module goes through :func:`install` /

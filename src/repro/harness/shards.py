@@ -3,7 +3,9 @@
 The paper's framework keeps a distributed real-time application alive by
 detecting node failures with heartbeats, enforcing fail-stop semantics and
 reintegrating recovered nodes.  This module applies the same design to the
-campaign harness itself:
+campaign harness itself, and it is the harness's only process-parallel
+path: ``SupervisorConfig(workers=N)`` (``--jobs N``) runs here with N
+shard runners.
 
 * a campaign's payload list is split into contiguous **seed-range shards**
   (:func:`plan_shards`); trial ids, and therefore per-trial seeds, stay
@@ -11,18 +13,36 @@ campaign harness itself:
   merge into exactly the whole-campaign result;
 * each shard is executed by a **shard runner** process — a serial
   :class:`repro.harness.supervisor.CampaignSupervisor` over the shard's
-  slice, journaling every trial — that owns the shard through a
-  checkpointed **lease** (:mod:`repro.harness.leases`): heartbeat after
-  every journaled trial, fencing token, atomic writes;
-* the **coordinator** monitors runner processes and leases.  A dead runner
-  (crash, SIGKILL) or an expired lease (wedged runner) triggers a
-  *takeover*: the old process is killed, the fencing token bumped, and a
-  fresh runner respawned — it resumes from the shard journal and re-runs
-  only the missing trials.  Deterministic per-trial seeds make the
-  recovered campaign bit-identical to an undisturbed one;
-* a shard that keeps dying is **abandoned** after ``max_takeovers``
-  takeovers; the campaign degrades gracefully — the merged result carries
-  ``degraded=True`` and partial statistics instead of an exception.
+  slice that inherits the whole config (a batching config steps
+  lockstep chunks), journaling every trial — that owns the shard through
+  a checkpointed **lease** (:mod:`repro.harness.leases`): heartbeats from
+  a background thread, fencing token, atomic writes;
+* the **coordinator** blocks on the runners' process sentinels and wakes
+  at least every ``poll_s`` to check leases.  A dead runner (crash,
+  SIGKILL) or an expired lease (frozen runner) triggers a *takeover*: the
+  old process is killed, the fencing token bumped, and a fresh runner
+  respawned — it resumes from the shard journal and re-runs only the
+  missing trials.  Deterministic per-trial seeds make the recovered
+  campaign bit-identical to an undisturbed one;
+* a **trial that keeps killing its runner** is contained like a raising
+  trial: once ``max(2, max_retries + 1)`` runners in a row died (by a
+  signal) or froze with it as the shard's first unrecorded trial, the
+  coordinator journals it as ``HARNESS_CRASH`` (or ``HARNESS_TIMEOUT``
+  for a freeze) and the next runner moves past it.  A single death is
+  never charged to a trial: it may have struck between trials;
+* a shard whose journal stops advancing is **abandoned** after
+  ``max_takeovers`` takeovers in a row; the campaign degrades gracefully
+  — the merged result carries ``degraded=True`` and partial statistics
+  instead of an exception.
+
+Per-trial timeouts (``timeout_s``) are enforced by ``SIGALRM`` inside the
+runner executing the trial.  The lease measures liveness only: the runner
+heartbeats from a thread, so neither a long trial nor a long batch chunk
+expires it, and ``lease_ttl_s`` need not know how long trials take.  It
+catches a runner frozen beyond ``SIGALRM``'s reach (stopped, or stuck in
+native code holding the GIL).  ``max_harness_failures`` is one
+campaign-wide cap: runners publish their failure counts in a shared array
+and each stops dispatching once the total reaches it.
 
 Chaos injection (:mod:`repro.harness.chaos`) plugs in at two points: the
 runner's after-trial hook (``die:T`` SIGKILLs the runner after journaling
@@ -39,19 +59,24 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
+import tempfile
+import threading
 import time
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from .. import runtime
 from ..errors import ConfigurationError
 from ..faults.outcomes import OutcomeClass
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
 from . import chaos as chaos_mod
-from .journal import CampaignJournal, JournalHeader
+from .journal import CampaignJournal, JournalHeader, TrialEntry
 from .leases import LEASE_ABANDONED, LEASE_DONE, Lease, LeaseFile
 from .supervisor import (
     CampaignSupervisor,
@@ -60,6 +85,7 @@ from .supervisor import (
     SupervisorResult,
     TrialFn,
     _default_decode,
+    _replay_entries,
 )
 
 #: Exit code of a runner that observed a newer fencing token and stopped.
@@ -125,16 +151,17 @@ class ShardConfig:
     lease_ttl_s:
         A running lease whose heartbeat is older than this is expired;
         the coordinator takes the shard over.  Must comfortably exceed
-        ``heartbeat_s`` plus the slowest single trial.
+        ``heartbeat_s`` (heartbeats come from a runner thread, so trial
+        and batch-chunk durations do not matter).
     heartbeat_s:
-        Minimum interval between a runner's lease heartbeats (refreshed
-        from the after-trial hook, so the effective rate is
-        ``max(heartbeat_s, trial duration)``).
+        Interval between a runner's lease heartbeats.
     poll_s:
-        Coordinator monitor-loop period.
+        Longest the coordinator blocks on runner sentinels before it
+        checks lease expiry again; a runner exit wakes it at once.
     max_takeovers:
-        A shard taken over more than this many times is abandoned — the
-        campaign degrades instead of thrashing forever.
+        A shard taken over more than this many times in a row without its
+        journal advancing is abandoned — the campaign degrades instead of
+        thrashing forever.
     """
 
     shards: int = 2
@@ -161,6 +188,16 @@ class ShardConfig:
             raise ConfigurationError("max_takeovers must be >= 0")
 
 
+def _runner_run_config() -> runtime.RunConfig:
+    """The run configuration every shard runner activates.
+
+    The active context's config with the parallel/interactive knobs
+    stripped: a runner is always a serial, progress-less executor of its
+    own slice.
+    """
+    return runtime.current().config.replace(jobs=0, progress=False)
+
+
 # ----------------------------------------------------------------------
 # Shard runner (child process)
 # ----------------------------------------------------------------------
@@ -175,18 +212,33 @@ def _shard_runner_main(
     token: int,
     heartbeat_s: float,
     policy: "Optional[chaos_mod.ChaosPolicy]",
+    run_config: runtime.RunConfig,
+    failure_counts: Optional[Any],
 ) -> None:
-    """Run one shard serially, heartbeating its lease after every trial.
+    """Run one shard serially while a thread heartbeats its lease.
 
-    Dies by ``os.kill(SIGKILL)`` at a chaos ``die:T`` point (fail-stop
-    death with a durable journal), wedges forever after a chaos
-    ``stall:T`` point (heartbeats stop; the coordinator must expire the
-    lease), and exits :data:`FENCED_EXIT_CODE` the moment it observes a
-    newer fencing token — a superseded runner must not touch the shard.
+    The heartbeat thread proves the runner alive however long a trial or
+    batch chunk takes, and exits the runner with :data:`FENCED_EXIT_CODE`
+    the moment it observes a newer fencing token — a superseded runner
+    must not touch the shard — or that its coordinator died (no orphan
+    outlives the campaign).  The runner dies by ``os.kill(SIGKILL)`` at a
+    chaos ``die:T`` point (fail-stop death with a durable journal) and
+    stops heartbeating after a chaos ``stall:T`` point (the coordinator
+    must expire the lease).  On completion the DONE lease carries the
+    runner's harness counters to the coordinator.
+
+    ``failure_counts`` is the campaign's shared per-shard harness-failure
+    array when ``config.max_harness_failures`` is set: the runner
+    publishes its shard's count after every trial and stops dispatching
+    once the campaign total reaches the cap.  ``run_config`` is the
+    coordinator's effective run configuration
+    (:func:`_runner_run_config`), activated explicitly rather than
+    inherited through fork.
     """
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     chaos_mod.install(policy)
+    coordinator_pid = os.getppid()
     lease_file = LeaseFile(lease_path)
     lease = lease_file.heartbeat(Lease(
         shard_id=spec.shard_id,
@@ -194,29 +246,36 @@ def _shard_runner_main(
         token=token,
         heartbeat=time.time(),
     ))
-    stalled = False
-    last_beat = time.monotonic()
+    stalled = threading.Event()
+    finished = threading.Event()
 
-    def after_trial(trial_id: int) -> None:
+    def heartbeat() -> None:
+        while not finished.wait(heartbeat_s):
+            if stalled.is_set():
+                continue
+            if lease_file.fenced_out(token) or os.getppid() != coordinator_pid:
+                os._exit(FENCED_EXIT_CODE)
+            lease_file.heartbeat(lease)
+
+    beater = threading.Thread(target=heartbeat, daemon=True)
+    beater.start()
+    cap = config.max_harness_failures
+
+    def after_trial(trial_id: int, harness_failures: int) -> bool:
         # Only called for freshly *executed* trials (journal replays on
         # resume never re-enter here), which is what gives die/stall
         # events their fire-once semantics across takeovers.
-        nonlocal lease, stalled, last_beat
         if policy is not None:
             if policy.dies_after(trial_id):
                 # The journal entry for this trial is already flushed:
                 # dying here loses nothing acknowledged.
                 os.kill(os.getpid(), signal.SIGKILL)
             if policy.stalls_after(trial_id):
-                stalled = True
-        if stalled:
-            return
-        now = time.monotonic()
-        if now - last_beat >= heartbeat_s:
-            if lease_file.fenced_out(token):
-                os._exit(FENCED_EXIT_CODE)
-            lease = lease_file.heartbeat(lease)
-            last_beat = now
+                stalled.set()
+        if failure_counts is None:
+            return False
+        failure_counts[spec.shard_id] = harness_failures
+        return sum(failure_counts[:]) >= cap
 
     runner_config = dataclasses.replace(
         config,
@@ -224,20 +283,30 @@ def _shard_runner_main(
         journal_path=journal_path,
         campaign=f"{config.campaign}/shard{spec.shard_id}",
         trial_offset=spec.start,
-        after_trial=after_trial,  # reprolint: disable=PKL001 -- shard runner is serial (workers=0 above): the lease-heartbeat hook never crosses a process boundary
-        progress=None,
-        chaos=None,  # pool directives are meaningless in a serial runner
+        after_trial=after_trial,  # reprolint: disable=PKL001 -- shard runner is serial (workers=0 above): the chaos/failure-cap hook never crosses a process boundary
+        progress=None,  # the coordinator reports progress at merge
+        chaos=None,  # die/stall fire from after_trial above
         budget_s=None,  # the coordinator owns the campaign budget
+        max_harness_failures=None,  # campaign-wide: after_trial above
     )
-    CampaignSupervisor(trial_fn, runner_config).run(payloads)
-    if stalled:
+    with runtime.activate(runtime.RunContext(run_config)):
+        result = CampaignSupervisor(trial_fn, runner_config).run(payloads)
+    if stalled.is_set():
         # A wedged node: alive, journal intact, no heartbeats.  The
         # coordinator expires the lease and kills this process.
-        while True:  # pragma: no cover — exits only by SIGKILL
+        while os.getppid() == coordinator_pid:
             time.sleep(0.25)
+        os._exit(FENCED_EXIT_CODE)
+    finished.set()
+    beater.join()
     if lease_file.fenced_out(token):
         os._exit(FENCED_EXIT_CODE)
-    lease_file.heartbeat(lease, state=LEASE_DONE)
+    lease_file.heartbeat(
+        dataclasses.replace(
+            lease, counters=result.harness_metrics.get("counters", {})
+        ),
+        state=LEASE_DONE,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +326,25 @@ class _ShardState:
     done: bool = False
     abandoned: bool = False
     corrupted: bool = False
+    #: The finished runner's harness counters (from its DONE lease).
+    runner_counters: Optional[dict] = None
+    #: First unrecorded trial at the latest takeover, and how many
+    #: takeovers in a row found the journal stuck there.
+    stuck_at: Optional[int] = None
+    stuck_takeovers: int = 0
+
+
+def _open_shard_journal(config: SupervisorConfig, shard: _ShardState) -> CampaignJournal:
+    """Open a shard's journal under the header its runner writes."""
+    return CampaignJournal(
+        shard.journal_path,
+        JournalHeader(
+            campaign=f"{config.campaign}/shard{shard.spec.shard_id}",
+            master_seed=config.master_seed,
+            total_trials=shard.spec.size,
+        ),
+        fsync_interval=config.fsync_interval,
+    )
 
 
 def _kill_process(process: "Optional[multiprocessing.process.BaseProcess]") -> None:
@@ -275,21 +363,38 @@ def run_sharded_campaign(
 ) -> SupervisorResult:
     """Run a campaign across crash-tolerant shard runner processes.
 
-    Requires ``config.journal_path`` (shard journals and leases derive
-    from it).  Chaos comes from ``config.chaos``: ``die``/``stall``
-    events fire inside the runners, ``corrupt`` at the coordinator's
-    takeover path.  The merged :class:`SupervisorResult` is — for a
-    completed campaign — bit-identical to the undisturbed serial run
-    over the same payloads: same results, same statistics, same
+    Shard journals and leases derive from ``config.journal_path``; without
+    one they live in a temporary directory that is removed after the
+    merge (nothing to resume from, nothing left behind).  The default
+    ``shard_config`` runs ``max(1, config.workers)`` runners with the
+    default lease timings.  Chaos comes from ``config.chaos``:
+    ``die``/``stall`` events fire inside the runners, ``corrupt`` at the
+    coordinator's takeover path.  The merged :class:`SupervisorResult` is
+    — for a completed campaign — bit-identical to the undisturbed serial
+    run over the same payloads: same results, same statistics, same
     deterministic metrics view.
     """
     config = config if config is not None else SupervisorConfig()
-    shard_config = shard_config if shard_config is not None else ShardConfig()
-    if config.journal_path is None:
-        raise ConfigurationError(
-            "sharded campaigns need journal_path: shard journals and "
-            "lease files derive from it"
+    if shard_config is None:
+        shard_config = ShardConfig(shards=max(1, config.workers))
+    if config.journal_path is not None:
+        return _coordinate(
+            trial_fn, payloads, config, shard_config, Path(config.journal_path)
         )
+    with tempfile.TemporaryDirectory(prefix="repro-shards-") as scratch:
+        return _coordinate(
+            trial_fn, payloads, config, shard_config,
+            Path(scratch) / "campaign.jsonl",
+        )
+
+
+def _coordinate(
+    trial_fn: TrialFn,
+    payloads: Sequence[Any],
+    config: SupervisorConfig,
+    shard_config: ShardConfig,
+    journal_base: Path,
+) -> SupervisorResult:
     policy = (
         config.chaos
         if config.chaos is not None and config.chaos.any_events
@@ -297,12 +402,16 @@ def run_sharded_campaign(
     )
     started = time.monotonic()
     harness = MetricsRegistry()
+    run_config = _runner_run_config()
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    reporter = config.progress
+    if reporter is not None:
+        reporter.start(total=len(payloads))
 
     shards: List[_ShardState] = []
     for spec in plan_shards(len(payloads), shard_config.shards):
-        journal_path, lease_path = shard_paths(config.journal_path, spec.shard_id)
+        journal_path, lease_path = shard_paths(journal_base, spec.shard_id)
         shard = _ShardState(spec, journal_path, LeaseFile(lease_path))
         # Resume across *coordinator* deaths: start fencing tokens above
         # whatever a previous coordinator issued, so runners orphaned by
@@ -314,6 +423,11 @@ def run_sharded_campaign(
         if existing is not None:
             shard.token = existing.token
         shards.append(shard)
+    cap = config.max_harness_failures
+    failure_counts = ctx.Array("q", len(shards)) if cap is not None else None
+
+    def capped() -> bool:
+        return failure_counts is not None and sum(failure_counts[:]) >= cap
 
     def spawn(shard: _ShardState) -> None:
         shard.token += 1
@@ -337,13 +451,25 @@ def run_sharded_campaign(
                 shard.token,
                 shard_config.heartbeat_s,
                 policy,
+                run_config,
+                failure_counts,
             ),
             daemon=True,
         )
-        shard.process.start()
+        # Keep the runner's garbage collector off the inherited heap: its
+        # collections would otherwise write to every parent object's GC
+        # header and copy-on-write the pages (measured: a 950-trial batch
+        # chunk ran in ~140 ms instead of ~50 ms in a fresh fork).
+        gc.freeze()
+        try:
+            shard.process.start()
+        finally:
+            gc.unfreeze()
         harness.inc("harness.shard_runners_spawned")
 
-    def take_over(shard: _ShardState, reason: str) -> None:
+    def take_over(
+        shard: _ShardState, charge: Optional[OutcomeClass], why: str
+    ) -> None:
         # Fail-stop enforcement: whatever is (or is not) attached to the
         # lease gets killed before the shard is reassigned — combined
         # with fencing tokens this keeps a wedged-but-alive runner from
@@ -351,6 +477,40 @@ def run_sharded_campaign(
         _kill_process(shard.process)
         shard.takeovers += 1
         harness.inc("harness.lease_takeovers")
+        journal = _open_shard_journal(config, shard)
+        try:
+            first = next(
+                (t for t in range(shard.spec.start, shard.spec.stop)
+                 if t not in journal.entries),
+                None,
+            )
+            if first != shard.stuck_at:
+                shard.stuck_at, shard.stuck_takeovers = first, 0
+            shard.stuck_takeovers += 1
+            # ``charge`` is the outcome a runner death or freeze would
+            # mean for the trial it was running — most likely ``first``.
+            # A trial is charged once it has taken down as many runners
+            # as a raising trial gets attempts (two at least: one death
+            # may have struck between trials), so the shard moves past it.
+            if (
+                charge is not None
+                and first is not None
+                and shard.stuck_takeovers > max(1, config.max_retries)
+            ):
+                journal.append(TrialEntry(
+                    trial_id=first,
+                    status=charge.value,
+                    detail=f"{why}, {shard.stuck_takeovers} runners in a row",
+                    attempts=shard.stuck_takeovers,
+                ))
+                harness.inc(f"harness.{charge.value}")
+                shard.stuck_at, shard.stuck_takeovers = None, 0
+            if failure_counts is not None:
+                failure_counts[shard.spec.shard_id] = sum(
+                    1 for e in journal.entries.values() if e.is_harness_failure
+                )
+        finally:
+            journal.close()
         if (
             policy is not None
             and not shard.corrupted
@@ -359,7 +519,7 @@ def run_sharded_campaign(
             shard.corrupted = True
             if policy.corrupt_journal(shard.journal_path, shard.spec.shard_id):
                 harness.inc("harness.chaos_journal_corruptions")
-        if shard.takeovers > shard_config.max_takeovers:
+        if shard.stuck_takeovers > shard_config.max_takeovers:
             shard.abandoned = True
             harness.inc("harness.shards_abandoned")
             shard.lease_file.write(Lease(
@@ -369,6 +529,11 @@ def run_sharded_campaign(
                 heartbeat=time.time(),
                 state=LEASE_ABANDONED,
             ))
+            return
+        if capped():
+            # The campaign is out of harness-failure budget: no new
+            # runner; the merge reports the shard's missing trials.
+            shard.done = True
             return
         spawn(shard)
 
@@ -386,28 +551,41 @@ def run_sharded_campaign(
             ):
                 budget_exhausted = True
                 break
+            # Sleep until a runner exits, or poll_s passes and the leases
+            # of the live runners are due for an expiry check.
+            exited = mp_connection.wait(
+                [s.process.sentinel for s in active if s.process is not None],
+                timeout=shard_config.poll_s,
+            )
             for shard in active:
                 process = shard.process
                 assert process is not None
+                if process.sentinel in exited:
+                    # The sentinel closes as the runner exits; reap it so
+                    # its exit code is known on this pass.
+                    process.join()
                 exitcode = process.exitcode
-                if exitcode is not None:
-                    lease = shard.lease_file.read()
-                    if (
-                        exitcode == 0
-                        and lease is not None
-                        and lease.state == LEASE_DONE
-                    ):
-                        shard.done = True
-                        process.join()
-                    else:
+                lease = shard.lease_file.read()
+                if exitcode is None:
+                    if lease is None:
+                        take_over(shard, None, "shard lease unreadable")
+                    elif lease.expired(shard_config.lease_ttl_s):
                         take_over(
-                            shard, f"runner exited with code {exitcode}"
+                            shard, OutcomeClass.HARNESS_TIMEOUT,
+                            "shard runner froze past the lease TTL",
                         )
+                elif exitcode == 0 and lease is not None and lease.state == LEASE_DONE:
+                    shard.done = True
+                    shard.runner_counters = lease.counters
                 else:
-                    lease = shard.lease_file.read()
-                    if lease is None or lease.expired(shard_config.lease_ttl_s):
-                        take_over(shard, "lease expired (dead or wedged)")
-            time.sleep(shard_config.poll_s)
+                    # Killed by a signal (SIGKILL, SIGSEGV, OOM killer):
+                    # chargeable to a trial.  A runner that exited by
+                    # itself (an exception, fencing) is not.
+                    take_over(
+                        shard,
+                        OutcomeClass.HARNESS_CRASH if exitcode < 0 else None,
+                        f"shard runner killed by signal {-exitcode}",
+                    )
     finally:
         for shard in shards:
             if shard.process is not None and shard.process.is_alive():
@@ -423,29 +601,25 @@ def run_sharded_campaign(
     trial_metrics: Dict[int, dict] = {}
     degraded = budget_exhausted or any(s.abandoned for s in shards)
     for shard in shards:
+        # A runner's own counters (batch chunks, retries, dispatches)
+        # reach the campaign through its DONE lease.  Journal salvages are
+        # counted from the quarantine files below instead: the runner that
+        # salvaged may have died before it could report.
+        for name, value in (shard.runner_counters or {}).items():
+            if not name.startswith("harness.journal_"):
+                harness.inc(name, value)
         if not shard.journal_path.exists():
             degraded = True
             continue
-        journal = CampaignJournal(
-            shard.journal_path,
-            JournalHeader(
-                campaign=f"{config.campaign}/shard{shard.spec.shard_id}",
-                master_seed=config.master_seed,
-                total_trials=shard.spec.size,
-            ),
-            fsync_interval=config.fsync_interval,
-        )
+        journal = _open_shard_journal(config, shard)
         try:
             if journal.salvage is not None:
                 harness.inc(
                     "harness.journal_entries_salvaged",
                     journal.salvage.entries_kept,
                 )
-            # Salvages usually happen inside replacement *runners* (their
-            # metrics die with them), but every salvage leaves a
-            # quarantine file behind — count those, not just merge-time
-            # salvages, so takeover-and-salvage events reach the
-            # harness-health report.
+            # Every salvage, by a runner, at a takeover or just now, leaves
+            # a quarantine file behind.
             quarantine = shard.journal_path.with_name(
                 shard.journal_path.name + ".corrupt"
             )
@@ -455,18 +629,9 @@ def run_sharded_campaign(
                     "harness.journal_quarantined_bytes",
                     quarantine.stat().st_size,
                 )
-            for entry in journal.entries.values():
-                if entry.is_harness_failure:
-                    failures[entry.trial_id] = HarnessFailure(
-                        trial_id=entry.trial_id,
-                        kind=OutcomeClass(entry.status),
-                        detail=entry.detail,
-                        attempts=entry.attempts,
-                    )
-                else:
-                    results[entry.trial_id] = decode(entry.result)
-                if entry.metrics is not None:
-                    trial_metrics[entry.trial_id] = entry.metrics
+            _replay_entries(
+                journal.entries.values(), decode, results, failures, trial_metrics
+            )
         finally:
             journal.close()
     if len(results) + len(failures) < len(payloads):
@@ -474,6 +639,14 @@ def run_sharded_campaign(
     harness.gauge(
         "harness.shards_done", sum(1 for s in shards if s.done)
     )
+    if reporter is not None:
+        for trial_id in sorted(results.keys() | failures.keys()):
+            reporter.note(
+                CampaignSupervisor._outcome_label(results[trial_id])
+                if trial_id in results
+                else failures[trial_id].kind.value
+            )
+        reporter.finish()
 
     result = SupervisorResult(
         planned=len(payloads),

@@ -7,16 +7,15 @@ completed work.  This module supervises campaigns the way the paper's
 framework supervises nodes — contain the failure, classify it, keep the
 mission going:
 
-* **crash isolation** — trials run in ``multiprocessing`` worker processes
-  (``workers >= 1``); a worker that dies takes one trial with it, not the
-  campaign;
-* **per-trial wall-clock timeouts** — a hung worker is killed and the
-  trial classified :attr:`OutcomeClass.HARNESS_TIMEOUT`; in serial mode
-  (``workers = 0``) the same budget is enforced with ``SIGALRM`` where the
-  platform allows;
-* **bounded retry with exponential backoff** — transient harness failures
-  (worker death, spawn errors, raising trials) are retried up to
-  ``max_retries`` times before being classified
+* **crash isolation** — with ``workers >= 1`` the campaign runs on N
+  lease-owned shard runner processes (:mod:`repro.harness.shards`); a
+  runner that dies is taken over and resumes its slice from its journal;
+* **per-trial wall-clock timeouts** — a trial over its budget is
+  interrupted with ``SIGALRM`` and classified
+  :attr:`OutcomeClass.HARNESS_TIMEOUT` (in process, or inside the shard
+  runner executing it);
+* **bounded retry with exponential backoff** — raising trials are retried
+  up to ``max_retries`` times before being classified
   :attr:`OutcomeClass.HARNESS_CRASH`;
 * **checkpoint journal** — every finished trial is appended to a JSONL
   journal (:mod:`repro.harness.journal`); together with deterministic
@@ -33,6 +32,8 @@ flaky machine cannot bias the coverage estimates either way.
 
 The serial path (``workers = 0``, the default everywhere) executes trials
 in-process in trial order, preserving the pre-supervisor behaviour exactly.
+Every shard runner is that same serial path over its slice of the
+campaign, so one code path executes trials whatever the process count.
 """
 
 from __future__ import annotations
@@ -40,28 +41,24 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import multiprocessing
-import os
 import signal
 import threading
 import time
 from collections import deque
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Union,
 )
 
-from .. import runtime
 from ..errors import ConfigurationError, ReproError
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..obs import metrics as obs_metrics
@@ -83,7 +80,7 @@ TrialFn = Callable[[Any, int], Any]
 
 
 class TrialTimeoutError(RuntimeError):
-    """A trial exceeded its wall-clock budget (serial-mode enforcement)."""
+    """A trial exceeded its wall-clock budget (``SIGALRM`` enforcement)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,15 +108,24 @@ class SupervisorConfig:
     ----------
     workers:
         0 = serial in-process execution (the default; preserves historic
-        behaviour); N >= 1 = N crash-isolated worker processes.
+        behaviour); N >= 1 = N lease-owned shard runner processes
+        (:func:`repro.harness.shards.run_sharded_campaign`), each a serial
+        supervisor over a contiguous slice of the campaign that inherits
+        this whole config — ``batch_size``/``batch_runner`` included.
+        Without a ``journal_path`` the shard journals and leases live in a
+        temporary directory removed after the merge.  Profiled runs
+        (``profile_top_k`` > 0) always execute in process.
     timeout_s:
-        Per-trial wall-clock budget.  ``None`` disables the budget.  In
-        serial mode the budget needs ``SIGALRM`` (main thread, POSIX) and
-        is silently skipped where unavailable.
+        Per-trial wall-clock budget.  ``None`` disables the budget.  It is
+        enforced with ``SIGALRM`` in the process executing the trial (the
+        caller's, or a shard runner's), which needs a POSIX main thread;
+        elsewhere it is silently skipped.  A shard runner heartbeats from a
+        background thread, so a trial longer than the lease TTL is not
+        mistaken for a dead runner; a runner frozen beyond the reach of
+        ``SIGALRM`` (heartbeat thread starved too) is caught by the TTL.
     max_retries:
-        Retry budget per trial for *transient* harness failures (worker
-        death, raising trial).  Timeouts are not retried — a hung trial
-        hangs again.
+        Retry budget per trial for raising trials.  Timeouts are not
+        retried — a hung trial hangs again.
     backoff_base_s / backoff_factor / backoff_max_s:
         Exponential backoff between retries of one trial.
     budget_s:
@@ -127,7 +133,10 @@ class SupervisorConfig:
         stops dispatching and returns partial results.
     max_harness_failures:
         Stop dispatching once this many trials were lost to the harness
-        (``None`` = never stop early for failures).
+        (``None`` = never stop early for failures).  With ``workers >= 1``
+        it is one campaign-wide cap: the runners share a failure count and
+        each stops after the trial that reaches it, so up to
+        ``workers - 1`` trials in flight elsewhere may still be recorded.
     journal_path:
         JSONL checkpoint journal; pass the same path again to resume.
     master_seed:
@@ -135,42 +144,24 @@ class SupervisorConfig:
         ``derive_seed(master_seed, i)``.
     campaign:
         Campaign name, recorded in the journal header (resume guard).
-    start_method:
-        ``multiprocessing`` start method for worker processes (``None`` =
-        ``fork`` where available, else the platform default).  Every
-        worker receives the supervisor's effective
-        :class:`repro.runtime.RunConfig` in its bootstrap payload and
-        activates a matching :class:`repro.runtime.RunContext` before
-        running trials, so campaigns are configured correctly (seed,
-        metrics) under ``spawn`` and ``forkserver`` too — not only
-        "inherited through fork".
-    chunk_size:
-        Trials dispatched per worker message (``None`` = auto).  Results
-        still stream back — and timeouts apply — per individual trial,
-        unless ``batch_replies`` is set.
-    batch_replies:
-        When True, workers reply once per *chunk* (one pipe message
-        carrying every trial's result) instead of once per trial —
-        amortising the pickle/IPC round-trip for campaigns of many cheap
-        trials.  Results, journal entries, per-trial metrics and resume
-        behaviour are identical to streaming mode; the trade-off is
-        timeout granularity: the wall-clock budget becomes
-        ``timeout_s * len(chunk)`` per chunk, and a chunk that times out
-        loses its completed-but-unreported trials to a retry.
     result_encoder / result_decoder:
         JSON codec for trial results in the journal.  The default handles
         :class:`ExperimentRecord` and plain JSON-serialisable values.
+        Shard runners always journal, so ``workers >= 1`` needs results
+        this codec can round-trip.
     collect_metrics:
         Capture a per-trial :mod:`repro.obs.metrics` snapshot (a fresh
-        registry is swapped in around every trial, in workers and in
-        serial mode alike) and aggregate them — deterministically, in
+        registry is swapped in around every trial, in shard runners and
+        in serial mode alike) and aggregate them — deterministically, in
         trial-id order — into the caller's active registry and
         :attr:`SupervisorResult.trial_metrics`.  Snapshots are journaled,
         so a resumed campaign aggregates to the identical totals.
     progress:
         Optional :class:`repro.obs.progress.ProgressReporter`; fed one
         per-outcome tally per finished trial (including ``harness_*``
-        infrastructure outcomes) and resume counts.
+        infrastructure outcomes) and resume counts.  With
+        ``workers >= 1`` the coordinator feeds it as it merges the shard
+        journals.
     profile_top_k:
         When > 0, run every trial under cProfile and keep the rendered
         stats of the K hottest (longest wall-clock) trials in
@@ -190,16 +181,20 @@ class SupervisorConfig:
         can lose.
     chaos:
         Optional :class:`repro.harness.chaos.ChaosPolicy` attacking the
-        worker pool (SIGKILLs, delayed replies).  Directives are armed
-        only on a trial's first attempt, so every event fires once and
-        the recovery machinery — not luck — restores the campaign.
-        Ignored in serial mode (killing the only process would be the
-        campaign failing, not surviving).
+        shard runners (``die``/``stall``) and their journals
+        (``corrupt``).  Events fire once, so the recovery machinery —
+        not luck — restores the campaign.  Ignored in serial mode
+        (killing the only process would be the campaign failing, not
+        surviving).
     after_trial:
-        Optional hook called with the global trial id after each trial is
-        recorded (journal append included).  The shard runner uses it for
-        lease heartbeats and chaos death/stall points.  Never called for
-        trials replayed from the journal on resume.
+        Optional hook called as ``after_trial(trial_id, harness_failures)``
+        after each trial is recorded (journal append included), with the
+        global trial id and the number of trials lost to the harness so
+        far (journal replays included).  A true return value stops
+        dispatching: the run returns degraded, as on
+        ``max_harness_failures``.  The shard runner uses it for chaos
+        death/stall points and the campaign-wide failure cap.  Never
+        called for trials replayed from the journal on resume.
     batch_size / batch_runner:
         Serial-mode vectorised execution.  When ``batch_size`` > 0 and a
         ``batch_runner`` is supplied, the serial path slices pending
@@ -215,8 +210,8 @@ class SupervisorConfig:
         falls back to scalar per-trial execution with the usual retry
         machinery (counted as ``harness.batch_fallbacks``).  Profiled
         runs (``profile_top_k`` > 0) force the scalar path, since
-        per-trial profiles require per-trial calls.  Ignored in worker
-        mode.
+        per-trial profiles require per-trial calls.  With
+        ``workers >= 1`` every shard runner batches its own slice.
     """
 
     workers: int = 0
@@ -230,9 +225,6 @@ class SupervisorConfig:
     journal_path: Optional[Union[str, Path]] = None
     master_seed: int = 0
     campaign: str = "campaign"
-    start_method: Optional[str] = None
-    chunk_size: Optional[int] = None
-    batch_replies: bool = False
     result_encoder: Optional[Callable[[Any], Any]] = None
     result_decoder: Optional[Callable[[Any], Any]] = None
     collect_metrics: bool = True
@@ -241,7 +233,7 @@ class SupervisorConfig:
     trial_offset: int = 0
     fsync_interval: int = DEFAULT_FSYNC_INTERVAL
     chaos: Optional[ChaosPolicy] = None
-    after_trial: Optional[Callable[[int], None]] = None
+    after_trial: Optional[Callable[[int, int], Optional[bool]]] = None
     batch_size: int = 0
     batch_runner: Optional[
         Callable[[Sequence[Any], Sequence[int]], Sequence["tuple[Any, Optional[dict]]"]]
@@ -264,14 +256,6 @@ class SupervisorConfig:
             raise ConfigurationError("trial_offset must be >= 0")
         if self.fsync_interval < 1:
             raise ConfigurationError("fsync_interval must be >= 1")
-        if (
-            self.start_method is not None
-            and self.start_method not in multiprocessing.get_all_start_methods()
-        ):
-            raise ConfigurationError(
-                f"start_method {self.start_method!r} unavailable; choose "
-                f"from {multiprocessing.get_all_start_methods()}"
-            )
 
     def backoff_s(self, attempt: int) -> float:
         """Delay before retry number *attempt* (1-based)."""
@@ -292,7 +276,7 @@ class SupervisorResult:
     #: Per-trial metrics snapshots (``collect_metrics``), trial-id keyed.
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     #: The supervisor's own infrastructure metrics (dispatch counts,
-    #: retries, worker spawns, trial-duration histogram).  Kept separate
+    #: retries, shard-runner spawns, trial-duration histogram).  Kept separate
     #: from trial metrics because they legitimately differ between serial,
     #: parallel and resumed executions of the same campaign.
     harness_metrics: dict = dataclasses.field(default_factory=dict)
@@ -381,8 +365,35 @@ def _default_decode(data: Any) -> Any:
     return data
 
 
+def _replay_entries(
+    entries: Iterable[TrialEntry],
+    decode: Callable[[Any], Any],
+    results: Dict[int, Any],
+    failures: Dict[int, HarnessFailure],
+    trial_metrics: Dict[int, dict],
+) -> None:
+    """Fold journaled trial entries into result/failure/metrics maps.
+
+    Replayed trials contribute their journaled metrics snapshot — this is
+    what keeps resume (and the shard-journal merge) from double- or
+    under-counting campaign metrics.
+    """
+    for entry in entries:
+        if entry.is_harness_failure:
+            failures[entry.trial_id] = HarnessFailure(
+                trial_id=entry.trial_id,
+                kind=OutcomeClass(entry.status),
+                detail=entry.detail,
+                attempts=entry.attempts,
+            )
+        else:
+            results[entry.trial_id] = decode(entry.result)
+        if entry.metrics is not None:
+            trial_metrics[entry.trial_id] = entry.metrics
+
+
 # ----------------------------------------------------------------------
-# Serial-mode timeout enforcement
+# Per-trial timeout enforcement
 # ----------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -390,7 +401,8 @@ def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
     """Raise :class:`TrialTimeoutError` after *timeout_s* (best effort).
 
     Uses ``SIGALRM``, so it only works on POSIX main threads; elsewhere the
-    budget is skipped (worker mode enforces it by killing the process).
+    budget is skipped.  A shard runner executes trials on its process's
+    main thread, so the budget holds there too.
     """
     usable = (
         timeout_s is not None
@@ -414,7 +426,7 @@ def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# Worker process
+# One trial
 # ----------------------------------------------------------------------
 
 def _run_one_trial(
@@ -424,7 +436,7 @@ def _run_one_trial(
     collect_metrics: bool,
     profiled: bool,
 ) -> "tuple[Any, Optional[dict], float, Optional[str]]":
-    """Execute one trial with observability capture (worker and serial).
+    """Execute one trial with observability capture.
 
     Returns ``(result, metrics_snapshot|None, duration_s, profile|None)``.
     Exceptions propagate to the caller's isolation boundary; the partial
@@ -452,189 +464,6 @@ def _run_one_trial(
     return result, snapshot, time.perf_counter() - started, profile_text
 
 
-def _worker_main(
-    trial_fn: TrialFn,
-    master_seed: int,
-    conn: "mp_connection.Connection",
-    collect_metrics: bool,
-    profiled: bool,
-    batch_replies: bool = False,
-    run_config: Optional[runtime.RunConfig] = None,
-) -> None:
-    """Worker loop: receive trial chunks, reply per trial (or per chunk).
-
-    Every per-trial exception is caught and reported — a worker only dies
-    on genuinely fatal conditions (signals, interpreter errors), which the
-    supervisor observes as a worker death and retries.  Each reply carries
-    the trial's observability extras (metrics snapshot, wall-clock and —
-    when profiling — the rendered cProfile stats), since plain dicts and
-    strings are the only profile form that crosses the pipe.
-
-    With ``batch_replies`` the per-trial tuples are accumulated and sent
-    as one ``("batch", replies)`` message per chunk, amortising the
-    pickle/IPC round-trip for cheap trials.
-
-    ``run_config`` is the supervisor's effective run configuration,
-    shipped explicitly in the bootstrap payload: the worker activates a
-    matching :class:`repro.runtime.RunContext` for its whole lifetime, so
-    every config-scoped knob (root seed, metrics, ...) is correct
-    regardless of the ``multiprocessing`` start method — a
-    ``spawn`` worker must not silently fall back to environment defaults.
-    """
-    # The supervisor owns SIGINT handling; workers must not die to Ctrl-C
-    # racing ahead of the supervisor's orderly shutdown.
-    with contextlib.suppress(ValueError, OSError):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    supervisor_pid = os.getppid()
-    worker_ctx = runtime.RunContext(
-        run_config if run_config is not None else runtime.RunConfig()
-    )
-    with runtime.activate(worker_ctx):
-        _worker_loop(
-            trial_fn, master_seed, conn, collect_metrics, profiled,
-            batch_replies, supervisor_pid,
-        )
-
-
-def _worker_loop(
-    trial_fn: TrialFn,
-    master_seed: int,
-    conn: "mp_connection.Connection",
-    collect_metrics: bool,
-    profiled: bool,
-    batch_replies: bool,
-    supervisor_pid: int,
-) -> None:
-    while True:
-        try:
-            # Poll rather than block: with the fork start method, sibling
-            # workers inherit this pipe's supervisor-side end, so a
-            # SIGKILLed supervisor never EOFs it — the reparenting check
-            # is what keeps such workers from surviving as orphans.
-            while not conn.poll(1.0):
-                if os.getppid() != supervisor_pid:
-                    return
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            return
-        chunk, directives = message
-        directives = directives or {}
-        chaos_kill = frozenset(directives.get("kill") or ())
-        chaos_delay: "Mapping[int, float]" = directives.get("delay") or {}
-        chaos_kill_idle = bool(directives.get("kill_idle"))
-        batch: List["tuple[str, int, Any, Optional[dict]]"] = []
-        for trial_id, payload in chunk:
-            if trial_id in chaos_kill:
-                # Chaos: die mid-trial, before any reply — the supervisor
-                # sees EOF/worker death and retries the trial elsewhere.
-                os.kill(os.getpid(), signal.SIGKILL)
-            try:
-                result, snapshot, duration, profile_text = _run_one_trial(
-                    trial_fn, payload, derive_seed(master_seed, trial_id),
-                    collect_metrics, profiled,
-                )
-                extra = {
-                    "metrics": snapshot,
-                    "duration_s": duration,
-                    "profile": profile_text,
-                }
-                reply = ("ok", trial_id, result, extra)
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                reply = ("error", trial_id, f"{type(exc).__name__}: {exc}", None)
-            if trial_id in chaos_delay:
-                # Chaos: hold the finished reply past its deadline.
-                time.sleep(float(chaos_delay[trial_id]))
-            if batch_replies:
-                batch.append(reply)
-                continue
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                return
-        if batch_replies:
-            try:
-                conn.send(("batch", batch))
-            except (BrokenPipeError, OSError):
-                return
-        if chaos_kill_idle:
-            # Chaos: die *between* chunks — every reply above is already on
-            # the pipe, so no trial is in flight when the supervisor
-            # notices.  The fixed reap path must respawn without charging
-            # any trial a harness_crash.
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-class _Worker:
-    """Supervisor-side handle of one worker process."""
-
-    def __init__(
-        self,
-        ctx: "multiprocessing.context.BaseContext",
-        trial_fn: TrialFn,
-        master_seed: int,
-        collect_metrics: bool = True,
-        profiled: bool = False,
-        batch_replies: bool = False,
-        run_config: Optional[runtime.RunConfig] = None,
-    ) -> None:
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.batch_replies = batch_replies
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(trial_fn, master_seed, child_conn, collect_metrics,
-                  profiled, batch_replies, run_config),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.assigned: Deque["tuple[int, Any]"] = deque()
-        self.deadline: Optional[float] = None
-
-    @property
-    def current_trial(self) -> Optional["tuple[int, Any]"]:
-        return self.assigned[0] if self.assigned else None
-
-    def dispatch(
-        self,
-        chunk: List["tuple[int, Any]"],
-        timeout_s: Optional[float],
-        directives: "Optional[dict[str, object]]" = None,
-    ) -> None:
-        self.conn.send((chunk, directives))
-        self.assigned.extend(chunk)
-        if timeout_s:
-            # Batch mode yields no per-trial progress messages, so the
-            # deadline covers the whole chunk.
-            scale = len(chunk) if self.batch_replies else 1
-            self.deadline = time.monotonic() + timeout_s * scale
-        else:
-            self.deadline = None
-
-    def trial_finished(self, timeout_s: Optional[float]) -> None:
-        """Called after a result arrived: the next assigned trial starts now."""
-        if self.assigned and timeout_s:
-            self.deadline = time.monotonic() + timeout_s
-        elif not self.assigned:
-            self.deadline = None
-
-    def shutdown(self) -> None:
-        with contextlib.suppress(BrokenPipeError, OSError):
-            self.conn.send(None)
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.kill()
-        self.conn.close()
-
-    def kill(self) -> None:
-        with contextlib.suppress(OSError, AttributeError):
-            self.process.kill()
-        self.process.join(timeout=2.0)
-        with contextlib.suppress(OSError):
-            self.conn.close()
-
-
 # ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
@@ -651,14 +480,16 @@ class _RunState:
     harness: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
     hot_trials: Optional["obs_profile.ProfileCollector"] = None
     reporter: Optional[ProgressReporter] = None
+    #: Set when ``after_trial`` asked to stop dispatching.
+    stop_requested: bool = False
 
 
 class CampaignSupervisor:
     """Executes a list of independent trials under full fault containment.
 
-    ``trial_fn(payload, seed)`` must be deterministic in its arguments and,
-    for worker mode on non-fork platforms, picklable; under the default
-    Linux ``fork`` start method closures are fine.
+    ``trial_fn(payload, seed)`` must be deterministic in its arguments.
+    Shard runners (``workers >= 1``) are forked, so closures work as trial
+    functions there too.
     """
 
     def __init__(self, trial_fn: TrialFn, config: Optional[SupervisorConfig] = None) -> None:
@@ -670,7 +501,17 @@ class CampaignSupervisor:
     # ------------------------------------------------------------------
     def run(self, payloads: Sequence[Any]) -> SupervisorResult:
         """Run one trial per payload; trial ``trial_offset + i`` gets seed
-        ``derive_seed(master_seed, trial_offset + i)``."""
+        ``derive_seed(master_seed, trial_offset + i)``.
+
+        With ``workers >= 1`` (and no profiling) the campaign is handed to
+        :func:`repro.harness.shards.run_sharded_campaign`, whose runners
+        each run this serial path over one slice.
+        """
+        if self.config.workers > 0 and self.config.profile_top_k == 0:
+            # Imported here: the shard coordinator builds on this module.
+            from .shards import run_sharded_campaign
+
+            return run_sharded_campaign(self.trial_fn, payloads, self.config)
         started = time.monotonic()
         planned = len(payloads)
         state = _RunState(results={}, failures={}, journal=None, started=started)
@@ -699,21 +540,10 @@ class CampaignSupervisor:
                     "harness.journal_quarantined_bytes",
                     salvage.quarantined_bytes,
                 )
-            for entry in state.journal.entries.values():
-                if entry.is_harness_failure:
-                    state.failures[entry.trial_id] = HarnessFailure(
-                        trial_id=entry.trial_id,
-                        kind=OutcomeClass(entry.status),
-                        detail=entry.detail,
-                        attempts=entry.attempts,
-                    )
-                else:
-                    state.results[entry.trial_id] = self._decode(entry.result)
-                if entry.metrics is not None:
-                    # Replayed trials contribute their journaled snapshot —
-                    # this is what keeps resume from double- (or under-)
-                    # counting campaign metrics.
-                    state.trial_metrics[entry.trial_id] = entry.metrics
+            _replay_entries(
+                state.journal.entries.values(), self._decode,
+                state.results, state.failures, state.trial_metrics,
+            )
         resumed = len(state.results) + len(state.failures)
         state.harness.inc("harness.trials_resumed", resumed)
 
@@ -730,10 +560,7 @@ class CampaignSupervisor:
             state.reporter.start(total=planned, already_done=resumed)
 
         try:
-            if self.config.workers <= 0:
-                degraded = self._run_serial(pending, state)
-            else:
-                degraded = self._run_parallel(pending, state)
+            degraded = self._run_serial(pending, state)
         finally:
             if state.journal is not None:
                 state.journal.close()
@@ -806,8 +633,7 @@ class CampaignSupervisor:
             ))
         if state.reporter is not None:
             state.reporter.note(self._outcome_label(result))
-        if self.config.after_trial is not None:
-            self.config.after_trial(trial_id)
+        self._after_trial(state, trial_id)
 
     def _record_failure(self, state: _RunState, failure: HarnessFailure) -> None:
         state.failures[failure.trial_id] = failure
@@ -819,8 +645,12 @@ class CampaignSupervisor:
             ))
         if state.reporter is not None:
             state.reporter.note(failure.kind.value)
-        if self.config.after_trial is not None:
-            self.config.after_trial(failure.trial_id)
+        self._after_trial(state, failure.trial_id)
+
+    def _after_trial(self, state: _RunState, trial_id: int) -> None:
+        hook = self.config.after_trial
+        if hook is not None and hook(trial_id, len(state.failures)):
+            state.stop_requested = True
 
     def _out_of_budget(self, started: float) -> bool:
         budget = self.config.budget_s
@@ -831,7 +661,7 @@ class CampaignSupervisor:
         return cap is not None and len(failures) >= cap
 
     # ------------------------------------------------------------------
-    # Serial path (workers == 0)
+    # Serial path (in process, or inside one shard runner)
     # ------------------------------------------------------------------
 
     def _run_serial(self, pending: Deque["tuple[int, Any]"], state: _RunState) -> bool:
@@ -841,7 +671,11 @@ class CampaignSupervisor:
         # always wins over batching.
         batched = config.batch_size > 0 and config.batch_runner is not None and not profiled
         while pending:
-            if self._out_of_budget(state.started) or self._failure_cap_hit(state.failures):
+            if (
+                state.stop_requested
+                or self._out_of_budget(state.started)
+                or self._failure_cap_hit(state.failures)
+            ):
                 return True
             if batched:
                 chunk = [
@@ -939,308 +773,6 @@ class CampaignSupervisor:
                 duration_s=per_trial_s,
             )
         return True
-
-    # ------------------------------------------------------------------
-    # Parallel path (workers >= 1)
-    # ------------------------------------------------------------------
-
-    def _make_context(self) -> "multiprocessing.context.BaseContext":
-        # fork keeps closures usable as trial functions and is the fast
-        # path on Linux; fall back to the platform default elsewhere.
-        # Either way the effective RunConfig travels in the bootstrap
-        # payload (_worker_main), never implicitly "through fork".
-        if self.config.start_method is not None:
-            return multiprocessing.get_context(self.config.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-    def _worker_run_config(self) -> runtime.RunConfig:
-        """The run configuration shipped to every worker.
-
-        The active context's config with the parallel/interactive knobs
-        stripped: a worker is always a serial, progress-less executor of
-        its own trials.
-        """
-        return runtime.current().config.replace(jobs=0, progress=False)
-
-    def _spawn_worker(self, ctx: "multiprocessing.context.BaseContext") -> Optional[_Worker]:
-        """Spawn one worker, retrying transient start failures with backoff."""
-        for attempt in range(1, self.config.max_retries + 2):
-            try:
-                return _Worker(
-                    ctx, self.trial_fn, self.config.master_seed,
-                    collect_metrics=self.config.collect_metrics,
-                    profiled=self.config.profile_top_k > 0,
-                    batch_replies=self.config.batch_replies,
-                    run_config=self._worker_run_config(),
-                )
-            except OSError:
-                if attempt > self.config.max_retries:
-                    return None
-                time.sleep(self.config.backoff_s(attempt))
-        return None
-
-    def _chunk_size(self, remaining: int) -> int:
-        if self.config.chunk_size is not None:
-            return max(1, self.config.chunk_size)
-        # Small enough to keep the pool balanced and timeout granularity
-        # tight, large enough to amortise the IPC per dispatch.
-        return max(1, min(32, remaining // max(1, self.config.workers * 4)))
-
-    def _run_parallel(self, pending: Deque["tuple[int, Any]"], state: _RunState) -> bool:
-        config = self.config
-        failures = state.failures
-        ctx = self._make_context()
-        workers: List[_Worker] = []
-        attempts: Dict[int, int] = {}
-        retry_at: Dict[int, float] = {}
-        degraded = False
-        chaos = (
-            config.chaos
-            if config.chaos is not None and config.chaos.any_events
-            else None
-        )
-        chaos_fired: "set[int]" = set()
-        chaos_delayed: "set[int]" = set()
-
-        def arm_chaos(
-            chunk: List["tuple[int, Any]"],
-        ) -> "Optional[dict[str, object]]":
-            """Chaos directives for *chunk* — first attempts only, each
-            event armed at most once, so retries always run clean."""
-            if chaos is None:
-                return None
-            fresh = tuple(
-                tid for tid, _ in chunk
-                if attempts.get(tid, 0) == 0 and tid not in chaos_fired
-            )
-            directives = chaos.directives_for(fresh)
-            if directives is None:
-                return None
-            armed = (
-                list(directives["kill"])  # type: ignore[arg-type]
-                + list(directives["kill_idle"])  # type: ignore[arg-type]
-                + list(directives["delay"])  # type: ignore[arg-type]
-            )
-            chaos_fired.update(armed)
-            chaos_delayed.update(directives["delay"])  # type: ignore[arg-type]
-            state.harness.inc("harness.chaos_injections", len(armed))
-            return directives
-
-        def fail_trial(
-            trial_id: int, kind: OutcomeClass, detail: str,
-            tries: Optional[int] = None,
-        ) -> None:
-            if tries is None:
-                tries = attempts.get(trial_id, 0) + 1
-            self._record_failure(state, HarnessFailure(trial_id, kind, detail, tries))
-            attempts.pop(trial_id, None)
-            retry_at.pop(trial_id, None)
-
-        def crash_or_retry(trial_id: int, payload: Any, detail: str) -> None:
-            """Transient-failure policy: bounded retry, then HARNESS_CRASH."""
-            tries = attempts.get(trial_id, 0) + 1
-            attempts[trial_id] = tries
-            if tries > config.max_retries:
-                fail_trial(trial_id, OutcomeClass.HARNESS_CRASH, detail, tries)
-            else:
-                state.harness.inc("harness.retries")
-                retry_at[trial_id] = time.monotonic() + config.backoff_s(tries)
-                pending.appendleft((trial_id, payload))
-
-        def take_chunk(now: float) -> List["tuple[int, Any]"]:
-            chunk: List["tuple[int, Any]"] = []
-            size = self._chunk_size(len(pending))
-            for _ in range(len(pending)):
-                if len(chunk) >= size:
-                    break
-                trial_id, payload = pending.popleft()
-                if retry_at.get(trial_id, 0.0) <= now:
-                    chunk.append((trial_id, payload))
-                else:
-                    pending.append((trial_id, payload))
-            return chunk
-
-        def process_replies(worker: _Worker, message: Any) -> None:
-            """Record every reply in one pipe message (streaming sends one
-            reply per message; batch mode one ("batch", replies) bundle)."""
-            replies = message[1] if message[0] == "batch" else [message]
-            for kind, trial_id, body, extra in replies:
-                # Match the finished trial inside the worker's chunk.
-                payload = None
-                while worker.assigned:
-                    queued_id, queued_payload = worker.assigned.popleft()
-                    if queued_id == trial_id:
-                        payload = queued_payload
-                        break
-                    pending.appendleft((queued_id, queued_payload))
-                if kind == "ok":
-                    extra = extra or {}
-                    self._record_success(
-                        state, trial_id, body, attempts.get(trial_id, 0) + 1,
-                        metrics=extra.get("metrics"),
-                        duration_s=extra.get("duration_s"),
-                        profile_text=extra.get("profile"),
-                    )
-                    attempts.pop(trial_id, None)
-                    retry_at.pop(trial_id, None)
-                else:
-                    crash_or_retry(trial_id, payload, str(body))
-                chaos_delayed.discard(trial_id)
-                worker.trial_finished(config.timeout_s)
-
-        def drain_worker(worker: _Worker) -> None:
-            """Consume replies already on a doomed worker's pipe.
-
-            A worker can die *after* sending results the supervisor has
-            not read yet; those trials are acknowledged — reaping without
-            draining would misclassify them as crashed (and, with
-            ``max_retries=0``, lose them outright).
-            """
-            while worker.assigned:
-                try:
-                    if not worker.conn.poll(0):
-                        break
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    break
-                process_replies(worker, message)
-
-        def reap_worker(worker: _Worker, kind: OutcomeClass, detail: str) -> None:
-            """Kill a worker; classify its current trial; requeue the rest."""
-            drain_worker(worker)
-            worker.kill()
-            workers.remove(worker)
-            if worker.assigned:
-                trial_id, payload = worker.assigned.popleft()
-                if kind is OutcomeClass.HARNESS_TIMEOUT:
-                    fail_trial(trial_id, kind, detail)
-                else:
-                    crash_or_retry(trial_id, payload, detail)
-            else:
-                # Every assigned trial had in fact replied: the worker
-                # died idle-equivalent, nothing is charged.
-                state.harness.inc("harness.workers_lost_idle")
-            # Untouched trials of the chunk go back unpenalised.
-            while worker.assigned:
-                pending.appendleft(worker.assigned.pop())
-
-        try:
-            while pending or any(w.assigned for w in workers):
-                now = time.monotonic()
-                if self._out_of_budget(state.started) or self._failure_cap_hit(failures):
-                    degraded = True
-                    break
-
-                # Keep the pool at strength while there is work left.
-                while len(workers) < config.workers and pending:
-                    worker = self._spawn_worker(ctx)
-                    if worker is None:
-                        break
-                    workers.append(worker)
-                    state.harness.inc("harness.workers_spawned")
-                if not workers:
-                    # Pool spawn failed outright: degrade to in-process
-                    # execution rather than losing the campaign.
-                    self._run_serial(pending, state)
-                    return True
-                state.harness.gauge("harness.workers_live", len(workers))
-
-                # Dispatch to idle workers.
-                for worker in list(workers):
-                    if worker.assigned or not pending:
-                        continue
-                    if not worker.process.is_alive():
-                        # Died idle, *between* chunks: nothing was in
-                        # flight, so no trial is charged a harness_crash —
-                        # the worker is simply replaced.
-                        state.harness.inc("harness.workers_lost_idle")
-                        worker.kill()
-                        workers.remove(worker)
-                        continue
-                    chunk = take_chunk(now)
-                    if not chunk:
-                        continue
-                    try:
-                        worker.dispatch(
-                            chunk, config.timeout_s, arm_chaos(chunk)
-                        )
-                    except (BrokenPipeError, OSError):
-                        # Worker died between the liveness check and the
-                        # send: requeue the chunk unpenalised and replace
-                        # the worker.
-                        state.harness.inc("harness.workers_lost_idle")
-                        worker.kill()
-                        workers.remove(worker)
-                        for item in reversed(chunk):
-                            pending.appendleft(item)
-                        continue
-                    state.harness.inc("harness.trials_dispatched", len(chunk))
-
-                # Wait for the next event: a result, a deadline, a retry
-                # becoming eligible, or the budget check interval.
-                deadlines = [w.deadline for w in workers if w.deadline is not None]
-                wakeups = deadlines + [t for t in retry_at.values()] + [now + 0.25]
-                poll = max(0.005, min(wakeups) - now)
-                busy = [w for w in workers if w.assigned]
-                ready = mp_connection.wait([w.conn for w in busy], timeout=poll) if busy else []
-
-                for conn in ready:
-                    worker = next(w for w in busy if w.conn is conn)
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        reap_worker(
-                            worker, OutcomeClass.HARNESS_CRASH,
-                            f"worker died (exitcode {worker.process.exitcode})",
-                        )
-                        continue
-                    process_replies(worker, message)
-
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.assigned and not worker.process.is_alive():
-                        reap_worker(
-                            worker, OutcomeClass.HARNESS_CRASH,
-                            f"worker died (exitcode {worker.process.exitcode})",
-                        )
-                    elif (
-                        worker.assigned
-                        and worker.deadline is not None
-                        and now >= worker.deadline
-                    ):
-                        trial_id = worker.assigned[0][0]
-                        if trial_id in chaos_delayed:
-                            # The deadline expired because *we* delayed the
-                            # reply (chaos injection), not because the trial
-                            # hung: retry it clean instead of recording a
-                            # HARNESS_TIMEOUT the undisturbed run never saw.
-                            chaos_delayed.discard(trial_id)
-                            reap_worker(
-                                worker, OutcomeClass.HARNESS_CRASH,
-                                f"trial {trial_id} reply chaos-delayed past "
-                                "its deadline; worker killed",
-                            )
-                        else:
-                            reap_worker(
-                                worker, OutcomeClass.HARNESS_TIMEOUT,
-                                f"trial {trial_id} exceeded "
-                                f"{config.timeout_s:.3f}s budget; worker killed",
-                            )
-                    elif not worker.assigned and not worker.process.is_alive():
-                        # Idle death spotted outside the dispatch loop: same
-                        # policy — replace silently, charge nothing.
-                        state.harness.inc("harness.workers_lost_idle")
-                        worker.kill()
-                        workers.remove(worker)
-                state.harness.gauge("harness.workers_live", len(workers))
-        finally:
-            for worker in workers:
-                if worker.assigned:
-                    worker.kill()
-                else:
-                    worker.shutdown()
-        return degraded
 
 
 # ----------------------------------------------------------------------

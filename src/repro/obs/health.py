@@ -1,7 +1,7 @@
 """Harness-health view: fault-tolerance events of the campaign machinery.
 
 The campaign harness now tolerates its own failures — dead or wedged shard
-runners (lease takeovers), killed workers, corrupted journal tails
+runners (lease takeovers), corrupted journal tails
 (valid-prefix salvage), abandoned shards (graceful degradation).  Those
 events are recorded as ``harness.*`` counters/gauges in the supervisor's
 infrastructure metrics; this module projects the *noteworthy* ones into a
@@ -9,7 +9,7 @@ small report so a degraded or chaos-exercised campaign is visible at a
 glance.
 
 The projection is intentionally empty for a healthy, undisturbed run:
-routine counters (trials dispatched, workers spawned, trials resumed)
+routine counters (trials dispatched, runners spawned, trials resumed)
 never appear here, so report output stays byte-identical when nothing
 fault-related happened.
 """
@@ -25,11 +25,9 @@ from .metrics import Snapshot
 _NOTEWORTHY_COUNTERS = (
     ("harness.lease_takeovers", "takeovers"),
     ("harness.shards_abandoned", "shards-abandoned"),
-    ("harness.workers_lost_idle", "workers-lost-idle"),
     ("harness.journal_salvages", "journal-salvages"),
     ("harness.journal_entries_salvaged", "entries-salvaged"),
     ("harness.journal_quarantined_bytes", "quarantined-bytes"),
-    ("harness.chaos_injections", "chaos-injections"),
     ("harness.chaos_journal_corruptions", "chaos-corruptions"),
 )
 

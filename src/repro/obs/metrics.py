@@ -6,15 +6,15 @@ The observability substrate of the campaign engine.  Design constraints:
   instrumented hot paths (DES event loop, TEM execution, CTMC solvers) pay
   roughly one dict update per recorded fact;
 * **mergeable snapshots** — a registry serialises to a plain-JSON dict
-  (:meth:`MetricsRegistry.snapshot`) that can cross a ``multiprocessing``
-  pipe and be merged supervisor-side (:func:`merge_snapshots`).  Counter,
-  timer-count and histogram-count merges are commutative and associative,
-  so aggregating the same seeded trials serially, in a worker pool, or
-  across a checkpoint resume yields the identical totals;
+  (:meth:`MetricsRegistry.snapshot`) that can travel in a journal or a
+  lease file and be merged coordinator-side (:func:`merge_snapshots`).
+  Counter, timer-count and histogram-count merges are commutative and
+  associative, so aggregating the same seeded trials serially, on shard
+  runners, or across a checkpoint resume yields the identical totals;
 * **ambient registry** — instrumented library code records into the
   *active* registry (:func:`active`); the campaign supervisor swaps in a
   fresh registry per trial (:func:`capture`) so per-trial metrics can be
-  shipped back from worker processes.  The active registry is resolved
+  shipped back from shard runner processes.  The active registry is resolved
   through the active :class:`repro.runtime.RunContext` — each context
   owns its base registry and capture stack, so two concurrent runs never
   bleed metrics into each other; code outside any activated context
@@ -395,7 +395,7 @@ def stable_view(snap: Optional[Snapshot]) -> Snapshot:
     Counters and event *counts* of timers/histograms depend only on what
     the instrumented code did — not on how fast the machine ran — so a
     seeded campaign must produce the identical stable view whether it ran
-    serially, in a worker pool, or across a kill-and-resume.  Wall-clock
+    serially, on shard runners, or across a kill-and-resume.  Wall-clock
     fields (durations, min/max, duration-bucket tallies) are excluded.
     """
     snap = snap or {}

@@ -7,10 +7,9 @@ switches.  It is
 
 * **frozen** — a config never changes after construction; a different
   setting means activating a different :class:`repro.runtime.RunContext`;
-* **plain data** — every field is a primitive, so a config pickles across
-  ``multiprocessing`` start methods (the campaign supervisor ships it in
-  the worker bootstrap payload — workers are configured correctly under
-  ``spawn``, not just "inherited through fork") and serialises to JSON
+* **plain data** — every field is a primitive, so a config pickles
+  (the shard coordinator hands it to every runner, which activates it
+  explicitly rather than relying on fork inheritance) and serialises to JSON
   (:meth:`to_dict` / :meth:`from_dict` / :meth:`from_file`, the CLI's
   ``--config FILE``).
 
@@ -42,8 +41,11 @@ class RunConfig:
     Attributes
     ----------
     jobs:
-        Crash-isolated worker processes for campaign-shaped experiments
-        (0 = serial in-process).
+        Lease-owned shard runner processes for campaign-shaped experiments
+        (:mod:`repro.harness.shards`; 0 = serial in-process).  Each runner
+        executes its slice serially, with ``batch`` lockstep chunks when
+        set.  Shard journals go under ``resume_dir`` when it is set, else
+        into a temporary directory removed after the campaign.
     timeout_s:
         Per-trial wall-clock budget for campaign trials (``None`` = no
         budget).
@@ -71,21 +73,13 @@ class RunConfig:
         (``None`` = unbounded).
     horizon_hours:
         Reliability-curve horizon for experiments that sweep R(t).
-    shards:
-        Crash-tolerant shard runner processes for campaign-shaped
-        experiments (:mod:`repro.harness.shards`): 0 = unsharded (the
-        default), N >= 1 = N lease-owned shards.  Sharded campaigns need
-        ``resume_dir`` (shard journals and leases derive from the
-        campaign journal path).
     chaos:
-        Deterministic chaos-injection spec for the harness itself
-        (:meth:`repro.harness.chaos.ChaosPolicy.from_spec` grammar, e.g.
-        ``"die:40,stall:80,corrupt:0:tear"``); ``None`` = no chaos.
+        Deterministic chaos-injection spec for the shard runners of a
+        ``jobs >= 1`` run (:meth:`repro.harness.chaos.ChaosPolicy.from_spec`
+        grammar, e.g. ``"die:40,stall:80,corrupt:0:tear"``); ``None`` =
+        no chaos.
     chaos_seed:
         Seed of the chaos policy's corruption-byte generator.
-    lease_ttl_s:
-        Shard-lease heartbeat TTL: a runner silent this long is declared
-        dead (or wedged) and its shard is taken over.
     batch:
         Vectorised trial batching for campaign-shaped experiments that
         support it (:mod:`repro.faults.batch_campaign`): 0 = scalar
@@ -105,10 +99,8 @@ class RunConfig:
     profile: bool = False
     budget_s: Optional[float] = None
     horizon_hours: float = DEFAULT_HORIZON_HOURS
-    shards: int = 0
     chaos: Optional[str] = None
     chaos_seed: int = 0
-    lease_ttl_s: float = 2.0
     batch: int = 0
 
     def __post_init__(self) -> None:
@@ -122,10 +114,6 @@ class RunConfig:
             raise ConfigurationError("budget_s must be positive")
         if self.horizon_hours <= 0:
             raise ConfigurationError("horizon_hours must be positive")
-        if self.shards < 0:
-            raise ConfigurationError("shards must be >= 0")
-        if self.lease_ttl_s <= 0:
-            raise ConfigurationError("lease_ttl_s must be positive")
         if self.batch < 0:
             raise ConfigurationError("batch must be >= 0")
 
@@ -144,7 +132,7 @@ class RunConfig:
         return str(Path(self.resume_dir) / f"{name}.jsonl")
 
     # ------------------------------------------------------------------
-    # Serialisation (CLI --config, worker bootstrap)
+    # Serialisation (CLI --config, shard-runner bootstrap)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON dict of every field."""

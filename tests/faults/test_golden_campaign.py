@@ -7,10 +7,11 @@ Any change to the interpreter, the TEM stepper, the fault generators or
 the campaign supervisor that alters a single outcome — on any execution
 mode — fails this test.
 
-All three execution modes must reproduce the fixture *exactly*: the
-serial in-process path, the crash-isolated worker pool (``--jobs 2``
-equivalent) and the chunk-batched reply mode.  The per-record JSON
-streams must additionally be identical across the modes themselves.
+All four execution modes must reproduce the fixture *exactly*: the
+serial in-process path, two shard runners (``--jobs 2``), the lockstep
+batch engine (``--batch 16``) and two batching shard runners
+(``--jobs 2 --batch 16``).  The per-record JSON streams must additionally
+be identical across the modes themselves.
 
 Regenerate (only when an intentional semantic change is made)::
 
@@ -23,7 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.coverage_table import _e5_trial, e5_fault_payloads
+from repro.experiments.coverage_table import (
+    _e5_batch_runner,
+    _e5_trial,
+    e5_fault_payloads,
+)
 from repro.harness import CampaignSupervisor, SupervisorConfig
 from repro.obs import metrics
 
@@ -32,10 +37,13 @@ SEED = 2005
 MAX_COPIES = 3
 GOLDEN_PATH = Path(__file__).with_name("golden_campaign_e5.json")
 
+_BATCH16 = dict(batch_size=16, batch_runner=_e5_batch_runner)
+
 MODES = {
     "serial": dict(workers=0),
     "jobs2": dict(workers=2),
-    "batched": dict(workers=2, chunk_size=16, batch_replies=True),
+    "batched": dict(workers=0, **_BATCH16),
+    "jobs2-batched": dict(workers=2, **_BATCH16),
 }
 
 
@@ -97,7 +105,7 @@ def test_mode_reproduces_golden_fixture(runs, golden, name):
 
 def test_record_streams_identical_across_modes(runs):
     serial = [r.to_json() for r in runs["serial"].statistics().records]
-    for name in ("jobs2", "batched"):
+    for name in ("jobs2", "batched", "jobs2-batched"):
         assert [r.to_json() for r in runs[name].statistics().records] == serial, name
 
 

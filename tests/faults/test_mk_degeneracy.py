@@ -7,9 +7,9 @@ trial path (:func:`repro.experiments.weakly_hard._mk_trial` /
 ``_mk_batch_runner``) run with a zero budget must reproduce
 ``golden_campaign_e5.json`` — the frozen outcome counts, mechanism
 histogram and deterministic metrics view of the classic E5 campaign —
-**exactly**, under all four execution schedules: serial, the worker pool
-(``--jobs 2``), the vectorised lockstep engine (``--batch K``) and the
-lease-owned shard runners (``--shards``).
+**exactly**, under every execution schedule: serial, two lease-owned
+shard runners (``--jobs 2``), the vectorised lockstep engine
+(``--batch K``) and shard runners with a journal of their own.
 """
 
 import json
@@ -22,12 +22,7 @@ from repro.experiments.weakly_hard import (
     _mk_trial,
     mk_fault_payloads,
 )
-from repro.harness import (
-    CampaignSupervisor,
-    ShardConfig,
-    SupervisorConfig,
-    run_sharded_campaign,
-)
+from repro.harness import CampaignSupervisor, SupervisorConfig
 from repro.obs import metrics
 
 EXPERIMENTS = 150
@@ -35,8 +30,7 @@ SEED = 2005
 MAX_COPIES = 3
 GOLDEN_PATH = Path(__file__).with_name("golden_campaign_e5.json")
 
-#: The pool/batch schedules; the sharded schedule needs a journal and runs
-#: through its own entry point below.
+#: The journal-less schedules; the journaled sharded run is below.
 MODES = {
     "serial": dict(workers=0),
     "jobs2": dict(workers=2),
@@ -122,16 +116,15 @@ def test_sharded_zero_budget_reproduces_golden_fixture(
     tmp_path, payloads, golden, runs
 ):
     with metrics.capture():
-        result = run_sharded_campaign(
+        result = CampaignSupervisor(
             _mk_trial,
-            payloads,
             SupervisorConfig(
+                workers=2,
                 master_seed=SEED,
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=tmp_path / "e14-degeneracy.jsonl",
             ),
-            ShardConfig(shards=2, lease_ttl_s=2.0),
-        )
+        ).run(payloads)
     assert _freeze(result) == golden
     serial = [r.to_json() for r in runs["serial"].statistics().records]
     assert [r.to_json() for r in result.statistics().records] == serial

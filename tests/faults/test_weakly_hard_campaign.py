@@ -3,8 +3,8 @@
 ISSUE 8, satellite 3: the weakly-hard scenario family must ride the
 existing execution machinery bit-identically — the vectorised lockstep
 engine (:class:`~repro.faults.batch_campaign.BatchTemExecutor` via the
-supervisor's ``batch_runner`` seam), the crash-isolated worker pool, and
-the lease-owned shard runners of :mod:`repro.harness.shards`, including a
+supervisor's ``batch_runner`` seam) and the lease-owned shard runners of
+:mod:`repro.harness.shards` (``workers=N``), batching or not, including a
 shard runner SIGKILLed mid-campaign by a seeded chaos policy and resumed
 from its journal.  Every schedule must reproduce the serial scalar
 reference exactly: record stream, outcome counts, mechanism histogram
@@ -22,13 +22,7 @@ from repro.experiments.weakly_hard import (
     mk_fault_payloads,
 )
 from repro.faults.batch_campaign import BatchTemExecutor
-from repro.harness import (
-    CampaignSupervisor,
-    ChaosPolicy,
-    ShardConfig,
-    SupervisorConfig,
-    run_sharded_campaign,
-)
+from repro.harness import CampaignSupervisor, ChaosPolicy, SupervisorConfig
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 
@@ -90,9 +84,9 @@ def test_serial_reference_really_exercises_the_budget(serial):
     [
         dict(workers=2),
         dict(workers=0, batch_size=16, batch_runner=_mk_batch_runner),
-        dict(workers=2, chunk_size=16, batch_replies=True),
+        dict(workers=2, batch_size=16, batch_runner=_mk_batch_runner),
     ],
-    ids=["jobs2", "batch16", "chunked-replies"],
+    ids=["jobs2", "batch16", "jobs2-batch16"],
 )
 def test_schedule_matches_serial_scalar(payloads, serial, mode):
     with metrics.capture():
@@ -102,12 +96,10 @@ def test_schedule_matches_serial_scalar(payloads, serial, mode):
 
 def test_sharded_matches_serial_scalar(tmp_path, payloads, serial):
     with metrics.capture():
-        result = run_sharded_campaign(
+        result = CampaignSupervisor(
             _mk_trial,
-            payloads,
-            _config(journal_path=tmp_path / "e14.jsonl"),
-            ShardConfig(shards=2, lease_ttl_s=2.0),
-        )
+            _config(workers=2, journal_path=tmp_path / "e14.jsonl"),
+        ).run(payloads)
     assert _freeze(result) == serial
 
 
@@ -120,15 +112,14 @@ def test_sharded_kill_and_resume_matches_serial_scalar(
     # per-trial payload state, so a replayed trial reconstructs the exact
     # window the dead runner used.
     with metrics.capture():
-        result = run_sharded_campaign(
+        result = CampaignSupervisor(
             _mk_trial,
-            payloads,
             _config(
+                workers=2,
                 journal_path=tmp_path / "e14-chaos.jsonl",
                 chaos=ChaosPolicy.from_spec("die:40", seed=7),
             ),
-            ShardConfig(shards=2, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
-        )
+        ).run(payloads)
     counters = result.harness_metrics.get("counters", {})
     assert counters.get("harness.lease_takeovers", 0) >= 1
     assert not result.degraded

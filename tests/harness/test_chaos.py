@@ -1,11 +1,8 @@
-"""Deterministic chaos injection: spec grammar, journal corruption and
-worker-pool directives.
+"""Deterministic chaos injection: spec grammar and journal corruption.
 
-The pool tests double as the regression gate for the idle-worker reap
-path: a worker that dies *between* chunks (no trial in flight) must be
-respawned without charging any trial a ``harness_crash`` — with
-``max_retries=0`` even a single mischarged trial fails the campaign, so
-the tests are sharp.
+Runner-level chaos (``die``/``stall``/``corrupt``) in action is covered by
+``test_shards.py`` and the golden-fixture gate in
+``test_chaos_equivalence.py``.
 """
 
 import pytest
@@ -22,19 +19,9 @@ from repro.harness import (
 from repro.harness import chaos as chaos_mod
 
 
-def _int_trial(payload, seed):
-    """Deterministic toy trial (module-level: picklable for any start
-    method; encodes both inputs so divergence is visible)."""
-    return payload * 1000 + seed % 97
-
-
-def _counters(result):
-    return result.harness_metrics.get("counters", {})
-
-
 class TestChaosSpec:
     def test_spec_round_trips_through_describe(self):
-        spec = "kill:3,kill-idle:7,delay:4:0.5,die:40,stall:80,corrupt:0:tear"
+        spec = "die:40,stall:80,corrupt:0:tear"
         policy = ChaosPolicy.from_spec(spec, seed=9)
         assert policy.describe() == spec
         assert ChaosPolicy.from_spec(policy.describe(), seed=9) == policy
@@ -52,9 +39,12 @@ class TestChaosSpec:
         with pytest.raises(ConfigurationError):
             ChaosPolicy.from_spec(bad)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ChaosPolicy(delay_trials={3: -1.0})
+    @pytest.mark.parametrize("spec", ["kill:3", "kill-idle:7", "delay:4:0.5"])
+    def test_pool_directives_rejected(self, spec):
+        # The worker pool they targeted is gone; the error names the
+        # runner-level grammar instead of silently ignoring the event.
+        with pytest.raises(ConfigurationError, match="die:T, stall:T"):
+            ChaosPolicy.from_spec(spec)
 
     def test_event_queries(self):
         policy = ChaosPolicy.from_spec("die:40,stall:80,corrupt:1:garbage")
@@ -62,12 +52,6 @@ class TestChaosSpec:
         assert policy.stalls_after(80) and not policy.stalls_after(40)
         assert policy.corruption_mode(1) == "garbage"
         assert policy.corruption_mode(0) is None
-
-    def test_directives_only_for_scheduled_trials(self):
-        policy = ChaosPolicy.from_spec("kill:3,kill-idle:7,delay:4:0.5")
-        assert policy.directives_for((0, 1, 2)) is None
-        directives = policy.directives_for((3, 4, 7))
-        assert directives == {"kill": [3], "kill_idle": [7], "delay": {4: 0.5}}
 
     def test_install_and_active_policy(self):
         policy = ChaosPolicy.from_spec("die:1")
@@ -130,63 +114,19 @@ class TestCorruptJournal:
         assert policy.corrupt_journal(tmp_path / "absent.jsonl", 0) is None
 
 
-class TestPoolChaos:
-    """Worker-pool chaos through the supervisor — every schedule must
-    recover to the exact serial result with zero harness failures."""
+def _int_trial(payload, seed):
+    return payload * 1000 + seed % 97
 
-    PAYLOADS = list(range(12))
 
-    def _serial(self):
-        return CampaignSupervisor(
-            _int_trial, SupervisorConfig(master_seed=7)
-        ).run(self.PAYLOADS)
-
-    def test_idle_worker_death_respawns_without_harness_crash(self):
-        # The reap-path regression: kill-idle SIGKILLs the worker after
-        # its chunk fully replied.  The fixed path must replace the dead
-        # worker and never record a HARNESS_CRASH (the unfixed dispatch
-        # loop instead sent into the dead worker's pipe and let the
-        # BrokenPipeError destroy the whole campaign).  max_retries=1
-        # covers the one unavoidable ambiguity — a chunk dispatched in
-        # the instant between SIGKILL delivery and process teardown is
-        # indistinguishable from a mid-trial death and is retried clean.
-        result = CampaignSupervisor(_int_trial, SupervisorConfig(
-            master_seed=7, workers=2, chunk_size=2, max_retries=1,
-            chaos=ChaosPolicy.from_spec("kill-idle:1"),
-        )).run(self.PAYLOADS)
-        assert result.failures == {}
-        assert result.results == self._serial().results
-        counters = _counters(result)
-        assert counters.get("harness.chaos_injections", 0) == 1
-        # The dead worker was replaced: more spawns than the pool size.
-        assert counters.get("harness.workers_spawned", 0) >= 3
-
-    def test_mid_trial_kill_is_retried_clean(self):
-        result = CampaignSupervisor(_int_trial, SupervisorConfig(
-            master_seed=7, workers=2, chunk_size=1,
-            chaos=ChaosPolicy.from_spec("kill:4"),
-        )).run(self.PAYLOADS)
-        assert result.failures == {}
-        assert result.results == self._serial().results
-        counters = _counters(result)
-        assert counters.get("harness.retries", 0) >= 1
-        assert counters.get("harness.chaos_injections", 0) == 1
-
-    def test_chaos_delayed_reply_is_not_a_timeout(self):
-        # The reply is held past the deadline by the chaos layer, not by a
-        # hung trial: the supervisor must retry clean, never record the
-        # HARNESS_TIMEOUT an undisturbed run would not have seen.
-        result = CampaignSupervisor(_int_trial, SupervisorConfig(
-            master_seed=7, workers=2, chunk_size=1, timeout_s=0.3,
-            chaos=ChaosPolicy.from_spec("delay:2:1.5"),
-        )).run(self.PAYLOADS)
-        assert result.failures == {}
-        assert result.results == self._serial().results
-        assert _counters(result).get("harness.chaos_injections", 0) == 1
-
-    def test_chaos_ignored_in_serial_mode(self):
-        result = CampaignSupervisor(_int_trial, SupervisorConfig(
-            master_seed=7, chaos=ChaosPolicy.from_spec("kill:4,kill-idle:1"),
-        )).run(self.PAYLOADS)
-        assert result.failures == {}
-        assert result.results == self._serial().results
+def test_chaos_ignored_in_serial_mode():
+    # Killing the only process would be the campaign failing, not
+    # surviving: a serial campaign never consults the policy.
+    payloads = list(range(12))
+    serial = CampaignSupervisor(
+        _int_trial, SupervisorConfig(master_seed=7)
+    ).run(payloads)
+    result = CampaignSupervisor(_int_trial, SupervisorConfig(
+        master_seed=7, chaos=ChaosPolicy.from_spec("die:4,stall:1"),
+    )).run(payloads)
+    assert result.failures == {}
+    assert result.results == serial.results

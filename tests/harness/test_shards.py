@@ -9,11 +9,13 @@ gracefully instead of wrecking it; killing the *coordinator* (and every
 runner with it) loses zero acknowledged trials.
 """
 
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from repro.harness import (
     shard_paths,
 )
 from repro.harness.leases import LEASE_ABANDONED, LEASE_DONE
+from repro.obs.progress import ProgressReporter
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -55,6 +58,13 @@ def _slow_trial(payload, seed):
     match the inline copy in _COORDINATOR_PROGRAM exactly."""
     time.sleep(0.05)
     return payload * 10 + seed % 7
+
+
+def _freezing_trial(payload, seed):
+    """Payload 4 stops the whole runner process; the rest classify."""
+    if payload == 4:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return _record_trial(payload, seed)
 
 
 class TestPlanShards:
@@ -148,9 +158,45 @@ class TestShardedCampaign:
             shard_config or ShardConfig(shards=3, **_FAST),
         )
 
-    def test_journal_path_required(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded_campaign(_record_trial, [1, 2], SupervisorConfig())
+    def test_journal_less_campaign_leaves_no_files(self, tmp_path, monkeypatch):
+        """Without journal_path, shard journals and leases live in a
+        temporary directory that the merge removes."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        payloads = list(range(12))
+        result = CampaignSupervisor(
+            _record_trial, SupervisorConfig(master_seed=17, workers=2)
+        ).run(payloads)
+        serial = CampaignSupervisor(
+            _record_trial, SupervisorConfig(master_seed=17)
+        ).run(payloads)
+        assert result.results == serial.results
+        assert list(tmp_path.iterdir()) == []
+
+    def test_monitor_waits_on_runner_sentinels(self, tmp_path, monkeypatch):
+        """The coordinator blocks on process sentinels (woken by a runner's
+        exit, or by poll_s for lease checks), never in a fixed sleep."""
+
+        def no_sleep(seconds):
+            raise AssertionError("coordinator slept instead of waiting")
+
+        monkeypatch.setattr("repro.harness.shards.time.sleep", no_sleep)
+        result = self._run(tmp_path, list(range(9)))
+        assert not result.degraded
+        assert result.completed == 9
+
+    def test_progress_tallies_every_merged_trial(self, tmp_path):
+        reporter = ProgressReporter("toy", stream=io.StringIO(), enabled=True)
+        result = run_sharded_campaign(
+            _record_trial, list(range(10)),
+            SupervisorConfig(
+                master_seed=17, journal_path=tmp_path / "p.jsonl",
+                progress=reporter,
+            ),
+            ShardConfig(shards=2, **_FAST),
+        )
+        assert reporter.done == reporter.total == 10
+        counts = result.statistics().outcome_counts()
+        assert reporter.tallies == {k: v for k, v in counts.items() if v}
 
     def test_sharded_matches_serial(self, tmp_path):
         payloads = list(range(30))
@@ -185,6 +231,27 @@ class TestShardedCampaign:
         assert counters.get("harness.lease_takeovers", 0) >= 1
         if "corrupt" in spec:
             assert counters.get("harness.journal_salvages", 0) >= 1
+
+    def test_trial_freezing_its_runner_is_charged_as_timeout(self, tmp_path):
+        """A trial that freezes its runner (SIGSTOP: heartbeat thread
+        included) expires the lease of each replacement in turn; after
+        max_retries + 1 of them it is journaled as HARNESS_TIMEOUT and the
+        rest of the shard completes."""
+        result = run_sharded_campaign(
+            _freezing_trial,
+            list(range(6)),
+            SupervisorConfig(
+                master_seed=17, journal_path=tmp_path / "f.jsonl",
+            ),
+            ShardConfig(shards=2, **_FAST),
+        )
+        assert not result.degraded
+        assert sorted(result.results) == [0, 1, 2, 3, 5]
+        assert result.failures[4].kind is OutcomeClass.HARNESS_TIMEOUT
+        assert result.failures[4].attempts == 3
+        counters = result.harness_metrics["counters"]
+        assert counters["harness.lease_takeovers"] == 3
+        assert counters["harness.harness_timeout"] == 1
 
     def test_abandoned_shard_degrades_gracefully(self, tmp_path):
         payloads = list(range(20))

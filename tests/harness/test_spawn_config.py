@@ -1,15 +1,14 @@
-"""Regression: campaign workers are configured correctly under spawn.
+"""Regression: shard runners activate the coordinator's run configuration.
 
-Under ``fork`` a worker inherits the parent's module state wholesale, so
-an activated run context "just works" by accident.  Under ``spawn`` the
-worker is a fresh interpreter: without explicit propagation it would come
-up with the *default* configuration and silently run with the wrong seed
-or observability settings.  The supervisor therefore ships its effective
-:class:`repro.runtime.RunConfig` in the worker bootstrap payload; each
-worker activates a matching context before touching a trial.
+A forked runner inherits the parent's module state wholesale, so an
+activated run context would "just work" by accident of ``fork`` — and
+would also leak the coordinator's parallel and interactive knobs into
+every runner.  The coordinator therefore hands its effective
+:class:`repro.runtime.RunConfig`, with ``jobs=0`` and ``progress=False``,
+to each runner, which activates a matching context before touching a
+trial.  The probes below see those stripped knobs, which fork
+inheritance alone could not explain.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -17,29 +16,24 @@ from repro import runtime
 from repro.faults.outcomes import ExperimentRecord, OutcomeClass
 from repro.harness import CampaignSupervisor, SupervisorConfig
 
-pytestmark = pytest.mark.skipif(
-    "spawn" not in multiprocessing.get_all_start_methods(),
-    reason="platform lacks the spawn start method",
-)
-
 
 def _config_probe_trial(payload, seed):
-    """Record the run configuration the worker process actually resolves."""
+    """Record the run configuration the runner process actually resolves."""
     config = runtime.current().config
     return ExperimentRecord(
         OutcomeClass.NO_EFFECT,
-        f"root_seed={config.root_seed} metrics={config.metrics}",
+        f"root_seed={config.root_seed} metrics={config.metrics} "
+        f"jobs={config.jobs} progress={config.progress}",
     )
 
 
-def _run_spawned(workers=2, trials=6):
+def _run_in_runners(workers=2, trials=6):
     result = CampaignSupervisor(
         _config_probe_trial,
         SupervisorConfig(
             workers=workers,
-            start_method="spawn",
             master_seed=1,
-            campaign="spawn-config-probe",
+            campaign="runner-config-probe",
         ),
     ).run(list(range(trials)))
     records = result.statistics().records
@@ -50,25 +44,22 @@ def _run_spawned(workers=2, trials=6):
 
 @pytest.mark.parametrize("metrics", [False, True])
 def test_spawned_workers_inherit_context_mode(metrics):
-    """Every spawned worker runs with the supervisor's context config —
-    also non-default values, which fork-style inheritance cannot explain."""
+    """Every shard runner runs with the coordinator's context config —
+    also non-default values — minus the parallel/interactive knobs."""
     seed = 4711 + int(metrics)
-    context = runtime.RunContext(runtime.RunConfig(root_seed=seed, metrics=metrics))
+    context = runtime.RunContext(runtime.RunConfig(
+        root_seed=seed, metrics=metrics, jobs=2, progress=True,
+    ))
     with runtime.activate(context):
-        probes = _run_spawned()
-    assert probes == {f"root_seed={seed} metrics={metrics}"}
+        probes = _run_in_runners()
+    assert probes == {f"root_seed={seed} metrics={metrics} jobs=0 progress=False"}
 
 
 def test_spawned_workers_follow_transient_override():
     """A context activated only around the campaign — over an ambient one
-    with different settings — is what the workers see."""
+    with different settings — is what the runners see."""
     outer = runtime.RunContext(runtime.RunConfig(root_seed=1))
     with runtime.activate(outer):
         with runtime.activate(runtime.RunContext(runtime.RunConfig(root_seed=99))):
-            probes = _run_spawned()
-    assert probes == {"root_seed=99 metrics=True"}
-
-
-def test_start_method_validated():
-    with pytest.raises(Exception, match="start_method"):
-        SupervisorConfig(workers=1, start_method="no-such-method")
+            probes = _run_in_runners()
+    assert probes == {"root_seed=99 metrics=True jobs=0 progress=False"}

@@ -1,5 +1,9 @@
 """Containment, retry, degradation and parity tests of the supervisor."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,21 @@ def _scripted_trial(payload, seed):
         outcome=_OUTCOME_CYCLE[payload % len(_OUTCOME_CYCLE)],
         fault_description=f"trial {payload} seed {seed}",
     )
+
+
+def _runner_killing_trial(payload, seed):
+    """'die' SIGKILLs the process executing it; ints classify as usual."""
+    if payload == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _scripted_trial(payload, seed)
+
+
+def _slow_trial(payload, seed):
+    """'slow' outlasts the default lease TTL (2 s) but finishes."""
+    if payload == "slow":
+        time.sleep(2.3)
+        payload = 0
+    return _scripted_trial(payload, seed)
 
 
 _FLAKY_STATE = {"failures_left": 0}
@@ -95,6 +114,38 @@ class TestContainment:
         assert poisoned.p_omission == clean.p_omission
         assert poisoned.effective == clean.effective
         assert poisoned.completeness == pytest.approx(0.8)
+
+    def test_trial_killing_its_runner_is_contained(self):
+        """A trial that SIGKILLs the shard runner executing it kills each
+        replacement too, until max_retries + 1 runners died on it: then it
+        is recorded as HARNESS_CRASH and the rest of its shard runs."""
+        # workers=2 splits the six payloads 3 + 3: "die" opens shard 1.
+        result = CampaignSupervisor(
+            _runner_killing_trial,
+            SupervisorConfig(workers=2, master_seed=9),
+        ).run([0, 1, 2, "die", 3, 4])
+        assert not result.degraded
+        assert sorted(result.results) == [0, 1, 2, 4, 5]
+        assert list(result.failures) == [3]
+        assert result.failures[3].kind is OutcomeClass.HARNESS_CRASH
+        assert result.failures[3].attempts == 3  # initial + 2 retries
+        counters = result.harness_metrics["counters"]
+        assert counters["harness.lease_takeovers"] == 3
+        assert counters["harness.harness_crash"] == 1
+        assert "harness.shards_abandoned" not in counters
+
+    def test_trials_longer_than_the_lease_ttl(self):
+        """Runners heartbeat while a trial runs: a healthy trial longer
+        than the lease TTL completes, and a hung one ends as a
+        HARNESS_TIMEOUT from its own timeout_s, not a lease takeover."""
+        result = CampaignSupervisor(
+            _slow_trial,
+            SupervisorConfig(workers=2, timeout_s=3.0, master_seed=9),
+        ).run([0, "slow", 1, "hang"])
+        assert not result.degraded
+        assert sorted(result.results) == [0, 1, 2]
+        assert result.failures[3].kind is OutcomeClass.HARNESS_TIMEOUT
+        assert "harness.lease_takeovers" not in result.harness_metrics["counters"]
 
     def test_timeout_is_not_retried_but_crash_is(self):
         result = CampaignSupervisor(
@@ -162,6 +213,20 @@ class TestGracefulDegradation:
         assert result.degraded
         assert len(result.failures) == 3
 
+    def test_failure_cap_is_campaign_wide(self):
+        """Shard runners share one failure count: the campaign stops near
+        the cap (each runner finishes the trial in flight), not at the
+        cap times the number of runners."""
+        result = CampaignSupervisor(
+            _scripted_trial,
+            SupervisorConfig(
+                workers=2, max_retries=0, max_harness_failures=3, master_seed=4,
+            ),
+        ).run(["crash"] * 10)
+        assert result.degraded
+        assert 3 <= len(result.failures) <= 3 + 1  # cap + workers - 1
+        assert not result.results
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SupervisorConfig(workers=-1)
@@ -178,7 +243,7 @@ class TestGracefulDegradation:
 class TestSerialParallelParity:
     def test_workers_0_and_2_agree_on_fixed_fault_list(self):
         """Acceptance: the same fault list yields identical records (not
-        just identical counts) serially and through the worker pool."""
+        just identical counts) serially and on shard runners."""
         harness = TemInjectionHarness(make_brake_workload(max_copies=3))
         faults = random_fault_list(
             np.random.default_rng(77), 80,
@@ -200,12 +265,14 @@ class TestSerialParallelParity:
 
     def test_toy_parity_with_chunking(self):
         payloads = list(range(37))
-        kwargs = dict(master_seed=5, chunk_size=4)
         serial = run_experiment_campaign(
-            _scripted_trial, payloads, SupervisorConfig(workers=0, **kwargs),
+            _scripted_trial, payloads, SupervisorConfig(workers=0, master_seed=5),
         )
         parallel = run_experiment_campaign(
-            _scripted_trial, payloads, SupervisorConfig(workers=3, **kwargs),
+            _scripted_trial, payloads, SupervisorConfig(
+                workers=3, master_seed=5,
+                batch_size=4, batch_runner=_scripted_batch_runner,
+            ),
         )
         assert [r.to_json() for r in serial.records] == [
             r.to_json() for r in parallel.records
@@ -329,17 +396,21 @@ class TestBatchedExecution:
         assert len(result.results) == 6
         assert "harness.batch_chunks" not in result.harness_metrics["counters"]
 
-    def test_worker_mode_ignores_batching(self):
-        """batch_size is a serial-path feature; the pool never calls it."""
+    def test_worker_mode_batches_inside_runners(self):
+        """Each shard runner steps its slice in batch chunks, and the
+        runners' harness counters reach the coordinator's metrics."""
         result = CampaignSupervisor(
             _scripted_trial,
             SupervisorConfig(
                 workers=2, master_seed=3,
-                batch_size=4, batch_runner=_exploding_batch_runner,
+                batch_size=4, batch_runner=_scripted_batch_runner,
             ),
         ).run(list(range(6)))
         assert len(result.results) == 6
-        assert "harness.batch_chunks" not in result.harness_metrics["counters"]
+        counters = result.harness_metrics["counters"]
+        assert counters["harness.batch_chunks"] == 2  # one 3-trial slice each
+        assert counters["harness.trials_dispatched"] == 6
+        assert "harness.batch_fallbacks" not in counters
 
     def test_batched_journal_resumes(self, tmp_path):
         """A batched campaign's journal replays like a scalar one."""

@@ -3,7 +3,7 @@
 The guarantee under test (ISSUE acceptance criteria): a seeded E5-style
 campaign aggregates to the *identical* deterministic metrics view —
 counters plus timer/histogram event counts (:func:`repro.obs.metrics.
-stable_view`) — whether it runs serially, in a worker pool, or across an
+stable_view`) — whether it runs serially, on shard runners, or across an
 interrupt-and-resume.  Wall-clock fields are explicitly exempt.
 
 The harness's own infrastructure counters (``harness.*``) legitimately

@@ -78,6 +78,16 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="fast"):
             RunConfig.from_dict({"fast": True})
 
+    def test_from_dict_rejects_removed_shards_key(self):
+        """``--jobs`` runs shard runners; the separate knob is gone."""
+        with pytest.raises(ConfigurationError, match="shards"):
+            RunConfig.from_dict({"shards": 2})
+
+    def test_from_dict_rejects_removed_lease_ttl_key(self):
+        """Runners heartbeat from a thread; no TTL needs tuning per run."""
+        with pytest.raises(ConfigurationError, match="lease_ttl_s"):
+            RunConfig.from_dict({"lease_ttl_s": 5.0})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"root_seed": 3, "jobs": 2, "smoke": True}))

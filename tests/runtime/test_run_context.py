@@ -152,15 +152,14 @@ class TestCaptureMerge:
 
 @pytest.mark.parametrize("progress", [True, False])
 def test_worker_run_config_reflects_context(progress):
-    """The supervisor ships the active context's config to its workers."""
-    from repro.harness import CampaignSupervisor, SupervisorConfig
+    """The coordinator hands the active context's config to its runners."""
+    from repro.harness.shards import _runner_run_config
 
-    supervisor = CampaignSupervisor(lambda p, s: None, SupervisorConfig())
     ctx = runtime.RunContext(
         runtime.RunConfig(root_seed=5, jobs=4, progress=progress)
     )
     with runtime.activate(ctx):
-        shipped = supervisor._worker_run_config()
+        shipped = _runner_run_config()
     assert shipped.root_seed == 5      # the active context's config
-    assert shipped.jobs == 0           # workers never nest worker pools
-    assert not shipped.progress        # progress stays on the supervisor
+    assert shipped.jobs == 0           # runners never nest shard runners
+    assert not shipped.progress        # progress stays on the coordinator
