@@ -1,15 +1,20 @@
-"""Benchmark — batched uniformization sweep solver (PR 7 acceptance gate).
+"""Benchmark — batched sweep solver on the Figure 14 chain population.
 
 Run:  pytest benchmarks/bench_sweep_solver.py -q -s [--json PATH]
 
 The Figure 14 sensitivity sweep solves one small CTMC per (coverage,
-fault-rate) grid point.  The historic fast path walked the grid point by
-point through the memoized scalar solver; PR 7 solves every structurally
-identical chain in one batched uniformization pass
-(:func:`repro.reliability.sweep_solver.reliability_batch`).  This gate
-asserts the batched solve is at least 3x faster than the memoized
-point-by-point grid — agreeing within the 1e-9 solver-equivalence
-contract — on the exact chain population Figure 14 uses.
+fault-rate) grid point.
+:func:`repro.reliability.sweep_solver.reliability_batch` exponentiates the
+stacked generators of every structurally identical chain with one
+``scipy.linalg.expm`` call per mission time.  This bench checks it against
+both point paths on the exact chains Figure 14 uses:
+
+* the memoized uniformization point solver — the gate: the batch must be
+  at least 3x faster and agree within the 1e-9 solver-equivalence
+  tolerance;
+* the ``expm`` point solver (``chain.reliability(t)``) — the batch must be
+  bit-identical to it; its time is reported as ``expm_pointwise_s``,
+  ungated.
 """
 
 import os
@@ -53,7 +58,7 @@ def _chain_groups():
 
 
 def _point_grid(chains):
-    """The historic path: one memoized scalar solve per (chain, t)."""
+    """One memoized uniformization point solve per (chain, t)."""
     curves = []
     for chain in chains:
         failure = [chain.state_index(s) for s in chain.absorbing_states()]
@@ -71,6 +76,11 @@ def _point_grid(chains):
     return curves
 
 
+def _expm_point_grid(chains):
+    """One memoized ``expm`` point solve per (chain, t)."""
+    return [[chain.reliability(t) for t in MISSION_TIMES] for chain in chains]
+
+
 def _batched_grid(chains):
     return sweep_solver.reliability_batch(chains, MISSION_TIMES)
 
@@ -85,17 +95,26 @@ def test_benchmark_batched_sweep_vs_pointwise():
         for batch_row, point_row in zip(batch_grid, point_grid):
             for batch_r, point_r in zip(batch_row, point_row):
                 assert abs(float(batch_r) - point_r) <= TOLERANCE
+    clear_solver_cache()
+    for batch_grid, chains in zip(batched, groups):
+        assert batch_grid.tolist() == _expm_point_grid(chains)
 
     def _timed_pointwise():
         clear_solver_cache()  # distinct chains: the memo never cross-fills
         for chains in groups:
             _point_grid(chains)
 
+    def _timed_expm_pointwise():
+        clear_solver_cache()
+        for chains in groups:
+            _expm_point_grid(chains)
+
     def _timed_batched():
         for chains in groups:
             _batched_grid(chains)
 
     point_s = common.best_of(BEST_OF, _timed_pointwise)
+    expm_point_s = common.best_of(BEST_OF, _timed_expm_pointwise)
     batch_s = common.best_of(BEST_OF, _timed_batched)
     speedup = point_s / max(batch_s, 1e-9)
     solves = sum(len(chains) for chains in groups) * len(MISSION_TIMES)
@@ -104,6 +123,7 @@ def test_benchmark_batched_sweep_vs_pointwise():
         wall_s=batch_s,
         trials=solves,
         pointwise_s=round(point_s, 6),
+        expm_pointwise_s=round(expm_point_s, 6),
         speedup=round(speedup, 2),
         chains=sum(len(chains) for chains in groups),
         times=len(MISSION_TIMES),

@@ -86,12 +86,12 @@ def compute_figure14(
 ) -> Figure14Result:
     """Reproduce Figure 14 (R(5 h) vs fault rate for several coverages).
 
-    The whole parameter grid is solved with two batched uniformization
-    passes per node type (one per subsystem chain —
-    :func:`repro.reliability.sweep_solver.reliability_batch`).  The result
-    agrees with a point-by-point ``build_bbw_system(...).reliability``
-    evaluation within 1e-9 (``tests/reliability/test_sweep_solver`` gates
-    it).
+    The whole parameter grid is solved with two stacked matrix
+    exponentials per node type (one per subsystem chain —
+    :func:`repro.reliability.sweep_solver.reliability_batch`).  Every grid
+    point is bit-identical to the point-by-point
+    ``build_bbw_system(...).reliability`` evaluation
+    (``tests/reliability/test_sweep_solver`` gates it).
     """
     base = params if params is not None else BbwParameters.paper()
     grid = [

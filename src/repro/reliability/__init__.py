@@ -62,12 +62,7 @@ from .sharpe_lang import SharpeModel, evaluate_expression, parse_sharpe
 from .solver_cache import SolverCache
 from .solver_cache import clear as clear_solver_cache
 from .solvers import steady_state, transient_distribution, transient_distributions
-from .sweep_solver import (
-    reliability_batch,
-    reliability_grid,
-    uniformization_batch,
-    uniformization_grid,
-)
+from .sweep_solver import reliability_batch
 
 __all__ = [
     "AndGate",
@@ -112,7 +107,6 @@ __all__ = [
     "parse_sharpe",
     "rate_sum",
     "reliability_batch",
-    "reliability_grid",
     "reliability_improvement",
     "sample_curve",
     "steady_state",
@@ -120,6 +114,4 @@ __all__ = [
     "sweep",
     "transient_distribution",
     "transient_distributions",
-    "uniformization_batch",
-    "uniformization_grid",
 ]

@@ -1,209 +1,42 @@
-"""Batched uniformization: whole sweep grids in one vectorized solve.
+"""Batched reliability solves: whole parameter sweeps in one stacked expm.
 
-The reliability experiments evaluate R(t) on *grids*: Figure 12/13 sweep a
-time axis per chain, Figure 14 sweeps a (coverage, fault-rate) parameter
-grid of structurally identical chains at one mission time.  The point
-solvers (:mod:`repro.reliability.solvers`) answer one ``(chain, t)`` pair
-per call — even with the point memo of
-:mod:`repro.reliability.solver_cache`, a grid still pays one full
-uniformization loop per point.
+The reliability experiments evaluate R(t) over parameter grids: Figure 14
+sweeps a (coverage, fault-rate) grid of structurally identical chains at
+one mission time.  The point solver
+(:func:`repro.reliability.solvers.transient_distribution`) answers one
+``(chain, t)`` pair per call, paying the Python overhead of the memo and
+the front-end for every point.
 
-This module vectorizes Jensen's uniformization across whole grids:
-
-:func:`uniformization_grid`
-    One chain, many times.  The DTMC power vectors ``v_k = pi0 @ P^k``
-    depend only on the chain, so the power recurrence runs **once** and
-    every requested time is a Poisson-weighted combination — the per-point
-    Python accumulation loop collapses into chunked matrix products.
-
-:func:`uniformization_batch`
-    Many structurally identical chains (same state count), one or more
-    times.  The power recurrence steps all chains in lockstep with batched
-    ``matmul`` and the weighted combination is one contraction per chunk.
-
-Both run in bounded memory (vectors are streamed in chunks, never all
-materialised) and terminate early once every time point has accumulated
-``1 - tol`` of its Poisson mass.
-
-Applicability: the term count scales with ``max_rate * t``, so
-uniformization suits *mission-time* grids (Figure 14's R(5 h) sweep).
-Stiff chains over year horizons (repair rates of ~10^3/h make
-``rate * t`` ~10^7) are matrix-exponential territory — the experiment
-drivers use the propagated expm grid
-(:func:`repro.reliability.solver_cache.expm_grid_propagated`) there.
+:func:`reliability_batch` stacks the C generators into one ``(C, n, n)``
+array and calls :func:`scipy.linalg.expm` once per requested time.  scipy
+exponentiates the slices of a stacked array with the same scaling-and-
+squaring Pade routine it applies to a single matrix, so each chain's
+distribution ``pi0 @ expm(Q t)`` goes through exactly the arithmetic of
+the ``expm`` point solve, followed by the same ``_clip``.
 
 Equivalence contract
 --------------------
-Results agree with the point solver
-(``solvers.transient_distribution(..., method="uniformization")``) to
-within ``1e-9`` absolute — not bit-identical: the Poisson weights come
-from ``gammaln`` instead of the sequential log recurrence, truncated tail
-mass is renormalised across all terms instead of assigned to the last
-vector, and the summation order differs (BLAS contraction vs sequential
-accumulation).  All three effects are bounded by the truncation tolerance
-and float round-off, orders of magnitude inside the gate —
-``tests/reliability/test_sweep_solver.py`` enforces it.
+Results are **bit-identical** to ``chain.reliability(t)`` (the ``expm``
+point path) for every chain and time, ``t == 0`` included, and agree with
+the independent uniformization point solver
+(``transient_distribution(..., method="uniformization")``) within 1e-9 —
+``tests/reliability/test_sweep_solver.py`` enforces both.  Failure states
+default to *each chain's own* absorbing states, as in
+:meth:`repro.reliability.ctmc.MarkovChain.reliability`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg import expm
 
 from ..errors import ModelError
 from ..obs import metrics as obs_metrics
 from .ctmc import MarkovChain
 from .solvers import _clip
 
-#: Power vectors computed (and weighted in) per streaming chunk.
-CHUNK_TERMS = 4_096
-
-
-def _truncation_point(lt_max: float) -> int:
-    """Poisson truncation index — same bound as the reference solver."""
-    return int(lt_max + 8.0 * math.sqrt(lt_max) + 20.0)
-
-
-def _chunk_weights(lt: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
-    """Poisson weights ``W[i, k - k_lo] = Pois(k; lt_i)``, k in [k_lo, k_hi).
-
-    Computed in log space via ``gammaln``; rows with ``lt == 0`` put all
-    mass on ``k == 0`` (the chain never leaves its initial state).
-    """
-    k = np.arange(k_lo, k_hi, dtype=float)
-    positive = lt > 0.0
-    weights = np.zeros((lt.size, k.size))
-    if positive.any():
-        lt_pos = lt[positive, None]
-        weights[positive] = np.exp(
-            -lt_pos + k[None, :] * np.log(lt_pos) - gammaln(k + 1.0)[None, :]
-        )
-    if (~positive).any() and k_lo == 0:
-        weights[~positive, 0] = 1.0
-    return weights
-
-
-def _validated_times(times: Sequence[float]) -> np.ndarray:
-    times_arr = np.asarray([float(t) for t in times], dtype=float)
-    if times_arr.size == 0:
-        raise ModelError("time grid must not be empty")
-    if (times_arr < 0).any():
-        raise ModelError("all times must be non-negative")
-    return times_arr
-
-
-def uniformization_grid(
-    pi0: np.ndarray,
-    q: np.ndarray,
-    times: Sequence[float],
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """State distributions of one chain at every time — ``(T, n)`` array.
-
-    One batched solve: the shared power recurrence ``v_{k+1} = v_k @ P``
-    runs once, streaming chunks of vectors into Poisson-weighted matrix
-    products — no per-point accumulation loop.  Rows for ``t == 0`` are
-    ``pi0`` exactly, as in the point solver.
-    """
-    times_arr = _validated_times(times)
-    pi0 = np.asarray(pi0, dtype=float).ravel()
-    rate = float(np.max(-np.diag(q)))
-    if rate == 0.0:
-        return np.tile(pi0, (times_arr.size, 1))
-    rate *= 1.02  # identical inflation to the reference solver
-    lt = rate * times_arr
-    with obs_metrics.span("solver.uniformization_grid"):
-        p = np.eye(q.shape[0]) + q / rate
-        grid, mass = _stream_grid(pi0[None, :], p[None, :, :], lt[None, :], tol)
-        grid = grid[0] / mass[0][:, None]
-    return np.vstack(
-        [pi0 if t == 0.0 else _clip(row) for t, row in zip(times_arr, grid)]
-    )
-
-
-def uniformization_batch(
-    pi0s: np.ndarray,
-    qs: np.ndarray,
-    times: Sequence[float],
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Distributions of C same-shape chains at T times — ``(C, T, n)``.
-
-    The power recurrence steps every chain in lockstep (one batched
-    ``matmul`` per term) and each chunk's Poisson combination is a single
-    ``(C, T, K) x (C, K, n)`` contraction.  Each chain uses its own
-    uniformization rate, so structurally identical chains with different
-    parameters (the Figure 14 sweep) batch cleanly.
-    """
-    pi0s = np.asarray(pi0s, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    if pi0s.ndim != 2 or qs.ndim != 3 or qs.shape[:2] != (pi0s.shape[0], pi0s.shape[1]):
-        raise ModelError(
-            f"need pi0s (C, n) and qs (C, n, n); got {pi0s.shape} and {qs.shape}"
-        )
-    times_arr = _validated_times(times)
-    chains, n = pi0s.shape
-    rates = np.array([float(np.max(-np.diag(qs[c]))) for c in range(chains)])
-    rates = np.where(rates > 0.0, rates * 1.02, 0.0)
-    lt = rates[:, None] * times_arr[None, :]  # (C, T)
-    with obs_metrics.span("solver.uniformization_batch"):
-        # P_c = I + Q_c / rate_c; a rate-0 chain is all-absorbing and never
-        # moves — P = I reproduces that exactly.
-        safe_rates = np.where(rates > 0.0, rates, 1.0)
-        p = np.eye(n)[None, :, :] + qs / safe_rates[:, None, None]
-        grid, mass = _stream_grid(pi0s, p, lt, tol)
-        grid = grid / mass[:, :, None]
-    out = np.empty_like(grid)
-    for c in range(chains):
-        for i, t in enumerate(times_arr):
-            out[c, i] = pi0s[c] if t == 0.0 else _clip(grid[c, i])
-    return out
-
-
-def _stream_grid(
-    pi0s: np.ndarray, p: np.ndarray, lt: np.ndarray, tol: float
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Shared streaming core: raw weighted sums and accumulated mass.
-
-    Parameters are batched: ``pi0s (C, n)``, ``p (C, n, n)``,
-    ``lt (C, T)``.  Returns ``(grid (C, T, n), mass (C, T))`` where
-    ``grid[c, i] = sum_k Pois(k; lt[c, i]) * pi0s[c] @ P_c^k`` over the
-    computed prefix and ``mass`` is the per-point accumulated Poisson
-    weight (the caller renormalises, which spreads the truncated tail).
-    Terminates once every point holds ``1 - tol`` of its mass.
-    """
-    chains, n = pi0s.shape
-    points = lt.shape[1]
-    k_max = _truncation_point(float(lt.max())) if lt.size else 0
-    grid = np.zeros((chains, points, n))
-    mass = np.zeros((chains, points))
-    flat_lt = lt.ravel()
-    vector = pi0s.copy()
-    k = 0
-    while k <= k_max:
-        count = min(CHUNK_TERMS, k_max - k + 1)
-        block = np.empty((chains, count, n))
-        for j in range(count):
-            block[:, j, :] = vector
-            if k + j < k_max:  # the last advance would never be read
-                vector = np.matmul(vector[:, None, :], p)[:, 0, :]
-        weights = _chunk_weights(flat_lt, k, k + count).reshape(
-            chains, points, count
-        )
-        grid += np.matmul(weights, block)
-        mass += weights.sum(axis=2)
-        k += count
-        if mass.min() >= 1.0 - tol:
-            break
-    return grid, mass
-
-
-# ----------------------------------------------------------------------
-# MarkovChain front-ends
-# ----------------------------------------------------------------------
 
 def _failure_indices(
     chain: MarkovChain, failure_states: Optional[Sequence[str]]
@@ -220,36 +53,16 @@ def _failure_indices(
     return [chain.state_index(s) for s in states]
 
 
-def reliability_grid(
-    chain: MarkovChain,
-    times: Sequence[float],
-    failure_states: Optional[Sequence[str]] = None,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """``R(t)`` of one chain at every time — shape ``(T,)``.
-
-    The grid analogue of
-    :meth:`repro.reliability.ctmc.MarkovChain.reliability`, solved with
-    one batched uniformization pass.
-    """
-    indices = _failure_indices(chain, failure_states)
-    grid = uniformization_grid(
-        chain.initial_distribution, chain.generator_matrix(), times, tol=tol
-    )
-    return 1.0 - grid[:, indices].sum(axis=1)
-
-
 def reliability_batch(
     chains: Sequence[MarkovChain],
     times: Sequence[float],
     failure_states: Optional[Sequence[str]] = None,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """``R(t)`` of C structurally identical chains — shape ``(C, T)``.
 
     The chains must share their state list (same names, same order), as
-    the parameter-sweep chains of Figure 14 do; *failure_states* then
-    names the same indices in every chain.
+    the parameter-sweep chains of Figure 14 do.  Each chain counts its own
+    absorbing states as failures unless *failure_states* names them.
     """
     if not chains:
         raise ModelError("need at least one chain")
@@ -260,11 +73,22 @@ def reliability_batch(
                 "reliability_batch needs structurally identical chains; "
                 f"{chain.name!r} differs from {reference.name!r}"
             )
-    indices = _failure_indices(reference, failure_states)
-    grid = uniformization_batch(
-        np.stack([c.initial_distribution for c in chains]),
-        np.stack([c.generator_matrix() for c in chains]),
-        times,
-        tol=tol,
-    )
-    return 1.0 - grid[:, :, indices].sum(axis=2)
+    times = [float(t) for t in times]
+    if not times:
+        raise ModelError("time grid must not be empty")
+    if any(t < 0 for t in times):
+        raise ModelError("all times must be non-negative")
+    failures = [_failure_indices(chain, failure_states) for chain in chains]
+    pi0s = np.stack([chain.initial_distribution for chain in chains])
+    qs = np.stack([chain.generator_matrix() for chain in chains])
+    out = np.empty((len(chains), len(times)))
+    for i, t in enumerate(times):
+        if t == 0.0:
+            dists = pi0s
+        else:
+            with obs_metrics.span("solver.expm_batch"):
+                steps = expm(qs * t)
+            dists = [_clip(pi0 @ step) for pi0, step in zip(pi0s, steps)]
+        for c, (dist, failure) in enumerate(zip(dists, failures)):
+            out[c, i] = 1.0 - sum(dist[j] for j in failure)
+    return out

@@ -1,6 +1,6 @@
 """Property tests: CTMC solver equivalence across methods and oracles.
 
-Three independent claims, over randomly generated generator matrices:
+Four independent claims, over randomly generated generator matrices:
 
 1. the three transient solvers (matrix exponential, uniformization,
    Kolmogorov ODE) agree within solver tolerance and always return a
@@ -11,7 +11,10 @@ Three independent claims, over randomly generated generator matrices:
    1e-9 of it on dense grids — with repeat calls (cache hits)
    bit-identical to the first (cold) call;
 3. invalid inputs (negative times, empty grids) are rejected with the
-   same :class:`ModelError` by production and oracle.
+   same :class:`ModelError` by production and oracle;
+4. the batched sweep solver (:func:`repro.reliability.reliability_batch`)
+   is bit-identical to per-chain ``expm`` point solves, failure states
+   included.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.errors import ModelError
 from repro.reliability import (
     MarkovChain,
     clear_solver_cache,
+    reliability_batch,
     transient_distribution,
     transient_distributions,
 )
@@ -39,8 +43,9 @@ times = st.one_of(
 
 
 @st.composite
-def chains(draw):
-    n_states = draw(st.integers(min_value=2, max_value=5))
+def chains(draw, n_states=None):
+    if n_states is None:
+        n_states = draw(st.integers(min_value=2, max_value=5))
     count = n_states * (n_states - 1)
     rate_list = draw(
         st.lists(st.one_of(st.just(0.0), rates), min_size=count, max_size=count)
@@ -56,6 +61,14 @@ def chains(draw):
                 index += 1
     chain.set_initial(states[0])
     return chain
+
+
+@st.composite
+def chain_batches(draw):
+    """1-4 chains over the same state list, as a parameter sweep has."""
+    n_states = draw(st.integers(min_value=2, max_value=5))
+    count = draw(st.integers(min_value=1, max_value=4))
+    return [draw(chains(n_states)) for _ in range(count)]
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +124,21 @@ def test_cache_off_equals_cache_on(chain, t):
     cached = transient_distribution(chain, t, method="uniformization")
     off = reference_ctmc.transient_distribution(chain, t, method="uniformization")
     assert np.array_equal(cached, off)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(batch=chain_batches(), grid=st.lists(times, min_size=1, max_size=3))
+def test_batch_solve_equals_point_solves(batch, grid):
+    failure = [batch[0].states[-1]]
+    explicit = [[chain.reliability(t, failure) for t in grid] for chain in batch]
+    assert np.array_equal(reliability_batch(batch, grid, failure), explicit)
+    # Default failure states are each chain's own absorbing states.
+    if all(chain.absorbing_states() for chain in batch):
+        default = [[chain.reliability(t) for t in grid] for chain in batch]
+        assert np.array_equal(reliability_batch(batch, grid), default)
+    else:
+        with pytest.raises(ModelError):
+            reliability_batch(batch, grid)
 
 
 @pytest.mark.parametrize("production", [False, True])
