@@ -1,4 +1,4 @@
-"""Ablation benchmark — CTMC transient solver back-ends and the grid cache.
+"""Ablation benchmark — CTMC transient solver back-ends and grid propagation.
 
 Run:  pytest benchmarks/bench_solvers.py --benchmark-only -s [--json PATH]
 
@@ -7,10 +7,10 @@ uniformization, Kolmogorov ODE) on the paper's largest model (the 5-state
 NLFT degraded wheel subsystem) and verifies they agree to tight tolerance.
 This is the DESIGN.md ablation for the choice of default solver.
 
-The grid benchmark gates the solver cache: a dense R(t) grid solved with
-the SolverCache (one scaled decomposition propagated along the grid) must
-be at least 2x faster than one independent matrix exponential per point
-while agreeing within solver tolerance.
+The grid benchmark gates step propagation: a dense R(t) grid solved by
+propagating one ``expm(Q dt)`` step matrix along the grid must be at least
+2x faster than one independent matrix exponential per point while agreeing
+within solver tolerance.
 """
 
 import numpy as np
@@ -19,11 +19,7 @@ from scipy.linalg import expm
 
 import common
 from repro.models import BbwParameters, build_wn_nlft_degraded
-from repro.reliability import (
-    clear_solver_cache,
-    transient_distribution,
-    transient_distributions,
-)
+from repro.reliability import transient_distribution, transient_distributions
 from repro.reliability.solvers import _clip
 from repro.units import HOURS_PER_YEAR
 
@@ -65,27 +61,26 @@ def test_benchmark_transient_solver(benchmark, chain, reference, method):
 
 
 def _per_point_grid(chain, times):
-    """One independent matrix exponential per grid point (no cache), with
-    the same per-row post-processing as the cached grid solve."""
+    """One independent matrix exponential per grid point, with the same
+    per-row post-processing as the propagated grid solve."""
     pi0 = chain.initial_distribution
     q = chain.generator_matrix()
     return np.vstack([_clip(pi0 @ expm(q * t)) for t in times])
 
 
 def test_benchmark_transient_grid_cache_vs_per_point(chain):
-    """Dense-grid transients >= 2x faster through the solver cache than
-    one matrix exponential per point, within tolerance of it."""
+    """Dense-grid transients >= 2x faster by step propagation than one
+    matrix exponential per point, within tolerance of it."""
     times = list(np.linspace(0.0, HORIZON_HOURS, GRID_POINTS))
 
     ref_result = _per_point_grid(chain, times)
     ref_s = common.best_of(BEST_OF, lambda: _per_point_grid(chain, times))
 
-    def fast_cold():
-        clear_solver_cache()
+    def fast():
         return transient_distributions(chain, times, method="expm")
 
-    fast_result = fast_cold()
-    fast_s = common.best_of(BEST_OF, fast_cold)
+    fast_result = fast()
+    fast_s = common.best_of(BEST_OF, fast)
     speedup = ref_s / max(fast_s, 1e-12)
 
     common.report(

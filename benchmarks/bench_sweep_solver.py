@@ -9,7 +9,7 @@ stacked generators of every structurally identical chain with one
 ``scipy.linalg.expm`` call per mission time.  This bench checks it against
 both point paths on the exact chains Figure 14 uses:
 
-* the memoized uniformization point solver — the gate: the batch must be
+* the uniformization point solver — the gate: the batch must be
   at least 3x faster and agree within the 1e-9 solver-equivalence
   tolerance;
 * the ``expm`` point solver (``chain.reliability(t)``) — the batch must be
@@ -21,7 +21,7 @@ import os
 
 import common
 from repro.models import BbwParameters, build_bbw_system
-from repro.reliability import clear_solver_cache, sweep_solver, transient_distribution
+from repro.reliability import sweep_solver, transient_distribution
 
 #: The Figure 14 sweep axes (both node types, degraded mode).
 RATE_SCALES = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
@@ -58,7 +58,7 @@ def _chain_groups():
 
 
 def _point_grid(chains):
-    """One memoized uniformization point solve per (chain, t)."""
+    """One uniformization point solve per (chain, t)."""
     curves = []
     for chain in chains:
         failure = [chain.state_index(s) for s in chain.absorbing_states()]
@@ -77,7 +77,7 @@ def _point_grid(chains):
 
 
 def _expm_point_grid(chains):
-    """One memoized ``expm`` point solve per (chain, t)."""
+    """One ``expm`` point solve per (chain, t)."""
     return [[chain.reliability(t) for t in MISSION_TIMES] for chain in chains]
 
 
@@ -89,23 +89,19 @@ def test_benchmark_batched_sweep_vs_pointwise():
     groups = _chain_groups()
 
     batched = [_batched_grid(chains) for chains in groups]
-    clear_solver_cache()
     pointwise = [_point_grid(chains) for chains in groups]
     for batch_grid, point_grid in zip(batched, pointwise):
         for batch_row, point_row in zip(batch_grid, point_grid):
             for batch_r, point_r in zip(batch_row, point_row):
                 assert abs(float(batch_r) - point_r) <= TOLERANCE
-    clear_solver_cache()
     for batch_grid, chains in zip(batched, groups):
         assert batch_grid.tolist() == _expm_point_grid(chains)
 
     def _timed_pointwise():
-        clear_solver_cache()  # distinct chains: the memo never cross-fills
         for chains in groups:
             _point_grid(chains)
 
     def _timed_expm_pointwise():
-        clear_solver_cache()
         for chains in groups:
             _expm_point_grid(chains)
 
@@ -130,6 +126,6 @@ def test_benchmark_batched_sweep_vs_pointwise():
         cores=os.cpu_count() or 1,
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"batched sweep solve must be >= {REQUIRED_SPEEDUP}x the memoized "
+        f"batched sweep solve must be >= {REQUIRED_SPEEDUP}x the uniformization "
         f"point-by-point grid, measured {speedup:.2f}x"
     )

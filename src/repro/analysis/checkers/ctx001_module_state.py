@@ -1,7 +1,7 @@
 """CTX001 — no module-level mutable state.
 
 The context-scoped runtime moved every ambient service — metrics
-registries, the profile collector, the solver cache — onto
+registries, the profile collector, the root RNG — onto
 :class:`repro.runtime.RunContext`.  This rule keeps it that way:
 module-level mutable state is shared by *every* context in the process,
 so one concurrent run's writes become another's reads, exactly the
@@ -35,11 +35,14 @@ Violating example::
 
 Sanctioned fix::
 
-    def solve(problem, ctx=None):
-        cache = (ctx or runtime.current()).solver_cache
-        if problem.key not in cache:
-            cache[problem.key] = _expensive(problem)
-        return cache[problem.key]
+    class Solver:
+        def __init__(self):
+            self._cache = {}                  # state owned by an instance
+
+        def solve(self, problem):
+            if problem.key not in self._cache:
+                self._cache[problem.key] = _expensive(problem)
+            return self._cache[problem.key]
 """
 
 from __future__ import annotations

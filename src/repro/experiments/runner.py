@@ -260,7 +260,7 @@ def run_report(
 
     The whole run executes inside one activated
     :class:`repro.runtime.RunContext`, so every layer — metrics
-    registry stack, profile collector, solver cache, shard runners —
+    registry stack, profile collector, shard runners —
     resolves through the same context and concurrent reports never share
     state.  Pass ``config`` (e.g. loaded via
     :meth:`repro.runtime.RunConfig.from_file`) to override the keyword

@@ -7,7 +7,6 @@ BbwParameters` (the Section 3.3 assignment).
 
 from .bbw import (
     MODES,
-    MTTF_HORIZON_HOURS,
     NODE_TYPES,
     BbwSystemModel,
     build_all_configurations,
@@ -60,7 +59,6 @@ __all__ = [
     "COVERAGE",
     "DEGRADED_MIN_WHEEL_NODES",
     "MODES",
-    "MTTF_HORIZON_HOURS",
     "NODE_TYPES",
     "OMISSION_REPAIR_RATE",
     "PERMANENT_FAULT_RATE",

@@ -23,6 +23,7 @@ from .absorbing import (
     absorption_probabilities,
     expected_visits,
     mean_time_to_absorption,
+    series_mean_time_to_absorption,
 )
 from .ctmc import MarkovChain, Transition, rate_sum
 from .faulttree import AndGate, BasicEvent, KofNGate, OrGate
@@ -44,7 +45,6 @@ from .hierarchy import (
 from .measures import (
     crossing_time,
     mttf_from_reliability,
-    mttf_improvement,
     reliability_improvement,
     sample_curve,
 )
@@ -59,8 +59,6 @@ from .rbd import (
 )
 from .sensitivity import SweepPoint, SweepResult, sweep
 from .sharpe_lang import SharpeModel, evaluate_expression, parse_sharpe
-from .solver_cache import SolverCache
-from .solver_cache import clear as clear_solver_cache
 from .solvers import steady_state, transient_distribution, transient_distributions
 from .sweep_solver import reliability_batch
 
@@ -80,7 +78,6 @@ __all__ = [
     "Parallel",
     "Series",
     "SharpeModel",
-    "SolverCache",
     "SweepPoint",
     "SweepResult",
     "Transition",
@@ -88,7 +85,6 @@ __all__ = [
     "analyse_importance",
     "birnbaum_importance",
     "block_event",
-    "clear_solver_cache",
     "crossing_time",
     "evaluate_expression",
     "expected_downtime_hours",
@@ -103,12 +99,12 @@ __all__ = [
     "markov_reliability_fn",
     "mean_time_to_absorption",
     "mttf_from_reliability",
-    "mttf_improvement",
     "parse_sharpe",
     "rate_sum",
     "reliability_batch",
     "reliability_improvement",
     "sample_curve",
+    "series_mean_time_to_absorption",
     "steady_state",
     "steady_state_availability",
     "sweep",

@@ -52,25 +52,14 @@ class CachedReliability:
 
 
 def markov_reliability_fn(
-    chain: MarkovChain,
-    failure_states: Optional[Sequence[str]] = None,
-    method: str = "expm",
-    cached: bool = True,
-) -> Callable[[float], float]:
-    """R(t) of a CTMC (probability of not being in a failure state)."""
+    chain: MarkovChain, failure_states: Optional[Sequence[str]] = None
+) -> CachedReliability:
+    """Memoised R(t) of a CTMC (probability of not being in a failure state)."""
     failure_list = list(failure_states) if failure_states is not None else None
-
-    def fn(t: float) -> float:
-        return chain.reliability(t, failure_states=failure_list) if method == "expm" else (
-            1.0
-            - chain.probability_in(
-                failure_list if failure_list is not None else chain.absorbing_states(),
-                t,
-                method=method,
-            )
-        )
-
-    return CachedReliability(fn, name=f"R[{chain.name}]") if cached else fn
+    return CachedReliability(
+        lambda t: chain.reliability(t, failure_states=failure_list),
+        name=f"R[{chain.name}]",
+    )
 
 
 def markov_component(

@@ -5,10 +5,13 @@ The paper reports two headline measures (Section 3.4):
 * reliability at a mission time (R after one year), and
 * mean time to failure, MTTF = integral of R(t) dt from 0 to infinity.
 
-For composed models (fault tree over Markov subsystems) no closed form
-exists, so :func:`mttf_from_reliability` integrates numerically with an
-adaptive horizon.  For a single CTMC prefer
-:meth:`repro.reliability.ctmc.MarkovChain.mttf`, which is exact.
+:func:`mttf_from_reliability` integrates any reliability function
+numerically with an adaptive horizon; the tests use it to cross-check the
+exact solves.  For a single CTMC prefer
+:meth:`repro.reliability.ctmc.MarkovChain.mttf`, and for independent CTMCs
+under an OR fault tree
+:func:`repro.reliability.absorbing.series_mean_time_to_absorption`; both
+are exact fundamental-matrix solves.
 """
 
 from __future__ import annotations
@@ -82,17 +85,6 @@ def reliability_improvement(
     if r_old <= 0:
         raise ModelError(f"baseline reliability is {r_old} at t={t}")
     return improved(t) / r_old - 1.0
-
-
-def mttf_improvement(
-    baseline: Callable[[float], float],
-    improved: Callable[[float], float],
-    horizon: Optional[float] = None,
-) -> float:
-    """Relative MTTF gain: MTTF_new/MTTF_old - 1."""
-    old = mttf_from_reliability(baseline, horizon=horizon)
-    new = mttf_from_reliability(improved, horizon=horizon)
-    return new / old - 1.0
 
 
 def crossing_time(

@@ -2,14 +2,14 @@
 
 ``repro.runtime`` replaces the process-global state the cross-cutting
 layers used to coordinate through (the process-wide metrics capture stack,
-the global solver cache) with one explicit seam:
+the profile collector) with one explicit seam:
 
 * :class:`RunConfig` — a frozen, picklable, JSON-serialisable description
   of one run (jobs, timeout, root seed, resume dir,
   observability knobs, horizons);
 * :class:`RunContext` — the config plus the run's live service objects
-  (metrics registry + capture stack, profile collector, solver cache,
-  root RNG), carried on a :class:`contextvars.ContextVar`.
+  (metrics registry + capture stack, profile collector, root RNG),
+  carried on a :class:`contextvars.ContextVar`.
 
 Every layer resolves through :func:`current`; code that never activates a
 context falls back to the process-default context, which preserves the
@@ -25,7 +25,7 @@ process::
     def campaign(seed):
         ctx = runtime.RunContext(runtime.RunConfig(root_seed=seed))
         with runtime.activate(ctx):
-            ...  # this thread's solvers/CPU/campaign use ctx only
+            ...  # this thread's metrics/CPU/campaign use ctx only
 
     threads = [threading.Thread(target=campaign, args=(s,)) for s in (1, 2)]
 """

@@ -1,9 +1,8 @@
 """The per-run execution context (:class:`RunContext`) and its activation.
 
 Historically the cross-cutting layers coordinated through process-global
-mutable state: ``repro.obs.metrics``' process-wide capture stack,
-``repro.obs.profile``'s collector and
-``repro.reliability.solver_cache.GLOBAL_CACHE``.  That worked for one
+mutable state: ``repro.obs.metrics``' process-wide capture stack and
+``repro.obs.profile``'s collector.  That worked for one
 campaign per process but made two concurrent campaigns — different seeds,
 different metrics — impossible without cross-talk.
 
@@ -14,7 +13,6 @@ A :class:`RunContext` bundles that state per run:
   stack* (``obs.metrics.capture()`` pushes onto the active context's
   stack, not a module global);
 * the run's profile collector (``obs.profile.enabled()``);
-* the run's :class:`repro.reliability.solver_cache.SolverCache`;
 * the run's root RNG (``numpy`` Generator seeded with
   ``config.root_seed``).
 
@@ -32,7 +30,7 @@ Usage::
 
     ctx = runtime.RunContext(runtime.RunConfig(root_seed=7, jobs=4))
     with runtime.activate(ctx):
-        ...  # every layer resolves config/metrics/caches through ctx
+        ...  # every layer resolves config/metrics/RNG through ctx
 """
 
 from __future__ import annotations
@@ -46,21 +44,19 @@ from .config import RunConfig
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type names only
     from ..obs.metrics import MetricsRegistry
     from ..obs.profile import ProfileCollector
-    from ..reliability.solver_cache import SolverCache
 
 
 class RunContext:
     """One run's execution state: config plus the per-run service objects.
 
-    The service objects (metrics registry, solver cache, RNG) are created
+    The service objects (metrics registry, RNG) are created
     lazily on first use, so building a context is cheap and importing
     :mod:`repro.runtime` pulls in neither ``numpy`` nor the observability
     stack.
     """
 
     __slots__ = (
-        "config", "_metrics", "_metrics_stack", "profile_collector",
-        "_solver_cache", "_rng",
+        "config", "_metrics", "_metrics_stack", "profile_collector", "_rng",
     )
 
     def __init__(
@@ -74,7 +70,6 @@ class RunContext:
         self._metrics_stack: Optional[List["MetricsRegistry"]] = None
         #: Hot-trial profile collector (``obs.profile.enabled()``).
         self.profile_collector: Optional["ProfileCollector"] = None
-        self._solver_cache: Optional["SolverCache"] = None
         self._rng: Any = None
 
     # ------------------------------------------------------------------
@@ -102,18 +97,6 @@ class RunContext:
         if stack is None:
             return self.metrics
         return stack[-1]
-
-    # ------------------------------------------------------------------
-    # Solver cache
-    # ------------------------------------------------------------------
-    @property
-    def solver_cache(self) -> "SolverCache":
-        """This run's CTMC solver cache (point memo and expm step matrices)."""
-        if self._solver_cache is None:
-            from ..reliability.solver_cache import SolverCache
-
-            self._solver_cache = SolverCache()
-        return self._solver_cache
 
     # ------------------------------------------------------------------
     # Root RNG

@@ -1,9 +1,9 @@
-"""Uncached CTMC transient solves: the results the solver cache must match.
+"""Per-point CTMC transient solves: the results production must match.
 
-Every call recomputes from scratch — one matrix exponential (or one
-uniformization / ODE pass) per time point, no memo, no step-matrix
-propagation.  Production (:mod:`repro.reliability.solvers`) must return
-bit-identical point solves and grids within 1e-9 of these.
+Every call computes one matrix exponential (or one uniformization / ODE
+pass) per time point — no step-matrix propagation.  Production
+(:mod:`repro.reliability.solvers`) must return bit-identical point solves
+and grids within 1e-9 of these.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.reliability.solvers import _METHODS, _clip, _ode, _uniformization
 def transient_distribution(
     chain: MarkovChain, t: float, method: str = "expm", tol: float = 1e-12
 ) -> np.ndarray:
-    """pi(t) by one uncached solve of *method*."""
+    """pi(t) by one solve of *method*."""
     if t < 0:
         raise ModelError(f"time must be non-negative, got {t}")
     if method not in _METHODS:

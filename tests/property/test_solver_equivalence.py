@@ -5,11 +5,11 @@ Four independent claims, over randomly generated generator matrices:
 1. the three transient solvers (matrix exponential, uniformization,
    Kolmogorov ODE) agree within solver tolerance and always return a
    probability distribution;
-2. the cached production solvers (:mod:`repro.reliability.solver_cache`)
-   return *bit-identical* results to the uncached oracle
+2. the production solvers (:mod:`repro.reliability.solvers`) return
+   *bit-identical* results to the per-point oracle
    (``tests/oracles/reference_ctmc.py``) for point solves, and stay within
-   1e-9 of it on dense grids — with repeat calls (cache hits)
-   bit-identical to the first (cold) call;
+   1e-9 of it on dense grids (step-matrix propagation) — with repeat calls
+   bit-identical to the first;
 3. invalid inputs (negative times, empty grids) are rejected with the
    same :class:`ModelError` by production and oracle;
 4. the batched sweep solver (:func:`repro.reliability.reliability_batch`)
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.errors import ModelError
 from repro.reliability import (
     MarkovChain,
-    clear_solver_cache,
     reliability_batch,
     transient_distribution,
     transient_distributions,
@@ -71,13 +70,6 @@ def chain_batches(draw):
     return [draw(chains(n_states)) for _ in range(count)]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_solver_cache()
-    yield
-    clear_solver_cache()
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(chain=chains(), t=times)
 def test_three_methods_agree_and_are_distributions(chain, t):
@@ -97,11 +89,10 @@ def test_three_methods_agree_and_are_distributions(chain, t):
 @pytest.mark.parametrize("method", ["expm", "uniformization", "ode"])
 def test_point_solve_fast_is_bit_identical_to_reference(method, chain, t):
     reference = reference_ctmc.transient_distribution(chain, t, method=method)
-    clear_solver_cache()
-    cold = transient_distribution(chain, t, method=method)
-    warm = transient_distribution(chain, t, method=method)
-    assert np.array_equal(cold, reference)
-    assert np.array_equal(warm, cold)
+    first = transient_distribution(chain, t, method=method)
+    again = transient_distribution(chain, t, method=method)
+    assert np.array_equal(first, reference)
+    assert np.array_equal(again, first)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -109,21 +100,11 @@ def test_point_solve_fast_is_bit_identical_to_reference(method, chain, t):
 def test_grid_solve_fast_matches_reference(chain, horizon):
     grid = list(np.linspace(0.0, horizon, 31))
     reference = reference_ctmc.transient_distributions(chain, grid, method="expm")
-    clear_solver_cache()
-    cold = transient_distributions(chain, grid, method="expm")
-    warm = transient_distributions(chain, grid, method="expm")
-    assert np.allclose(cold, reference, atol=1e-9)
-    assert np.allclose(cold.sum(axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(warm, cold)
-
-
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(chain=chains(), t=times)
-def test_cache_off_equals_cache_on(chain, t):
-    """The point memo must only change speed, never results."""
-    cached = transient_distribution(chain, t, method="uniformization")
-    off = reference_ctmc.transient_distribution(chain, t, method="uniformization")
-    assert np.array_equal(cached, off)
+    first = transient_distributions(chain, grid, method="expm")
+    again = transient_distributions(chain, grid, method="expm")
+    assert np.allclose(first, reference, atol=1e-9)
+    assert np.allclose(first.sum(axis=1), 1.0, atol=1e-9)
+    assert np.array_equal(again, first)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

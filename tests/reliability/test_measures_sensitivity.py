@@ -9,7 +9,6 @@ from repro.reliability import (
     Exponential,
     crossing_time,
     mttf_from_reliability,
-    mttf_improvement,
     reliability_improvement,
     sample_curve,
     sweep,
@@ -41,13 +40,6 @@ class TestImprovements:
         improved = lambda t: 0.70
         assert reliability_improvement(baseline, improved, 1.0) == pytest.approx(
             0.5555, rel=1e-3
-        )
-
-    def test_mttf_improvement(self):
-        base = lambda t: math.exp(-t / 1.2)
-        better = lambda t: math.exp(-t / 1.9)
-        assert mttf_improvement(base, better, horizon=100.0) == pytest.approx(
-            1.9 / 1.2 - 1.0, rel=1e-3
         )
 
     def test_zero_baseline_rejected(self):

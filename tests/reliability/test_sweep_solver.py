@@ -26,20 +26,12 @@ from repro.experiments.figure14 import (
 from repro.models import BbwParameters, build_bbw_system
 from repro.reliability import (
     MarkovChain,
-    clear_solver_cache,
     reliability_batch,
     transient_distribution,
 )
 
 TOLERANCE = 1e-9
 TIMES = [0.0, 0.3, 1.0, 2.5, 5.0]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_solver_cache()
-    yield
-    clear_solver_cache()
 
 
 def _absorbing_chain(rng, n_states, name=""):

@@ -7,7 +7,6 @@ import pytest
 from repro import runtime
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.reliability import solver_cache
 
 
 class TestActivation:
@@ -66,7 +65,6 @@ class TestPerContextServices:
         a = runtime.RunContext()
         b = runtime.RunContext()
         assert a.metrics is not b.metrics
-        assert a.solver_cache is not b.solver_cache
         assert a.rng is not b.rng
 
     def test_metrics_disabled_by_config(self):
@@ -77,14 +75,6 @@ class TestPerContextServices:
         a = runtime.RunContext(runtime.RunConfig(root_seed=42))
         b = runtime.RunContext(runtime.RunConfig(root_seed=42))
         assert a.rng.integers(1 << 30) == b.rng.integers(1 << 30)
-
-    def test_solver_cache_resolution_follows_activation(self):
-        ctx = runtime.RunContext()
-        ambient = solver_cache.active_cache()
-        with runtime.activate(ctx):
-            assert solver_cache.active_cache() is ctx.solver_cache
-            assert solver_cache.active_cache() is not ambient
-        assert solver_cache.active_cache() is ambient
 
 
 class TestObsShims:
