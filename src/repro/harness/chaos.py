@@ -22,10 +22,12 @@ ignores it.
 Spec grammar (the ``--chaos`` CLI knob), comma-separated events::
 
     die:T           shard runner SIGKILLs itself right after journaling
-                    trial T (fail-stop node death with a durable journal)
+                    trial T — batched, the whole chunk holding T (fail-stop
+                    node death with a durable journal)
     stall:T         shard runner stops heartbeating after journaling trial
-                    T but keeps computing (a wedged node; the coordinator
-                    must expire the lease and take the shard over)
+                    T (batched: its chunk) but keeps computing (a wedged
+                    node; the coordinator must expire the lease and take
+                    the shard over)
     corrupt:K:MODE  damage shard K's journal tail at its first takeover;
                     MODE is ``tear`` (truncate mid-line), ``garbage``
                     (append invalid-UTF-8 bytes and a torn line) or
@@ -158,7 +160,7 @@ class ChaosPolicy:
         """Damage *path*'s tail the way a torn write or bad disk would.
 
         Only the suffix *beyond the last intact line boundary at worst one
-        entry deep* is touched — acknowledged-and-synced entries stay
+        record deep* is touched — acknowledged-and-synced records stay
         intact, mirroring what real torn writes can and cannot destroy.
         Returns the mode applied (``None`` when the file is missing or
         too small to damage).
@@ -173,8 +175,9 @@ class ChaosPolicy:
         rng = random.Random((self.seed << 16) ^ (shard_id + 1))
         if mode == "tear":
             # Truncate inside the final line: the classic torn write.  The
-            # newline of the previous line survives, so exactly one entry
-            # is lost (and deterministically re-run on resume).
+            # newline of the previous line survives, so exactly one record
+            # is lost — one trial, or a batched runner's whole chunk — and
+            # deterministically re-run on resume.
             body = raw[:-1] if raw.endswith(b"\n") else raw
             cut = body.rfind(b"\n") + 1
             if cut == 0 or cut >= len(body):

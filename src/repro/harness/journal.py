@@ -2,13 +2,17 @@
 
 One journal file per campaign.  The first line is a header identifying the
 campaign (name, master seed, planned trial count); every subsequent line
-records one finished trial — either its simulated outcome or the harness
-failure that consumed it.  Appends are flushed line-by-line so the journal
-survives a SIGKILL of the campaign process: on resume, every line the OS
-accepted is still there and only the in-flight trial is re-run.  ``fsync``
-is batched (``fsync_interval`` appends per sync, plus one on close), which
-additionally bounds what an *operating-system* crash can lose without
-paying a disk sync per trial.
+is one *commit* of finished trials — each either a simulated outcome or
+the harness failure that consumed it.  A scalar campaign commits one
+trial at a time as a ``trial`` line carrying that trial's metrics
+snapshot; a batched campaign commits a whole batch chunk as one
+``chunk`` line whose trials share one merged metrics snapshot.  Every
+commit is one write and one flush, so the journal survives a SIGKILL of
+the campaign process: on resume, every line the OS accepted is still
+there and only the in-flight commit (one trial, or one chunk) is re-run.
+``fsync`` is batched (once ``fsync_interval`` trials are unsynced, plus
+once on close), which additionally bounds what an *operating-system*
+crash can lose without paying a disk sync per trial.
 
 Because per-trial seeds are derived from ``(master_seed, trial_id)`` (see
 :mod:`repro.harness.seeds`) and trials are independent, replaying the
@@ -42,14 +46,20 @@ from ..errors import ConfigurationError
 
 _HEADER_KIND = "header"
 _TRIAL_KIND = "trial"
+_CHUNK_KIND = "chunk"
 
-#: Journal schema version (bump on incompatible format changes).
-JOURNAL_VERSION = 1
+#: Journal schema version (bump on incompatible format changes).  Version
+#: 2 added ``chunk`` records; a version-1 journal (``trial`` lines only)
+#: still resumes, while a journal from a newer version is refused.
+JOURNAL_VERSION = 2
 
-#: Default number of appends between ``fsync`` calls (1 = sync every
-#: append).  Line *flushes* happen on every append regardless — batching
-#: only affects what an OS crash (not a process kill) can lose.
+#: Default number of committed trials between ``fsync`` calls (1 = sync
+#: every commit).  Line *flushes* happen on every commit regardless —
+#: batching only affects what an OS crash (not a process kill) can lose.
 DEFAULT_FSYNC_INTERVAL = 32
+
+#: The one compact encoder every journal line goes through.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,14 +97,16 @@ class JournalHeader:
 
 @dataclasses.dataclass(frozen=True)
 class TrialEntry:
-    """One journal line: a finished trial."""
+    """One finished trial: a ``trial`` line, or one element of a ``chunk``."""
 
     trial_id: int
     status: str  # "ok" | "harness_timeout" | "harness_crash"
     result: Optional[dict] = None  # simulated outcome (status == "ok")
     detail: str = ""  # harness-failure description otherwise
     attempts: int = 1
-    #: Per-trial metrics snapshot (:mod:`repro.obs.metrics` schema).
+    #: Metrics snapshot (:mod:`repro.obs.metrics` schema) of the journal
+    #: record this entry opens: the trial's own for a ``trial`` line, the
+    #: chunk's merged one on a chunk's first entry, ``None`` on the rest.
     #: Journaling it makes resumed campaigns aggregate to the identical
     #: metrics totals as uninterrupted ones: replayed trials contribute
     #: their recorded snapshot instead of being re-run (and therefore are
@@ -107,18 +119,19 @@ class TrialEntry:
     def is_harness_failure(self) -> bool:
         return self.status != "ok"
 
-    def to_json(self) -> "dict[str, object]":
-        data: "dict[str, object]" = {
-            "kind": _TRIAL_KIND,
-            "trial_id": self.trial_id,
-            "status": self.status,
-            "attempts": self.attempts,
-        }
+    def to_json(self, in_chunk: bool = False) -> "dict[str, object]":
+        """This entry as a ``trial`` line or, with *in_chunk*, as one of a
+        ``chunk`` record's ``trials`` (no ``kind``, no ``metrics``: the
+        chunk carries one merged snapshot for all of them)."""
+        data: "dict[str, object]" = {} if in_chunk else {"kind": _TRIAL_KIND}
+        data["trial_id"] = self.trial_id
+        data["status"] = self.status
+        data["attempts"] = self.attempts
         if self.result is not None:
             data["result"] = self.result
         if self.detail:
             data["detail"] = self.detail
-        if self.metrics is not None:
+        if self.metrics is not None and not in_chunk:
             data["metrics"] = self.metrics
         if self.duration_s is not None:
             data["duration_s"] = round(self.duration_s, 6)
@@ -147,7 +160,8 @@ class TrialEntry:
 class SalvageReport:
     """What valid-prefix recovery did to a damaged journal."""
 
-    #: Intact trial entries replayed from the valid prefix.
+    #: Intact trial entries replayed from the valid prefix (a chunk
+    #: counts each of its trials).
     entries_kept: int
     #: Damaged-tail lines discarded (torn, garbage, or wrong-schema).
     quarantined_lines: int
@@ -157,20 +171,34 @@ class SalvageReport:
     quarantine_path: Path
 
 
+def _parse_chunk(data: "dict[str, object]") -> "list[TrialEntry]":
+    """A ``chunk`` record's trials, the merged snapshot on the first."""
+    trials = data["trials"]
+    metrics = data["metrics"]
+    if not isinstance(trials, list) or not trials:
+        raise ValueError("chunk without trials")
+    if metrics is not None and not isinstance(metrics, dict):
+        raise TypeError("chunk metrics must be a snapshot object")
+    entries = [TrialEntry.from_json(trial) for trial in trials]
+    entries[0] = dataclasses.replace(entries[0], metrics=metrics)
+    return entries
+
+
 def _parse_journal_line(raw_line: bytes) -> "Optional[tuple[str, object]]":
     """Decode one journal line; ``None`` marks it (and the rest) corrupt.
 
     A valid line is complete (the writer always appends ``\\n``), UTF-8,
     JSON, an object, and parses as a known record kind with the full
     schema.  Anything else — a torn final line, raw garbage, mid-line
-    UTF-8 damage, or valid-JSON-wrong-schema lines — is corruption.
+    UTF-8 damage, or valid-JSON-wrong-schema lines — is corruption.  A
+    ``chunk`` is one line, so damage anywhere in it loses the whole chunk.
     """
     try:
         text = raw_line.decode("utf-8").strip()
     except UnicodeDecodeError:
         return None
     if not text:
-        return ("blank", None)
+        return ("blank", [])
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, ValueError):
@@ -182,7 +210,9 @@ def _parse_journal_line(raw_line: bytes) -> "Optional[tuple[str, object]]":
         if kind == _HEADER_KIND:
             return (_HEADER_KIND, JournalHeader.from_json(data))
         if kind == _TRIAL_KIND:
-            return (_TRIAL_KIND, TrialEntry.from_json(data))
+            return (_TRIAL_KIND, [TrialEntry.from_json(data)])
+        if kind == _CHUNK_KIND:
+            return (_CHUNK_KIND, _parse_chunk(data))
     except (KeyError, TypeError, ValueError):
         return None
     # Unknown record kind: not something this schema version wrote.
@@ -219,7 +249,7 @@ class CampaignJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("a", encoding="utf-8")
         if not existing:
-            self._write_line(header.to_json())
+            self._write_line(header.to_json(), 0)
 
     # ------------------------------------------------------------------
     def _load_existing(self) -> bool:
@@ -249,9 +279,18 @@ class CampaignJournal:
             kind, record = parsed
             if kind == _HEADER_KIND:
                 stored = record  # type: ignore[assignment]
-            elif kind == _TRIAL_KIND:
-                assert isinstance(record, TrialEntry)
-                self.entries[record.trial_id] = record
+                if stored.version > JOURNAL_VERSION:
+                    # Refused before salvage: records of a newer format
+                    # would look like damage here and be cut off.
+                    raise ConfigurationError(
+                        f"journal {self.path} has format version "
+                        f"{stored.version} but this code reads up to "
+                        f"version {JOURNAL_VERSION}; refusing to resume "
+                        "a journal written by newer code"
+                    )
+            else:
+                for entry in record:  # type: ignore[union-attr]
+                    self.entries[entry.trial_id] = entry
             offset = newline + 1
             valid_end = offset
         if stored is None:
@@ -299,21 +338,41 @@ class CampaignJournal:
         )
 
     # ------------------------------------------------------------------
-    def _write_line(self, data: "dict[str, object]") -> None:
-        self._handle.write(json.dumps(data, separators=(",", ":")) + "\n")
+    def _write_line(self, data: "dict[str, object]", trials: int) -> None:
+        self._handle.write(_ENCODER.encode(data) + "\n")
         # Flush to the OS so a SIGKILL of this process loses at most the
-        # in-flight trial, never an already-recorded one.  fsync — which
+        # in-flight commit, never an already-recorded one.  fsync — which
         # protects against the *machine* dying, not the process — is
-        # batched every fsync_interval appends and on close.
+        # batched every fsync_interval trials and on close.
         self._handle.flush()
-        self._unsynced += 1
+        self._unsynced += trials
         if self._unsynced >= self._fsync_interval:
             self.sync()
 
-    def append(self, entry: TrialEntry) -> None:
-        """Record one finished trial (idempotent per trial id on resume)."""
-        self.entries[entry.trial_id] = entry
-        self._write_line(entry.to_json())
+    def append(self, *entries: TrialEntry, metrics: Optional[dict] = None) -> None:
+        """Commit finished trials as one journal record (one write, one
+        flush; idempotent per trial id on resume).
+
+        One entry is written as a ``trial`` line; *metrics*, when given,
+        is its snapshot.  Several entries — a batch chunk, in trial order
+        and without snapshots of their own — are written as one ``chunk``
+        line carrying *metrics*, the merged snapshot of the chunk, which
+        replay puts on the first entry.
+        """
+        first = entries[0]
+        if metrics is not None:
+            first = dataclasses.replace(first, metrics=metrics)
+        self.entries[first.trial_id] = first
+        if len(entries) == 1:
+            self._write_line(first.to_json(), 1)
+            return
+        for entry in entries[1:]:
+            self.entries[entry.trial_id] = entry
+        self._write_line({
+            "kind": _CHUNK_KIND,
+            "trials": [entry.to_json(in_chunk=True) for entry in entries],
+            "metrics": metrics,
+        }, len(entries))
 
     def sync(self) -> None:
         """Flush and fsync everything appended so far."""

@@ -14,7 +14,8 @@ shard runners.
 * each shard is executed by a **shard runner** process — a serial
   :class:`repro.harness.supervisor.CampaignSupervisor` over the shard's
   slice that inherits the whole config (a batching config steps
-  lockstep chunks), journaling every trial — that owns the shard through
+  lockstep chunks and journals one record per chunk), journaling every
+  trial — that owns the shard through
   a checkpointed **lease** (:mod:`repro.harness.leases`): heartbeats from
   a background thread, fencing token, atomic writes;
 * the **coordinator** blocks on the runners' process sentinels and wakes
@@ -46,7 +47,8 @@ and each stops dispatching once the total reaches it.
 
 Chaos injection (:mod:`repro.harness.chaos`) plugs in at two points: the
 runner's after-trial hook (``die:T`` SIGKILLs the runner after journaling
-trial T; ``stall:T`` stops heartbeats and wedges the runner so the lease
+trial T, or the chunk holding it; ``stall:T`` stops heartbeats and wedges
+the runner so the lease
 must expire) and the coordinator's takeover path (``corrupt:K:MODE``
 damages shard K's journal tail before the replacement runner salvages it).
 
@@ -267,8 +269,9 @@ def _shard_runner_main(
         # events their fire-once semantics across takeovers.
         if policy is not None:
             if policy.dies_after(trial_id):
-                # The journal entry for this trial is already flushed:
-                # dying here loses nothing acknowledged.
+                # The journal record holding this trial (batched: its
+                # whole chunk) is already flushed: dying here loses
+                # nothing acknowledged.
                 os.kill(os.getpid(), signal.SIGKILL)
             if policy.stalls_after(trial_id):
                 stalled.set()

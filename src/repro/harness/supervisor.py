@@ -17,8 +17,9 @@ mission going:
 * **bounded retry with exponential backoff** — raising trials are retried
   up to ``max_retries`` times before being classified
   :attr:`OutcomeClass.HARNESS_CRASH`;
-* **checkpoint journal** — every finished trial is appended to a JSONL
-  journal (:mod:`repro.harness.journal`); together with deterministic
+* **checkpoint journal** — every finished trial (or, batched, every
+  finished chunk) is committed to a JSONL journal
+  (:mod:`repro.harness.journal`); together with deterministic
   per-trial seeds (:func:`repro.harness.seeds.derive_seed`) an interrupted
   campaign resumes exactly where it stopped and yields bit-identical
   statistics;
@@ -154,8 +155,10 @@ class SupervisorConfig:
         registry is swapped in around every trial, in shard runners and
         in serial mode alike) and aggregate them — deterministically, in
         trial-id order — into the caller's active registry and
-        :attr:`SupervisorResult.trial_metrics`.  Snapshots are journaled,
-        so a resumed campaign aggregates to the identical totals.
+        :attr:`SupervisorResult.trial_metrics` (one snapshot per journal
+        commit: a trial, or a batch chunk's merged snapshot).  Snapshots
+        are journaled, so a resumed campaign aggregates to the identical
+        totals.
     progress:
         Optional :class:`repro.obs.progress.ProgressReporter`; fed one
         per-outcome tally per finished trial (including ``harness_*``
@@ -175,10 +178,12 @@ class SupervisorConfig:
         trial ids — the property that makes shard journals merge into the
         whole-campaign result bit-identically.
     fsync_interval:
-        Journal ``fsync`` batching: appends per sync (plus one on close).
-        Line flushes still happen per append, so a killed *process* never
-        loses an acknowledged trial; the interval bounds what an OS crash
-        can lose.
+        Journal ``fsync`` batching: a commit syncs once this many trials
+        are unsynced (plus one sync on close), so a scalar campaign syncs
+        every ``fsync_interval`` trials and a batch chunk at least that
+        large syncs at its own commit.  Line flushes still happen per
+        commit, so a killed *process* never loses an acknowledged trial;
+        the interval bounds what an OS crash can lose.
     chaos:
         Optional :class:`repro.harness.chaos.ChaosPolicy` attacking the
         shard runners (``die``/``stall``) and their journals
@@ -188,30 +193,37 @@ class SupervisorConfig:
         surviving).
     after_trial:
         Optional hook called as ``after_trial(trial_id, harness_failures)``
-        after each trial is recorded (journal append included), with the
+        after each trial is committed (journal append included), with the
         global trial id and the number of trials lost to the harness so
-        far (journal replays included).  A true return value stops
-        dispatching: the run returns degraded, as on
-        ``max_harness_failures``.  The shard runner uses it for chaos
-        death/stall points and the campaign-wide failure cap.  Never
-        called for trials replayed from the journal on resume.
+        far (journal replays included).  A batch chunk is committed whole
+        first, then the hook runs for each of its trials in order — so a
+        chaos ``die:T`` fires after the chunk holding ``T`` is durable.
+        A true return value stops dispatching (after the current chunk):
+        the run returns degraded, as on ``max_harness_failures``.  The
+        shard runner uses it for chaos death/stall points and the
+        campaign-wide failure cap.  Never called for trials replayed from
+        the journal on resume.
     batch_size / batch_runner:
         Serial-mode vectorised execution.  When ``batch_size`` > 0 and a
         ``batch_runner`` is supplied, the serial path slices pending
         trials into chunks of up to ``batch_size`` and calls
         ``batch_runner(payloads, seeds)`` which must return one
         ``(result, metrics_snapshot_or_None)`` pair per payload, in
-        order.  Results, journal entries, per-trial metrics, resume
-        behaviour and seeds are identical to trial-at-a-time execution —
-        the runner is required to be bit-equivalent to calling
-        ``trial_fn(payload, seed)`` per trial under metrics capture
+        order.  Results, aggregated metrics, resume behaviour and seeds
+        are identical to trial-at-a-time execution — the runner is
+        required to be bit-equivalent to calling ``trial_fn(payload,
+        seed)`` per trial under metrics capture
         (:mod:`repro.faults.batch_campaign` provides such a runner for
-        fault-injection campaigns).  If the runner raises, the chunk
-        falls back to scalar per-trial execution with the usual retry
-        machinery (counted as ``harness.batch_fallbacks``).  Profiled
-        runs (``profile_top_k`` > 0) force the scalar path, since
-        per-trial profiles require per-trial calls.  With
-        ``workers >= 1`` every shard runner batches its own slice.
+        fault-injection campaigns).  The journal differs in grain only: a
+        chunk is one group commit (one ``chunk`` record with the chunk's
+        snapshots merged in trial order), so a crash loses at most the
+        in-flight chunk, which resume re-runs whole.  If the runner
+        raises, the chunk falls back to scalar per-trial execution (and
+        per-trial commits) with the usual retry machinery (counted as
+        ``harness.batch_fallbacks``).  Profiled runs (``profile_top_k`` >
+        0) force the scalar path, since per-trial profiles require
+        per-trial calls.  With ``workers >= 1`` every shard runner
+        batches its own slice.
     """
 
     workers: int = 0
@@ -273,7 +285,9 @@ class SupervisorResult:
     degraded: bool
     elapsed_s: float
     resumed_trials: int = 0
-    #: Per-trial metrics snapshots (``collect_metrics``), trial-id keyed.
+    #: Metrics snapshots (``collect_metrics``), one per journal commit —
+    #: a trial's own, or a batch chunk's merged snapshot — keyed by the
+    #: commit's first trial id; the same in memory and on replay.
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     #: The supervisor's own infrastructure metrics (dispatch counts,
     #: retries, shard-runner spawns, trial-duration histogram).  Kept separate
@@ -284,12 +298,13 @@ class SupervisorResult:
     hot_trials: List["obs_profile.HotTrial"] = dataclasses.field(default_factory=list)
 
     def metrics_snapshot(self, include_harness: bool = False) -> dict:
-        """Aggregate the per-trial snapshots (in trial-id order).
+        """Aggregate :attr:`trial_metrics` (in trial-id order).
 
         The :func:`repro.obs.metrics.stable_view` of this snapshot is
-        invariant across execution modes: serial, parallel and
+        invariant across execution modes: serial, parallel, batched and
         kill-and-resume runs of the same seeded campaign aggregate to the
-        identical counters and timer counts.
+        identical counters and timer counts, whatever the commit grain.
+        Gauges are last-write-wins in trial order.
         """
         merged = obs_metrics.merge_snapshots(
             *(self.trial_metrics[tid] for tid in sorted(self.trial_metrics))
@@ -608,13 +623,12 @@ class CampaignSupervisor:
         trial_id: int,
         result: Any,
         attempts: int,
-        metrics: Optional[dict] = None,
         duration_s: Optional[float] = None,
         profile_text: Optional[str] = None,
-    ) -> None:
+    ) -> Optional[TrialEntry]:
+        """Record one simulated result in memory; return its journal entry
+        (``None`` without a journal) for the caller to :meth:`_commit`."""
         state.results[trial_id] = result
-        if metrics is not None:
-            state.trial_metrics[trial_id] = metrics
         state.harness.inc("harness.trials_ok")
         if duration_s is not None:
             state.harness.observe("harness.trial_duration_s", duration_s)
@@ -625,27 +639,44 @@ class CampaignSupervisor:
                 duration_s=duration_s if duration_s is not None else 0.0,
                 profile_text=profile_text,
             ))
-        if state.journal is not None:
-            state.journal.append(TrialEntry(
-                trial_id=trial_id, status="ok",
-                result=self._encode(result), attempts=attempts,
-                metrics=metrics, duration_s=duration_s,
-            ))
         if state.reporter is not None:
             state.reporter.note(self._outcome_label(result))
-        self._after_trial(state, trial_id)
+        if state.journal is None:
+            return None
+        return TrialEntry(
+            trial_id=trial_id, status="ok",
+            result=self._encode(result), attempts=attempts,
+            duration_s=duration_s,
+        )
 
     def _record_failure(self, state: _RunState, failure: HarnessFailure) -> None:
         state.failures[failure.trial_id] = failure
         state.harness.inc(f"harness.{failure.kind.value}")
-        if state.journal is not None:
-            state.journal.append(TrialEntry(
-                trial_id=failure.trial_id, status=failure.kind.value,
-                detail=failure.detail, attempts=failure.attempts,
-            ))
         if state.reporter is not None:
             state.reporter.note(failure.kind.value)
-        self._after_trial(state, failure.trial_id)
+        entries = [] if state.journal is None else [TrialEntry(
+            trial_id=failure.trial_id, status=failure.kind.value,
+            detail=failure.detail, attempts=failure.attempts,
+        )]
+        self._commit(state, [failure.trial_id], entries, None)
+
+    def _commit(
+        self,
+        state: _RunState,
+        trial_ids: Sequence[int],
+        entries: Sequence[TrialEntry],
+        metrics: Optional[dict],
+    ) -> None:
+        """Commit recorded trials: their one metrics snapshot (keyed by the
+        first trial id), one journal append, then ``after_trial`` for each
+        trial in order — so a hook that kills the process never loses a
+        trial it was told about."""
+        if metrics is not None:
+            state.trial_metrics[trial_ids[0]] = metrics
+        if state.journal is not None:
+            state.journal.append(*entries, metrics=metrics)
+        for trial_id in trial_ids:
+            self._after_trial(state, trial_id)
 
     def _after_trial(self, state: _RunState, trial_id: int) -> None:
         hook = self.config.after_trial
@@ -729,10 +760,12 @@ class CampaignSupervisor:
                 state.harness.inc("harness.retries")
                 time.sleep(config.backoff_s(attempts))
             else:
-                self._record_success(
+                entry = self._record_success(
                     state, trial_id, result, attempts,
-                    metrics=snapshot, duration_s=duration,
-                    profile_text=profile_text,
+                    duration_s=duration, profile_text=profile_text,
+                )
+                self._commit(
+                    state, [trial_id], [] if entry is None else [entry], snapshot
                 )
                 return
 
@@ -743,10 +776,12 @@ class CampaignSupervisor:
 
         Returns False when the runner raised (caller falls back to scalar
         execution of the same trials); a short or misshapen reply list is
-        treated the same way.  On success every trial is recorded exactly
-        as the scalar path would have: attempts=1, the runner's per-trial
-        metrics snapshot, and the chunk wall-clock split evenly across
-        trials (per-trial timing is not observable in lockstep).
+        treated the same way.  On success every trial is recorded as the
+        scalar path would have (attempts=1, the chunk wall-clock split
+        evenly across trials: per-trial timing is not observable in
+        lockstep), and the chunk is committed once: one journal record
+        and one metrics snapshot, the runner's per-trial snapshots merged
+        in trial order.
         """
         config = self.config
         seeds = [derive_seed(config.master_seed, tid) for tid, _ in chunk]
@@ -766,12 +801,21 @@ class CampaignSupervisor:
             return False
         per_trial_s = (time.perf_counter() - started) / len(chunk)
         state.harness.inc("harness.trials_dispatched", len(chunk))
+        entries: List[TrialEntry] = []
+        snapshots: List[dict] = []
         for (trial_id, _), (result, snapshot) in zip(chunk, replies):
-            self._record_success(
-                state, trial_id, result, attempts=1,
-                metrics=snapshot if config.collect_metrics else None,
-                duration_s=per_trial_s,
+            entry = self._record_success(
+                state, trial_id, result, attempts=1, duration_s=per_trial_s
             )
+            if entry is not None:
+                entries.append(entry)
+            if snapshot is not None:
+                snapshots.append(snapshot)
+        merged = (
+            obs_metrics.merge_snapshots(*snapshots)
+            if config.collect_metrics and snapshots else None
+        )
+        self._commit(state, [tid for tid, _ in chunk], entries, merged)
         return True
 
 

@@ -8,7 +8,11 @@ schedule the recovered campaign must reproduce the undisturbed serial
 run's per-outcome counts, EDM mechanism histogram and deterministic
 observability view exactly as frozen in ``golden_campaign_e5.json`` (the
 same fixture the execution-mode gate in
-``tests/faults/test_golden_campaign.py`` enforces).
+``tests/faults/test_golden_campaign.py`` enforces).  The stall and the
+SIGKILL-plus-tear schedules run a second time with every shard runner
+batching 16-trial chunks: there a runner commits one journal record per
+chunk, ``die``/``stall`` fire after the chunk holding their trial is
+committed, and a tear loses that whole chunk.
 """
 
 import json
@@ -16,7 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.coverage_table import _e5_trial, e5_fault_payloads
+from repro.experiments.coverage_table import (
+    _e5_batch_runner,
+    _e5_trial,
+    e5_fault_payloads,
+)
 from repro.harness import (
     ChaosPolicy,
     ShardConfig,
@@ -47,6 +55,10 @@ SCHEDULES = {
 }
 
 
+#: Schedules also run with batching shard runners (one record per chunk).
+BATCHED_SCHEDULES = ("heartbeat-stall", "sigkill-plus-torn-journal")
+
+
 @pytest.fixture(scope="module")
 def payloads():
     return e5_fault_payloads(EXPERIMENTS, seed=SEED, max_copies=MAX_COPIES)
@@ -69,10 +81,7 @@ def _freeze(result):
     }
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_recovered_campaign_reproduces_golden_fixture(
-    tmp_path, payloads, golden, name
-):
+def _assert_recovers(tmp_path, payloads, golden, name, **batch):
     spec, expected_counters = SCHEDULES[name]
     with metrics.capture():
         result = run_sharded_campaign(
@@ -83,6 +92,7 @@ def test_recovered_campaign_reproduces_golden_fixture(
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=tmp_path / "e5.jsonl",
                 chaos=ChaosPolicy.from_spec(spec, seed=7),
+                **batch,
             ),
             ShardConfig(shards=2, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
         )
@@ -98,3 +108,23 @@ def test_recovered_campaign_reproduces_golden_fixture(
         f"chaos schedule {spec!r} did not recover to the undisturbed "
         "serial campaign"
     )
+    return counters
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_recovered_campaign_reproduces_golden_fixture(
+    tmp_path, payloads, golden, name
+):
+    _assert_recovers(tmp_path, payloads, golden, name)
+
+
+@pytest.mark.parametrize("name", BATCHED_SCHEDULES)
+def test_batched_recovery_reproduces_golden_fixture(
+    tmp_path, payloads, golden, name
+):
+    counters = _assert_recovers(
+        tmp_path, payloads, golden, name,
+        batch_size=16, batch_runner=_e5_batch_runner,
+    )
+    assert counters.get("harness.batch_chunks", 0) > 0, counters
+    assert "harness.batch_fallbacks" not in counters, counters

@@ -20,6 +20,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.experiments.coverage_table import run_coverage_campaign
 from repro.harness import (
+    JOURNAL_VERSION,
     CampaignJournal,
     CampaignSupervisor,
     JournalHeader,
@@ -98,6 +99,44 @@ class TestJournal:
             CampaignJournal(
                 path, JournalHeader(campaign="a", master_seed=1, total_trials=1)
             )
+
+    def test_newer_format_is_refused_untouched(self, tmp_path):
+        """A journal from a newer format is refused before salvage: its
+        records must not be mistaken for a damaged tail and cut off."""
+        path = tmp_path / "j.jsonl"
+        header = JournalHeader(campaign="a", master_seed=1, total_trials=4)
+        newer = dict(header.to_json(), version=99)
+        raw = (
+            json.dumps(newer, separators=(",", ":")) + "\n"
+            + json.dumps({"kind": "future", "trials": [0, 1]}) + "\n"
+        ).encode("utf-8")
+        path.write_bytes(raw)
+        with pytest.raises(ConfigurationError) as excinfo:
+            CampaignJournal(path, header)
+        message = str(excinfo.value)
+        assert "version 99" in message
+        assert f"version {JOURNAL_VERSION}" in message
+        assert path.read_bytes() == raw
+        assert not path.with_name(path.name + ".corrupt").exists()
+
+    def test_version_1_journal_resumes(self, tmp_path):
+        """A version-1 journal (``trial`` lines only) still replays."""
+        path = tmp_path / "j.jsonl"
+        header = JournalHeader(campaign="a", master_seed=1, total_trials=2)
+        lines = [
+            dict(header.to_json(), version=1),
+            TrialEntry(
+                trial_id=0, status="ok", result={"x": 0},
+                metrics={"counters": {"n": 1}},
+            ).to_json(),
+            TrialEntry(trial_id=1, status="harness_timeout", detail="t").to_json(),
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with CampaignJournal(path, header) as journal:
+            assert journal.salvage is None
+            assert journal.completed_ids() == {0, 1}
+            assert journal.entries[0].metrics == {"counters": {"n": 1}}
+            assert journal.entries[1].is_harness_failure
 
 
 class TestResume:

@@ -1,5 +1,6 @@
 """Containment, retry, degradation and parity tests of the supervisor."""
 
+import json
 import os
 import signal
 import time
@@ -16,6 +17,7 @@ from repro.harness import (
     SupervisorConfig,
     run_experiment_campaign,
 )
+from repro.obs import metrics
 
 # ----------------------------------------------------------------------
 # Toy deterministic trial functions (module level: picklable everywhere)
@@ -304,6 +306,24 @@ def _exploding_batch_runner(payloads, seeds):
     raise AssertionError("batch runner must not be called on this path")
 
 
+def _metered_trial(payload, seed):
+    """:func:`_scripted_trial` that also records counters and a gauge."""
+    metrics.inc("toy.trials")
+    metrics.inc(f"toy.parity.{payload % 2}")
+    metrics.gauge("toy.last_payload", payload)
+    return _scripted_trial(payload, seed)
+
+
+def _metered_batch_runner(payloads, seeds):
+    """Batch twin of :func:`_metered_trial`: one captured snapshot each."""
+    replies = []
+    for payload, seed in zip(payloads, seeds):
+        with metrics.capture() as registry:
+            result = _metered_trial(payload, seed)
+        replies.append((result, registry.snapshot()))
+    return replies
+
+
 class TestBatchedExecution:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -425,3 +445,61 @@ class TestBatchedExecution:
         assert [r.to_json() for r in resumed.statistics().records] == [
             r.to_json() for r in first.statistics().records
         ]
+
+    def test_journal_commits_once_per_chunk(self, tmp_path, monkeypatch):
+        """A batched campaign journals (and fsyncs) one record per chunk;
+        resuming from those records gives the identical records and
+        metrics as the run that wrote them, and as a scalar run."""
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        journal = tmp_path / "chunks.jsonl"
+        payloads = list(range(8))
+        config = SupervisorConfig(
+            workers=0, master_seed=12, journal_path=journal, fsync_interval=1,
+            batch_size=3, batch_runner=_metered_batch_runner,
+        )
+        with metrics.capture():
+            first = CampaignSupervisor(_metered_trial, config).run(payloads)
+        chunks = first.harness_metrics["counters"]["harness.batch_chunks"]
+        assert chunks == 3  # 3 + 3 + 2
+        assert len(fsyncs) == chunks + 1  # one per chunk commit, one on close
+
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [line["kind"] for line in lines] == ["header"] + ["chunk"] * chunks
+        assert [[t["trial_id"] for t in line["trials"]] for line in lines[1:]] == [
+            [0, 1, 2], [3, 4, 5], [6, 7],
+        ]
+        # The chunk carries the merged snapshot; its trials carry none.
+        assert all(
+            "metrics" not in trial for line in lines[1:] for trial in line["trials"]
+        )
+        assert [line["metrics"]["counters"]["toy.trials"] for line in lines[1:]] == [
+            3, 3, 2,
+        ]
+        # One snapshot per journal record, keyed by its first trial.
+        assert sorted(first.trial_metrics) == [0, 3, 6]
+
+        with metrics.capture():
+            resumed = CampaignSupervisor(_metered_trial, config).run(payloads)
+            scalar = CampaignSupervisor(
+                _metered_trial, SupervisorConfig(workers=0, master_seed=12),
+            ).run(payloads)
+        assert resumed.resumed_trials == 8
+        assert journal.read_text().count("\n") == 1 + chunks  # nothing re-run
+        records = [r.to_json() for r in first.statistics().records]
+        assert [r.to_json() for r in resumed.statistics().records] == records
+        assert [r.to_json() for r in scalar.statistics().records] == records
+        assert resumed.trial_metrics == first.trial_metrics
+        view = metrics.stable_view(first.metrics_snapshot())
+        assert view["counters"]["toy.trials"] == 8
+        assert metrics.stable_view(resumed.metrics_snapshot()) == view
+        assert metrics.stable_view(scalar.metrics_snapshot()) == view
+        # Gauges stay last-write-wins in trial order.
+        for result in (first, resumed, scalar):
+            assert result.metrics_snapshot()["gauges"] == {"toy.last_payload": 7}

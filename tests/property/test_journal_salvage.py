@@ -9,7 +9,10 @@ well-formed JSON that is not a journal record — recovery must:
   reconstruct the damaged file exactly (nothing silently destroyed);
 * leave a well-formed journal behind (a second open sees no salvage);
 * still refuse a journal whose *header* is damaged — that is a foreign
-  or unrecoverable file, not a torn append.
+  or unrecoverable file, not a torn append;
+* lose whole commits only: a journal of random 1..k-trial commits keeps
+  exactly the trials of its intact commits, never part of a chunk, and
+  each commit's metrics snapshot stays on its first trial.
 """
 
 import json
@@ -21,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.harness import CampaignJournal, JournalHeader, TrialEntry
+from repro.harness import CampaignJournal, ChaosPolicy, JournalHeader, TrialEntry
 
 HEADER = JournalHeader(campaign="prop", master_seed=5, total_trials=64)
 
@@ -195,3 +198,65 @@ class TestWrongSchemaLines:
             assert journal.salvage is not None
             assert journal.salvage.quarantined_lines == 1
             assert journal.salvage.quarantine_path.read_bytes() == line
+
+
+def _chunked_journal(directory, sizes):
+    """One commit of ``size`` trials per element of *sizes*, each with
+    its own snapshot; returns the path and the commits' trial-id lists."""
+    path = Path(directory) / "j.jsonl"
+    commits = []
+    with CampaignJournal(path, HEADER) as journal:
+        for size in sizes:
+            start = sum(len(ids) for ids in commits)
+            ids = list(range(start, start + size))
+            journal.append(
+                *(TrialEntry(trial_id=i, status="ok", result={"v": i})
+                  for i in ids),
+                metrics=_commit_metrics(ids),
+            )
+            commits.append(ids)
+    return path, commits
+
+
+def _commit_metrics(ids):
+    return {"counters": {"trials": len(ids)}, "gauges": {"first": ids[0]}}
+
+
+class TestChunkCommits:
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                       max_size=8),
+        damage=st.sampled_from(["cut", "tear", "garbage", "schema"]),
+        cut_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        chaos_seed=st.integers(min_value=0, max_value=1 << 16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_damage_loses_whole_commits_only(
+        self, sizes, damage, cut_fraction, chaos_seed
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            path, commits = _chunked_journal(directory, sizes)
+            raw = path.read_bytes()
+            ends = _line_boundaries(raw)  # header, then one line per commit
+            if damage == "cut":
+                cut = ends[0] + int(cut_fraction * (len(raw) - ends[0]))
+                path.write_bytes(raw[:cut])
+                intact = [ids for ids, end in zip(commits, ends[1:]) if end <= cut]
+            else:
+                applied = ChaosPolicy(seed=chaos_seed).corrupt_journal(
+                    path, shard_id=0, mode=damage
+                )
+                assert applied == damage
+                # A tear loses the final record, which may be a whole chunk.
+                intact = commits[:-1] if damage == "tear" else commits
+
+            journal = _reopen(path)
+            expected = {i for ids in intact for i in ids}
+            assert journal.completed_ids() == expected
+            for ids in intact:
+                assert journal.entries[ids[0]].metrics == _commit_metrics(ids)
+                assert all(journal.entries[i].metrics is None for i in ids[1:])
+                assert all(journal.entries[i].result == {"v": i} for i in ids)
+            if journal.salvage is not None:
+                assert journal.salvage.entries_kept == len(expected)
+            assert _reopen(path).salvage is None

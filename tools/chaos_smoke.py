@@ -11,10 +11,14 @@ Shard journals, leases and quarantine files are written to the artifact
 directory (``--artifacts``, default ``chaos-artifacts/``) so a failing CI
 run leaves the full forensic record behind.
 
+With ``--batch N`` every shard runner steps its slice in N-trial lockstep
+chunks and journals one record per chunk, so the SIGKILL lands after a
+whole chunk is committed and the torn tail is a whole chunk.
+
 Usage::
 
     PYTHONPATH=src python tools/chaos_smoke.py [--artifacts DIR] \\
-        [--chaos SPEC] [--chaos-seed SEED]
+        [--chaos SPEC] [--chaos-seed SEED] [--batch N]
 
 Exit status: 0 on bit-identical recovery, 1 on divergence.
 """
@@ -29,7 +33,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.coverage_table import _e5_trial, e5_fault_payloads  # noqa: E402
+from repro.experiments.coverage_table import (  # noqa: E402
+    _e5_batch_runner,
+    _e5_trial,
+    e5_fault_payloads,
+)
 from repro.harness import (  # noqa: E402
     ChaosPolicy,
     ShardConfig,
@@ -59,11 +67,18 @@ def main(argv: "list[str] | None" = None) -> int:
         help=f"chaos schedule (default: {DEFAULT_CHAOS!r})",
     )
     parser.add_argument("--chaos-seed", type=int, default=7, metavar="SEED")
+    parser.add_argument(
+        "--batch", type=int, default=0, metavar="N",
+        help="shard runners batch N-trial chunks (default: 0, scalar)",
+    )
     args = parser.parse_args(argv)
+    if args.batch < 0:
+        parser.error("--batch must be >= 0")
 
     args.artifacts.mkdir(parents=True, exist_ok=True)
     policy = ChaosPolicy.from_spec(args.chaos, seed=args.chaos_seed)
     print(f"chaos schedule: {policy.describe() or '(none)'}")
+    print(f"batch: {args.batch or 'scalar'}")
 
     with metrics.capture():
         result = run_sharded_campaign(
@@ -74,6 +89,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=args.artifacts / "e5.jsonl",
                 chaos=policy,
+                batch_size=args.batch,
+                batch_runner=_e5_batch_runner if args.batch else None,
             ),
             ShardConfig(shards=2, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
         )
