@@ -130,11 +130,13 @@ def e5_fault_payloads(
     suite and ``tools/chaos_smoke.py`` — all of which rely on the same
     seed producing the identical fault list.
     """
-    harness = TemInjectionHarness(make_brake_workload(max_copies=max_copies))
+    # The cached harness: shard runners forked after this call inherit
+    # its golden run instead of each rebuilding it.
+    golden_steps = _cached_harness(max_copies).golden_steps
     faults = random_fault_list(
         np.random.default_rng(seed),
         experiments,
-        max_step=max(harness.golden_steps * 2, 2),
+        max_step=max(golden_steps * 2, 2),
         code_range=(0, assemble(BRAKE_TASK_SOURCE).size),
         data_range=(0x1800, 0x1902),
     )

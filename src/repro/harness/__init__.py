@@ -12,7 +12,8 @@ paper's framework uses — applied to the harness itself:
 * :mod:`repro.harness.shards` — the sharded campaign coordinator behind
   ``workers >= 1``: contiguous seed-range shards, one serial runner
   process per shard, lease/heartbeat failure detection, fencing-token
-  takeover and commutative shard-journal merge;
+  takeover, in-memory handoff of finished shards and a commutative
+  merge;
 * :mod:`repro.harness.leases` — the checkpointed lease files behind it;
 * :mod:`repro.harness.chaos` — deterministic, seeded chaos injection
   (runner SIGKILLs, heartbeat stalls, journal-tail corruption) used to

@@ -9,8 +9,9 @@ owner's identity, a monotonically increasing **fencing token** and the
 owner's last heartbeat timestamp.
 
 * the shard runner refreshes the heartbeat from a background thread, and
-  its final (``done``) lease carries the runner's harness counters back to
-  the coordinator;
+  marks the lease ``done`` once it has handed its result to the
+  coordinator (the lease carries liveness and ownership only; results and
+  counters travel over the runner's handoff pipe);
 * the coordinator declares the lease **expired** when the heartbeat is
   older than the TTL (a dead, SIGKILLed or wedged runner all look the
   same from outside — exactly the paper's fail-stop abstraction), kills
@@ -58,8 +59,6 @@ class Lease:
     #: Host wall-clock timestamp of the owner's last sign of life.
     heartbeat: float
     state: str = LEASE_RUNNING
-    #: The runner's harness counters, set on its ``done`` lease.
-    counters: Optional[dict] = None
 
     def to_json(self) -> "dict[str, object]":
         return {
@@ -68,7 +67,6 @@ class Lease:
             "token": self.token,
             "heartbeat": self.heartbeat,
             "state": self.state,
-            "counters": self.counters,
         }
 
     @classmethod
@@ -79,7 +77,6 @@ class Lease:
             token=int(data["token"]),
             heartbeat=float(data["heartbeat"]),
             state=str(data.get("state", LEASE_RUNNING)),
-            counters=data.get("counters"),  # type: ignore[arg-type]
         )
 
     def expired(self, ttl_s: float, now: Optional[float] = None) -> bool:

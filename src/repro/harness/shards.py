@@ -9,7 +9,7 @@ shard runners.
 
 * a campaign's payload list is split into contiguous **seed-range shards**
   (:func:`plan_shards`); trial ids, and therefore per-trial seeds, stay
-  *campaign-global* (``SupervisorConfig.trial_offset``), so shard journals
+  *campaign-global* (``SupervisorConfig.trial_offset``), so shard results
   merge into exactly the whole-campaign result;
 * each shard is executed by a **shard runner** process — a serial
   :class:`repro.harness.supervisor.CampaignSupervisor` over the shard's
@@ -18,12 +18,20 @@ shard runners.
   trial — that owns the shard through
   a checkpointed **lease** (:mod:`repro.harness.leases`): heartbeats from
   a background thread, fencing token, atomic writes;
-* the **coordinator** blocks on the runners' process sentinels and wakes
-  at least every ``poll_s`` to check leases.  A dead runner (crash,
-  SIGKILL) or an expired lease (frozen runner) triggers a *takeover*: the
-  old process is killed, the fencing token bumped, and a fresh runner
-  respawned — it resumes from the shard journal and re-runs only the
-  missing trials.  Deterministic per-trial seeds make the recovered
+* a runner that finishes its slice **hands its result off** in memory:
+  it sends its :class:`SupervisorResult` (results, failures, per-commit
+  metrics snapshots, harness counters) over a one-way pipe, then writes
+  its DONE lease.  The coordinator merges a DONE shard from that handoff
+  and reads a shard journal back only for shards that ended without one
+  (abandoned, budget-stopped or capped), the way the paper's nodes
+  return results as messages and leave recovery to node failures;
+* the **coordinator** blocks on the runners' process sentinels and
+  handoff pipes, and wakes at least every ``poll_s`` to check leases.  A
+  dead runner (crash, SIGKILL) or an expired lease (frozen runner)
+  triggers a *takeover*: the old process is killed, its pipe closed, the
+  fencing token bumped, and a fresh runner respawned — it resumes from
+  the shard journal, re-runs only the missing trials and hands off the
+  whole shard.  Deterministic per-trial seeds make the recovered
   campaign bit-identical to an undisturbed one;
 * a **trial that keeps killing its runner** is contained like a raising
   trial: once ``max(2, max_retries + 1)`` runners in a row died (by a
@@ -64,6 +72,7 @@ import dataclasses
 import gc
 import multiprocessing
 import os
+import pickle
 import signal
 import tempfile
 import threading
@@ -158,8 +167,9 @@ class ShardConfig:
     heartbeat_s:
         Interval between a runner's lease heartbeats.
     poll_s:
-        Longest the coordinator blocks on runner sentinels before it
-        checks lease expiry again; a runner exit wakes it at once.
+        Longest the coordinator blocks on runner sentinels and handoff
+        pipes before it checks lease expiry again; a runner's exit or
+        handoff wakes it at once.
     max_takeovers:
         A shard taken over more than this many times in a row without its
         journal advancing is abandoned — the campaign degrades instead of
@@ -216,6 +226,7 @@ def _shard_runner_main(
     policy: "Optional[chaos_mod.ChaosPolicy]",
     run_config: runtime.RunConfig,
     failure_counts: Optional[Any],
+    handoff: "mp_connection.Connection",
 ) -> None:
     """Run one shard serially while a thread heartbeats its lease.
 
@@ -226,8 +237,16 @@ def _shard_runner_main(
     outlives the campaign).  The runner dies by ``os.kill(SIGKILL)`` at a
     chaos ``die:T`` point (fail-stop death with a durable journal) and
     stops heartbeating after a chaos ``stall:T`` point (the coordinator
-    must expire the lease).  On completion the DONE lease carries the
-    runner's harness counters to the coordinator.
+    must expire the lease).
+
+    On completion, after a last fencing check, the runner sends its
+    :class:`SupervisorResult` — journal replays included, so a replacement
+    runner hands off the whole shard — over ``handoff``, the write end of
+    a one-way pipe the coordinator created for this spawn, and only then
+    writes the DONE lease.  The coordinator receives while the runner is
+    alive (a result past the pipe buffer blocks ``send`` until it does)
+    and merges a DONE shard from it.  A result that does not pickle is
+    not sent: the coordinator then merges the shard from its journal.
 
     ``failure_counts`` is the campaign's shared per-shard harness-failure
     array when ``config.max_harness_failures`` is set: the runner
@@ -304,12 +323,10 @@ def _shard_runner_main(
     beater.join()
     if lease_file.fenced_out(token):
         os._exit(FENCED_EXIT_CODE)
-    lease_file.heartbeat(
-        dataclasses.replace(
-            lease, counters=result.harness_metrics.get("counters", {})
-        ),
-        state=LEASE_DONE,
-    )
+    with contextlib.suppress(pickle.PicklingError, TypeError, AttributeError):
+        handoff.send(result)
+    handoff.close()
+    lease_file.heartbeat(lease, state=LEASE_DONE)
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +346,10 @@ class _ShardState:
     done: bool = False
     abandoned: bool = False
     corrupted: bool = False
-    #: The finished runner's harness counters (from its DONE lease).
-    runner_counters: Optional[dict] = None
+    #: Read end of the current runner's handoff pipe, until it delivers.
+    reader: Optional["mp_connection.Connection"] = None
+    #: The current runner's finished result, received over ``reader``.
+    handoff: Optional[SupervisorResult] = None
     #: First unrecorded trial at the latest takeover, and how many
     #: takeovers in a row found the journal stuck there.
     stuck_at: Optional[int] = None
@@ -348,6 +367,23 @@ def _open_shard_journal(config: SupervisorConfig, shard: _ShardState) -> Campaig
         ),
         fsync_interval=config.fsync_interval,
     )
+
+
+def _close_reader(shard: _ShardState) -> None:
+    if shard.reader is not None:
+        shard.reader.close()
+        shard.reader = None
+
+
+def _receive(shard: _ShardState) -> None:
+    """Take the runner's handoff off its pipe, or nothing at EOF (the
+    runner died first, or its result did not pickle); the pipe is spent
+    either way.  ``recv`` returns once the whole result is read, so a
+    runner frozen in mid-send (a ~1 ms window) would hold it up."""
+    assert shard.reader is not None
+    with contextlib.suppress(EOFError, OSError):
+        shard.handoff = shard.reader.recv()
+    _close_reader(shard)
 
 
 def _kill_process(process: "Optional[multiprocessing.process.BaseProcess]") -> None:
@@ -442,6 +478,7 @@ def _coordinate(
             token=shard.token,
             heartbeat=time.time(),
         ))
+        reader, writer = ctx.Pipe(duplex=False)
         shard.process = ctx.Process(
             target=_shard_runner_main,
             args=(
@@ -456,6 +493,7 @@ def _coordinate(
                 policy,
                 run_config,
                 failure_counts,
+                writer,
             ),
             daemon=True,
         )
@@ -468,6 +506,10 @@ def _coordinate(
             shard.process.start()
         finally:
             gc.unfreeze()
+            # Only the runner may hold the write end, so its death reads
+            # as EOF here.
+            writer.close()
+        shard.reader = reader
         harness.inc("harness.shard_runners_spawned")
 
     def take_over(
@@ -478,6 +520,9 @@ def _coordinate(
         # with fencing tokens this keeps a wedged-but-alive runner from
         # racing its replacement on the journal.
         _kill_process(shard.process)
+        # A replacement runner replays the journal and hands off anew.
+        _close_reader(shard)
+        shard.handoff = None
         shard.takeovers += 1
         harness.inc("harness.lease_takeovers")
         journal = _open_shard_journal(config, shard)
@@ -554,20 +599,29 @@ def _coordinate(
             ):
                 budget_exhausted = True
                 break
-            # Sleep until a runner exits, or poll_s passes and the leases
-            # of the live runners are due for an expiry check.
-            exited = mp_connection.wait(
-                [s.process.sentinel for s in active if s.process is not None],
+            # Sleep until a runner exits or hands off, or poll_s passes
+            # and the leases of the live runners are due for an expiry
+            # check.
+            ready = mp_connection.wait(
+                [s.process.sentinel for s in active if s.process is not None]
+                + [s.reader for s in active if s.reader is not None],
                 timeout=shard_config.poll_s,
             )
             for shard in active:
                 process = shard.process
                 assert process is not None
-                if process.sentinel in exited:
+                if process.sentinel in ready:
                     # The sentinel closes as the runner exits; reap it so
                     # its exit code is known on this pass.
                     process.join()
                 exitcode = process.exitcode
+                if shard.reader is not None and (
+                    shard.reader in ready or exitcode is not None
+                ):
+                    # Receive while the runner lives: a large result
+                    # blocks its send until this end reads it.  Once it
+                    # exited, the pipe holds the whole result or EOF.
+                    _receive(shard)
                 lease = shard.lease_file.read()
                 if exitcode is None:
                     if lease is None:
@@ -579,7 +633,6 @@ def _coordinate(
                         )
                 elif exitcode == 0 and lease is not None and lease.state == LEASE_DONE:
                     shard.done = True
-                    shard.runner_counters = lease.counters
                 else:
                     # Killed by a signal (SIGKILL, SIGSEGV, OOM killer):
                     # chargeable to a trial.  A runner that exited by
@@ -593,9 +646,10 @@ def _coordinate(
         for shard in shards:
             if shard.process is not None and shard.process.is_alive():
                 _kill_process(shard.process)
+            _close_reader(shard)
 
     # ------------------------------------------------------------------
-    # Merge shard journals into one campaign result.  Trial ids are
+    # Merge the shards into one campaign result.  Trial ids are
     # campaign-global, so the merge is a plain commutative dict union.
     # ------------------------------------------------------------------
     decode = config.result_decoder or _default_decode
@@ -604,39 +658,51 @@ def _coordinate(
     trial_metrics: Dict[int, dict] = {}
     degraded = budget_exhausted or any(s.abandoned for s in shards)
     for shard in shards:
-        # A runner's own counters (batch chunks, retries, dispatches)
-        # reach the campaign through its DONE lease.  Journal salvages are
-        # counted from the quarantine files below instead: the runner that
-        # salvaged may have died before it could report.
-        for name, value in (shard.runner_counters or {}).items():
-            if not name.startswith("harness.journal_"):
-                harness.inc(name, value)
-        if not shard.journal_path.exists():
+        if shard.handoff is not None:
+            # A finished runner's result, received in memory, with its
+            # own counters (batch chunks, retries, dispatches).
+            harness.inc("harness.shard_handoffs")
+            results.update(shard.handoff.results)
+            failures.update(shard.handoff.failures)
+            trial_metrics.update(shard.handoff.trial_metrics)
+            for name, value in shard.handoff.harness_metrics.get(
+                "counters", {}
+            ).items():
+                if not name.startswith("harness.journal_"):
+                    harness.inc(name, value)
+        elif not shard.journal_path.exists():
             degraded = True
             continue
-        journal = _open_shard_journal(config, shard)
-        try:
-            if journal.salvage is not None:
-                harness.inc(
-                    "harness.journal_entries_salvaged",
-                    journal.salvage.entries_kept,
+        else:
+            # No handoff (abandoned, budget-stopped or capped shard): the
+            # journal holds everything its runners committed.
+            harness.inc("harness.shard_journal_merges")
+            journal = _open_shard_journal(config, shard)
+            try:
+                if journal.salvage is not None:
+                    harness.inc(
+                        "harness.journal_entries_salvaged",
+                        journal.salvage.entries_kept,
+                    )
+                _replay_entries(
+                    journal.entries.values(), decode,
+                    results, failures, trial_metrics,
                 )
-            # Every salvage, by a runner, at a takeover or just now, leaves
-            # a quarantine file behind.
-            quarantine = shard.journal_path.with_name(
-                shard.journal_path.name + ".corrupt"
+            finally:
+                journal.close()
+        # Journal salvages are counted from the quarantine files, not
+        # from runner counters: the runner that salvaged may have died
+        # before it could hand off.  Every salvage, by a runner, at a
+        # takeover or at this merge, leaves a quarantine file behind.
+        quarantine = shard.journal_path.with_name(
+            shard.journal_path.name + ".corrupt"
+        )
+        if quarantine.exists():
+            harness.inc("harness.journal_salvages")
+            harness.inc(
+                "harness.journal_quarantined_bytes",
+                quarantine.stat().st_size,
             )
-            if quarantine.exists():
-                harness.inc("harness.journal_salvages")
-                harness.inc(
-                    "harness.journal_quarantined_bytes",
-                    quarantine.stat().st_size,
-                )
-            _replay_entries(
-                journal.entries.values(), decode, results, failures, trial_metrics
-            )
-        finally:
-            journal.close()
     if len(results) + len(failures) < len(payloads):
         degraded = True
     harness.gauge(

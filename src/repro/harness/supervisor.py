@@ -164,7 +164,7 @@ class SupervisorConfig:
         per-outcome tally per finished trial (including ``harness_*``
         infrastructure outcomes) and resume counts.  With
         ``workers >= 1`` the coordinator feeds it as it merges the shard
-        journals.
+        results.
     profile_top_k:
         When > 0, run every trial under cProfile and keep the rendered
         stats of the K hottest (longest wall-clock) trials in
@@ -175,7 +175,7 @@ class SupervisorConfig:
         (:mod:`repro.harness.shards`) hands each shard a slice of the
         payload list with the slice's start as the offset, so per-trial
         seeds, journal entries and result keys all use *campaign-global*
-        trial ids — the property that makes shard journals merge into the
+        trial ids — the property that makes shard results merge into the
         whole-campaign result bit-identically.
     fsync_interval:
         Journal ``fsync`` batching: a commit syncs once this many trials
@@ -390,8 +390,8 @@ def _replay_entries(
     """Fold journaled trial entries into result/failure/metrics maps.
 
     Replayed trials contribute their journaled metrics snapshot — this is
-    what keeps resume (and the shard-journal merge) from double- or
-    under-counting campaign metrics.
+    what keeps resume (and the merge of a shard without a handoff) from
+    double- or under-counting campaign metrics.
     """
     for entry in entries:
         if entry.is_harness_failure:

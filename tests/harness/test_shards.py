@@ -67,6 +67,20 @@ def _freezing_trial(payload, seed):
     return _record_trial(payload, seed)
 
 
+class _Unpicklable:
+    """A trial result the journal codec handles and pickle refuses."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def _unpicklable_trial(payload, seed):
+    return _Unpicklable(payload * 10 + seed % 7)
+
+
 class TestPlanShards:
     def test_partition_is_contiguous_and_near_equal(self):
         specs = plan_shards(10, 3)
@@ -253,6 +267,71 @@ class TestShardedCampaign:
         assert counters["harness.lease_takeovers"] == 3
         assert counters["harness.harness_timeout"] == 1
 
+    def test_undisturbed_shards_merge_from_their_handoffs(self, monkeypatch):
+        """Finished runners hand their results to the coordinator in
+        memory: an undisturbed ``--jobs 2`` campaign never reads a shard
+        journal back, and merges to the serial result and metrics."""
+
+        def no_journal_reads(config, shard):
+            raise AssertionError("coordinator read shard journal back")
+
+        monkeypatch.setattr(
+            "repro.harness.shards._open_shard_journal", no_journal_reads
+        )
+        payloads = list(range(30))
+        sharded = CampaignSupervisor(
+            _record_trial, SupervisorConfig(master_seed=17, workers=2)
+        ).run(payloads)
+        serial = CampaignSupervisor(
+            _record_trial, SupervisorConfig(master_seed=17)
+        ).run(payloads)
+        assert not sharded.degraded
+        assert sharded.results == serial.results
+        assert sharded.metrics_snapshot() == serial.metrics_snapshot()
+        counters = sharded.harness_metrics["counters"]
+        assert counters["harness.shard_handoffs"] == 2
+        assert "harness.shard_journal_merges" not in counters
+        # The runners' own counters arrive with their handoffs.
+        assert counters["harness.trials_dispatched"] == len(payloads)
+
+    def test_handoff_larger_than_the_pipe_buffer(self, tmp_path):
+        """A runner blocks in send until the coordinator reads; results
+        well past the pipe buffer still arrive whole."""
+        payloads = [f"{i:04d}" + "x" * 400 for i in range(600)]
+        sharded = self._run(
+            tmp_path, payloads, shard_config=ShardConfig(shards=2, **_FAST)
+        )
+        serial = CampaignSupervisor(
+            _record_trial, SupervisorConfig(master_seed=17, campaign="toy")
+        ).run(payloads)
+        assert sharded.results == serial.results
+        assert sharded.harness_metrics["counters"]["harness.shard_handoffs"] == 2
+
+    def test_unpicklable_results_merge_from_the_journals(self, tmp_path):
+        """A result the journal codec round-trips but pickle refuses is
+        not handed off: the DONE shards are merged from their journals."""
+        payloads = list(range(12))
+        config = dict(
+            master_seed=17, campaign="toy",
+            result_encoder=lambda result: result.value,
+            result_decoder=_Unpicklable,
+        )
+        sharded = run_sharded_campaign(
+            _unpicklable_trial, payloads,
+            SupervisorConfig(journal_path=tmp_path / "u.jsonl", **config),
+            ShardConfig(shards=2, **_FAST),
+        )
+        serial = CampaignSupervisor(
+            _unpicklable_trial, SupervisorConfig(**config)
+        ).run(payloads)
+        assert not sharded.degraded
+        assert {t: r.value for t, r in sharded.results.items()} == {
+            t: r.value for t, r in serial.results.items()
+        }
+        counters = sharded.harness_metrics["counters"]
+        assert counters["harness.shard_journal_merges"] == 2
+        assert "harness.shard_handoffs" not in counters
+
     def test_abandoned_shard_degrades_gracefully(self, tmp_path):
         payloads = list(range(20))
         sharded = self._run(
@@ -264,6 +343,12 @@ class TestShardedCampaign:
         assert 0 < sharded.completed < len(payloads)
         counters = sharded.harness_metrics.get("counters", {})
         assert counters.get("harness.shards_abandoned", 0) == 1
+        # The abandoned shard never hands off: its partial results (shard
+        # 0 died right after journaling trial 2) come from its journal,
+        # the other shard's from its handoff.
+        assert sorted(sharded.results) == [0, 1, 2, *range(10, 20)]
+        assert counters["harness.shard_journal_merges"] == 1
+        assert counters["harness.shard_handoffs"] == 1
         journal, lease = shard_paths(tmp_path / "toy.jsonl", 0)
         assert LeaseFile(lease).read().state == LEASE_ABANDONED
 

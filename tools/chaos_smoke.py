@@ -5,7 +5,10 @@ Runs the short golden E5 campaign (150 trials, seed 2005) across two
 crash-tolerant shards while a seeded chaos schedule SIGKILLs one shard
 runner mid-campaign and tears the tail off its journal at takeover, then
 verifies the recovered result against the committed golden fixture
-(``tests/faults/golden_campaign_e5.json``) bit-for-bit.
+(``tests/faults/golden_campaign_e5.json``) bit-for-bit.  Every shard of
+the completed campaign must also have merged through its runner's
+in-memory handoff, replacement runners included, never from a journal
+read back by the coordinator.
 
 Shard journals, leases and quarantine files are written to the artifact
 directory (``--artifacts``, default ``chaos-artifacts/``) so a failing CI
@@ -50,6 +53,7 @@ from repro.obs.health import format_harness_health  # noqa: E402
 EXPERIMENTS = 150
 SEED = 2005
 MAX_COPIES = 3
+SHARDS = 2
 GOLDEN_PATH = REPO_ROOT / "tests" / "faults" / "golden_campaign_e5.json"
 
 #: One runner SIGKILL plus one journal-tail truncation at takeover.
@@ -92,7 +96,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 batch_size=args.batch,
                 batch_runner=_e5_batch_runner if args.batch else None,
             ),
-            ShardConfig(shards=2, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
+            ShardConfig(shards=SHARDS, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
         )
 
     stats = result.statistics()
@@ -123,6 +127,16 @@ def main(argv: "list[str] | None" = None) -> int:
         failed = True
     if result.degraded or result.completed != EXPERIMENTS:
         print("FAIL: recovered campaign is incomplete or degraded")
+        failed = True
+    if (
+        counters.get("harness.shard_handoffs", 0) != SHARDS
+        or counters.get("harness.shard_journal_merges", 0)
+    ):
+        print(
+            "FAIL: not every shard merged through its runner's handoff "
+            f"(handoffs={counters.get('harness.shard_handoffs', 0)}, "
+            f"journal merges={counters.get('harness.shard_journal_merges', 0)})"
+        )
         failed = True
     if frozen != golden:
         print(
