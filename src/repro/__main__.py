@@ -79,11 +79,6 @@ def _run_parser() -> argparse.ArgumentParser:
         help="seed of the chaos corruption-byte generator",
     )
     parser.add_argument(
-        "--batch", type=int, default=None, metavar="K",
-        help="vectorised trial batching for campaign experiments that "
-             "support it (numpy lockstep; bit-identical outcomes)",
-    )
-    parser.add_argument(
         "--json", type=str, default=None, metavar="PATH",
         help="also write the structured result as JSON ('-' for stdout)",
     )
@@ -111,8 +106,6 @@ def _cmd_run(argv: List[str]) -> int:
         overrides["chaos"] = args.chaos
     if args.chaos_seed is not None:
         overrides["chaos_seed"] = args.chaos_seed
-    if args.batch is not None:
-        overrides["batch"] = args.batch
     if overrides:
         config = config.replace(**overrides)
     exp = experiment_registry.load_all().get(args.experiment)

@@ -26,19 +26,19 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from ..cpu.machine import Machine
 from ..cpu.assembler import assemble
-from ..faults.batch_campaign import BatchTemExecutor
+from ..faults.batch_campaign import BatchReply, BatchTemExecutor
 from ..faults.campaign import TemInjectionHarness, TemWorkload
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
 from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
-from ..kernel.task import MachineExecutable
+from ..kernel.task import MachineExecutable, MKWindow
 from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from .asciiplot import render_table
@@ -113,6 +113,13 @@ def make_brake_workload(
     )
 
 
+#: Lockstep chunk of every registry E5/E14 run, the lane count the
+#: ledger's ``e5_batch``/``e5_jobs2`` workloads measure.  Batching is
+#: bit-identical to scalar execution and was no slower at any campaign
+#: size measured (30 to 2000 trials), so no run needs another chunk.
+BATCH_CHUNK = 1024
+
+
 #: Worker-side harness cache: building a :class:`TemInjectionHarness` runs
 #: the golden execution, so it is built once per (worker) process and
 #: configuration, not once per trial.
@@ -163,34 +170,49 @@ def _cached_harness(max_copies: int) -> TemInjectionHarness:
     return harness
 
 
-def _e5_batch_runner(
-    payloads: "list[tuple[int, Fault]]", seeds: "list[int]"
-) -> "list[tuple[ExperimentRecord, Optional[dict]]]":
-    """Vectorised E5 chunk executor (supervisor ``batch_runner``).
+def _tem_batch_replies(
+    items: "Sequence[tuple[int, Fault, Optional[MKWindow]]]",
+) -> "list[BatchReply]":
+    """Run ``(max_copies, fault, miss_window)`` experiments in lockstep.
 
-    Steps the chunk's experiments in numpy lockstep
-    (:class:`repro.faults.batch_campaign.BatchTemExecutor`), returning
-    records and per-trial metrics snapshots bit-identical to
-    :func:`_e5_trial` under capture.  Like :func:`_e5_trial` it ignores
-    the per-trial seeds (faults are pre-generated from the master seed).
-    Module-level so sharded campaigns can pickle the supervisor config.
+    Groups the items by TEM copy cap, steps each group through one
+    :class:`repro.faults.batch_campaign.BatchTemExecutor` over the cached
+    harness of that cap and returns the replies in item order —
+    bit-identical to :meth:`TemInjectionHarness.run_experiment` under
+    metrics capture.  The chunk engine behind both campaign batch runners.
     """
-    del seeds
-    replies: "list[Optional[tuple[ExperimentRecord, Optional[dict]]]]" = (
-        [None] * len(payloads)
-    )
-    groups: "Dict[int, list[tuple[int, Fault]]]" = {}
-    for index, (max_copies, fault) in enumerate(payloads):
-        groups.setdefault(max_copies, []).append((index, fault))
+    replies: "list[Optional[BatchReply]]" = [None] * len(items)
+    groups: "Dict[int, list[int]]" = {}
+    for index, (max_copies, _, _) in enumerate(items):
+        groups.setdefault(max_copies, []).append(index)
     for max_copies in sorted(groups):
         members = groups[max_copies]
         executor = BatchTemExecutor(
             _cached_harness(max_copies), batch=len(members)
         )
-        chunk_replies = executor.run_experiments([fault for _, fault in members])
-        for (index, _), reply in zip(members, chunk_replies):
+        chunk_replies = executor.run_experiments(
+            [items[i][1] for i in members],
+            miss_windows=[items[i][2] for i in members],
+        )
+        for index, reply in zip(members, chunk_replies):
             replies[index] = reply
     return replies
+
+
+def _e5_batch_runner(
+    payloads: "list[tuple[int, Fault]]", seeds: "list[int]"
+) -> "list[BatchReply]":
+    """Vectorised E5 chunk executor (supervisor ``batch_runner``).
+
+    :func:`_tem_batch_replies` over the chunk, bit-identical to
+    :func:`_e5_trial` under capture.  Like :func:`_e5_trial` it ignores
+    the per-trial seeds (faults are pre-generated from the master seed).
+    Module-level so sharded campaigns can pickle the supervisor config.
+    """
+    del seeds
+    return _tem_batch_replies(
+        [(max_copies, fault, None) for max_copies, fault in payloads]
+    )
 
 
 @dataclasses.dataclass
@@ -283,10 +305,11 @@ def run_coverage_campaign(
         journal corruption when ``workers >= 1``.
     batch:
         Vectorised execution: step up to ``batch`` experiments in numpy
-        lockstep per chunk (:func:`_e5_batch_runner`).  Records, journal
-        entries and per-trial metrics are bit-identical to scalar
-        execution; composes with ``workers`` (each shard runner batches
-        its own slice).
+        lockstep per chunk (:func:`_e5_batch_runner`).  Records and
+        per-trial metrics are bit-identical to scalar execution; composes
+        with ``workers`` (each shard runner batches its own slice).  The
+        default 0 runs trial at a time; the registry driver passes
+        :data:`BATCH_CHUNK`.
     """
     kernel_hits = int(np.random.default_rng(seed + 1).binomial(experiments, kernel_share))
     payloads = e5_fault_payloads(
@@ -362,5 +385,5 @@ def _experiment(ctx) -> CoverageTableResult:
             ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
             if cfg.chaos else None
         ),
-        batch=cfg.batch,
+        batch=BATCH_CHUNK,
     )

@@ -107,7 +107,6 @@ def build_run_config(
     profile: bool = False,
     chaos: Optional[str] = None,
     chaos_seed: int = 0,
-    batch: int = 0,
 ) -> runtime.RunConfig:
     """The :class:`repro.runtime.RunConfig` of one runner invocation.
 
@@ -123,7 +122,6 @@ def build_run_config(
         profile=profile,
         chaos=chaos,
         chaos_seed=chaos_seed,
-        batch=batch,
     )
 
 
@@ -254,7 +252,6 @@ def run_report(
     config: Optional[runtime.RunConfig] = None,
     chaos: Optional[str] = None,
     chaos_seed: int = 0,
-    batch: int = 0,
 ) -> RunnerReport:
     """Run E1-E13 with per-section containment; structured result.
 
@@ -270,7 +267,7 @@ def run_report(
         config = build_run_config(
             fast=fast, jobs=jobs, timeout=timeout, resume=resume,
             progress=progress, profile=profile,
-            chaos=chaos, chaos_seed=chaos_seed, batch=batch,
+            chaos=chaos, chaos_seed=chaos_seed,
         )
     context = runtime.RunContext(config)
     sections = build_sections(context=context)
@@ -309,8 +306,7 @@ def _parse_args(argv: "list[str]") -> argparse.Namespace:
         "--jobs", type=int, default=0, metavar="N",
         help="crash-tolerant shard runner processes for campaign "
              "sections (lease/heartbeat failure detection, fencing-token "
-             "takeover; each runner honours --batch; 0 = serial "
-             "in-process, the default)",
+             "takeover; 0 = serial in-process, the default)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -331,13 +327,6 @@ def _parse_args(argv: "list[str]") -> argparse.Namespace:
     parser.add_argument(
         "--chaos-seed", type=int, default=0, metavar="SEED",
         help="seed of the chaos policy's corruption-byte generator",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=0, metavar="K",
-        help="vectorised trial batching for campaign sections that "
-             "support it: step up to K fault-injection trials in numpy "
-             "lockstep per chunk (0 = scalar, the default; outcomes are "
-             "bit-identical either way)",
     )
     parser.add_argument(
         "--metrics", type=Path, default=None, metavar="PATH",
@@ -367,7 +356,6 @@ def main(argv: "list[str] | None" = None) -> int:
         progress=not args.no_progress, profile=args.profile,
         metrics_path=args.metrics,
         chaos=args.chaos, chaos_seed=args.chaos_seed,
-        batch=args.batch,
     )
     print(report.text)
     return 0 if report.ok else 1

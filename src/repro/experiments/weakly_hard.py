@@ -34,12 +34,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.tem import MK_BUDGET_MISS
-from ..faults.batch_campaign import BatchTemExecutor
+from ..faults.batch_campaign import BatchReply
 from ..faults.outcomes import (
     HARNESS_OUTCOMES,
     CampaignStatistics,
@@ -54,7 +54,12 @@ from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from ..units import us
 from .asciiplot import render_table
-from .coverage_table import _cached_harness, e5_fault_payloads
+from .coverage_table import (
+    BATCH_CHUNK,
+    _cached_harness,
+    _tem_batch_replies,
+    e5_fault_payloads,
+)
 from .schedulability_table import wheel_node_task_set
 
 #: One weakly-hard trial: TEM copy cap, (m, k), the window prefill (the
@@ -147,31 +152,18 @@ def _mk_trial(payload: MkPayload, seed: int) -> ExperimentRecord:
 
 def _mk_batch_runner(
     payloads: List[MkPayload], seeds: List[int]
-) -> "list[tuple[ExperimentRecord, Optional[dict]]]":
+) -> "list[BatchReply]":
     """Vectorised weakly-hard chunk executor (supervisor ``batch_runner``).
 
-    Mirrors :func:`~repro.experiments.coverage_table._e5_batch_runner`,
-    additionally pairing every lane with its trial's private miss window —
-    the lockstep executor consults the same ``accept_miss`` hook the
-    scalar path does, so replies stay bit-identical to :func:`_mk_trial`.
+    :func:`~repro.experiments.coverage_table._tem_batch_replies` with
+    every lane paired to its trial's private miss window — the lockstep
+    executor consults the same ``accept_miss`` hook the scalar path
+    does, so replies stay bit-identical to :func:`_mk_trial`.
     """
     del seeds
-    replies: "list[Optional[tuple[ExperimentRecord, Optional[dict]]]]" = (
-        [None] * len(payloads)
+    return _tem_batch_replies(
+        [(payload[0], payload[4], _mk_window(payload)) for payload in payloads]
     )
-    groups: Dict[int, List[int]] = {}
-    for index, payload in enumerate(payloads):
-        groups.setdefault(payload[0], []).append(index)
-    for max_copies in sorted(groups):
-        members = groups[max_copies]
-        executor = BatchTemExecutor(_cached_harness(max_copies), batch=len(members))
-        chunk_replies = executor.run_experiments(
-            [payloads[i][4] for i in members],
-            miss_windows=[_mk_window(payloads[i]) for i in members],
-        )
-        for index, reply in zip(members, chunk_replies):
-            replies[index] = reply
-    return replies
 
 
 def run_mk_campaign(
@@ -428,7 +420,6 @@ def run_weakly_hard_experiment(
     progress: bool = False,
     profile: bool = False,
     chaos: Optional[ChaosPolicy] = None,
-    batch: int = 0,
 ) -> WeaklyHardResult:
     """Run the hard and (m,k) campaigns and derive the comparison.
 
@@ -436,7 +427,9 @@ def run_weakly_hard_experiment(
     recovery policy differs.  ``prefill_miss_rate`` seeds the weakly-hard
     campaign's window prefills so both regimes (budget available /
     exhausted) are sampled; the hard campaign's estimator backs up any
-    regime the prefills left empty.
+    regime the prefills left empty.  Both campaigns run in
+    :data:`~repro.experiments.coverage_table.BATCH_CHUNK`-trial lockstep
+    chunks (trial at a time under ``profile``).
     """
     common = dict(
         seed=seed,
@@ -446,7 +439,7 @@ def run_weakly_hard_experiment(
         progress=progress,
         profile=profile,
         chaos=chaos,
-        batch=batch,
+        batch=BATCH_CHUNK,
     )
     hard_stats, _hard_payloads = run_mk_campaign(
         experiments,
@@ -572,5 +565,4 @@ def _experiment(ctx) -> WeaklyHardResult:
             ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
             if cfg.chaos else None
         ),
-        batch=cfg.batch,
     )

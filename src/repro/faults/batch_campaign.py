@@ -488,8 +488,8 @@ class BatchTemExecutor:
 
         The lane's scalar machine continues from the exact pre-instruction
         state (the diverging instruction was never executed in the batch),
-        so the remainder is :meth:`_SteppedTem.execute_copy`'s chunk loop
-        minus the prepare.
+        so the remainder is :meth:`_SteppedTem.run_copy` from the step the
+        lane reached.
 
         Afterwards the lane is folded back into the batch (``adopt``) so
         its next copy rejoins lockstep — a register-fault divergence is
@@ -500,77 +500,21 @@ class BatchTemExecutor:
         """
         harness = self.harness
         machine = bm.to_machine(lane)
-        executable = _LaneExecutable(machine, self.template)
         stepper = _SteppedTem(
-            executable, harness.workload.inputs, MachineFaultInjector(machine),
-            monitors[lane], harness.budget_steps, faults[lane],
+            _LaneExecutable(machine, self.template), harness.workload.inputs,
+            MachineFaultInjector(machine), monitors[lane],
+            harness.budget_steps, faults[lane],
         )
+        steps_this_copy = int(bm.copy_steps[lane])
         stepper.injected = pending[lane] is None
-        reply = self._finish_evicted_copy(
-            bm, lane, machine, executable, stepper, pending, lane_global
-        )
+        stepper.global_step = lane_global[lane] + steps_this_copy
+        reply = stepper.run_copy(steps_this_copy)
+        lane_global[lane] = stepper.global_step
+        if stepper.injected:
+            pending[lane] = None
         if readopted[lane]:
             steppers[lane] = stepper
         else:
             readopted[lane] = True
             bm.adopt(lane, machine)
         return reply
-
-    def _finish_evicted_copy(
-        self,
-        bm: BatchMachine,
-        lane: int,
-        machine: Machine,
-        executable: _LaneExecutable,
-        stepper: _SteppedTem,
-        pending: List[Optional[int]],
-        lane_global: List[int],
-    ) -> "tuple[Optional[tuple], Optional[str]]":
-        """The remainder of :meth:`_SteppedTem.execute_copy` for one lane."""
-        budget = stepper.budget_steps
-        steps_this_copy = int(bm.copy_steps[lane])
-        global_step = lane_global[lane] + steps_this_copy
-        arrival = pending[lane]
-        if executable.confine_with_mmu:
-            machine.mmu.enter_domain(executable.TASK_DOMAIN)
-        try:
-            while not machine._halted:
-                if steps_this_copy >= budget:
-                    return None, "execution_time"
-                if arrival is not None and global_step >= arrival:
-                    stepper.injector.apply(stepper.fault)
-                    stepper.injected = True
-                    pending[lane] = None
-                    arrival = None
-                limit = budget - steps_this_copy
-                if arrival is not None:
-                    limit = min(limit, arrival - global_step)
-                result = machine.run(max_steps=limit, stop_on_exception=True)
-                if result.exception is not None:
-                    global_step += result.steps + 1
-                    return None, result.exception.mechanism
-                global_step += result.steps
-                steps_this_copy += result.steps
-        finally:
-            stepper.global_step = global_step
-            lane_global[lane] = global_step
-            machine.mmu.enter_kernel()
-        if stepper.monitor is not None:
-            try:
-                stepper.monitor.verify_machine(machine)
-            except ControlFlowError:
-                return None, "control_flow"
-        try:
-            outputs = machine.read_words(
-                executable.output_base, executable.output_count
-            )
-        except HardwareException as exc:
-            return None, exc.mechanism
-        return tuple(outputs), None
-
-
-def run_batch_campaign(
-    workload_harness: TemInjectionHarness, faults: Sequence[Fault], batch: int
-) -> CampaignStatistics:
-    """Convenience wrapper: a whole campaign through one executor."""
-    return BatchTemExecutor(workload_harness, batch).run_campaign(faults)

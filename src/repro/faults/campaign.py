@@ -164,13 +164,6 @@ class TemInjectionHarness:
             copies_run=1,
         )
 
-    def run_single_campaign(self, faults: Iterable[Fault]) -> CampaignStatistics:
-        """Aggregate :meth:`run_single_experiment` over a fault list."""
-        stats = CampaignStatistics()
-        for fault in faults:
-            stats.add(self.run_single_experiment(fault))
-        return stats
-
     def run_job_sequence(
         self,
         fault: Fault,
@@ -305,6 +298,19 @@ class _SteppedTem:
                 executable.input_base,
                 [int(v) for v in self.inputs[: executable.input_count]],
             )
+        return self.run_copy(0)
+
+    def run_copy(
+        self, steps_this_copy: int
+    ) -> "tuple[Optional[Result], Optional[str]]":
+        """Run the prepared copy to its end, *steps_this_copy* steps in.
+
+        :meth:`execute_copy` starts a copy at step 0; the batch engine
+        continues a lane evicted mid-copy from the step it reached, with
+        :attr:`global_step` already advanced to match.
+        """
+        executable = self.executable
+        machine = executable.machine
         if executable.confine_with_mmu:
             machine.mmu.enter_domain(executable.TASK_DOMAIN)
         # The stepping loop below is the hottest code of every injection
@@ -326,7 +332,6 @@ class _SteppedTem:
             not self.injected and self.fault.at_step is not None
         ) else None
         try:
-            steps_this_copy = 0
             while not machine._halted:
                 if steps_this_copy >= budget_steps:
                     return None, "execution_time"

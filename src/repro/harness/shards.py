@@ -153,12 +153,11 @@ def shard_paths(
 
 @dataclasses.dataclass(frozen=True)
 class ShardConfig:
-    """Knobs of the sharded coordinator.
+    """Lease and polling timings of the sharded coordinator (the shard
+    count is ``max(1, SupervisorConfig.workers)``).
 
     Attributes
     ----------
-    shards:
-        Number of shard runner processes (each runs its slice serially).
     lease_ttl_s:
         A running lease whose heartbeat is older than this is expired;
         the coordinator takes the shard over.  Must comfortably exceed
@@ -176,15 +175,12 @@ class ShardConfig:
         thrashing forever.
     """
 
-    shards: int = 2
     lease_ttl_s: float = 2.0
     heartbeat_s: float = 0.2
     poll_s: float = 0.05
     max_takeovers: int = 5
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         if self.lease_ttl_s <= 0:
             raise ConfigurationError("lease_ttl_s must be positive")
         if self.heartbeat_s <= 0:
@@ -404,18 +400,18 @@ def run_sharded_campaign(
 
     Shard journals and leases derive from ``config.journal_path``; without
     one they live in a temporary directory that is removed after the
-    merge (nothing to resume from, nothing left behind).  The default
-    ``shard_config`` runs ``max(1, config.workers)`` runners with the
-    default lease timings.  Chaos comes from ``config.chaos``:
-    ``die``/``stall`` events fire inside the runners, ``corrupt`` at the
-    coordinator's takeover path.  The merged :class:`SupervisorResult` is
-    — for a completed campaign — bit-identical to the undisturbed serial
-    run over the same payloads: same results, same statistics, same
-    deterministic metrics view.
+    merge (nothing to resume from, nothing left behind).  It runs
+    ``max(1, config.workers)`` runners with ``shard_config``'s lease
+    timings (default :class:`ShardConfig`).  Chaos comes from
+    ``config.chaos``: ``die``/``stall`` events fire inside the runners,
+    ``corrupt`` at the coordinator's takeover path.  The merged
+    :class:`SupervisorResult` is — for a completed campaign —
+    bit-identical to the undisturbed serial run over the same payloads:
+    same results, same statistics, same deterministic metrics view.
     """
     config = config if config is not None else SupervisorConfig()
     if shard_config is None:
-        shard_config = ShardConfig(shards=max(1, config.workers))
+        shard_config = ShardConfig()
     if config.journal_path is not None:
         return _coordinate(
             trial_fn, payloads, config, shard_config, Path(config.journal_path)
@@ -449,7 +445,7 @@ def _coordinate(
         reporter.start(total=len(payloads))
 
     shards: List[_ShardState] = []
-    for spec in plan_shards(len(payloads), shard_config.shards):
+    for spec in plan_shards(len(payloads), max(1, config.workers)):
         journal_path, lease_path = shard_paths(journal_base, spec.shard_id)
         shard = _ShardState(spec, journal_path, LeaseFile(lease_path))
         # Resume across *coordinator* deaths: start fencing tokens above
@@ -727,7 +723,6 @@ def _coordinate(
         trial_metrics=trial_metrics,
         harness_metrics=harness.snapshot(),
     )
-    if config.collect_metrics:
-        obs_metrics.merge_into_active(result.metrics_snapshot())
-        obs_metrics.merge_into_active(result.harness_metrics)
+    obs_metrics.merge_into_active(result.metrics_snapshot())
+    obs_metrics.merge_into_active(result.harness_metrics)
     return result

@@ -150,15 +150,6 @@ class SupervisorConfig:
         :class:`ExperimentRecord` and plain JSON-serialisable values.
         Shard runners always journal, so ``workers >= 1`` needs results
         this codec can round-trip.
-    collect_metrics:
-        Capture a per-trial :mod:`repro.obs.metrics` snapshot (a fresh
-        registry is swapped in around every trial, in shard runners and
-        in serial mode alike) and aggregate them — deterministically, in
-        trial-id order — into the caller's active registry and
-        :attr:`SupervisorResult.trial_metrics` (one snapshot per journal
-        commit: a trial, or a batch chunk's merged snapshot).  Snapshots
-        are journaled, so a resumed campaign aggregates to the identical
-        totals.
     progress:
         Optional :class:`repro.obs.progress.ProgressReporter`; fed one
         per-outcome tally per finished trial (including ``harness_*``
@@ -239,7 +230,6 @@ class SupervisorConfig:
     campaign: str = "campaign"
     result_encoder: Optional[Callable[[Any], Any]] = None
     result_decoder: Optional[Callable[[Any], Any]] = None
-    collect_metrics: bool = True
     progress: Optional[ProgressReporter] = None
     profile_top_k: int = 0
     trial_offset: int = 0
@@ -285,9 +275,9 @@ class SupervisorResult:
     degraded: bool
     elapsed_s: float
     resumed_trials: int = 0
-    #: Metrics snapshots (``collect_metrics``), one per journal commit —
-    #: a trial's own, or a batch chunk's merged snapshot — keyed by the
-    #: commit's first trial id; the same in memory and on replay.
+    #: Metrics snapshots, one per journal commit — a trial's own, or a
+    #: batch chunk's merged snapshot — keyed by the commit's first trial
+    #: id; the same in memory and on replay.
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     #: The supervisor's own infrastructure metrics (dispatch counts,
     #: retries, shard-runner spawns, trial-duration histogram).  Kept separate
@@ -448,7 +438,6 @@ def _run_one_trial(
     trial_fn: TrialFn,
     payload: Any,
     seed: int,
-    collect_metrics: bool,
     profiled: bool,
 ) -> "tuple[Any, Optional[dict], float, Optional[str]]":
     """Execute one trial with observability capture.
@@ -461,21 +450,16 @@ def _run_one_trial(
     """
     started = time.perf_counter()
     profile_text: Optional[str] = None
-    snapshot: Optional[dict] = None
-    if collect_metrics:
-        with obs_metrics.capture() as registry:
-            if profiled:
-                result, profile_text = obs_profile.profiled_call(
-                    trial_fn, payload, seed
-                )
-            else:
-                result = trial_fn(payload, seed)
-        snap = registry.snapshot()
-        snapshot = None if obs_metrics.snapshot_is_empty(snap) else snap
-    elif profiled:
-        result, profile_text = obs_profile.profiled_call(trial_fn, payload, seed)
-    else:
-        result = trial_fn(payload, seed)
+    with obs_metrics.capture() as registry:
+        if profiled:
+            result, profile_text = obs_profile.profiled_call(
+                trial_fn, payload, seed
+            )
+        else:
+            result = trial_fn(payload, seed)
+    snapshot = registry.snapshot()
+    if obs_metrics.snapshot_is_empty(snapshot):
+        snapshot = None
     return result, snapshot, time.perf_counter() - started, profile_text
 
 
@@ -601,9 +585,8 @@ class CampaignSupervisor:
         # infrastructure counters.  Trials recorded into captured
         # registries (serial mode swaps one in per trial), so nothing is
         # counted twice here.
-        if self.config.collect_metrics:
-            obs_metrics.merge_into_active(result.metrics_snapshot())
-            obs_metrics.merge_into_active(result.harness_metrics)
+        obs_metrics.merge_into_active(result.metrics_snapshot())
+        obs_metrics.merge_into_active(result.harness_metrics)
         return result
 
     # ------------------------------------------------------------------
@@ -737,8 +720,7 @@ class CampaignSupervisor:
             try:
                 with _alarm(config.timeout_s):
                     result, snapshot, duration, profile_text = _run_one_trial(
-                        self.trial_fn, payload, seed,
-                        config.collect_metrics, profiled,
+                        self.trial_fn, payload, seed, profiled
                     )
             except TrialTimeoutError as exc:
                 self._record_failure(
@@ -811,10 +793,7 @@ class CampaignSupervisor:
                 entries.append(entry)
             if snapshot is not None:
                 snapshots.append(snapshot)
-        merged = (
-            obs_metrics.merge_snapshots(*snapshots)
-            if config.collect_metrics and snapshots else None
-        )
+        merged = obs_metrics.merge_snapshots(*snapshots) if snapshots else None
         self._commit(state, [tid for tid, _ in chunk], entries, merged)
         return True
 

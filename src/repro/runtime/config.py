@@ -43,9 +43,9 @@ class RunConfig:
     jobs:
         Lease-owned shard runner processes for campaign-shaped experiments
         (:mod:`repro.harness.shards`; 0 = serial in-process).  Each runner
-        executes its slice serially, with ``batch`` lockstep chunks when
-        set.  Shard journals go under ``resume_dir`` when it is set, else
-        into a temporary directory removed after the campaign.
+        executes its slice serially, in the same lockstep chunks as a
+        serial run.  Shard journals go under ``resume_dir`` when it is
+        set, else into a temporary directory removed after the campaign.
     timeout_s:
         Per-trial wall-clock budget for campaign trials (``None`` = no
         budget).
@@ -68,9 +68,6 @@ class RunConfig:
         Show the live campaign progress line (TTY stderr only).
     profile:
         Capture cProfile statistics of the hottest campaign trials.
-    budget_s:
-        Campaign-level wall-clock budget handed to the supervisor
-        (``None`` = unbounded).
     horizon_hours:
         Reliability-curve horizon for experiments that sweep R(t).
     chaos:
@@ -80,12 +77,6 @@ class RunConfig:
         no chaos.
     chaos_seed:
         Seed of the chaos policy's corruption-byte generator.
-    batch:
-        Vectorised trial batching for campaign-shaped experiments that
-        support it (:mod:`repro.faults.batch_campaign`): 0 = scalar
-        trial-at-a-time execution (the default), K >= 1 = step up to K
-        trials in numpy lockstep per chunk.  Outcomes are bit-identical
-        to the scalar path.
     """
 
     jobs: int = 0
@@ -97,11 +88,9 @@ class RunConfig:
     metrics: bool = True
     progress: bool = False
     profile: bool = False
-    budget_s: Optional[float] = None
     horizon_hours: float = DEFAULT_HORIZON_HOURS
     chaos: Optional[str] = None
     chaos_seed: int = 0
-    batch: int = 0
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -110,12 +99,8 @@ class RunConfig:
             raise ConfigurationError("timeout_s must be positive")
         if self.scale <= 0:
             raise ConfigurationError("scale must be positive")
-        if self.budget_s is not None and self.budget_s <= 0:
-            raise ConfigurationError("budget_s must be positive")
         if self.horizon_hours <= 0:
             raise ConfigurationError("horizon_hours must be positive")
-        if self.batch < 0:
-            raise ConfigurationError("batch must be >= 0")
 
     # ------------------------------------------------------------------
     # Derived knobs

@@ -7,7 +7,7 @@ import pytest
 
 from repro import runtime
 from repro.errors import ConfigurationError
-from repro.experiments import registry
+from repro.experiments import coverage_table, registry, weakly_hard
 from repro.experiments.registry import (
     REGISTRY,
     Experiment,
@@ -16,6 +16,7 @@ from repro.experiments.registry import (
     load_all,
     to_jsonable,
 )
+from repro.obs import metrics as obs_metrics
 
 #: Stable public ids — renaming one breaks CLI invocations and saved
 #: configs, so a rename must be deliberate (update this list in the same
@@ -158,6 +159,53 @@ def test_run_result_renders_and_round_trips_json(
     assert payload["index"] == exp.index
     assert payload["paper_anchors"] == list(exp.paper_anchors)
     assert json.loads(json.dumps(payload)) == payload
+
+
+def _run_counting_chunks(loaded, experiment_id, config):
+    """Run one experiment under *config*; its result and the number of
+    lockstep chunks its campaigns committed (``harness.batch_chunks``)."""
+    context = runtime.RunContext(config)
+    with runtime.activate(context), obs_metrics.capture() as registry:
+        result = loaded.get(experiment_id).run(context)
+    counters = registry.snapshot().get("counters", {})
+    return result, counters.get("harness.batch_chunks", 0)
+
+
+def _records(stats):
+    return [record.to_json() for record in stats.records]
+
+
+def test_campaign_experiments_batch_by_default(loaded, monkeypatch):
+    """The E5 and E14 registry runs step lockstep chunks with no knob set
+    and reproduce the scalar library campaigns record for record; a
+    profiled run takes the per-trial path."""
+    result, chunks = _run_counting_chunks(loaded, "coverage_table", _TINY)
+    assert chunks >= 1
+    scalar = coverage_table.run_coverage_campaign(
+        experiments=_TINY.campaign_size(2_000, 300), batch=0
+    )
+    assert _records(result.stats) == _records(scalar.stats)
+
+    campaigns = []
+    real_run_mk_campaign = weakly_hard.run_mk_campaign
+
+    def recording_run_mk_campaign(experiments, **kwargs):
+        stats, payloads = real_run_mk_campaign(experiments, **kwargs)
+        campaigns.append((experiments, kwargs, stats))
+        return stats, payloads
+
+    monkeypatch.setattr(weakly_hard, "run_mk_campaign", recording_run_mk_campaign)
+    _, chunks = _run_counting_chunks(loaded, "weakly_hard", _TINY)
+    assert chunks >= len(campaigns) == 2
+    for experiments, kwargs, stats in campaigns:
+        scalar_stats, _ = real_run_mk_campaign(
+            experiments, **{**kwargs, "batch": 0}
+        )
+        assert _records(stats) == _records(scalar_stats)
+
+    profiled = _TINY.replace(profile=True)
+    _, chunks = _run_counting_chunks(loaded, "coverage_table", profiled)
+    assert chunks == 0
 
 
 class TestToJsonable:

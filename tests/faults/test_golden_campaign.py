@@ -9,8 +9,8 @@ mode — fails this test.
 
 All four execution modes must reproduce the fixture *exactly*: the
 serial in-process path, two shard runners (``--jobs 2``), the lockstep
-batch engine (``--batch 16``) and two batching shard runners
-(``--jobs 2 --batch 16``).  The per-record JSON streams must additionally
+batch engine (``batch_size=16``) and two batching shard runners
+(``workers=2, batch_size=16``).  The per-record JSON streams must additionally
 be identical across the modes themselves.
 
 Regenerate (only when an intentional semantic change is made)::

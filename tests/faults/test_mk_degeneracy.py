@@ -9,7 +9,7 @@ trial path (:func:`repro.experiments.weakly_hard._mk_trial` /
 histogram and deterministic metrics view of the classic E5 campaign —
 **exactly**, under every execution schedule: serial, two lease-owned
 shard runners (``--jobs 2``), the vectorised lockstep engine
-(``--batch K``) and shard runners with a journal of their own.
+(``batch_size=16``) and shard runners with a journal of their own.
 """
 
 import json

@@ -88,13 +88,14 @@ def _assert_recovers(tmp_path, payloads, golden, name, **batch):
             _e5_trial,
             payloads,
             SupervisorConfig(
+                workers=2,
                 master_seed=SEED,
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=tmp_path / "e5.jsonl",
                 chaos=ChaosPolicy.from_spec(spec, seed=7),
                 **batch,
             ),
-            ShardConfig(shards=2, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
+            ShardConfig(lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
         )
     # The chaos actually happened — this is a recovery test, not a lucky
     # undisturbed run.

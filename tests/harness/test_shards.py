@@ -109,7 +109,6 @@ class TestPlanShards:
         assert lease == tmp_path / "e5.shard3.lease"
 
     @pytest.mark.parametrize("bad", [
-        dict(shards=0),
         dict(lease_ttl_s=0.0),
         dict(heartbeat_s=0.0),
         dict(lease_ttl_s=0.1, heartbeat_s=0.2),
@@ -161,15 +160,15 @@ class TestLeases:
 
 class TestShardedCampaign:
     def _run(self, tmp_path, payloads, chaos=None, shard_config=None,
-             master_seed=17):
+             master_seed=17, workers=3):
         return run_sharded_campaign(
             _record_trial,
             payloads,
             SupervisorConfig(
-                master_seed=master_seed, campaign="toy",
+                workers=workers, master_seed=master_seed, campaign="toy",
                 journal_path=tmp_path / "toy.jsonl", chaos=chaos,
             ),
-            shard_config or ShardConfig(shards=3, **_FAST),
+            shard_config or ShardConfig(**_FAST),
         )
 
     def test_journal_less_campaign_leaves_no_files(self, tmp_path, monkeypatch):
@@ -203,10 +202,10 @@ class TestShardedCampaign:
         result = run_sharded_campaign(
             _record_trial, list(range(10)),
             SupervisorConfig(
-                master_seed=17, journal_path=tmp_path / "p.jsonl",
+                workers=2, master_seed=17, journal_path=tmp_path / "p.jsonl",
                 progress=reporter,
             ),
-            ShardConfig(shards=2, **_FAST),
+            ShardConfig(**_FAST),
         )
         assert reporter.done == reporter.total == 10
         counts = result.statistics().outcome_counts()
@@ -255,9 +254,9 @@ class TestShardedCampaign:
             _freezing_trial,
             list(range(6)),
             SupervisorConfig(
-                master_seed=17, journal_path=tmp_path / "f.jsonl",
+                workers=2, master_seed=17, journal_path=tmp_path / "f.jsonl",
             ),
-            ShardConfig(shards=2, **_FAST),
+            ShardConfig(**_FAST),
         )
         assert not result.degraded
         assert sorted(result.results) == [0, 1, 2, 3, 5]
@@ -298,9 +297,7 @@ class TestShardedCampaign:
         """A runner blocks in send until the coordinator reads; results
         well past the pipe buffer still arrive whole."""
         payloads = [f"{i:04d}" + "x" * 400 for i in range(600)]
-        sharded = self._run(
-            tmp_path, payloads, shard_config=ShardConfig(shards=2, **_FAST)
-        )
+        sharded = self._run(tmp_path, payloads, workers=2)
         serial = CampaignSupervisor(
             _record_trial, SupervisorConfig(master_seed=17, campaign="toy")
         ).run(payloads)
@@ -318,8 +315,10 @@ class TestShardedCampaign:
         )
         sharded = run_sharded_campaign(
             _unpicklable_trial, payloads,
-            SupervisorConfig(journal_path=tmp_path / "u.jsonl", **config),
-            ShardConfig(shards=2, **_FAST),
+            SupervisorConfig(
+                workers=2, journal_path=tmp_path / "u.jsonl", **config
+            ),
+            ShardConfig(**_FAST),
         )
         serial = CampaignSupervisor(
             _unpicklable_trial, SupervisorConfig(**config)
@@ -337,7 +336,8 @@ class TestShardedCampaign:
         sharded = self._run(
             tmp_path, payloads,
             chaos=ChaosPolicy.from_spec("die:2"),
-            shard_config=ShardConfig(shards=2, max_takeovers=0, **_FAST),
+            shard_config=ShardConfig(max_takeovers=0, **_FAST),
+            workers=2,
         )
         assert sharded.degraded
         assert 0 < sharded.completed < len(payloads)
@@ -380,8 +380,10 @@ def _slow_trial(payload, seed):
 run_sharded_campaign(
     _slow_trial,
     list(range(40)),
-    SupervisorConfig(master_seed=11, campaign="kr", journal_path=sys.argv[1]),
-    ShardConfig(shards=2, lease_ttl_s=1.0, heartbeat_s=0.05, poll_s=0.02),
+    SupervisorConfig(
+        workers=2, master_seed=11, campaign="kr", journal_path=sys.argv[1]
+    ),
+    ShardConfig(lease_ttl_s=1.0, heartbeat_s=0.05, poll_s=0.02),
 )
 """
 
@@ -442,8 +444,10 @@ class TestCoordinatorKillAndResume:
         resumed = run_sharded_campaign(
             _slow_trial,
             list(range(40)),
-            SupervisorConfig(master_seed=11, campaign="kr", journal_path=journal),
-            ShardConfig(shards=2, **_FAST),
+            SupervisorConfig(
+                workers=2, master_seed=11, campaign="kr", journal_path=journal
+            ),
+            ShardConfig(**_FAST),
         )
         assert not resumed.degraded
         assert resumed.completed == 40

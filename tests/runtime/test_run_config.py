@@ -35,7 +35,6 @@ class TestValidation:
         {"timeout_s": -5.0},
         {"scale": 0.0},
         {"scale": -1.0},
-        {"budget_s": 0.0},
         {"horizon_hours": 0.0},
     ])
     def test_bad_values_rejected(self, kwargs):
@@ -73,10 +72,13 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="unknown RunConfig keys"):
             RunConfig.from_dict({"jbos": 2})
 
-    def test_from_dict_rejects_removed_fast_key(self):
-        """A config file from before the single-path runtime fails loudly."""
-        with pytest.raises(ConfigurationError, match="fast"):
-            RunConfig.from_dict({"fast": True})
+    @pytest.mark.parametrize("key", ["fast", "batch", "budget_s"])
+    def test_from_dict_rejects_removed_key(self, key):
+        """A config file naming a removed field (the fast/reference
+        switch, the batch knob, the unread campaign budget) fails loudly
+        and names it."""
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict({key: 1})
 
     def test_from_dict_rejects_removed_shards_key(self):
         """``--jobs`` runs shard runners; the separate knob is gone."""

@@ -89,6 +89,7 @@ def main(argv: "list[str] | None" = None) -> int:
             _e5_trial,
             e5_fault_payloads(EXPERIMENTS, seed=SEED, max_copies=MAX_COPIES),
             SupervisorConfig(
+                workers=SHARDS,
                 master_seed=SEED,
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=args.artifacts / "e5.jsonl",
@@ -96,7 +97,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 batch_size=args.batch,
                 batch_runner=_e5_batch_runner if args.batch else None,
             ),
-            ShardConfig(shards=SHARDS, lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
+            ShardConfig(lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),
         )
 
     stats = result.statistics()
