@@ -37,10 +37,16 @@ MAX_PROTOCOL_RATIO = 4.0
 CYCLES = 200_000
 
 
+def _trial_result(outcome, scheduler):
+    """Everything a trial leaves behind: outcome, events executed and the
+    resource and job statistics (dataclasses, compared field by field)."""
+    return outcome, scheduler.sim.events_executed, scheduler.resources.stats, scheduler.stats
+
+
 def _campaign(tem_mode, protocol):
     trials = multicore_trials(TRIALS, seed=SEED)
     return [
-        run_multicore_trial(trial, tem_mode, protocol, seed=SEED + i)[0]
+        _trial_result(*run_multicore_trial(trial, tem_mode, protocol, seed=SEED + i))
         for i, trial in enumerate(trials)
     ]
 
@@ -49,8 +55,9 @@ def test_benchmark_spatial_vs_temporal_trials():
     """Spatial-redundancy trials stay a bounded factor over temporal."""
     temporal = _campaign(TemMode.TEMPORAL, ResourceProtocol.LOCK)  # warm
     spatial = _campaign(TemMode.SPATIAL, ResourceProtocol.LOCK)
-    # Determinism sanity: the campaign outcome stream is a pure function
-    # of (trials, mode, protocol) — a re-run must reproduce it exactly.
+    # Determinism sanity: every trial's outcome, event count and
+    # statistics are a pure function of (trials, mode, protocol) — a
+    # re-run must reproduce them exactly.
     assert _campaign(TemMode.SPATIAL, ResourceProtocol.LOCK) == spatial
     assert len(temporal) == len(spatial) == TRIALS
 

@@ -62,13 +62,6 @@ class CoreSet:
                 return core
         return None
 
-    def core_of(self, predicate: Callable[[object], bool]) -> Optional[int]:
-        """Lowest-numbered core whose slot satisfies *predicate*."""
-        for core, slot in enumerate(self.slots):
-            if slot is not None and predicate(slot):
-                return core
-        return None
-
     def victim_core(
         self,
         urgency: Callable[[object], int],

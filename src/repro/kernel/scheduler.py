@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,13 +162,16 @@ class _Section:
 
 
 class Job:
-    """One released instance of a task (or one spatial copy of one)."""
+    """One released instance of a task (or one spatial copy of one).
 
-    _sequence = 0
+    *number* is the job's sequence number on its scheduler, so job ids
+    depend only on the trial, never on what the process ran before.
+    """
 
-    def __init__(self, task: TaskSpec, release_time: int, inputs: Result) -> None:
-        Job._sequence += 1
-        self.job_id = f"{task.name}#{Job._sequence}"
+    def __init__(
+        self, task: TaskSpec, release_time: int, inputs: Result, number: int
+    ) -> None:
+        self.job_id = f"{task.name}#{number}"
         self.task = task
         self.release_time = release_time
         self.absolute_deadline = release_time + task.relative_deadline
@@ -183,7 +186,9 @@ class Job:
         self.delivered: Optional[Result] = None
         # --- multicore state ---
         self.core: Optional[int] = None  # core of the last dispatch
-        self.home_core: Optional[int] = None  # placement override (spatial copies)
+        #: Partition the job is dispatched on under partitioned placement
+        #: (spatial copies override it).
+        self.home_core: int = task.core if task.core is not None else 0
         self.sections: List[_Section] = []
         self.spinning_on: Optional[_Section] = None
         self.holding: List[str] = []
@@ -226,6 +231,57 @@ class _TaskEntry:
     last_release: Optional[int] = None
 
 
+def next_boundary(
+    plan: CopyPlan, sections: Sequence[_Section], consumed: int, budget_remaining: int
+) -> Tuple[int, str]:
+    """The running copy's next boundary: ``(ticks of computation, reason)``.
+
+    The candidates are the plan's detected error (``"error"``), the exit
+    or entry of the first unfinished section (``"cs_exit"``,
+    ``"cs_enter"``), completion (``"complete"``, at least one tick away)
+    and budget exhaustion (``"budget"``).  The earliest wins; a tie goes
+    to the first in that order.  The scan visits them last to first and
+    replaces on ``<=``, so the tie-break is the scan order itself.
+    """
+    fire_in, reason = budget_remaining, "budget"
+    at = plan.duration - consumed
+    if at < 1:
+        at = 1
+    if at <= fire_in:
+        fire_in, reason = at, "complete"
+    for section in sections:
+        if not section.done:
+            if section.entered:
+                at, kind = section.exit_at - consumed, "cs_exit"
+            else:
+                at, kind = section.enter_at - consumed, "cs_enter"
+            if at < 0:
+                at = 0
+            if at <= fire_in:
+                fire_in, reason = at, kind
+            break
+    if plan.detected_error is not None and plan.error_at is not None:
+        at = plan.error_at - consumed
+        if at < 0:
+            at = 0
+        if at <= fire_in:
+            fire_in, reason = at, "error"
+    return fire_in, reason
+
+
+def best_ready(ready: Sequence[Job], core: Optional[int] = None) -> Optional[Job]:
+    """The dispatch choice: the most urgent job of *ready* (lowest priority
+    number), restricted to the jobs homed on *core* when one is named.
+    A tie goes to the job earliest in *ready*."""
+    best = None
+    for job in ready:
+        if core is not None and job.home_core != core:
+            continue
+        if best is None or job.task.priority < best.task.priority:
+            best = job
+    return best
+
+
 class Scheduler:
     """The per-node real-time kernel.
 
@@ -260,6 +316,7 @@ class Scheduler:
         self.resources = ResourceManager(self.config.resource_protocol)
         self._tasks: Dict[str, _TaskEntry] = {}
         self._ready: List[Job] = []
+        self._jobs_created = 0
         self._started = False
         self._silent = False
         self._latent_effects: List[FaultEffect] = []
@@ -481,7 +538,7 @@ class Scheduler:
         entry.last_release = self.sim.now
         if inputs is None:
             inputs = tuple(entry.input_provider())
-        job = Job(spec, self.sim.now, tuple(inputs))
+        job = self._new_job(spec, self.sim.now, tuple(inputs))
         self.stats.released += 1
         self.trace.emit(self.sim.now, "kernel.release", self.name, job=job.job_id)
         if spec.is_critical:
@@ -522,6 +579,10 @@ class Scheduler:
         self._ready.append(job)
         self._dispatch()
 
+    def _new_job(self, task: TaskSpec, release_time: int, inputs: Result) -> Job:
+        self._jobs_created += 1
+        return Job(task, release_time, inputs, self._jobs_created)
+
     def _deadline_predicate(self, job: Job) -> Callable[[], bool]:
         def can_run_another_copy() -> bool:
             cost = job.task.wcet + self.config.comparison_cost
@@ -554,10 +615,12 @@ class Scheduler:
         for _ in range(count):
             index = state.next_index
             state.next_index += 1
-            copy = Job(parent.task, parent.release_time, parent.inputs)
+            copy = self._new_job(parent.task, parent.release_time, parent.inputs)
             copy.spatial_parent = parent
             copy.launch_index = index
-            copy.home_core = self._spatial_core(parent.task, index)
+            home = self._spatial_core(parent.task, index)
+            if home is not None:
+                copy.home_core = home
             state.copies.append(copy)
             category = "tem.recovery" if index >= 2 else "tem.copy"
             self.trace.emit(
@@ -635,13 +698,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Dispatching
     # ------------------------------------------------------------------
-    def _home_core(self, job: Job) -> int:
-        if job.home_core is not None:
-            return job.home_core
-        if job.task.core is not None:
-            return job.task.core
-        return 0
-
     def _preemptable(self, slot: _Running) -> bool:
         """MSRP rule: spinning and lock-holding jobs run non-preemptively
         (preemption is deferred to the section exit)."""
@@ -657,16 +713,9 @@ class Scheduler:
             while self._dispatch_global():
                 pass
 
-    def _best_for_core(self, core: int) -> Optional[Job]:
-        return min(
-            (j for j in self._ready if self._home_core(j) == core),
-            key=lambda j: j.task.priority,
-            default=None,
-        )
-
     def _dispatch_core(self, core: int) -> None:
         """Single-core fixed-priority dispatch of one partition."""
-        best = self._best_for_core(core)
+        best = best_ready(self._ready, core)
         slot = self._cores.slots[core]
         if slot is not None:
             if best is None or best.task.priority >= slot.job.task.priority:
@@ -674,7 +723,7 @@ class Scheduler:
             if not self._preemptable(slot):
                 return
             self._preempt(core)
-            best = self._best_for_core(core)
+            best = best_ready(self._ready, core)
         if best is None:
             return
         self._ready.remove(best)
@@ -682,7 +731,7 @@ class Scheduler:
 
     def _dispatch_global(self) -> bool:
         """One global-FP placement step; True when a job was started."""
-        best = min(self._ready, key=lambda j: j.task.priority, default=None)
+        best = best_ready(self._ready)
         if best is None:
             return False
         core = self._cores.idle_core()
@@ -698,7 +747,7 @@ class Scheduler:
             if best.task.priority >= victim.job.task.priority:
                 return False
             self._preempt(core)
-            best = min(self._ready, key=lambda j: j.task.priority, default=None)
+            best = best_ready(self._ready)
             if best is None:  # pragma: no cover - preempted job re-queued
                 return False
         self._ready.remove(best)
@@ -718,10 +767,11 @@ class Scheduler:
         self._ready.append(job)
         self._cores.slots[core] = None
         self.stats.preemptions += 1
-        self.trace.emit(
-            self.sim.now, "kernel.preempt", self.name,
-            job=job.job_id, **self._core_kwargs(core),
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.preempt", self.name,
+                job=job.job_id, **self._core_kwargs(core),
+            )
 
     def _core_kwargs(self, core: int) -> Dict[str, int]:
         """Trace detail: name the core only on a multicore node, keeping
@@ -735,7 +785,7 @@ class Scheduler:
             self._plan_copy(job)
         job.state = JobState.RUNNING
         start_at = self.sim.now
-        fire_in, reason = self._next_boundary(job)
+        fire_in, reason = self._boundary(job)
         event = self.sim.schedule_after(
             fire_in + self.config.context_switch_cost,
             lambda: self._segment_event(job, reason),
@@ -754,16 +804,17 @@ class Scheduler:
                     job=job.job_id, src=job.core, dst=core,
                 )
             job.core = core
-        self.trace.emit(
-            self.sim.now, "kernel.dispatch", self.name,
-            job=job.job_id, copy=job.copy_index, reason=reason, fire_in=fire_in,
-            **self._core_kwargs(core),
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.dispatch", self.name,
+                job=job.job_id, copy=job.copy_index, reason=reason, fire_in=fire_in,
+                **self._core_kwargs(core),
+            )
 
     def _continue_segment(self, job: Job, core: int) -> None:
         """Resume the running copy in place after a section boundary —
         no dispatch, no context switch, no preemption decision."""
-        fire_in, reason = self._next_boundary(job)
+        fire_in, reason = self._boundary(job)
         event = self.sim.schedule_after(
             fire_in,
             lambda: self._segment_event(job, reason),
@@ -819,31 +870,18 @@ class Scheduler:
                 return section
         return None
 
-    def _next_boundary(self, job: Job) -> "tuple[int, str]":
-        plan = job.plan
-        budget = job.budget
-        assert plan is not None and budget is not None
-        candidates: List["tuple[int, str]"] = []
-        if plan.detected_error is not None and plan.error_at is not None:
-            candidates.append((max(0, plan.error_at - job.consumed), "error"))
-        section = self._current_section(job)
-        if section is not None:
-            if section.entered:
-                candidates.append((max(0, section.exit_at - job.consumed), "cs_exit"))
-            else:
-                candidates.append((max(0, section.enter_at - job.consumed), "cs_enter"))
-        candidates.append((max(1, plan.duration - job.consumed), "complete"))
-        candidates.append((budget.remaining, "budget"))
-        # Deterministic tie-break: error beats section boundaries beats
-        # complete beats budget.
-        order = {"error": 0, "cs_exit": 1, "cs_enter": 2, "complete": 3, "budget": 4}
-        return min(candidates, key=lambda c: (c[0], order[c[1]]))
+    def _boundary(self, job: Job) -> "Tuple[int, str]":
+        assert job.plan is not None and job.budget is not None
+        return next_boundary(job.plan, job.sections, job.consumed, job.budget.remaining)
 
     # ------------------------------------------------------------------
     # Segment events
     # ------------------------------------------------------------------
     def _core_running_job(self, job: Job) -> Optional[int]:
-        return self._cores.core_of(lambda slot: slot.job is job)
+        for core, slot in enumerate(self._cores.slots):
+            if slot is not None and slot.job is job:
+                return core
+        return None
 
     def _segment_event(self, job: Job, reason: str) -> None:
         core = self._core_running_job(job)
@@ -899,21 +937,23 @@ class Scheduler:
                     job=job, started_at=self.sim.now, event=event,
                     core=core, overhead=0,
                 )
-                self.trace.emit(
-                    self.sim.now, "kernel.cs_spin", self.name,
-                    job=job.job_id, resource=section.resource,
-                    **self._core_kwargs(core),
-                )
+                if self.trace.active:
+                    self.trace.emit(
+                        self.sim.now, "kernel.cs_spin", self.name,
+                        job=job.job_id, resource=section.resource,
+                        **self._core_kwargs(core),
+                    )
                 return
             job.holding.append(section.resource)
         else:
             section.entry_count = self.resources.free_begin(section.resource)
         section.entered = True
-        self.trace.emit(
-            self.sim.now, "kernel.cs_enter", self.name,
-            job=job.job_id, resource=section.resource,
-            **self._core_kwargs(core),
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.cs_enter", self.name,
+                job=job.job_id, resource=section.resource,
+                **self._core_kwargs(core),
+            )
         self._continue_segment(job, core)
 
     def _cs_exit(self, job: Job, core: int) -> None:
@@ -922,11 +962,12 @@ class Scheduler:
         if self.resources.protocol is ResourceProtocol.LOCK:
             section.done = True
             self._release_lock(job, section.resource)
-            self.trace.emit(
-                self.sim.now, "kernel.cs_exit", self.name,
-                job=job.job_id, resource=section.resource,
-                **self._core_kwargs(core),
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "kernel.cs_exit", self.name,
+                    job=job.job_id, resource=section.resource,
+                    **self._core_kwargs(core),
+                )
             if self._finish_copy_if_done(job):
                 return
             self._continue_segment(job, core)
@@ -937,11 +978,12 @@ class Scheduler:
         committed = self.resources.free_commit(section.resource, section.entry_count)
         if committed:
             section.done = True
-            self.trace.emit(
-                self.sim.now, "kernel.cs_exit", self.name,
-                job=job.job_id, resource=section.resource,
-                retries=section.retries, **self._core_kwargs(core),
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "kernel.cs_exit", self.name,
+                    job=job.job_id, resource=section.resource,
+                    retries=section.retries, **self._core_kwargs(core),
+                )
             if self._finish_copy_if_done(job):
                 return
             self._continue_segment(job, core)
@@ -959,11 +1001,12 @@ class Scheduler:
                 later.exit_at += section.length
         section.exit_at = job.consumed + section.length
         section.entry_count = self.resources.free_begin(section.resource)
-        self.trace.emit(
-            self.sim.now, "kernel.cs_retry", self.name,
-            job=job.job_id, resource=section.resource,
-            attempt=section.retries, **self._core_kwargs(core),
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.cs_retry", self.name,
+                job=job.job_id, resource=section.resource,
+                attempt=section.retries, **self._core_kwargs(core),
+            )
         self._continue_segment(job, core)
 
     def _finish_copy_if_done(self, job: Job) -> bool:
@@ -1011,11 +1054,12 @@ class Scheduler:
         job.spinning_on = None
         job.holding.append(resource)
         section.entered = True
-        self.trace.emit(
-            self.sim.now, "kernel.cs_enter", self.name,
-            job=job.job_id, resource=resource, spun=elapsed,
-            **self._core_kwargs(core),
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.cs_enter", self.name,
+                job=job.job_id, resource=resource, spun=elapsed,
+                **self._core_kwargs(core),
+            )
         self._cores.slots[core] = None
         self._continue_segment(job, core)
 

@@ -9,23 +9,7 @@ whenever the job is preempted or a fault forces a re-execution).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable
-
-
-@dataclasses.dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry.
-
-    Ordering is (time, priority, seq): earlier time first; among simultaneous
-    events a lower ``priority`` number fires first; ``seq`` preserves FIFO
-    order of equal-priority simultaneous events, making runs deterministic.
-    """
-
-    time: int
-    priority: int
-    seq: int
-    handle: "EventHandle" = dataclasses.field(compare=False)
 
 
 class EventHandle:

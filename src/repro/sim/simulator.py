@@ -5,7 +5,9 @@ kernels, communication bus and fault injectors run.  It is a classic
 event-calendar design:
 
 * time is an integer tick counter (microseconds, see :mod:`repro.units`);
-* events are kept in a binary heap keyed by ``(time, priority, seq)``;
+* events are kept in a binary heap of plain ``(time, priority, seq,
+  handle)`` tuples; ``seq`` is unique, so ordering never reaches the
+  handle;
 * executing an event may schedule or cancel further events.
 
 Determinism matters for reproducing fault-injection campaigns: two runs with
@@ -23,7 +25,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
-from .events import EventHandle, _QueueEntry
+from .events import EventHandle
 
 #: Priority classes for simultaneous events (lower fires first).
 PRIORITY_FAULT = 0
@@ -49,7 +51,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0
-        self._heap: list[_QueueEntry] = []
+        self._heap: list[tuple[int, int, int, EventHandle]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -92,7 +94,8 @@ class Simulator:
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
         handle = EventHandle(time, callback, label)
-        self._push(handle, priority)
+        self._seq += 1
+        heapq.heappush(self._heap, (time, priority, self._seq, handle))
         return handle
 
     def schedule_after(
@@ -108,10 +111,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, priority=priority, label=label)
-
-    def _push(self, handle: EventHandle, priority: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, _QueueEntry(handle.time, priority, self._seq, handle))
 
     # ------------------------------------------------------------------
     # Execution
@@ -137,20 +136,20 @@ class Simulator:
         self._stopped = False
         executed_this_run = 0
         wall_started = perf_counter()  # reprolint: disable=DET001 -- obs instrumentation: one host-timer sample per run() pass; never read by simulation logic
+        heap = self._heap
+        heappop = heapq.heappop
         try:
-            while self._heap:
-                if self._stopped:
+            while heap and not self._stopped:
+                if until is not None and heap[0][0] > until:
                     break
-                entry = self._heap[0]
-                if until is not None and entry.time > until:
-                    break
-                heapq.heappop(self._heap)
-                handle = entry.handle
-                if not handle.pending:
+                time, _, _, handle = heappop(heap)
+                # A handle is pushed once and fires only here, so a queued
+                # handle that is not pending was cancelled.
+                if handle._cancelled:
                     continue
-                if handle.time < self._now:  # pragma: no cover - internal invariant
+                if time < self._now:  # pragma: no cover - internal invariant
                     raise SimulationError("event calendar corrupted: time went backwards")
-                self._now = handle.time
+                self._now = time
                 handle._fire()
                 self._events_executed += 1
                 executed_this_run += 1
@@ -171,11 +170,10 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            handle = entry.handle
-            if not handle.pending:
+            time, _, _, handle = heapq.heappop(self._heap)
+            if handle._cancelled:
                 continue
-            self._now = handle.time
+            self._now = time
             handle._fire()
             self._events_executed += 1
             return True
@@ -190,7 +188,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def pending_events(self) -> Iterable[EventHandle]:
         """Yield pending event handles (unordered; for tests/diagnostics)."""
-        return (e.handle for e in self._heap if e.handle.pending)
+        return (entry[3] for entry in self._heap if entry[3].pending)
 
     def pending_count(self) -> int:
         """Number of events still pending on the calendar."""

@@ -68,6 +68,12 @@ class TraceRecorder:
         self._listeners: List[Callable[[TraceEvent], None]] = []
 
     # ------------------------------------------------------------------
+    @property
+    def active(self) -> bool:
+        """True when :meth:`emit` records or notifies anything; hot paths
+        test it to skip building an event's details."""
+        return self.enabled or bool(self._listeners)
+
     def emit(self, time: int, category: str, source: str, **details: Any) -> None:
         """Record one event (no-op when disabled)."""
         if not self.enabled and not self._listeners:

@@ -1,8 +1,6 @@
 """Multicore kernel tests: CoreSet dispatch, resource protocols, spatial
 TEM, scheduler-owned (m,k) windows and the M = 1 degeneracy gates."""
 
-import re
-
 import pytest
 
 from repro.cpu.profiles import FaultEffect
@@ -26,19 +24,6 @@ from repro.kernel.task import (
     WeaklyHardConstraint,
 )
 from repro.sim import Simulator, TraceRecorder
-
-
-def canonical_trace(trace):
-    """Render trace events with job ids renumbered by first appearance.
-
-    Job ids embed a process-global counter, so byte-identity across two
-    runs needs the absolute numbers mapped to a per-run sequence."""
-    seen = {}
-
-    def renumber(match):
-        return seen.setdefault(match.group(0), f"#{len(seen)}")
-
-    return [re.sub(r"#\d+", renumber, str(event)) for event in trace.events]
 
 
 def make_scheduler(config=None):
@@ -260,7 +245,7 @@ class TestSpatialTem:
                 300, lambda: s.apply_fault_effect(FaultEffect.HARDWARE_EXCEPTION)
             )
             sim.run(until=9_999)
-            return canonical_trace(trace)
+            return [str(event) for event in trace.events]
 
         assert run(TemMode.SPATIAL) == run(TemMode.TEMPORAL)
 
@@ -501,7 +486,7 @@ class TestMulticoreAnalysisDegeneracy:
                 600, lambda: s.apply_fault_effect(FaultEffect.HARDWARE_EXCEPTION)
             )
             sim.run(until=20_000)
-            return canonical_trace(trace)
+            return [str(event) for event in trace.events]
 
         default = run(None)
         explicit = run(KernelConfig(cores=1, placement=PlacementPolicy.GLOBAL))

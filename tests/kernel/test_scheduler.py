@@ -1,11 +1,13 @@
 """Tests of the fixed-priority preemptive scheduler with TEM."""
 
+import numpy as np
 import pytest
 
 from repro.cpu.profiles import FaultEffect
 from repro.errors import SchedulingError
+from repro.experiments.multicore_tem import workload_tasks
 from repro.kernel.scheduler import KernelConfig, Scheduler
-from repro.kernel.task import CallableExecutable, Criticality, TaskSpec
+from repro.kernel.task import CallableExecutable, Criticality, TaskSpec, TemMode
 from repro.sim import Simulator, TraceRecorder
 
 
@@ -319,3 +321,35 @@ class TestLifecycle:
         assert scheduler.silent
         assert log["kernel_errors"]
         assert scheduler.stats.delivered_masked == 0
+
+
+class TestDeterminism:
+    def test_identical_trials_emit_identical_traces_and_labels(self):
+        """Job ids are numbered per scheduler: the same seeded trial run
+        twice in one process gives the same trace and event labels."""
+
+        def trial():
+            sim = Simulator()
+            trace = TraceRecorder()
+            scheduler = Scheduler(
+                sim, name="n", trace=trace, rng=np.random.default_rng(7),
+                config=KernelConfig(cores=2),
+            )
+            for spec in workload_tasks(TemMode.SPATIAL)[:2]:
+                scheduler.add_task(spec, CallableExecutable(lambda i: (5,), spec.wcet))
+            scheduler.start()
+            sim.schedule_at(
+                700, lambda: scheduler.apply_fault_effect(FaultEffect.WRONG_RESULT)
+            )
+            # Stop inside the second period, with segment and deadline
+            # events (labelled with job ids) still pending.
+            sim.run(until=10_500)
+            labels = sorted(handle.label for handle in sim.pending_events())
+            return trace.events, labels
+
+        first_events, first_labels = trial()
+        second_events, second_labels = trial()
+        assert first_events == second_events
+        assert first_labels == second_labels
+        assert first_events[0].details["job"] == "ctrl#1"
+        assert any("#" in label for label in first_labels)

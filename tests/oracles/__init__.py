@@ -9,5 +9,8 @@ differential suites compare production against them:
 * :mod:`tests.oracles.reference_ctmc` — per-point CTMC solves, one
   matrix exponential per time (``tests/property/test_solver_equivalence.py``);
 * :mod:`tests.oracles.reference_faults` — random fault draws through
-  ``Generator.choice`` (``tests/faults/test_fault_draw_differential.py``).
+  ``Generator.choice`` (``tests/faults/test_fault_draw_differential.py``);
+* :mod:`tests.oracles.reference_kernel` — the scheduler's boundary and
+  dispatch choices as ``min`` over candidate lists
+  (``tests/kernel/test_decision_differential.py``).
 """
