@@ -1,19 +1,21 @@
 """PKL001 — everything crossing a spawn boundary must be picklable.
 
-The campaign supervisor (PR 1) runs trials in ``spawn``-start worker
-processes: every callable and payload reachable through
+With ``workers >= 1`` a campaign runs on shard runner processes
+(:mod:`repro.harness.shards`), the harness's only process-parallel path.
+Every callable and payload reachable through
 :class:`repro.harness.supervisor.SupervisorConfig` — ``after_trial``,
-``batch_runner``, the result codecs, chaos specs, the trial function
-itself — is pickled into the worker bootstrap.  Lambdas, nested
-functions, generator expressions and open file handles are not
-picklable (or, under ``fork`` on a developer laptop, *appear* to work
-and then die in CI's spawn context).  The per-file rules cannot see
-this: the lambda is syntactically fine; the problem is *where it
-flows*.  This whole-program rule walks every resolved call into a
-spawn-boundary constructor and flags unpicklable argument shapes at the
-argument's own line, so an inline suppression can sit exactly where a
-closure is known never to cross a process (e.g. a ``workers=0`` serial
-supervisor).
+``batch_runner``, chaos specs, the trial function itself — is handed to
+each runner.  Runners are forked where ``fork`` exists, so those
+arguments are pickled only on platforms without it, which start runners
+with ``spawn``.  Lambdas, nested functions, generator expressions and
+open file handles are not picklable: under ``fork`` they *appear* to
+work, then die wherever ``spawn`` is the start method.  The per-file
+rules cannot see this: the lambda is syntactically fine; the problem is
+*where it flows*.  This whole-program rule walks every resolved call
+into a spawn-boundary constructor and flags unpicklable argument shapes
+at the argument's own line, so an inline suppression can sit exactly
+where a closure is known never to cross a process (e.g. a ``workers=0``
+serial supervisor).
 
 Violating example::
 
@@ -48,7 +50,7 @@ from ..project import ProjectChecker
 from ..registry import register_project_checker
 
 #: Canonical names of the constructors/entry points whose arguments are
-#: pickled into spawn-start workers (resolved through re-exports).
+#: pickled into spawn-started shard runners (resolved through re-exports).
 BOUNDARY_CALLS = frozenset({
     "repro.harness.supervisor.SupervisorConfig",
     "repro.harness.supervisor.CampaignSupervisor",
@@ -63,8 +65,6 @@ BOUNDARY_KWARGS = frozenset({
     "batch_runner",
     "chaos",
     "progress",
-    "result_decoder",
-    "result_encoder",
     "trial_fn",
 })
 
@@ -90,8 +90,8 @@ class SpawnBoundaryChecker(ProjectChecker):
     rule_id = "PKL001"
     title = "no unpicklable values passed across a worker spawn boundary"
     hint = (
-        "move the callable to module level (def at top of file); spawn-start "
-        "workers pickle everything reachable through SupervisorConfig"
+        "move the callable to module level (def at top of file); spawn-started "
+        "shard runners pickle everything reachable through SupervisorConfig"
     )
     invariant = (
         "campaign configs survive the spawn boundary — a campaign that runs "

@@ -30,8 +30,7 @@ from ..faults.campaign import TemInjectionHarness
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import SupervisorConfig, run_experiment_campaign
-from ..obs.profile import DEFAULT_TOP_K
+from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..obs.progress import ProgressReporter
 from .coverage_table import BRAKE_TASK_SOURCE, make_brake_workload
 from ..cpu.assembler import assemble
@@ -128,6 +127,7 @@ def compute_ablation_table(
     journal_path: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
+    chaos: Optional[ChaosPolicy] = None,
 ) -> AblationResult:
     """Run the identical fault list against every ablation variant.
 
@@ -135,6 +135,8 @@ def compute_ablation_table(
     the given path (``<path>.<variant>``) so an interrupted ablation
     resumes per variant.  ``progress`` / ``profile`` enable the live
     stderr progress line and hottest-trial profiling (:mod:`repro.obs`).
+    ``chaos`` attacks the shard runners of every variant's campaign when
+    ``workers >= 1`` (:class:`repro.harness.ChaosPolicy`).
     """
     program_words = assemble(BRAKE_TASK_SOURCE).size
     reference = _make_harness("full")
@@ -163,7 +165,8 @@ def compute_ablation_table(
                     ProgressReporter(f"E11 ablation ({variant})")
                     if progress else None
                 ),
-                profile_top_k=DEFAULT_TOP_K if profile else 0,
+                profile=profile,
+                chaos=chaos,
             ),
         )
     return AblationResult(experiments=experiments, stats=stats)
@@ -192,4 +195,5 @@ def _experiment(ctx) -> AblationResult:
         journal_path=cfg.journal_path("e11"),
         progress=cfg.progress,
         profile=cfg.profile,
+        chaos=cfg.chaos_policy(),
     )

@@ -39,7 +39,6 @@ from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
 from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable, MKWindow
-from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from .asciiplot import render_table
 
@@ -322,7 +321,7 @@ def run_coverage_campaign(
         master_seed=seed,
         campaign=f"e5-coverage-n{experiments}",
         progress=ProgressReporter("E5 coverage") if progress else None,
-        profile_top_k=DEFAULT_TOP_K if profile else 0,
+        profile=profile,
         chaos=chaos,
         batch_size=batch,
         batch_runner=_e5_batch_runner if batch > 0 else None,
@@ -381,9 +380,6 @@ def _experiment(ctx) -> CoverageTableResult:
         journal_path=cfg.journal_path("e5"),
         progress=cfg.progress,
         profile=cfg.profile,
-        chaos=(
-            ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
-            if cfg.chaos else None
-        ),
+        chaos=cfg.chaos_policy(),
         batch=BATCH_CHUNK,
     )

@@ -30,9 +30,8 @@ from ..apps.bbw_system import BbwConfig, BbwSimulation
 from ..apps.pedal import step_brake
 from ..faults.injector import PoissonInjector
 from ..faults.types import FaultType
-from ..harness import CampaignSupervisor, SupervisorConfig
+from ..harness import CampaignSupervisor, ChaosPolicy, SupervisorConfig
 from ..models import BbwParameters, build_bbw_system
-from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from ..node import FailSilentNode, NlftBehaviouralNode, NodeBase, NodeStatus
 from ..sim import RandomStreams, Simulator
@@ -205,6 +204,7 @@ def run_simulation_study(
     journal_path: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
+    chaos: Optional[ChaosPolicy] = None,
 ) -> SimulationStudyResult:
     """Run the mission Monte-Carlo for both node types and both criteria.
 
@@ -214,7 +214,8 @@ def run_simulation_study(
     computed over *completed* replicas, so a few lost replicas degrade the
     sample size, not the estimate.  ``progress`` / ``profile`` enable the
     live stderr progress line and hottest-trial cProfile capture
-    (:mod:`repro.obs`).
+    (:mod:`repro.obs`).  ``chaos`` attacks the shard runners of both
+    studies when ``workers >= 1`` (:class:`repro.harness.ChaosPolicy`).
     """
     params = params if params is not None else BbwParameters.paper()
     empirical: Dict[str, float] = {}
@@ -236,7 +237,8 @@ def run_simulation_study(
                     ProgressReporter(f"E8a missions ({node_type})")
                     if progress else None
                 ),
-                profile_top_k=DEFAULT_TOP_K if profile else 0,
+                profile=profile,
+                chaos=chaos,
             ),
         )
         result = supervisor.run(
@@ -339,4 +341,5 @@ def _experiment(ctx) -> SimulationStudyResult:
         journal_path=cfg.journal_path("e8a"),
         progress=cfg.progress,
         profile=cfg.profile,
+        chaos=cfg.chaos_policy(),
     )

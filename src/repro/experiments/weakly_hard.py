@@ -50,7 +50,6 @@ from ..faults.types import Fault
 from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.ft_analysis import max_tolerable_faults, mk_max_tolerable_faults
 from ..kernel.task import MKWindow, TaskSpec, WeaklyHardConstraint
-from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from ..units import us
 from .asciiplot import render_table
@@ -210,7 +209,7 @@ def run_mk_campaign(
         master_seed=seed,
         campaign=name,
         progress=ProgressReporter("E14 weakly-hard") if progress else None,
-        profile_top_k=DEFAULT_TOP_K if profile else 0,
+        profile=profile,
         chaos=chaos,
         batch_size=batch,
         batch_runner=_mk_batch_runner if batch > 0 else None,
@@ -561,8 +560,5 @@ def _experiment(ctx) -> WeaklyHardResult:
         journal_mk=cfg.journal_path("e14-mk"),
         progress=cfg.progress,
         profile=cfg.profile,
-        chaos=(
-            ChaosPolicy.from_spec(cfg.chaos, seed=cfg.chaos_seed)
-            if cfg.chaos else None
-        ),
+        chaos=cfg.chaos_policy(),
     )

@@ -23,9 +23,8 @@ from ..faults.campaign import TemInjectionHarness, TemWorkload
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import SupervisorConfig, run_experiment_campaign
+from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable
-from ..obs.profile import DEFAULT_TOP_K
 from ..obs.progress import ProgressReporter
 from ..types import Result
 from .asciiplot import render_table
@@ -121,13 +120,16 @@ def compute_workload_table(
     journal_path: Optional[Union[str, Path]] = None,
     progress: bool = False,
     profile: bool = False,
+    chaos: Optional[ChaosPolicy] = None,
 ) -> WorkloadTableResult:
     """Run the campaign for every library workload.
 
     With ``journal_path`` set, one journal per workload is written next to
     the given path (``<path>.<name>``) for interrupt/resume.  ``progress``
     / ``profile`` enable the live stderr progress line and hottest-trial
-    profiling (:mod:`repro.obs`).
+    profiling (:mod:`repro.obs`).  ``chaos`` attacks the shard runners of
+    every workload's campaign when ``workers >= 1``
+    (:class:`repro.harness.ChaosPolicy`).
     """
     stats: Dict[str, CampaignStatistics] = {}
     for index, (name, program) in enumerate(sorted(PROGRAMS.items())):
@@ -156,7 +158,8 @@ def compute_workload_table(
                     ProgressReporter(f"E12 workload ({name})")
                     if progress else None
                 ),
-                profile_top_k=DEFAULT_TOP_K if profile else 0,
+                profile=profile,
+                chaos=chaos,
             ),
         )
     return WorkloadTableResult(experiments_per_workload=experiments, stats=stats)
@@ -185,4 +188,5 @@ def _experiment(ctx) -> WorkloadTableResult:
         journal_path=cfg.journal_path("e12"),
         progress=cfg.progress,
         profile=cfg.profile,
+        chaos=cfg.chaos_policy(),
     )

@@ -4,7 +4,8 @@ The supervisor that every large fault-injection campaign and Monte-Carlo
 study runs on: per-trial wall-clock timeouts, bounded retry with
 exponential backoff, a JSONL checkpoint journal with deterministic
 per-trial seed derivation (interrupt/resume is bit-identical), optional
-lockstep batching, and graceful partial results on budget exhaustion.
+lockstep batching, and graceful partial results when a campaign is
+stopped early or a shard is abandoned.
 
 Process parallelism comes from the node-level fault-tolerance pieces the
 paper's framework uses — applied to the harness itself:

@@ -23,8 +23,8 @@ shard runners.
   metrics snapshots, harness counters) over a one-way pipe, then writes
   its DONE lease.  The coordinator merges a DONE shard from that handoff
   and reads a shard journal back only for shards that ended without one
-  (abandoned, budget-stopped or capped), the way the paper's nodes
-  return results as messages and leave recovery to node failures;
+  (abandoned, or a result that does not pickle), the way the paper's
+  nodes return results as messages and leave recovery to node failures;
 * the **coordinator** blocks on the runners' process sentinels and
   handoff pipes, and wakes at least every ``poll_s`` to check leases.  A
   dead runner (crash, SIGKILL) or an expired lease (frozen runner)
@@ -34,7 +34,7 @@ shard runners.
   whole shard.  Deterministic per-trial seeds make the recovered
   campaign bit-identical to an undisturbed one;
 * a **trial that keeps killing its runner** is contained like a raising
-  trial: once ``max(2, max_retries + 1)`` runners in a row died (by a
+  trial: once ``max(2, MAX_RETRIES + 1)`` runners in a row died (by a
   signal) or froze with it as the shard's first unrecorded trial, the
   coordinator journals it as ``HARNESS_CRASH`` (or ``HARNESS_TIMEOUT``
   for a freeze) and the next runner moves past it.  A single death is
@@ -49,9 +49,7 @@ runner executing the trial.  The lease measures liveness only: the runner
 heartbeats from a thread, so neither a long trial nor a long batch chunk
 expires it, and ``lease_ttl_s`` need not know how long trials take.  It
 catches a runner frozen beyond ``SIGALRM``'s reach (stopped, or stuck in
-native code holding the GIL).  ``max_harness_failures`` is one
-campaign-wide cap: runners publish their failure counts in a shared array
-and each stops dispatching once the total reaches it.
+native code holding the GIL).
 
 Chaos injection (:mod:`repro.harness.chaos`) plugs in at two points: the
 runner's after-trial hook (``die:T`` SIGKILLs the runner after journaling
@@ -90,12 +88,12 @@ from . import chaos as chaos_mod
 from .journal import CampaignJournal, JournalHeader, TrialEntry
 from .leases import LEASE_ABANDONED, LEASE_DONE, Lease, LeaseFile
 from .supervisor import (
+    MAX_RETRIES,
     CampaignSupervisor,
     HarnessFailure,
     SupervisorConfig,
     SupervisorResult,
     TrialFn,
-    _default_decode,
     _replay_entries,
 )
 
@@ -221,7 +219,6 @@ def _shard_runner_main(
     heartbeat_s: float,
     policy: "Optional[chaos_mod.ChaosPolicy]",
     run_config: runtime.RunConfig,
-    failure_counts: Optional[Any],
     handoff: "mp_connection.Connection",
 ) -> None:
     """Run one shard serially while a thread heartbeats its lease.
@@ -244,11 +241,7 @@ def _shard_runner_main(
     and merges a DONE shard from it.  A result that does not pickle is
     not sent: the coordinator then merges the shard from its journal.
 
-    ``failure_counts`` is the campaign's shared per-shard harness-failure
-    array when ``config.max_harness_failures`` is set: the runner
-    publishes its shard's count after every trial and stops dispatching
-    once the campaign total reaches the cap.  ``run_config`` is the
-    coordinator's effective run configuration
+    ``run_config`` is the coordinator's effective run configuration
     (:func:`_runner_run_config`), activated explicitly rather than
     inherited through fork.
     """
@@ -276,24 +269,20 @@ def _shard_runner_main(
 
     beater = threading.Thread(target=heartbeat, daemon=True)
     beater.start()
-    cap = config.max_harness_failures
 
-    def after_trial(trial_id: int, harness_failures: int) -> bool:
+    def after_trial(trial_id: int, harness_failures: int) -> None:
         # Only called for freshly *executed* trials (journal replays on
         # resume never re-enter here), which is what gives die/stall
         # events their fire-once semantics across takeovers.
-        if policy is not None:
-            if policy.dies_after(trial_id):
-                # The journal record holding this trial (batched: its
-                # whole chunk) is already flushed: dying here loses
-                # nothing acknowledged.
-                os.kill(os.getpid(), signal.SIGKILL)
-            if policy.stalls_after(trial_id):
-                stalled.set()
-        if failure_counts is None:
-            return False
-        failure_counts[spec.shard_id] = harness_failures
-        return sum(failure_counts[:]) >= cap
+        if policy is None:
+            return
+        if policy.dies_after(trial_id):
+            # The journal record holding this trial (batched: its whole
+            # chunk) is already flushed: dying here loses nothing
+            # acknowledged.
+            os.kill(os.getpid(), signal.SIGKILL)
+        if policy.stalls_after(trial_id):
+            stalled.set()
 
     runner_config = dataclasses.replace(
         config,
@@ -301,11 +290,9 @@ def _shard_runner_main(
         journal_path=journal_path,
         campaign=f"{config.campaign}/shard{spec.shard_id}",
         trial_offset=spec.start,
-        after_trial=after_trial,  # reprolint: disable=PKL001 -- shard runner is serial (workers=0 above): the chaos/failure-cap hook never crosses a process boundary
+        after_trial=after_trial,  # reprolint: disable=PKL001 -- shard runner is serial (workers=0 above): the chaos hook never crosses a process boundary
         progress=None,  # the coordinator reports progress at merge
         chaos=None,  # die/stall fire from after_trial above
-        budget_s=None,  # the coordinator owns the campaign budget
-        max_harness_failures=None,  # campaign-wide: after_trial above
     )
     with runtime.activate(runtime.RunContext(run_config)):
         result = CampaignSupervisor(trial_fn, runner_config).run(payloads)
@@ -361,7 +348,6 @@ def _open_shard_journal(config: SupervisorConfig, shard: _ShardState) -> Campaig
             master_seed=config.master_seed,
             total_trials=shard.spec.size,
         ),
-        fsync_interval=config.fsync_interval,
     )
 
 
@@ -458,11 +444,6 @@ def _coordinate(
         if existing is not None:
             shard.token = existing.token
         shards.append(shard)
-    cap = config.max_harness_failures
-    failure_counts = ctx.Array("q", len(shards)) if cap is not None else None
-
-    def capped() -> bool:
-        return failure_counts is not None and sum(failure_counts[:]) >= cap
 
     def spawn(shard: _ShardState) -> None:
         shard.token += 1
@@ -488,7 +469,6 @@ def _coordinate(
                 shard_config.heartbeat_s,
                 policy,
                 run_config,
-                failure_counts,
                 writer,
             ),
             daemon=True,
@@ -539,7 +519,7 @@ def _coordinate(
             if (
                 charge is not None
                 and first is not None
-                and shard.stuck_takeovers > max(1, config.max_retries)
+                and shard.stuck_takeovers > max(1, MAX_RETRIES)
             ):
                 journal.append(TrialEntry(
                     trial_id=first,
@@ -549,10 +529,6 @@ def _coordinate(
                 ))
                 harness.inc(f"harness.{charge.value}")
                 shard.stuck_at, shard.stuck_takeovers = None, 0
-            if failure_counts is not None:
-                failure_counts[shard.spec.shard_id] = sum(
-                    1 for e in journal.entries.values() if e.is_harness_failure
-                )
         finally:
             journal.close()
         if (
@@ -574,26 +550,14 @@ def _coordinate(
                 state=LEASE_ABANDONED,
             ))
             return
-        if capped():
-            # The campaign is out of harness-failure budget: no new
-            # runner; the merge reports the shard's missing trials.
-            shard.done = True
-            return
         spawn(shard)
 
-    budget_exhausted = False
     try:
         for shard in shards:
             spawn(shard)
         while True:
             active = [s for s in shards if not s.done and not s.abandoned]
             if not active:
-                break
-            if (
-                config.budget_s is not None
-                and (time.monotonic() - started) >= config.budget_s
-            ):
-                budget_exhausted = True
                 break
             # Sleep until a runner exits or hands off, or poll_s passes
             # and the leases of the live runners are due for an expiry
@@ -648,11 +612,10 @@ def _coordinate(
     # Merge the shards into one campaign result.  Trial ids are
     # campaign-global, so the merge is a plain commutative dict union.
     # ------------------------------------------------------------------
-    decode = config.result_decoder or _default_decode
     results: Dict[int, Any] = {}
     failures: Dict[int, HarnessFailure] = {}
     trial_metrics: Dict[int, dict] = {}
-    degraded = budget_exhausted or any(s.abandoned for s in shards)
+    degraded = any(s.abandoned for s in shards)
     for shard in shards:
         if shard.handoff is not None:
             # A finished runner's result, received in memory, with its
@@ -670,8 +633,8 @@ def _coordinate(
             degraded = True
             continue
         else:
-            # No handoff (abandoned, budget-stopped or capped shard): the
-            # journal holds everything its runners committed.
+            # No handoff (abandoned shard, or a result that did not
+            # pickle): the journal holds everything its runners committed.
             harness.inc("harness.shard_journal_merges")
             journal = _open_shard_journal(config, shard)
             try:
@@ -681,8 +644,7 @@ def _coordinate(
                         journal.salvage.entries_kept,
                     )
                 _replay_entries(
-                    journal.entries.values(), decode,
-                    results, failures, trial_metrics,
+                    journal.entries.values(), results, failures, trial_metrics,
                 )
             finally:
                 journal.close()

@@ -15,7 +15,7 @@ mission going:
   :attr:`OutcomeClass.HARNESS_TIMEOUT` (in process, or inside the shard
   runner executing it);
 * **bounded retry with exponential backoff** — raising trials are retried
-  up to ``max_retries`` times before being classified
+  up to :data:`MAX_RETRIES` times before being classified
   :attr:`OutcomeClass.HARNESS_CRASH`;
 * **checkpoint journal** — every finished trial (or, batched, every
   finished chunk) is committed to a JSONL journal
@@ -23,9 +23,10 @@ mission going:
   per-trial seeds (:func:`repro.harness.seeds.derive_seed`) an interrupted
   campaign resumes exactly where it stopped and yields bit-identical
   statistics;
-* **graceful degradation** — on wall-clock budget exhaustion or too many
-  harness failures the supervisor stops dispatching and returns statistics
-  over the completed trials (with a completeness ratio) instead of raising.
+* **graceful degradation** — when the caller's ``after_trial`` hook asks
+  to stop, or a shard is abandoned, the supervisor stops dispatching and
+  returns statistics over the completed trials (with a completeness
+  ratio) instead of raising.
 
 Harness failures are *infrastructure* outcomes: they are excluded from the
 C_D / P_T / P_OM / P_FS estimators (see :mod:`repro.faults.outcomes`), so a
@@ -67,12 +68,7 @@ from ..obs import profile as obs_profile
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressReporter
 from .chaos import ChaosPolicy
-from .journal import (
-    DEFAULT_FSYNC_INTERVAL,
-    CampaignJournal,
-    JournalHeader,
-    TrialEntry,
-)
+from .journal import CampaignJournal, JournalHeader, TrialEntry
 from .seeds import derive_seed
 
 #: A trial function: ``(payload, seed) -> result``.  Must be deterministic
@@ -101,6 +97,21 @@ class HarnessFailure:
         )
 
 
+#: Retries of a raising trial before it is classified HARNESS_CRASH.
+#: Timeouts are not retried — a hung trial hangs again.
+MAX_RETRIES = 2
+#: Exponential backoff between retries of one trial (see :func:`backoff_s`).
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+
+
+def backoff_s(attempt: int) -> float:
+    """Delay before retry number *attempt* (1-based)."""
+    delay = BACKOFF_BASE_S * (BACKOFF_FACTOR ** max(0, attempt - 1))
+    return min(delay, BACKOFF_MAX_S)
+
+
 @dataclasses.dataclass
 class SupervisorConfig:
     """Knobs of the campaign supervisor.
@@ -115,7 +126,7 @@ class SupervisorConfig:
         this whole config — ``batch_size``/``batch_runner`` included.
         Without a ``journal_path`` the shard journals and leases live in a
         temporary directory removed after the merge.  Profiled runs
-        (``profile_top_k`` > 0) always execute in process.
+        always execute in process.
     timeout_s:
         Per-trial wall-clock budget.  ``None`` disables the budget.  It is
         enforced with ``SIGALRM`` in the process executing the trial (the
@@ -124,43 +135,30 @@ class SupervisorConfig:
         background thread, so a trial longer than the lease TTL is not
         mistaken for a dead runner; a runner frozen beyond the reach of
         ``SIGALRM`` (heartbeat thread starved too) is caught by the TTL.
-    max_retries:
-        Retry budget per trial for raising trials.  Timeouts are not
-        retried — a hung trial hangs again.
-    backoff_base_s / backoff_factor / backoff_max_s:
-        Exponential backoff between retries of one trial.
-    budget_s:
-        Campaign-level wall-clock budget; when exhausted the supervisor
-        stops dispatching and returns partial results.
-    max_harness_failures:
-        Stop dispatching once this many trials were lost to the harness
-        (``None`` = never stop early for failures).  With ``workers >= 1``
-        it is one campaign-wide cap: the runners share a failure count and
-        each stops after the trial that reaches it, so up to
-        ``workers - 1`` trials in flight elsewhere may still be recorded.
     journal_path:
         JSONL checkpoint journal; pass the same path again to resume.
+        Trial results must be :class:`ExperimentRecord` or plain
+        JSON-serialisable values.  It syncs every
+        :data:`~repro.harness.journal.DEFAULT_FSYNC_INTERVAL` trials (a
+        batch chunk at least that large at its own commit) and on close;
+        lines are flushed per commit, so a killed *process* never loses an
+        acknowledged trial.
     master_seed:
         Campaign master seed; trial ``i`` receives
         ``derive_seed(master_seed, i)``.
     campaign:
         Campaign name, recorded in the journal header (resume guard).
-    result_encoder / result_decoder:
-        JSON codec for trial results in the journal.  The default handles
-        :class:`ExperimentRecord` and plain JSON-serialisable values.
-        Shard runners always journal, so ``workers >= 1`` needs results
-        this codec can round-trip.
     progress:
         Optional :class:`repro.obs.progress.ProgressReporter`; fed one
         per-outcome tally per finished trial (including ``harness_*``
         infrastructure outcomes) and resume counts.  With
         ``workers >= 1`` the coordinator feeds it as it merges the shard
         results.
-    profile_top_k:
-        When > 0, run every trial under cProfile and keep the rendered
-        stats of the K hottest (longest wall-clock) trials in
-        :attr:`SupervisorResult.hot_trials` — opt-in, it slows trials
-        noticeably.
+    profile:
+        Run every trial under cProfile and keep the rendered stats of the
+        :data:`~repro.obs.profile.DEFAULT_TOP_K` hottest (longest
+        wall-clock) trials in :attr:`SupervisorResult.hot_trials` —
+        opt-in, it slows trials noticeably.
     trial_offset:
         Global trial id of the first payload.  A sharded campaign
         (:mod:`repro.harness.shards`) hands each shard a slice of the
@@ -168,13 +166,6 @@ class SupervisorConfig:
         seeds, journal entries and result keys all use *campaign-global*
         trial ids — the property that makes shard results merge into the
         whole-campaign result bit-identically.
-    fsync_interval:
-        Journal ``fsync`` batching: a commit syncs once this many trials
-        are unsynced (plus one sync on close), so a scalar campaign syncs
-        every ``fsync_interval`` trials and a batch chunk at least that
-        large syncs at its own commit.  Line flushes still happen per
-        commit, so a killed *process* never loses an acknowledged trial;
-        the interval bounds what an OS crash can lose.
     chaos:
         Optional :class:`repro.harness.chaos.ChaosPolicy` attacking the
         shard runners (``die``/``stall``) and their journals
@@ -189,11 +180,11 @@ class SupervisorConfig:
         far (journal replays included).  A batch chunk is committed whole
         first, then the hook runs for each of its trials in order — so a
         chaos ``die:T`` fires after the chunk holding ``T`` is durable.
-        A true return value stops dispatching (after the current chunk):
-        the run returns degraded, as on ``max_harness_failures``.  The
-        shard runner uses it for chaos death/stall points and the
-        campaign-wide failure cap.  Never called for trials replayed from
-        the journal on resume.
+        A true return value stops dispatching (after the current chunk)
+        and the run returns degraded: this is how a caller stops a
+        campaign early.  Shard runners (``workers >= 1``) replace it
+        with their own hook for chaos death/stall points.  Never called
+        for trials replayed from the journal on resume.
     batch_size / batch_runner:
         Serial-mode vectorised execution.  When ``batch_size`` > 0 and a
         ``batch_runner`` is supplied, the serial path slices pending
@@ -211,29 +202,19 @@ class SupervisorConfig:
         in-flight chunk, which resume re-runs whole.  If the runner
         raises, the chunk falls back to scalar per-trial execution (and
         per-trial commits) with the usual retry machinery (counted as
-        ``harness.batch_fallbacks``).  Profiled runs (``profile_top_k`` >
-        0) force the scalar path, since per-trial profiles require
-        per-trial calls.  With ``workers >= 1`` every shard runner
-        batches its own slice.
+        ``harness.batch_fallbacks``).  Profiled runs force the scalar
+        path, since per-trial profiles require per-trial calls.  With
+        ``workers >= 1`` every shard runner batches its own slice.
     """
 
     workers: int = 0
     timeout_s: Optional[float] = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    budget_s: Optional[float] = None
-    max_harness_failures: Optional[int] = None
     journal_path: Optional[Union[str, Path]] = None
     master_seed: int = 0
     campaign: str = "campaign"
-    result_encoder: Optional[Callable[[Any], Any]] = None
-    result_decoder: Optional[Callable[[Any], Any]] = None
     progress: Optional[ProgressReporter] = None
-    profile_top_k: int = 0
+    profile: bool = False
     trial_offset: int = 0
-    fsync_interval: int = DEFAULT_FSYNC_INTERVAL
     chaos: Optional[ChaosPolicy] = None
     after_trial: Optional[Callable[[int, int], Optional[bool]]] = None
     batch_size: int = 0
@@ -248,21 +229,10 @@ class SupervisorConfig:
             raise ConfigurationError("batch_size must be >= 0")
         if self.batch_size > 0 and self.batch_runner is None:
             raise ConfigurationError("batch_size > 0 requires a batch_runner")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive")
-        if self.profile_top_k < 0:
-            raise ConfigurationError("profile_top_k must be >= 0")
         if self.trial_offset < 0:
             raise ConfigurationError("trial_offset must be >= 0")
-        if self.fsync_interval < 1:
-            raise ConfigurationError("fsync_interval must be >= 1")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before retry number *attempt* (1-based)."""
-        delay = self.backoff_base_s * (self.backoff_factor ** max(0, attempt - 1))
-        return min(delay, self.backoff_max_s)
 
 
 @dataclasses.dataclass
@@ -284,7 +254,7 @@ class SupervisorResult:
     #: from trial metrics because they legitimately differ between serial,
     #: parallel and resumed executions of the same campaign.
     harness_metrics: dict = dataclasses.field(default_factory=dict)
-    #: K hottest profiled trials (``profile_top_k``), slowest first.
+    #: The hottest profiled trials (``profile``), slowest first.
     hot_trials: List["obs_profile.HotTrial"] = dataclasses.field(default_factory=list)
 
     def metrics_snapshot(self, include_harness: bool = False) -> dict:
@@ -358,8 +328,7 @@ def _default_encode(result: Any) -> Any:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"trial result of type {type(result).__name__} is not "
-            "JSON-serialisable; pass result_encoder/result_decoder in "
-            "SupervisorConfig"
+            "JSON-serialisable, so it cannot be journaled"
         ) from exc
     return result
 
@@ -372,7 +341,6 @@ def _default_decode(data: Any) -> Any:
 
 def _replay_entries(
     entries: Iterable[TrialEntry],
-    decode: Callable[[Any], Any],
     results: Dict[int, Any],
     failures: Dict[int, HarnessFailure],
     trial_metrics: Dict[int, dict],
@@ -392,7 +360,7 @@ def _replay_entries(
                 attempts=entry.attempts,
             )
         else:
-            results[entry.trial_id] = decode(entry.result)
+            results[entry.trial_id] = _default_decode(entry.result)
         if entry.metrics is not None:
             trial_metrics[entry.trial_id] = entry.metrics
 
@@ -474,7 +442,6 @@ class _RunState:
     results: Dict[int, Any]
     failures: Dict[int, HarnessFailure]
     journal: Optional[CampaignJournal]
-    started: float
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     harness: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
     hot_trials: Optional["obs_profile.ProfileCollector"] = None
@@ -494,8 +461,6 @@ class CampaignSupervisor:
     def __init__(self, trial_fn: TrialFn, config: Optional[SupervisorConfig] = None) -> None:
         self.trial_fn = trial_fn
         self.config = config if config is not None else SupervisorConfig()
-        self._encode = self.config.result_encoder or _default_encode
-        self._decode = self.config.result_decoder or _default_decode
 
     # ------------------------------------------------------------------
     def run(self, payloads: Sequence[Any]) -> SupervisorResult:
@@ -506,18 +471,16 @@ class CampaignSupervisor:
         :func:`repro.harness.shards.run_sharded_campaign`, whose runners
         each run this serial path over one slice.
         """
-        if self.config.workers > 0 and self.config.profile_top_k == 0:
+        if self.config.workers > 0 and not self.config.profile:
             # Imported here: the shard coordinator builds on this module.
             from .shards import run_sharded_campaign
 
             return run_sharded_campaign(self.trial_fn, payloads, self.config)
         started = time.monotonic()
         planned = len(payloads)
-        state = _RunState(results={}, failures={}, journal=None, started=started)
-        if self.config.profile_top_k > 0:
-            state.hot_trials = obs_profile.ProfileCollector(
-                top_k=self.config.profile_top_k
-            )
+        state = _RunState(results={}, failures={}, journal=None)
+        if self.config.profile:
+            state.hot_trials = obs_profile.ProfileCollector()
 
         if self.config.journal_path is not None:
             state.journal = CampaignJournal(
@@ -527,7 +490,6 @@ class CampaignSupervisor:
                     master_seed=self.config.master_seed,
                     total_trials=planned,
                 ),
-                fsync_interval=self.config.fsync_interval,
             )
             if state.journal.salvage is not None:
                 salvage = state.journal.salvage
@@ -540,7 +502,7 @@ class CampaignSupervisor:
                     salvage.quarantined_bytes,
                 )
             _replay_entries(
-                state.journal.entries.values(), self._decode,
+                state.journal.entries.values(),
                 state.results, state.failures, state.trial_metrics,
             )
         resumed = len(state.results) + len(state.failures)
@@ -628,7 +590,7 @@ class CampaignSupervisor:
             return None
         return TrialEntry(
             trial_id=trial_id, status="ok",
-            result=self._encode(result), attempts=attempts,
+            result=_default_encode(result), attempts=attempts,
             duration_s=duration_s,
         )
 
@@ -666,30 +628,18 @@ class CampaignSupervisor:
         if hook is not None and hook(trial_id, len(state.failures)):
             state.stop_requested = True
 
-    def _out_of_budget(self, started: float) -> bool:
-        budget = self.config.budget_s
-        return budget is not None and (time.monotonic() - started) >= budget
-
-    def _failure_cap_hit(self, failures: Dict[int, HarnessFailure]) -> bool:
-        cap = self.config.max_harness_failures
-        return cap is not None and len(failures) >= cap
-
     # ------------------------------------------------------------------
     # Serial path (in process, or inside one shard runner)
     # ------------------------------------------------------------------
 
     def _run_serial(self, pending: Deque["tuple[int, Any]"], state: _RunState) -> bool:
         config = self.config
-        profiled = config.profile_top_k > 0
+        profiled = config.profile
         # Vectorised fast path: profiling needs per-trial calls, so it
         # always wins over batching.
         batched = config.batch_size > 0 and config.batch_runner is not None and not profiled
         while pending:
-            if (
-                state.stop_requested
-                or self._out_of_budget(state.started)
-                or self._failure_cap_hit(state.failures)
-            ):
+            if state.stop_requested:
                 return True
             if batched:
                 chunk = [
@@ -730,7 +680,7 @@ class CampaignSupervisor:
                 )
                 return
             except Exception as exc:  # noqa: BLE001 — isolation boundary
-                if attempts > config.max_retries:
+                if attempts > MAX_RETRIES:
                     self._record_failure(
                         state,
                         HarnessFailure(
@@ -740,7 +690,7 @@ class CampaignSupervisor:
                     )
                     return
                 state.harness.inc("harness.retries")
-                time.sleep(config.backoff_s(attempts))
+                time.sleep(backoff_s(attempts))
             else:
                 entry = self._record_success(
                     state, trial_id, result, attempts,

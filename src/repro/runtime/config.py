@@ -25,9 +25,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..harness.chaos import ChaosPolicy
 
 #: Default reliability-curve horizon (hours in one year, the paper's
 #: mission time).
@@ -115,6 +118,15 @@ class RunConfig:
         if self.resume_dir is None:
             return None
         return str(Path(self.resume_dir) / f"{name}.jsonl")
+
+    def chaos_policy(self) -> "Optional[ChaosPolicy]":
+        """The parsed :attr:`chaos` schedule (or ``None`` without one)."""
+        # Imported here: the harness package imports this module.
+        from ..harness.chaos import ChaosPolicy
+
+        if not self.chaos:
+            return None
+        return ChaosPolicy.from_spec(self.chaos, seed=self.chaos_seed)
 
     # ------------------------------------------------------------------
     # Serialisation (CLI --config, shard-runner bootstrap)

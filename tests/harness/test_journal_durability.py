@@ -21,6 +21,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.harness import (
     CampaignJournal,
+    CampaignSupervisor,
     DEFAULT_FSYNC_INTERVAL,
     JournalHeader,
     SupervisorConfig,
@@ -29,6 +30,10 @@ from repro.harness import (
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 ENTRIES = 25
+
+
+def _value_trial(payload, seed):
+    return {"v": payload}
 
 #: Child writer: appends ENTRIES entries with fsync batching effectively
 #: disabled (interval far beyond the entry count), then SIGKILLs itself
@@ -95,9 +100,21 @@ class TestFsyncBatching:
         header = JournalHeader(campaign="b", master_seed=1, total_trials=1)
         with pytest.raises(ConfigurationError):
             CampaignJournal(tmp_path / "b.jsonl", header, fsync_interval=0)
-        with pytest.raises(ConfigurationError):
-            SupervisorConfig(fsync_interval=0)
 
-    def test_supervisor_default_is_batched(self):
-        assert SupervisorConfig().fsync_interval == DEFAULT_FSYNC_INTERVAL
+    def test_supervisor_default_is_batched(self, tmp_path, monkeypatch):
+        """A supervisor journal syncs every DEFAULT_FSYNC_INTERVAL trials
+        (and on close), not per trial."""
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
         assert DEFAULT_FSYNC_INTERVAL > 1
+        CampaignSupervisor(
+            _value_trial,
+            SupervisorConfig(journal_path=tmp_path / "s.jsonl"),
+        ).run(list(range(DEFAULT_FSYNC_INTERVAL + 1)))
+        assert len(calls) == 2  # one at the interval, one on close

@@ -141,14 +141,18 @@ class TestJournal:
 
 class TestResume:
     def test_interrupt_and_resume_is_bit_identical_toy(self, tmp_path):
-        """Budget-interrupted run + resume == uninterrupted run, including
+        """Hook-interrupted run + resume == uninterrupted run, including
         the per-trial derived seeds embedded in the records."""
         payloads = list(range(40))
         journal = tmp_path / "toy.jsonl"
         config = dict(master_seed=99, campaign="toy")
         partial = CampaignSupervisor(
             _seeded_trial,
-            SupervisorConfig(journal_path=journal, budget_s=0.0, **config),
+            SupervisorConfig(
+                journal_path=journal,
+                after_trial=lambda trial_id, harness_failures: trial_id >= 14,
+                **config,
+            ),
         ).run(payloads)
         assert partial.degraded and partial.completed < len(payloads)
         resumed = CampaignSupervisor(

@@ -67,20 +67,6 @@ def _freezing_trial(payload, seed):
     return _record_trial(payload, seed)
 
 
-class _Unpicklable:
-    """A trial result the journal codec handles and pickle refuses."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __reduce__(self):
-        raise TypeError("not picklable")
-
-
-def _unpicklable_trial(payload, seed):
-    return _Unpicklable(payload * 10 + seed % 7)
-
-
 class TestPlanShards:
     def test_partition_is_contiguous_and_near_equal(self):
         specs = plan_shards(10, 3)
@@ -248,7 +234,7 @@ class TestShardedCampaign:
     def test_trial_freezing_its_runner_is_charged_as_timeout(self, tmp_path):
         """A trial that freezes its runner (SIGSTOP: heartbeat thread
         included) expires the lease of each replacement in turn; after
-        max_retries + 1 of them it is journaled as HARNESS_TIMEOUT and the
+        MAX_RETRIES + 1 of them it is journaled as HARNESS_TIMEOUT and the
         rest of the shard completes."""
         result = run_sharded_campaign(
             _freezing_trial,
@@ -305,28 +291,30 @@ class TestShardedCampaign:
         assert sharded.harness_metrics["counters"]["harness.shard_handoffs"] == 2
 
     def test_unpicklable_results_merge_from_the_journals(self, tmp_path):
-        """A result the journal codec round-trips but pickle refuses is
-        not handed off: the DONE shards are merged from their journals."""
+        """A result that JSON-encodes into the journal but that pickle
+        refuses (an instance of a class local to this function) is not
+        handed off: the DONE shards are merged from their journals."""
+
+        class LocalDict(dict):
+            pass
+
+        def unpicklable_trial(payload, seed):
+            return LocalDict(value=payload * 10 + seed % 7)
+
         payloads = list(range(12))
-        config = dict(
-            master_seed=17, campaign="toy",
-            result_encoder=lambda result: result.value,
-            result_decoder=_Unpicklable,
-        )
+        config = dict(master_seed=17, campaign="toy")
         sharded = run_sharded_campaign(
-            _unpicklable_trial, payloads,
+            unpicklable_trial, payloads,
             SupervisorConfig(
                 workers=2, journal_path=tmp_path / "u.jsonl", **config
             ),
             ShardConfig(**_FAST),
         )
         serial = CampaignSupervisor(
-            _unpicklable_trial, SupervisorConfig(**config)
+            unpicklable_trial, SupervisorConfig(**config)
         ).run(payloads)
         assert not sharded.degraded
-        assert {t: r.value for t, r in sharded.results.items()} == {
-            t: r.value for t, r in serial.results.items()
-        }
+        assert sharded.results == serial.results
         counters = sharded.harness_metrics["counters"]
         assert counters["harness.shard_journal_merges"] == 2
         assert "harness.shard_handoffs" not in counters

@@ -13,10 +13,12 @@ from repro.experiments.coverage_table import _e5_trial, make_brake_workload
 from repro.faults import TemInjectionHarness, random_fault_list
 from repro.faults.outcomes import ExperimentRecord, OutcomeClass
 from repro.harness import (
+    DEFAULT_FSYNC_INTERVAL,
     CampaignSupervisor,
     SupervisorConfig,
     run_experiment_campaign,
 )
+from repro.harness import supervisor as supervisor_mod
 from repro.obs import metrics
 
 # ----------------------------------------------------------------------
@@ -70,24 +72,34 @@ def _flaky_trial(payload, seed):
     return ExperimentRecord(OutcomeClass.MASKED, f"flaky {payload}")
 
 
+@pytest.fixture
+def retry_schedule(monkeypatch):
+    """Set the module retry budget and backoff base for one test."""
+
+    def apply(max_retries, backoff_base_s=supervisor_mod.BACKOFF_BASE_S):
+        monkeypatch.setattr(supervisor_mod, "MAX_RETRIES", max_retries)
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE_S", backoff_base_s)
+
+    return apply
+
+
 # ----------------------------------------------------------------------
 # Containment: crashes and hangs, serial and parallel
 # ----------------------------------------------------------------------
 
 class TestContainment:
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_crash_and_hang_contained(self, workers):
+    def test_crash_and_hang_contained(self, workers, retry_schedule):
         """Acceptance: a crafted infinite-loop workload and a crafted
         crashing workload are both contained in serial and parallel mode —
         classified as harness failures while every other trial of the
         campaign completes."""
+        retry_schedule(1)
         payloads = [0, 1, "crash", 2, "hang", 3, 4, 5]
         stats = run_experiment_campaign(
             _scripted_trial,
             payloads,
-            SupervisorConfig(
-                workers=workers, timeout_s=0.5, max_retries=1, master_seed=9,
-            ),
+            SupervisorConfig(workers=workers, timeout_s=0.5, master_seed=9),
         )
         assert stats.total == len(payloads)
         assert stats.count(OutcomeClass.HARNESS_CRASH) == 1
@@ -98,17 +110,18 @@ class TestContainment:
         assert stats.count(OutcomeClass.NO_EFFECT) == 2
         assert stats.count(OutcomeClass.OMISSION) == 1
 
-    def test_harness_failures_do_not_poison_coverage(self):
+    def test_harness_failures_do_not_poison_coverage(self, retry_schedule):
         """Acceptance: HARNESS_* outcomes are excluded from the coverage
         estimators — the estimates equal those of the same campaign
         without the poisoned trials."""
+        retry_schedule(0)
         clean = run_experiment_campaign(
             _scripted_trial, list(range(8)),
             SupervisorConfig(workers=0, master_seed=9),
         )
         poisoned = run_experiment_campaign(
             _scripted_trial, list(range(8)) + ["hang", "crash"],
-            SupervisorConfig(workers=0, timeout_s=0.5, max_retries=0, master_seed=9),
+            SupervisorConfig(workers=0, timeout_s=0.5, master_seed=9),
         )
         assert poisoned.harness_failures == 2
         assert poisoned.coverage == clean.coverage
@@ -119,7 +132,7 @@ class TestContainment:
 
     def test_trial_killing_its_runner_is_contained(self):
         """A trial that SIGKILLs the shard runner executing it kills each
-        replacement too, until max_retries + 1 runners died on it: then it
+        replacement too, until MAX_RETRIES + 1 runners died on it: then it
         is recorded as HARNESS_CRASH and the rest of its shard runs."""
         # workers=2 splits the six payloads 3 + 3: "die" opens shard 1.
         result = CampaignSupervisor(
@@ -152,7 +165,7 @@ class TestContainment:
     def test_timeout_is_not_retried_but_crash_is(self):
         result = CampaignSupervisor(
             _scripted_trial,
-            SupervisorConfig(workers=0, timeout_s=0.3, max_retries=2, master_seed=1),
+            SupervisorConfig(workers=0, timeout_s=0.3, master_seed=1),
         ).run(["hang", "crash"])
         assert result.failures[0].kind is OutcomeClass.HARNESS_TIMEOUT
         assert result.failures[0].attempts == 1
@@ -161,73 +174,67 @@ class TestContainment:
 
 
 class TestRetry:
-    def test_transient_failure_retried_with_backoff(self):
+    def test_transient_failure_retried_with_backoff(self, retry_schedule):
+        retry_schedule(2, backoff_base_s=0.01)
         _FLAKY_STATE["failures_left"] = 2
         result = CampaignSupervisor(
-            _flaky_trial,
-            SupervisorConfig(
-                workers=0, max_retries=2, backoff_base_s=0.01, master_seed=3,
-            ),
+            _flaky_trial, SupervisorConfig(workers=0, master_seed=3),
         ).run([0])
         assert not result.failures
         assert result.results[0].outcome is OutcomeClass.MASKED
 
-    def test_retry_budget_exhausts(self):
+    def test_retry_budget_exhausts(self, retry_schedule):
+        retry_schedule(1, backoff_base_s=0.01)
         _FLAKY_STATE["failures_left"] = 10
         result = CampaignSupervisor(
-            _flaky_trial,
-            SupervisorConfig(
-                workers=0, max_retries=1, backoff_base_s=0.01, master_seed=3,
-            ),
+            _flaky_trial, SupervisorConfig(workers=0, master_seed=3),
         ).run([0])
         _FLAKY_STATE["failures_left"] = 0
         assert result.failures[0].kind is OutcomeClass.HARNESS_CRASH
+        assert result.failures[0].attempts == 2
 
     def test_backoff_is_exponential_and_capped(self):
-        config = SupervisorConfig(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.5,
-        )
-        assert config.backoff_s(1) == pytest.approx(0.1)
-        assert config.backoff_s(2) == pytest.approx(0.2)
-        assert config.backoff_s(3) == pytest.approx(0.4)
-        assert config.backoff_s(10) == pytest.approx(0.5)
+        backoff_s = supervisor_mod.backoff_s
+        assert backoff_s(1) == pytest.approx(0.05)
+        assert backoff_s(2) == pytest.approx(0.1)
+        assert backoff_s(3) == pytest.approx(0.2)
+        assert backoff_s(10) == pytest.approx(2.0)
+
+
+def _stop_after(trial_id):
+    """An ``after_trial`` hook that stops the campaign after *trial_id*."""
+    return lambda done_id, harness_failures: done_id >= trial_id
 
 
 class TestGracefulDegradation:
-    def test_budget_exhaustion_returns_partial_statistics(self):
+    def test_after_trial_stop_returns_partial_stats(self):
+        """A serial ``after_trial`` hook returning true stops dispatching:
+        the run returns degraded statistics over the completed trials."""
         result = CampaignSupervisor(
             _scripted_trial,
-            SupervisorConfig(workers=0, budget_s=0.0, master_seed=4),
+            SupervisorConfig(
+                workers=0, master_seed=4, after_trial=_stop_after(9),
+            ),
         ).run(list(range(50)))
         assert result.degraded
-        assert result.completed < 50
+        assert sorted(result.results) == list(range(10))
         stats = result.statistics()
         assert stats.planned_trials == 50
         assert stats.completeness < 1.0
 
-    def test_failure_cap_stops_dispatch(self):
+    def test_batched_stop_finishes_the_chunk(self):
+        """Batched, the hook runs after each chunk commit: a stop request
+        takes effect at the next chunk boundary."""
         result = CampaignSupervisor(
             _scripted_trial,
             SupervisorConfig(
-                workers=0, max_retries=0, max_harness_failures=3, master_seed=4,
+                workers=0, master_seed=4, after_trial=_stop_after(4),
+                batch_size=4, batch_runner=_scripted_batch_runner,
             ),
-        ).run(["crash"] * 10)
+        ).run(list(range(20)))
         assert result.degraded
-        assert len(result.failures) == 3
-
-    def test_failure_cap_is_campaign_wide(self):
-        """Shard runners share one failure count: the campaign stops near
-        the cap (each runner finishes the trial in flight), not at the
-        cap times the number of runners."""
-        result = CampaignSupervisor(
-            _scripted_trial,
-            SupervisorConfig(
-                workers=2, max_retries=0, max_harness_failures=3, master_seed=4,
-            ),
-        ).run(["crash"] * 10)
-        assert result.degraded
-        assert 3 <= len(result.failures) <= 3 + 1  # cap + workers - 1
-        assert not result.results
+        assert sorted(result.results) == list(range(8))
+        assert result.statistics().planned_trials == 20
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -235,7 +242,7 @@ class TestGracefulDegradation:
         with pytest.raises(ConfigurationError):
             SupervisorConfig(timeout_s=0.0)
         with pytest.raises(ConfigurationError):
-            SupervisorConfig(max_retries=-1)
+            SupervisorConfig(trial_offset=-1)
 
 
 # ----------------------------------------------------------------------
@@ -405,11 +412,11 @@ class TestBatchedExecution:
         assert result.harness_metrics["counters"]["harness.batch_fallbacks"] == 1
 
     def test_profiled_run_forces_scalar_path(self):
-        """profile_top_k needs per-trial calls: the runner is never used."""
+        """Profiling needs per-trial calls: the runner is never used."""
         result = CampaignSupervisor(
             _scripted_trial,
             SupervisorConfig(
-                workers=0, master_seed=1, profile_top_k=1,
+                workers=0, master_seed=1, profile=True,
                 batch_size=4, batch_runner=_exploding_batch_runner,
             ),
         ).run(list(range(6)))
@@ -447,9 +454,10 @@ class TestBatchedExecution:
         ]
 
     def test_journal_commits_once_per_chunk(self, tmp_path, monkeypatch):
-        """A batched campaign journals (and fsyncs) one record per chunk;
-        resuming from those records gives the identical records and
-        metrics as the run that wrote them, and as a scalar run."""
+        """A batched campaign journals (and, with chunks of at least the
+        fsync interval, fsyncs) one record per chunk; resuming from those
+        records gives the identical records and metrics as the run that
+        wrote them, and as a scalar run."""
         fsyncs = []
         real_fsync = os.fsync
 
@@ -459,47 +467,50 @@ class TestBatchedExecution:
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
         journal = tmp_path / "chunks.jsonl"
-        payloads = list(range(8))
+        chunk = DEFAULT_FSYNC_INTERVAL
+        payloads = list(range(3 * chunk))
         config = SupervisorConfig(
-            workers=0, master_seed=12, journal_path=journal, fsync_interval=1,
-            batch_size=3, batch_runner=_metered_batch_runner,
+            workers=0, master_seed=12, journal_path=journal,
+            batch_size=chunk, batch_runner=_metered_batch_runner,
         )
         with metrics.capture():
             first = CampaignSupervisor(_metered_trial, config).run(payloads)
         chunks = first.harness_metrics["counters"]["harness.batch_chunks"]
-        assert chunks == 3  # 3 + 3 + 2
+        assert chunks == 3
         assert len(fsyncs) == chunks + 1  # one per chunk commit, one on close
 
         lines = [json.loads(line) for line in journal.read_text().splitlines()]
         assert [line["kind"] for line in lines] == ["header"] + ["chunk"] * chunks
         assert [[t["trial_id"] for t in line["trials"]] for line in lines[1:]] == [
-            [0, 1, 2], [3, 4, 5], [6, 7],
+            payloads[:chunk], payloads[chunk:2 * chunk], payloads[2 * chunk:],
         ]
         # The chunk carries the merged snapshot; its trials carry none.
         assert all(
             "metrics" not in trial for line in lines[1:] for trial in line["trials"]
         )
         assert [line["metrics"]["counters"]["toy.trials"] for line in lines[1:]] == [
-            3, 3, 2,
+            chunk, chunk, chunk,
         ]
         # One snapshot per journal record, keyed by its first trial.
-        assert sorted(first.trial_metrics) == [0, 3, 6]
+        assert sorted(first.trial_metrics) == [0, chunk, 2 * chunk]
 
         with metrics.capture():
             resumed = CampaignSupervisor(_metered_trial, config).run(payloads)
             scalar = CampaignSupervisor(
                 _metered_trial, SupervisorConfig(workers=0, master_seed=12),
             ).run(payloads)
-        assert resumed.resumed_trials == 8
+        assert resumed.resumed_trials == len(payloads)
         assert journal.read_text().count("\n") == 1 + chunks  # nothing re-run
         records = [r.to_json() for r in first.statistics().records]
         assert [r.to_json() for r in resumed.statistics().records] == records
         assert [r.to_json() for r in scalar.statistics().records] == records
         assert resumed.trial_metrics == first.trial_metrics
         view = metrics.stable_view(first.metrics_snapshot())
-        assert view["counters"]["toy.trials"] == 8
+        assert view["counters"]["toy.trials"] == len(payloads)
         assert metrics.stable_view(resumed.metrics_snapshot()) == view
         assert metrics.stable_view(scalar.metrics_snapshot()) == view
         # Gauges stay last-write-wins in trial order.
         for result in (first, resumed, scalar):
-            assert result.metrics_snapshot()["gauges"] == {"toy.last_payload": 7}
+            assert result.metrics_snapshot()["gauges"] == {
+                "toy.last_payload": payloads[-1],
+            }

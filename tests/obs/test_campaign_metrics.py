@@ -25,6 +25,7 @@ from repro.faults.campaign import TemInjectionHarness
 from repro.faults.generators import random_fault_list
 from repro.harness import CampaignSupervisor, SupervisorConfig
 from repro.obs import metrics
+from repro.obs.profile import DEFAULT_TOP_K
 
 EXPERIMENTS = 150
 SEED = 2005
@@ -161,7 +162,7 @@ class TestModeIndependence:
 
     def test_profiling_captures_hottest_trials(self, payloads):
         result = _run_profiled(payloads[:25])
-        assert len(result.hot_trials) == 2
+        assert len(result.hot_trials) == DEFAULT_TOP_K
         durations = [t.duration_s for t in result.hot_trials]
         assert durations == sorted(durations, reverse=True)
         assert "function calls" in result.hot_trials[0].profile_text
@@ -174,6 +175,6 @@ def _run_profiled(payloads):
             SupervisorConfig(
                 master_seed=SEED,
                 campaign="e5-profiled",
-                profile_top_k=2,
+                profile=True,
             ),
         ).run(payloads)
