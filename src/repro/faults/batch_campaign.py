@@ -14,10 +14,13 @@ and the batch differential/property gates): for every fault, the
 :class:`ExperimentRecord` — outcome class, detection mechanisms, copies
 run — and the per-experiment metrics stable view are **bit-identical** to
 :meth:`TemInjectionHarness.run_experiment`.  The TEM protocol itself is
-not reimplemented: each lane drives its own
-:class:`~repro.core.tem.TemStateMachine` through the identical
-next_action/copy_completed/copy_aborted sequence; only copy *execution*
-is vectorized.
+not reimplemented.  A lane whose two copies both return the golden result
+(and whose second copy passes the deadline check) settles to the report
+and metrics a real :class:`~repro.core.tem.TemStateMachine` produced for
+two golden copies, derived once per executor.  Any other lane is demoted
+at its first off-path event: a fresh state machine replays its history
+and then drives the same next_action/copy_completed/copy_aborted sequence
+as the scalar harness.  Only copy *execution* is vectorized.
 
 Faults that cannot ride the lockstep path (permanent stuck-ats, which
 need per-step re-assertion, and abstract non-machine targets) fall back
@@ -26,17 +29,19 @@ to the scalar harness per lane — same records, no special cases upstream.
 
 from __future__ import annotations
 
+import copy
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.control_flow import ControlFlowError, SignatureMonitor
-from ..core.tem import TemAction, TemOutcome, TemStateMachine
+import numpy as np
+
+from ..core.tem import TemAction, TemOutcome, TemReport, TemStateMachine
 from ..cpu.batch import BatchMachine
 from ..cpu.exceptions import HardwareException
-from ..cpu.machine import Machine
 from ..errors import ConfigurationError, ReproError
-from ..kernel.task import MachineExecutable, MKWindow
+from ..kernel.task import MKWindow
 from ..obs import metrics as obs_metrics
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, Snapshot
 from .campaign import TemInjectionHarness, _SteppedTem
 from .injector import MachineFaultInjector
 from .outcomes import CampaignStatistics, ExperimentRecord, classify_tem_report
@@ -45,6 +50,9 @@ from .types import MEMORY_TARGETS, REGISTER_TARGETS, Fault, FaultType
 #: A batch trial's reply: the classified record plus the per-experiment
 #: metrics snapshot (``None`` when the experiment recorded nothing).
 BatchReply = Tuple[ExperimentRecord, Optional[dict]]
+
+#: One copy's outcome: ``(result, None)`` or ``(None, EDM mechanism)``.
+_CopyReply = Tuple[Optional[tuple], Optional[str]]
 
 
 def batchable(fault: Fault) -> bool:
@@ -59,33 +67,6 @@ def batchable(fault: Fault) -> bool:
     return fault.fault_type is FaultType.TRANSIENT and (
         fault.target in REGISTER_TARGETS or fault.target in MEMORY_TARGETS
     )
-
-
-class _LaneExecutable:
-    """Executable shim over an evicted lane's materialised scalar machine.
-
-    :class:`MachineExecutable` always loads the program into a fresh
-    machine; an evicted lane instead carries mid-job state (latent memory
-    corruption, ECC error bits, counters) that must survive, so this shim
-    only mirrors the attribute surface :meth:`_SteppedTem.execute_copy`
-    reads.
-    """
-
-    TASK_DOMAIN = MachineExecutable.TASK_DOMAIN
-
-    __slots__ = (
-        "machine", "entry_address", "input_base", "input_count",
-        "output_base", "output_count", "confine_with_mmu",
-    )
-
-    def __init__(self, machine: Machine, template: MachineExecutable) -> None:
-        self.machine = machine
-        self.entry_address = template.entry_address
-        self.input_base = template.input_base
-        self.input_count = template.input_count
-        self.output_base = template.output_base
-        self.output_count = template.output_count
-        self.confine_with_mmu = template.confine_with_mmu
 
 
 class BatchTemExecutor:
@@ -103,6 +84,26 @@ class BatchTemExecutor:
         self.harness = harness
         self.batch = int(batch)
         self.template = harness.workload.executable_factory()
+        monitor = harness._monitor()
+        self._signature = None if monitor is None else monitor.expected_signature
+        self._clean = self._clean_job()
+        self._on_path = (tuple(harness.golden), None)
+
+    def _clean_job(self) -> Optional[Tuple[TemReport, Snapshot]]:
+        """The report and metrics of a job whose two copies return the
+        golden result: a real state machine driven under capture, so every
+        fast-path lane settles to exactly what ``core.tem`` records.
+
+        ``None`` when such a job does not deliver (``max_copies`` < 2):
+        then no lane takes the fast path.
+        """
+        registry = MetricsRegistry()
+        with obs_metrics.capture(registry):
+            tem = TemStateMachine(lambda: True, max_copies=self.harness.workload.max_copies)
+            while tem.next_action() is TemAction.RUN_COPY:
+                tem.copy_completed(self.harness.golden)
+            obs_metrics.inc("injection.experiments")
+        return (tem.report, registry.snapshot()) if tem.report.outcome is TemOutcome.OK else None
 
     # ------------------------------------------------------------------
     def run_experiments(
@@ -149,8 +150,7 @@ class BatchTemExecutor:
     ) -> List[BatchReply]:
         k = len(faults)
         harness = self.harness
-        records: List[Optional[ExperimentRecord]] = [None] * k
-        regs = [MetricsRegistry() for _ in range(k)]
+        replies: List[Optional[BatchReply]] = [None] * k
 
         lane_of = []
         for i in range(k):
@@ -159,64 +159,55 @@ class BatchTemExecutor:
                 continue
             # Scalar fallback lane: the unmodified harness path, captured
             # into this trial's registry exactly like a supervisor trial.
-            with obs_metrics.capture(regs[i]):
-                records[i] = harness.run_experiment(
-                    faults[i],
-                    miss_window=windows[i] if windows is not None else None,
-                )
+            window = windows[i] if windows is not None else None
+            with obs_metrics.capture() as registry:
+                record = harness.run_experiment(faults[i], miss_window=window)
+            # snapshot() omits empty kinds, so {} means "recorded nothing".
+            replies[i] = (record, registry.snapshot() or None)
 
         if lane_of:
-            for lane, record in self._run_lockstep_job(
+            elapsed = obs_metrics.stopwatch()
+            settled = self._run_lockstep_job(
                 [faults[i] for i in lane_of],
-                [regs[i] for i in lane_of],
                 [windows[i] for i in lane_of] if windows is not None else None,
-            ):
-                records[lane_of[lane]] = record
-
-        replies: List[BatchReply] = []
-        for i in range(k):
-            record = records[i]
-            assert record is not None
-            # snapshot() omits empty kinds, so {} means "recorded nothing".
-            snap = regs[i].snapshot()
-            replies.append((record, snap if snap else None))
-        return replies
+            )
+            # Per-lane time is not observable in lockstep: every lane gets
+            # an even share of the job, as the supervisor splits a chunk.
+            share = elapsed() / len(lane_of)
+            # Fast-path lanes (no registry) share one snapshot object, which
+            # the supervisor's merge folds once, scaled.
+            fast = MetricsRegistry()
+            fast.merge_snapshot(self._clean[1] if self._clean else None)
+            fast.observe_duration("injection.experiment", share)
+            clean = fast.snapshot()
+            for i, (record, registry) in zip(lane_of, settled):
+                if registry is not None:
+                    registry.observe_duration("injection.experiment", share)
+                replies[i] = (record, clean if registry is None else registry.snapshot())
+        return replies  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def _run_lockstep_job(
         self,
         faults: List[Fault],
-        regs: List[MetricsRegistry],
         windows: Optional[List[Optional[MKWindow]]] = None,
-    ) -> List[Tuple[int, ExperimentRecord]]:
-        """Drive one TEM job per lane, copies executed in lockstep rounds."""
+    ) -> List[Tuple[ExperimentRecord, Optional[MetricsRegistry]]]:
+        """Drive one TEM job per lane, copies executed in lockstep rounds;
+        each lane's record and registry, in lane order (none for a lane
+        settled on the fast path: its metrics are :meth:`_clean_job`'s)."""
         n = len(faults)
         harness = self.harness
         bm = self._make_batch(n)
-        # Per-lane TEM protocol state: the same state machine, deadline
-        # check and signature monitor the scalar harness drives.  A lane's
-        # (m,k) window feeds the same accept_miss hook as the scalar path;
-        # its state is constant for the whole job (recorded only at the
-        # end), so round order cannot change what the hook returns.
         lane_global = [0] * n
         pending: List[Optional[int]] = [fault.at_step for fault in faults]
         steppers: List[Optional[_SteppedTem]] = [None] * n
-        monitors = [harness._monitor() for _ in range(n)]
-        tems = [
-            TemStateMachine(
-                self._deadline_check(lane_global, lane),
-                max_copies=harness.workload.max_copies,
-                accept_miss=(
-                    windows[lane].can_accept_miss
-                    if windows is not None and windows[lane] is not None
-                    else None
-                ),
-            )
-            for lane in range(n)
-        ]
-
-        reports = [None] * n
-        replies: Dict[int, "tuple[Optional[tuple], Optional[str]]"] = {}
+        # A fast lane has neither state machine nor registry; gated_at is
+        # its copy-1 end step once copy 2 passed the deadline check.
+        tems: List[Optional[TemStateMachine]] = [None] * n
+        regs: List[Optional[MetricsRegistry]] = [None] * n
+        gated_at: List[Optional[int]] = [None] * n
+        reports: List[Optional[TemReport]] = [None] * n
+        replies: Dict[int, _CopyReply] = {}
         readopted = [False] * n
         live = list(range(n))
         # The round loop flips the active registry once per lane per round;
@@ -226,6 +217,28 @@ class BatchTemExecutor:
         while live:
             participants: List[int] = []
             for lane in live:
+                if tems[lane] is None:
+                    # Fast lane: settle after two golden copies or start the
+                    # next one unasked; demote it at its first off-path copy,
+                    # a refused copy 2, or at once if two copies never deliver.
+                    reply = replies.get(lane)
+                    if reply is None and self._clean is not None:
+                        participants.append(lane)
+                        continue
+                    if reply == self._on_path and gated_at[lane] is not None:
+                        del replies[lane]
+                        reports[lane] = self._clean[0]  # type: ignore[index]
+                        continue
+                    if reply == self._on_path and self._fits_another_copy(lane_global, lane):
+                        del replies[lane]
+                        gated_at[lane] = lane_global[lane]
+                        participants.append(lane)
+                        continue
+                    tems[lane] = self._demote(
+                        lane_global, lane, windows, reply is not None, gated_at[lane]
+                    )
+                    regs[lane] = MetricsRegistry()
+                tem = tems[lane]
                 # One capture per lane per round: report the previous
                 # copy's outcome (if any), ask for the next action and —
                 # on the terminal action — record the job's metrics.
@@ -235,18 +248,17 @@ class BatchTemExecutor:
                     if reply is not None:
                         result, mechanism = reply
                         if mechanism is not None:
-                            tems[lane].copy_aborted(mechanism)
+                            tem.copy_aborted(mechanism)
                         elif result is None:
                             raise ReproError(
                                 "batch copy returned neither result nor mechanism"
                             )
                         else:
-                            tems[lane].copy_completed(result)
-                    if tems[lane].next_action() is run_copy:
+                            tem.copy_completed(result)
+                    if tem.next_action() is run_copy:
                         participants.append(lane)
                     else:
-                        with obs_metrics.span("injection.experiment"):
-                            reports[lane] = tems[lane].report
+                        reports[lane] = tem.report
                         obs_metrics.inc("injection.experiments")
                 finally:
                     stack.pop()
@@ -256,20 +268,17 @@ class BatchTemExecutor:
             cohort = [lane for lane in participants if steppers[lane] is None]
             if cohort:
                 replies.update(self._run_copy_lockstep(
-                    bm, cohort, faults, pending, lane_global,
-                    monitors, steppers, readopted,
+                    bm, cohort, faults, pending, lane_global, steppers, readopted,
                 ))
             for lane in participants:
                 if lane in replies:
                     continue
                 # Twice-evicted lane, scalar for good: real copy execution.
-                stepper = steppers[lane]
-                assert stepper is not None
+                stepper, tem = steppers[lane], tems[lane]
+                assert stepper is not None and tem is not None
                 stack.append(regs[lane])
                 try:
-                    result, mechanism = stepper.execute_copy(
-                        tems[lane].copies_run - 1
-                    )
+                    result, mechanism = stepper.execute_copy(tem.copies_run - 1)
                 finally:
                     stack.pop()
                 lane_global[lane] = stepper.global_step
@@ -277,7 +286,7 @@ class BatchTemExecutor:
                     pending[lane] = None
                 replies[lane] = (result, mechanism)
 
-        out: List[Tuple[int, ExperimentRecord]] = []
+        out: List[Tuple[ExperimentRecord, Optional[MetricsRegistry]]] = []
         for lane in range(n):
             report = reports[lane]
             assert report is not None
@@ -292,13 +301,42 @@ class BatchTemExecutor:
             mechanisms = tuple(report.detection_mechanisms)
             if corrections > 0:
                 mechanisms = mechanisms + ("ecc_correct",)
-            out.append((lane, ExperimentRecord(
+            out.append((ExperimentRecord(
                 outcome=classify_tem_report(report, harness.golden),
                 fault_description=faults[lane].describe(),
                 detection_mechanisms=mechanisms,
                 copies_run=report.copies_run,
-            )))
+            ), regs[lane]))
         return out
+
+    def _demote(
+        self,
+        lane_global: List[int],
+        lane: int,
+        windows: Optional[List[Optional[MKWindow]]],
+        started: bool,
+        gated_at: Optional[int],
+    ) -> TemStateMachine:
+        """The state machine of a lane leaving the fast path, replaying its
+        history: copy 1's start (if *started*) and, once copy 2 was gated,
+        copy 1's golden result and copy 2's start, the deadline checked at
+        copy 1's end step.  The round loop reports the pending reply.  The
+        lane's (m,k) window is constant for the whole job (recorded only at
+        the end), so round order cannot change what accept_miss returns."""
+        window = windows[lane] if windows is not None else None
+        tem = TemStateMachine(
+            functools.partial(self._fits_another_copy, lane_global, lane),
+            max_copies=self.harness.workload.max_copies,
+            accept_miss=window.can_accept_miss if window is not None else None,
+        )
+        if started:
+            tem.next_action()
+        if gated_at is not None:
+            tem.copy_completed(self.harness.golden)
+            now, lane_global[lane] = lane_global[lane], gated_at
+            tem.next_action()
+            lane_global[lane] = now
+        return tem
 
     # ------------------------------------------------------------------
     def _make_batch(self, lanes: int) -> BatchMachine:
@@ -321,14 +359,10 @@ class BatchTemExecutor:
             bm.add_region(region)
         return bm
 
-    def _deadline_check(self, lane_global: List[int], lane: int):
+    def _fits_another_copy(self, lane_global: List[int], lane: int) -> bool:
+        """Deadline check: one more copy fits (one job per experiment: base 0)."""
         harness = self.harness
-
-        def check() -> bool:
-            # One job per experiment, so the job step base is always 0.
-            return lane_global[lane] + harness.golden_steps <= harness.deadline_steps
-
-        return check
+        return lane_global[lane] + harness.golden_steps <= harness.deadline_steps
 
     @staticmethod
     def _inject(bm: BatchMachine, lane: int, fault: Fault) -> None:
@@ -347,10 +381,9 @@ class BatchTemExecutor:
         faults: List[Fault],
         pending: List[Optional[int]],
         lane_global: List[int],
-        monitors: List[Optional[SignatureMonitor]],
         steppers: List[Optional[_SteppedTem]],
         readopted: List[bool],
-    ) -> Dict[int, "tuple[Optional[tuple], Optional[str]]"]:
+    ) -> Dict[int, _CopyReply]:
         """One TEM copy for every cohort lane, stepped in lockstep.
 
         Mirrors :meth:`_SteppedTem.execute_copy` boundary for boundary:
@@ -405,7 +438,7 @@ class BatchTemExecutor:
         finally:
             bm.mmu.enter_kernel()
 
-        out: Dict[int, "tuple[Optional[tuple], Optional[str]]"] = {}
+        out: Dict[int, _CopyReply] = {}
         evicted_set = set(evicted)
         halted_ok: List[int] = []
         for lane in cohort:
@@ -426,51 +459,47 @@ class BatchTemExecutor:
                 lane_global[lane] += copy_steps
                 out[lane] = (None, "execution_time")
         if halted_ok:
-            self._finish_copies_batch(bm, halted_ok, monitors, out)
+            self._finish_copies_batch(bm, halted_ok, out)
         for lane in evicted:
             out[lane] = self._continue_evicted(
-                bm, lane, faults, pending, lane_global,
-                monitors, steppers, readopted,
+                bm, lane, faults, pending, lane_global, steppers, readopted,
             )
         return out
 
     def _finish_copies_batch(
-        self,
-        bm: BatchMachine,
-        lanes: List[int],
-        monitors: List[Optional[SignatureMonitor]],
-        out: Dict[int, "tuple[Optional[tuple], Optional[str]]"],
+        self, bm: BatchMachine, lanes: List[int], out: Dict[int, _CopyReply]
     ) -> None:
         """Post-copy checks of the lanes that halted inside the cohort.
 
-        Lanes with no latent ECC error bits share one vectorized output
-        read (a clean word block is address-bounds-checked once); a lane
-        carrying error bits goes through :meth:`BatchMachine.read_words`
-        for the full per-word ECC semantics.
+        The signature check is one array compare.  Lanes with no latent ECC
+        error bits share one vectorized output read (a clean word block is
+        address-bounds-checked once); a lane carrying error bits goes
+        through :meth:`BatchMachine.read_words` for the full per-word ECC
+        semantics.
         """
         template = self.template
         base, count = template.output_base, template.output_count
-        clean: List[int] = []
-        for lane in lanes:
-            monitor = monitors[lane]
-            if monitor is not None:
-                try:
-                    monitor.verify_value(int(bm.signature[lane]))
-                except ControlFlowError:
-                    out[lane] = (None, "control_flow")
-                    continue
-            if bm.error_bits[lane] or not 0 <= base <= base + count <= bm.memory_words:
-                try:
-                    outputs = bm.read_words(lane, base, count)
-                except HardwareException as exc:
-                    out[lane] = (None, exc.mechanism)
-                else:
-                    out[lane] = (tuple(outputs), None)
+        idx = np.asarray(lanes, dtype=np.intp)
+        ok = np.ones(len(lanes), dtype=bool)
+        if self._signature is not None:
+            ok = bm.signature[idx] == self._signature
+        for lane in idx[~ok].tolist():
+            out[lane] = (None, "control_flow")
+        in_bounds = 0 <= base <= base + count <= bm.memory_words
+        clean = ok & ~bm._lane_has_err[idx] & in_bounds
+        for lane in idx[ok & ~clean].tolist():
+            try:
+                outputs = bm.read_words(lane, base, count)
+            except HardwareException as exc:
+                out[lane] = (None, exc.mechanism)
             else:
-                clean.append(lane)
-        if clean:
-            block = bm.peek_words(clean, base, count).tolist()
-            for lane, words in zip(clean, block):
+                out[lane] = (tuple(outputs), None)
+        if clean.any():
+            lanes, block = idx[clean], bm.peek_words(idx[clean], base, count)
+            golden = (block == self._on_path[0]).all(axis=1)
+            # Golden lanes share one reply object: no per-lane allocations.
+            out.update(dict.fromkeys(lanes[golden].tolist(), self._on_path))
+            for lane, words in zip(lanes[~golden].tolist(), block[~golden].tolist()):
                 out[lane] = (tuple(words), None)
 
     def _continue_evicted(
@@ -480,10 +509,9 @@ class BatchTemExecutor:
         faults: List[Fault],
         pending: List[Optional[int]],
         lane_global: List[int],
-        monitors: List[Optional[SignatureMonitor]],
         steppers: List[Optional[_SteppedTem]],
         readopted: List[bool],
-    ) -> "tuple[Optional[tuple], Optional[str]]":
+    ) -> _CopyReply:
         """Materialise an evicted lane and finish its interrupted copy.
 
         The lane's scalar machine continues from the exact pre-instruction
@@ -499,11 +527,13 @@ class BatchTemExecutor:
         the scalar :class:`_SteppedTem` for the rest of the job.
         """
         harness = self.harness
-        machine = bm.to_machine(lane)
+        # The template's attributes over the lane's mid-job machine (latent
+        # memory corruption, ECC error bits and counters must survive).
+        executable = copy.copy(self.template)
+        executable.machine = machine = bm.to_machine(lane)
         stepper = _SteppedTem(
-            _LaneExecutable(machine, self.template), harness.workload.inputs,
-            MachineFaultInjector(machine), monitors[lane],
-            harness.budget_steps, faults[lane],
+            executable, harness.workload.inputs, MachineFaultInjector(machine),
+            harness._monitor(), harness.budget_steps, faults[lane],
         )
         steps_this_copy = int(bm.copy_steps[lane])
         stepper.injected = pending[lane] is None

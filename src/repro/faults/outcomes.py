@@ -172,6 +172,14 @@ class CampaignStatistics:
         self.records.append(record)
 
     # ------------------------------------------------------------------
+    # Every count below comes from one pass over ``records`` (the only
+    # source of truth: callers may append to it directly, so no cache).
+    # ``list.count`` tallies the extracted outcomes in C; a Counter would
+    # call the enum's Python-level ``__hash__`` once per record.
+    def _tally(self) -> Dict[OutcomeClass, int]:
+        outcomes = [record.outcome for record in self.records]
+        return {outcome: outcomes.count(outcome) for outcome in OutcomeClass}
+
     @property
     def total(self) -> int:
         return len(self.records)
@@ -179,15 +187,33 @@ class CampaignStatistics:
     def count(self, outcome: OutcomeClass) -> int:
         return sum(1 for r in self.records if r.outcome is outcome)
 
+    @staticmethod
+    def _harness_failures(tally: Dict[OutcomeClass, int]) -> int:
+        return sum(tally[o] for o in HARNESS_OUTCOMES)
+
+    @staticmethod
+    def _detected(tally: Dict[OutcomeClass, int]) -> int:
+        return sum(tally[o] for o in DETECTED_OUTCOMES) + tally[OutcomeClass.HUNG]
+
+    def _valid(self, tally: Dict[OutcomeClass, int]) -> int:
+        return self.total - self._harness_failures(tally)
+
+    def _effective(self, tally: Dict[OutcomeClass, int]) -> int:
+        return self._valid(tally) - tally[OutcomeClass.NO_EFFECT]
+
+    def _missing(self, tally: Dict[OutcomeClass, int]) -> int:
+        planned = self.planned_trials if self.planned_trials else self.total
+        return max(0, planned - self._valid(tally))
+
     @property
     def harness_failures(self) -> int:
         """Trials lost to the harness itself (timeout / worker crash)."""
-        return sum(self.count(o) for o in HARNESS_OUTCOMES)
+        return self._harness_failures(self._tally())
 
     @property
     def valid(self) -> int:
         """Trials that produced a *simulated* outcome."""
-        return self.total - self.harness_failures
+        return self._valid(self._tally())
 
     @property
     def completeness(self) -> float:
@@ -200,12 +226,12 @@ class CampaignStatistics:
     @property
     def effective(self) -> int:
         """Experiments in which the fault had *any* observable effect."""
-        return self.valid - self.count(OutcomeClass.NO_EFFECT)
+        return self._effective(self._tally())
 
     @property
     def detected(self) -> int:
         """Experiments with a detected error (masked/omission/fail-silent)."""
-        return sum(self.count(o) for o in DETECTED_OUTCOMES) + self.count(OutcomeClass.HUNG)
+        return self._detected(self._tally())
 
     # ------------------------------------------------------------------
     # The paper's parameters, estimated from the campaign
@@ -213,18 +239,22 @@ class CampaignStatistics:
     @property
     def coverage(self) -> Optional[float]:
         """C_D estimate: detected / effective (None without effective runs)."""
-        if self.effective == 0:
+        tally = self._tally()
+        effective = self._effective(tally)
+        if effective == 0:
             return None
-        return self.detected / self.effective
+        return self._detected(tally) / effective
 
     def conditional_probability(self, outcome: OutcomeClass) -> Optional[float]:
         """P(outcome | error detected): the paper's P_T, P_OM, P_FS."""
-        if self.detected == 0:
+        tally = self._tally()
+        detected = self._detected(tally)
+        if detected == 0:
             return None
-        numerator = self.count(outcome)
+        numerator = tally[outcome]
         if outcome is OutcomeClass.OMISSION:
-            numerator += self.count(OutcomeClass.HUNG)
-        return numerator / self.detected
+            numerator += tally[OutcomeClass.HUNG]
+        return numerator / detected
 
     @property
     def p_tem(self) -> Optional[float]:
@@ -242,8 +272,7 @@ class CampaignStatistics:
     def missing(self) -> int:
         """Planned trials without a simulated outcome (lost to the
         harness, never dispatched, or on abandoned shards)."""
-        planned = self.planned_trials if self.planned_trials else self.total
-        return max(0, planned - self.valid)
+        return self._missing(self._tally())
 
     def coverage_interval(self) -> "tuple[float, float]":
         """95% Wilson interval for the coverage estimate.
@@ -255,13 +284,17 @@ class CampaignStatistics:
         trials is unioned in, so a degraded interval always contains the
         undisturbed estimate.
         """
-        plain = wilson_interval(self.detected, max(self.effective, 1))
-        if not self.degraded or self.missing == 0:
+        tally = self._tally()
+        detected, effective = self._detected(tally), self._effective(tally)
+        plain = wilson_interval(detected, max(effective, 1))
+        if not self.degraded:
             return plain
-        missing = self.missing
-        widened_n = max(self.effective + missing, 1)
-        pessimistic = wilson_interval(self.detected, widened_n)
-        optimistic = wilson_interval(self.detected + missing, widened_n)
+        missing = self._missing(tally)
+        if missing == 0:
+            return plain
+        widened_n = max(effective + missing, 1)
+        pessimistic = wilson_interval(detected, widened_n)
+        optimistic = wilson_interval(detected + missing, widened_n)
         return (
             min(plain[0], pessimistic[0]),
             max(plain[1], optimistic[1]),
@@ -277,7 +310,8 @@ class CampaignStatistics:
 
     def outcome_counts(self) -> Dict[str, int]:
         """Raw outcome histogram."""
-        return {outcome.value: self.count(outcome) for outcome in OutcomeClass}
+        tally = self._tally()
+        return {outcome.value: tally[outcome] for outcome in OutcomeClass}
 
     def summary(self) -> str:
         """Multi-line human-readable campaign summary."""
@@ -294,8 +328,8 @@ class CampaignStatistics:
                 f"{self.planned_trials if self.planned_trials else self.total}"
                 " planned trials missing; intervals widened accordingly"
             )
-        for outcome in OutcomeClass:
-            lines.append(f"  {outcome.value:<18s} {self.count(outcome)}")
+        for outcome, count in self.outcome_counts().items():
+            lines.append(f"  {outcome:<18s} {count}")
         if self.coverage is not None:
             low, high = self.coverage_interval()
             lines.append(f"coverage C_D ~= {self.coverage:.4f} [{low:.4f}, {high:.4f}]")

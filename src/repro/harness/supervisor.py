@@ -575,8 +575,6 @@ class CampaignSupervisor:
         (``None`` without a journal) for the caller to :meth:`_commit`."""
         state.results[trial_id] = result
         state.harness.inc("harness.trials_ok")
-        if duration_s is not None:
-            state.harness.observe("harness.trial_duration_s", duration_s)
         if profile_text is not None and state.hot_trials is not None:
             state.hot_trials.record(obs_profile.HotTrial(
                 campaign=self.config.campaign,
@@ -692,6 +690,7 @@ class CampaignSupervisor:
                 state.harness.inc("harness.retries")
                 time.sleep(backoff_s(attempts))
             else:
+                state.harness.observe("harness.trial_duration_s", duration)
                 entry = self._record_success(
                     state, trial_id, result, attempts,
                     duration_s=duration, profile_text=profile_text,
@@ -733,6 +732,9 @@ class CampaignSupervisor:
             return False
         per_trial_s = (time.perf_counter() - started) / len(chunk)
         state.harness.inc("harness.trials_dispatched", len(chunk))
+        state.harness.observe(
+            "harness.trial_duration_s", per_trial_s, count=len(chunk)
+        )
         entries: List[TrialEntry] = []
         snapshots: List[dict] = []
         for (trial_id, _), (result, snapshot) in zip(chunk, replies):

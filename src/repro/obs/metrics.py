@@ -48,7 +48,8 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from collections import Counter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import runtime as _runtime
 
@@ -110,8 +111,9 @@ class MetricsRegistry:
         name: str,
         value: float,
         bounds: Sequence[float] = DEFAULT_DURATION_BOUNDS_S,
+        count: int = 1,
     ) -> None:
-        """Record *value* into fixed-bucket histogram *name*.
+        """Record *value* into fixed-bucket histogram *name*, *count* times.
 
         The first observation fixes the bucket bounds; later calls with
         different bounds raise :class:`ValueError` (silently re-bucketing
@@ -129,9 +131,9 @@ class MetricsRegistry:
             raise ValueError(
                 f"histogram {name!r} already registered with bounds {hist[0]}"
             )
-        hist[1][_bucket_index(hist[0], value)] += 1
-        hist[2] += 1
-        hist[3] += value
+        hist[1][_bucket_index(hist[0], value)] += count
+        hist[2] += count
+        hist[3] += value * count
 
     def span(self, name: str) -> "_Span":
         """Time the enclosed block into timer *name* (perf_counter)."""
@@ -174,32 +176,34 @@ class MetricsRegistry:
             }
         return snap
 
-    def merge_snapshot(self, snap: Optional[Snapshot]) -> None:
-        """Fold a snapshot into this registry (counters/timers/histograms
-        add; gauges: the incoming value wins)."""
+    def merge_snapshot(self, snap: Optional[Snapshot], times: int = 1) -> None:
+        """Fold a snapshot into this registry *times* times over
+        (counters/timers/histograms add; gauges: the incoming value wins)."""
         if not snap:
             return
         for name, value in snap.get("counters", {}).items():
-            self._counters[name] = self._counters.get(name, 0) + value
+            self._counters[name] = self._counters.get(name, 0) + value * times
         for name, value in snap.get("gauges", {}).items():
             self._gauges[name] = value
         for name, data in snap.get("timers", {}).items():
             timer = self._timers.get(name)
             if timer is None:
                 self._timers[name] = [
-                    data["count"], data["total_s"], data["min_s"], data["max_s"],
+                    data["count"] * times, data["total_s"] * times,
+                    data["min_s"], data["max_s"],
                 ]
             else:
-                timer[0] += data["count"]
-                timer[1] += data["total_s"]
+                timer[0] += data["count"] * times
+                timer[1] += data["total_s"] * times
                 timer[2] = min(timer[2], data["min_s"])
                 timer[3] = max(timer[3], data["max_s"])
         for name, data in snap.get("histograms", {}).items():
             hist = self._histograms.get(name)
+            counts = [c * times for c in data["counts"]]
             if hist is None:
                 self._histograms[name] = [
-                    tuple(data["bounds"]), list(data["counts"]),
-                    data["count"], data["total"],
+                    tuple(data["bounds"]), counts,
+                    data["count"] * times, data["total"] * times,
                 ]
             else:
                 if tuple(hist[0]) != tuple(data["bounds"]):
@@ -207,9 +211,9 @@ class MetricsRegistry:
                         f"cannot merge histogram {name!r}: bounds differ "
                         f"({hist[0]} vs {data['bounds']})"
                     )
-                hist[1] = [a + b for a, b in zip(hist[1], data["counts"])]
-                hist[2] += data["count"]
-                hist[3] += data["total"]
+                hist[1] = [a + b for a, b in zip(hist[1], counts)]
+                hist[2] += data["count"] * times
+                hist[3] += data["total"] * times
 
     def clear(self) -> None:
         """Drop all recorded values."""
@@ -365,6 +369,14 @@ def span(name: str) -> "contextlib.AbstractContextManager[None]":
     return active().span(name)
 
 
+def stopwatch() -> Callable[[], float]:
+    """Start a wall-clock stopwatch; the returned function gives the
+    seconds elapsed since.  For instrumentation that splits one measured
+    interval across several registries (the lanes of a lockstep job)."""
+    started = time.perf_counter()
+    return lambda: time.perf_counter() - started
+
+
 def merge_into_active(snap: Optional[Snapshot]) -> None:
     """Fold *snap* into the currently active registry."""
     active().merge_snapshot(snap)
@@ -375,10 +387,23 @@ def merge_into_active(snap: Optional[Snapshot]) -> None:
 # ----------------------------------------------------------------------
 
 def merge_snapshots(*snaps: Optional[Snapshot]) -> Snapshot:
-    """Merge snapshots into one (order only matters for gauges)."""
+    """Merge snapshots into one (order only matters for gauges).
+
+    A gauge-free snapshot *object* passed several times — a batch chunk's
+    fast-path lanes share one — is folded once, at its first position,
+    scaled by its repeat count: exact for the integer counts, and the
+    merged keys keep their one-by-one insertion order.
+    """
     registry = MetricsRegistry()
+    repeats = Counter(id(snap) for snap in snaps)
+    folded = set()
     for snap in snaps:
-        registry.merge_snapshot(snap)
+        times = repeats[id(snap)]
+        if times == 1 or not snap or snap.get("gauges"):
+            registry.merge_snapshot(snap)
+        elif id(snap) not in folded:
+            folded.add(id(snap))
+            registry.merge_snapshot(snap, times)
     return registry.snapshot()
 
 

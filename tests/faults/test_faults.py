@@ -241,6 +241,22 @@ class TestCampaignStatistics:
         text = self.make_stats().summary()
         assert "coverage" in text and "P_T" in text
 
+    def test_counts_follow_direct_record_changes(self):
+        """``records`` stays the only source of truth: counts reflect a
+        list handed to the constructor and direct appends, never a cache."""
+        records = self.make_stats().records
+        stats = CampaignStatistics(records=records)
+        assert stats.outcome_counts()["masked"] == 36
+        assert stats.detected == 40
+        records.append(ExperimentRecord(OutcomeClass.HUNG, "late"))
+        stats.records.append(ExperimentRecord(OutcomeClass.HARNESS_CRASH, "lost"))
+        assert stats.outcome_counts()["hung"] == 1
+        assert stats.count(OutcomeClass.HARNESS_CRASH) == 1
+        assert (stats.total, stats.valid, stats.effective, stats.detected) == (
+            102, 101, 51, 41,
+        )
+        assert stats.p_omission == pytest.approx(3 / 41)
+
 
 class TestWilsonInterval:
     def test_interval_contains_point_estimate(self):

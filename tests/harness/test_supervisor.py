@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.coverage_table import _e5_trial, make_brake_workload
+from repro.experiments.coverage_table import (
+    _e5_batch_runner,
+    _e5_trial,
+    e5_fault_payloads,
+    make_brake_workload,
+)
 from repro.faults import TemInjectionHarness, random_fault_list
 from repro.faults.outcomes import ExperimentRecord, OutcomeClass
 from repro.harness import (
@@ -438,6 +443,32 @@ class TestBatchedExecution:
         assert counters["harness.batch_chunks"] == 2  # one 3-trial slice each
         assert counters["harness.trials_dispatched"] == 6
         assert "harness.batch_fallbacks" not in counters
+
+    def test_batched_e5_metrics_match_scalar(self):
+        """E5 through the lockstep executor with a partial last chunk: each
+        completed trial is one ``harness.trial_duration_s`` observation and
+        one ``harness.trials_ok``, and the merged trial metrics (fast-path
+        lanes share a snapshot object) have the scalar run's stable view."""
+        payloads = e5_fault_payloads(100, seed=2005)
+        with metrics.capture():
+            batched = CampaignSupervisor(_e5_trial, SupervisorConfig(
+                workers=0, master_seed=5, batch_size=32,
+                batch_runner=_e5_batch_runner,
+            )).run(payloads)
+            scalar = CampaignSupervisor(
+                _e5_trial, SupervisorConfig(workers=0, master_seed=5)
+            ).run(payloads)
+        harness = batched.harness_metrics
+        assert harness["counters"]["harness.batch_chunks"] == 4  # 3 x 32 + 4
+        assert harness["counters"]["harness.trials_ok"] == len(payloads)
+        histogram = harness["histograms"]["harness.trial_duration_s"]
+        assert histogram["count"] == sum(histogram["counts"]) == len(payloads)
+        assert [r.to_json() for r in batched.statistics().records] == [
+            r.to_json() for r in scalar.statistics().records
+        ]
+        assert metrics.stable_view(batched.metrics_snapshot()) == metrics.stable_view(
+            scalar.metrics_snapshot()
+        )
 
     def test_batched_journal_resumes(self, tmp_path):
         """A batched campaign's journal replays like a scalar one."""

@@ -98,6 +98,38 @@ class TestMerge:
         merged = metrics.merge_snapshots(None, {}, snap, None)
         assert merged["counters"] == {"c": 1}
 
+    def test_repeated_snapshot_object_folds_like_one_by_one(self):
+        """A repeated gauge-free snapshot object is folded once, scaled;
+        interleaved with a gauge snapshot the result equals the naive
+        one-by-one fold, gauges and key order included.  Durations are
+        dyadic, so the scaled float sums are exact too."""
+        shared = self._snap(3, 0.25)
+        reg = metrics.MetricsRegistry()
+        reg.inc("c", 1)
+        reg.inc("g.only")
+        reg.gauge("g", 7)
+        reg.observe_duration("t", 0.5)
+        gauged = reg.snapshot()
+        snaps = [shared, gauged, shared, None, shared, gauged, shared]
+
+        naive = metrics.MetricsRegistry()
+        for snap in snaps:
+            naive.merge_snapshot(snap)
+        merged = metrics.merge_snapshots(*snaps)
+        assert merged == naive.snapshot()
+        assert list(merged["counters"]) == list(naive.snapshot()["counters"])
+        assert merged["counters"] == {"c": 4 * 3 + 2, "g.only": 2}
+        assert merged["gauges"] == {"g": 7}
+        assert merged["timers"]["t"]["count"] == 4 + 2
+        assert merged["histograms"]["h"]["counts"] == [4, 0]
+
+    def test_counted_observation_equals_repeated_ones(self):
+        counted, repeated = metrics.MetricsRegistry(), metrics.MetricsRegistry()
+        counted.observe("h", 0.75, bounds=(0.5, 1.0), count=4)
+        for _ in range(4):
+            repeated.observe("h", 0.75, bounds=(0.5, 1.0))
+        assert counted.snapshot() == repeated.snapshot()
+
     def test_stable_view_drops_wall_clock_fields(self):
         view = metrics.stable_view(self._snap(3, 0.25))
         assert view == {
