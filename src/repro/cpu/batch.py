@@ -54,13 +54,14 @@ from .exceptions import (
     HardwareException,
     IllegalOpcodeError,
 )
-from .isa import _DECODE_CACHE, Instruction, decode_cached
+from .isa import OPCODES, Instruction
 from .machine import (
+    _DECODE_CACHE,
     DEFAULT_CYCLE_TICKS,
     DEFAULT_MEMORY_WORDS,
     DEFAULT_ROM_WORDS,
-    _FAST_HANDLERS,
     Machine,
+    decode_cached,
 )
 from .mmu import ACCESS_EXECUTE, ACCESS_READ, ACCESS_WRITE, KERNEL_DOMAIN, Mmu, Region
 from .registers import ALL_REGISTERS, WORD_BITS, WORD_MASK
@@ -477,7 +478,7 @@ class BatchMachine:
         entry = _DECODE_CACHE.get(ref_word)
         if entry is None:
             entry = decode_cached(ref_word)
-        ins, cycles = entry
+        ins, cycles, _ = entry
         if ins is None:
             for lane in idx.tolist():
                 self._raise_lane(
@@ -835,7 +836,7 @@ class BatchMachine:
         self.regs[idx, _SR_COL] = sr
 
     # ------------------------------------------------------------------
-    # Vectorized handlers (one per mnemonic, mirror of Machine._fx_*)
+    # Vectorized handlers (one per mnemonic, mirror of machine._specialise)
     # ------------------------------------------------------------------
     def _bx_nop(self, idx: np.ndarray, ins: Instruction) -> np.ndarray:
         return idx
@@ -1087,5 +1088,5 @@ class BatchMachine:
 #: its lane memory) alive until the cyclic collector runs.
 _DISPATCH: "Mapping[str, Callable[..., np.ndarray]]" = MappingProxyType({
     mnemonic: getattr(BatchMachine, "_bx_" + mnemonic.lower())
-    for mnemonic in _FAST_HANDLERS
+    for mnemonic in OPCODES
 })

@@ -163,35 +163,3 @@ def decode(word: int) -> Optional[Instruction]:
     imm = sign_extend_16(imm_field)
     return Instruction(mnemonic=mnemonic, rd=rd, ra=ra, imm=imm, rb=rb)
 
-
-# ----------------------------------------------------------------------
-# Decode cache
-# ----------------------------------------------------------------------
-
-#: word -> (Instruction | None, cycles).  ``decode`` is a pure function of
-#: the 32-bit word, so memoizing it is semantics-preserving: the machine
-#: decodes each distinct word once (at first fetch) instead of on
-#: every fetch.  Cached :class:`Instruction` objects are frozen, so sharing
-#: one instance across fetches — and across machines — is safe.
-_DECODE_CACHE: Dict[int, "tuple[Optional[Instruction], int]"] = {}
-
-#: Fault-injection campaigns flip bits in instruction memory, so the set of
-#: distinct words seen grows over a long campaign; cap the cache so a
-#: pathological workload cannot grow it without bound.
-_DECODE_CACHE_MAX = 1 << 16
-
-
-def decode_cached(word: int) -> "tuple[Optional[Instruction], int]":
-    """Memoized :func:`decode`; returns ``(instruction | None, cycles)``.
-
-    The cycle cost is precomputed so the interpreter pays one dict
-    lookup per fetch instead of a decode plus a property call.
-    """
-    entry = _DECODE_CACHE.get(word)
-    if entry is None:
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-            _DECODE_CACHE.clear()
-        ins = decode(word)
-        entry = (ins, ins.cycles if ins is not None else 0)
-        _DECODE_CACHE[word] = entry
-    return entry

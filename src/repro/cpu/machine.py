@@ -21,19 +21,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import MachineHalted
+from ..errors import MachineHalted, ProgramError
 from .assembler import AssembledProgram
 from .exceptions import (
     DivisionByZeroError,
     HardwareException,
     IllegalOpcodeError,
 )
-from .isa import (
-    _DECODE_CACHE,
-    REGISTER_NAMES,
-    Instruction,
-    decode_cached,
-)
+from .isa import REGISTER_NAMES, Instruction, decode
 from .memory import Memory
 from .mmu import ACCESS_EXECUTE, ACCESS_READ, ACCESS_WRITE, KERNEL_DOMAIN, Mmu
 from .registers import (
@@ -50,6 +45,9 @@ DEFAULT_ROM_WORDS = 4_096
 #: Slow by modern standards but keeps numbers easy to read in traces; the
 #: kernel scales task WCETs accordingly.
 DEFAULT_CYCLE_TICKS = 1
+
+#: A pre-specialised instruction: ``op(machine, register_values)``.
+Op = Callable[["Machine", Dict[str, int]], None]
 
 
 def _to_signed(value: int) -> int:
@@ -80,47 +78,6 @@ class RunResult:
     def ok(self) -> bool:
         """True for a clean HALT with no exception."""
         return self.halted and self.exception is None
-
-
-#: Mnemonic -> Machine handler-method name (the opcode dispatch table).
-_FAST_HANDLERS: Dict[str, str] = {
-    "NOP": "_fx_nop",
-    "HALT": "_fx_halt",
-    "MOVE": "_fx_move",
-    "MOVEI": "_fx_movei",
-    "MOVEHI": "_fx_movehi",
-    "LOAD": "_fx_load",
-    "STORE": "_fx_store",
-    "PUSH": "_fx_push",
-    "POP": "_fx_pop",
-    "ADD": "_fx_add",
-    "ADDI": "_fx_addi",
-    "SUB": "_fx_sub",
-    "SUBI": "_fx_subi",
-    "MUL": "_fx_mul",
-    "MULI": "_fx_muli",
-    "DIV": "_fx_div",
-    "DIVI": "_fx_divi",
-    "AND": "_fx_and",
-    "ANDI": "_fx_andi",
-    "OR": "_fx_or",
-    "ORI": "_fx_ori",
-    "XOR": "_fx_xor",
-    "XORI": "_fx_xori",
-    "SHL": "_fx_shl",
-    "SHR": "_fx_shr",
-    "CMP": "_fx_cmp",
-    "CMPI": "_fx_cmpi",
-    "BRA": "_fx_bra",
-    "BEQ": "_fx_beq",
-    "BNE": "_fx_bne",
-    "BLT": "_fx_blt",
-    "BGE": "_fx_bge",
-    "JMP": "_fx_jmp",
-    "JSR": "_fx_jsr",
-    "RTS": "_fx_rts",
-    "SIG": "_fx_sig",
-}
 
 
 class Machine:
@@ -154,6 +111,21 @@ class Machine:
         self.signature = 0
         self._halted = False
         self._exception_log: List[HardwareException] = []
+
+    def clone(self) -> "Machine":
+        """An independent copy of the whole machine state.
+
+        Registers, memory words with their ECC error bits and counters, the
+        ROM seal, MMU regions/domain/violations, counters, signature, halt
+        flag and exception log are all copied; nothing mutable is shared.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.registers = self.registers.clone()
+        twin.memory = self.memory.clone()
+        twin.mmu = self.mmu.clone()
+        twin._exception_log = list(self._exception_log)
+        return twin
 
     # ------------------------------------------------------------------
     # Program loading
@@ -205,6 +177,18 @@ class Machine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    # Every architectural effect — register values, memory state, flags,
+    # cycle counts, EDM exceptions, the exception log — is bit-identical to
+    # the straightforward reference interpreter kept as a test oracle
+    # (tests/oracles/reference_cpu.py); the differential suite
+    # (tests/cpu/test_fastpath_differential.py) enforces this.  What this
+    # interpreter removes is *interpretation overhead only*: each distinct
+    # word is decoded once into a pre-specialised operation (register
+    # names and immediates resolved, see _specialise), the fetch is inlined
+    # into run(), and the common no-error memory access skips the ECC
+    # machinery (ECC and bus errors fall back to Memory.read/write, which
+    # own those semantics).
+
     def step(self) -> None:
         """Fetch, decode and execute one instruction.
 
@@ -213,13 +197,9 @@ class Machine:
         """
         if self._halted:
             raise MachineHalted("machine is halted; call prepare() first")
-        try:
-            cycles = self._fetch_execute()
-        except HardwareException as exc:
-            self._exception_log.append(exc)
-            raise
-        self.instruction_count += 1
-        self.cycle_count += cycles
+        exception = self.run(max_steps=1).exception
+        if exception is not None:
+            raise exception
 
     def run(
         self, max_steps: int = 1_000_000, stop_on_exception: bool = True
@@ -232,21 +212,46 @@ class Machine:
         EDM event.
 
         The instruction/cycle counters are accumulated in locals and flushed
-        once (also on exception propagation), so the loop pays two integer
-        adds per instruction instead of two attribute round-trips.  A failed
-        instruction contributes neither steps nor cycles.
+        once (also on exception propagation).  A failed instruction
+        contributes neither steps nor cycles.  A logged exception carries no
+        traceback: its frames would reference this machine, whose log
+        references the exception — a cycle holding every caller's locals.
         """
         steps = 0
         cycles = 0
         exception: Optional[HardwareException] = None
-        fetch_execute = self._fetch_execute
-        log = self._exception_log
+        values = self.registers._values
+        mem = self.memory
+        size, error_bits, clean = mem.size_words, mem._error_bits, mem._clean
+        mmu = self.mmu
+        # No instruction switches the protection domain, so the fetch
+        # check is fixed for the whole run: a fetch inside the domain's
+        # first executable region passes; any other defers to Mmu.check,
+        # which scans every region and owns the statistics and the trap.
+        code_base = code_end = 0
+        checked = mmu.enabled and mmu._domain != KERNEL_DOMAIN
+        if checked:
+            for base, end, permissions in mmu.view(mmu._domain):
+                if "x" in permissions:
+                    code_base, code_end = base, end
+                    break
+        memo = _DECODE_CACHE
         try:
             while not self._halted and steps < max_steps:
+                pc = values["PC"]
                 try:
-                    cost = fetch_execute()
+                    if checked and not code_base <= pc < code_end:
+                        mmu.check(pc, ACCESS_EXECUTE)
+                    if 0 <= pc < size and pc not in error_bits:
+                        word = clean.get(pc, 0)
+                    else:
+                        word = mem.read(pc)
+                    _, cost, op = memo.get(word) or decode_cached(word)
+                    values["PC"] = (pc + 1) & WORD_MASK
+                    op(self, values)
                 except HardwareException as exc:
-                    log.append(exc)
+                    exc.__traceback__ = None
+                    self._exception_log.append(exc)
                     exception = exc
                     if stop_on_exception:
                         break
@@ -262,61 +267,6 @@ class Machine:
             steps=steps,
             cycles=cycles,
         )
-
-    # ------------------------------------------------------------------
-    # Instruction semantics
-    # ------------------------------------------------------------------
-    # Every architectural effect — register values, memory state, flags,
-    # cycle counts, EDM exceptions, the exception log — is bit-identical to
-    # the straightforward reference interpreter kept as a test oracle
-    # (tests/oracles/reference_cpu.py); the differential suite
-    # (tests/cpu/test_fastpath_differential.py) enforces this.  What this
-    # interpreter removes is *interpretation overhead only*: per-fetch
-    # decode (memoized in repro.cpu.isa), mnemonic string chains (opcode
-    # dispatch table), register-name translation (direct table indexing),
-    # and per-access method calls for the common no-error memory case (ECC
-    # and bus errors fall back to Memory.read/write, which own those
-    # semantics).
-
-    def _fetch_execute(self) -> int:
-        """Fetch, decode and execute one instruction; returns its cycle cost.
-
-        Counter accounting is the caller's job (:meth:`step` updates the
-        counters per instruction, :meth:`run` in a batch).
-        """
-        values = self.registers._values
-        pc = values["PC"]
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            # Inline of Mmu.check's allow scan; any non-allowed outcome
-            # (cold cache or violation) defers to check() itself, which
-            # owns the statistics and the exception.
-            visible = mmu._visible.get(mmu._domain)
-            if visible is None:
-                mmu.check(pc, ACCESS_EXECUTE)
-            else:
-                for base, end, permissions in visible:
-                    if base <= pc < end and "x" in permissions:
-                        break
-                else:
-                    mmu.check(pc, ACCESS_EXECUTE)
-        mem = self.memory
-        if 0 <= pc < mem.size_words and pc not in mem._error_bits:
-            word = mem._clean.get(pc, 0)
-        else:
-            word = mem.read(pc)
-        entry = _DECODE_CACHE.get(word)
-        if entry is None:
-            entry = decode_cached(word)
-        ins, cycles = entry
-        if ins is None:
-            raise IllegalOpcodeError(
-                f"illegal opcode {word >> 24 & 0xFF:#04x} at address {pc:#x}",
-                address=pc,
-            )
-        values["PC"] = (pc + 1) & WORD_MASK
-        _DISPATCH[ins.mnemonic](self, ins)
-        return cycles
 
     def _mem_read(self, address: int) -> int:
         """Data read: no-error words bypass the ECC machinery entirely."""
@@ -336,251 +286,6 @@ class Machine:
             mem._error_bits.pop(address, None)
         else:
             mem.write(address, value)
-
-    def _set_arith_flags(self, values: Dict[str, int], result: int) -> None:
-        """Inline of RegisterFile.update_arith_flags (bits Z=0, N=1, C=2)."""
-        truncated = result & WORD_MASK
-        sr = values["SR"] & ~0b111
-        if truncated == 0:
-            sr |= 0b001
-        if truncated & 0x8000_0000:
-            sr |= 0b010
-        if (result != truncated and result >= 0) or result < 0:
-            sr |= 0b100
-        values["SR"] = sr
-
-    # --- moves -----------------------------------------------------------
-    def _fx_nop(self, ins: Instruction) -> None:
-        return
-
-    def _fx_halt(self, ins: Instruction) -> None:
-        self._halted = True
-
-    def _fx_move(self, ins: Instruction) -> None:
-        values = self.registers._values
-        values[REGISTER_NAMES[ins.rd]] = values[REGISTER_NAMES[ins.ra]]
-
-    def _fx_movei(self, ins: Instruction) -> None:
-        self.registers._values[REGISTER_NAMES[ins.rd]] = ins.imm & WORD_MASK
-
-    def _fx_movehi(self, ins: Instruction) -> None:
-        values = self.registers._values
-        name = REGISTER_NAMES[ins.rd]
-        values[name] = ((ins.imm & 0xFFFF) << 16) | (values[name] & 0xFFFF)
-
-    # --- memory ----------------------------------------------------------
-    def _fx_load(self, ins: Instruction) -> None:
-        values = self.registers._values
-        address = (values[REGISTER_NAMES[ins.ra]] + ins.imm) & WORD_MASK
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(address, ACCESS_READ)
-        values[REGISTER_NAMES[ins.rd]] = self._mem_read(address)
-
-    def _fx_store(self, ins: Instruction) -> None:
-        values = self.registers._values
-        address = (values[REGISTER_NAMES[ins.ra]] + ins.imm) & WORD_MASK
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(address, ACCESS_WRITE)
-        self._mem_write(address, values[REGISTER_NAMES[ins.rd]])
-
-    def _fx_push(self, ins: Instruction) -> None:
-        values = self.registers._values
-        sp = (values["SP"] - 1) & WORD_MASK
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(sp, ACCESS_WRITE)
-        self._mem_write(sp, values[REGISTER_NAMES[ins.rd]])
-        values["SP"] = sp
-
-    def _fx_pop(self, ins: Instruction) -> None:
-        values = self.registers._values
-        sp = values["SP"]
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(sp, ACCESS_READ)
-        values[REGISTER_NAMES[ins.rd]] = self._mem_read(sp)
-        values["SP"] = (sp + 1) & WORD_MASK
-
-    # --- ALU -------------------------------------------------------------
-    def _fx_add(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] + values[REGISTER_NAMES[ins.rb]]
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_addi(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] + (ins.imm & WORD_MASK)
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_sub(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] - values[REGISTER_NAMES[ins.rb]]
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_subi(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] - (ins.imm & WORD_MASK)
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_mul(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = _to_signed(values[REGISTER_NAMES[ins.ra]]) * _to_signed(
-            values[REGISTER_NAMES[ins.rb]]
-        )
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_muli(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = _to_signed(values[REGISTER_NAMES[ins.ra]]) * _to_signed(
-            ins.imm & WORD_MASK
-        )
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_div(self, ins: Instruction) -> None:
-        values = self.registers._values
-        b = values[REGISTER_NAMES[ins.rb]]
-        if (b & WORD_MASK) == 0:
-            raise DivisionByZeroError("integer division by zero")
-        result = int(_to_signed(values[REGISTER_NAMES[ins.ra]]) / _to_signed(b))
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_divi(self, ins: Instruction) -> None:
-        values = self.registers._values
-        b = ins.imm & WORD_MASK
-        if b == 0:
-            raise DivisionByZeroError("integer division by zero")
-        result = int(_to_signed(values[REGISTER_NAMES[ins.ra]]) / _to_signed(b))
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result & WORD_MASK
-
-    def _fx_and(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] & values[REGISTER_NAMES[ins.rb]]
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_andi(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] & ins.imm & WORD_MASK
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_or(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] | values[REGISTER_NAMES[ins.rb]]
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_ori(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] | (ins.imm & WORD_MASK)
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_xor(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] ^ values[REGISTER_NAMES[ins.rb]]
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_xori(self, ins: Instruction) -> None:
-        values = self.registers._values
-        result = values[REGISTER_NAMES[ins.ra]] ^ (ins.imm & WORD_MASK)
-        self._set_arith_flags(values, result)
-        values[REGISTER_NAMES[ins.rd]] = result
-
-    def _fx_shl(self, ins: Instruction) -> None:
-        values = self.registers._values
-        values[REGISTER_NAMES[ins.rd]] = (
-            values[REGISTER_NAMES[ins.ra]] << (ins.imm & 31)
-        ) & WORD_MASK
-
-    def _fx_shr(self, ins: Instruction) -> None:
-        values = self.registers._values
-        values[REGISTER_NAMES[ins.rd]] = (
-            values[REGISTER_NAMES[ins.ra]] & WORD_MASK
-        ) >> (ins.imm & 31)
-
-    # --- compare / control flow -----------------------------------------
-    def _fx_compare(self, a: int, b: int) -> None:
-        values = self.registers._values
-        diff = _to_signed(a) - _to_signed(b)
-        sr = values["SR"] & ~0b11
-        if diff == 0:
-            sr |= 0b01
-        if diff < 0:
-            sr |= 0b10
-        values["SR"] = sr
-
-    def _fx_cmp(self, ins: Instruction) -> None:
-        values = self.registers._values
-        self._fx_compare(
-            values[REGISTER_NAMES[ins.ra]], values[REGISTER_NAMES[ins.rb]]
-        )
-
-    def _fx_cmpi(self, ins: Instruction) -> None:
-        self._fx_compare(
-            self.registers._values[REGISTER_NAMES[ins.ra]], ins.imm & WORD_MASK
-        )
-
-    def _fx_bra(self, ins: Instruction) -> None:
-        values = self.registers._values
-        values["PC"] = (values["PC"] + ins.imm) & WORD_MASK
-
-    def _fx_beq(self, ins: Instruction) -> None:
-        values = self.registers._values
-        if values["SR"] & 0b01:
-            values["PC"] = (values["PC"] + ins.imm) & WORD_MASK
-
-    def _fx_bne(self, ins: Instruction) -> None:
-        values = self.registers._values
-        if not values["SR"] & 0b01:
-            values["PC"] = (values["PC"] + ins.imm) & WORD_MASK
-
-    def _fx_blt(self, ins: Instruction) -> None:
-        values = self.registers._values
-        if values["SR"] & 0b10:
-            values["PC"] = (values["PC"] + ins.imm) & WORD_MASK
-
-    def _fx_bge(self, ins: Instruction) -> None:
-        values = self.registers._values
-        if not values["SR"] & 0b10:
-            values["PC"] = (values["PC"] + ins.imm) & WORD_MASK
-
-    def _fx_jmp(self, ins: Instruction) -> None:
-        values = self.registers._values
-        values["PC"] = values[REGISTER_NAMES[ins.ra]]
-
-    def _fx_jsr(self, ins: Instruction) -> None:
-        values = self.registers._values
-        sp = (values["SP"] - 1) & WORD_MASK
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(sp, ACCESS_WRITE)
-        self._mem_write(sp, values["PC"])
-        values["SP"] = sp
-        values["PC"] = ins.imm & WORD_MASK
-
-    def _fx_rts(self, ins: Instruction) -> None:
-        values = self.registers._values
-        sp = values["SP"]
-        mmu = self.mmu
-        if mmu.enabled and mmu._domain != KERNEL_DOMAIN:
-            mmu.check(sp, ACCESS_READ)
-        values["PC"] = self._mem_read(sp)
-        values["SP"] = (sp + 1) & WORD_MASK
-
-    def _fx_sig(self, ins: Instruction) -> None:
-        self.signature = (self.signature * 31 + (ins.imm & 0xFFFF)) & WORD_MASK
 
     # ------------------------------------------------------------------
     # I/O convenience (memory-mapped task inputs/outputs)
@@ -611,10 +316,199 @@ class Machine:
         )
 
 
-#: Mnemonic -> unbound handler, resolved once at import time and shared by
-#: every machine (campaigns build a fresh Machine per experiment, so the
-#: dispatch table must not be rebuilt per instance).
-_DISPATCH: "Dict[str, Callable[[Machine, Instruction], None]]" = {
-    mnemonic: getattr(Machine, handler)
-    for mnemonic, handler in _FAST_HANDLERS.items()
-}
+# ----------------------------------------------------------------------
+# Decode memo
+# ----------------------------------------------------------------------
+
+#: word -> (Instruction | None, cycles, op).  Decoding and specialising are
+#: pure functions of the 32-bit word, so memoizing them is
+#: semantics-preserving: the machine decodes each distinct word once (at
+#: first fetch) instead of on every fetch.  Cached instructions are frozen
+#: and ops close over constants only, so one entry is shared across
+#: fetches and machines.
+_DECODE_CACHE: Dict[int, "tuple[Optional[Instruction], int, Op]"] = {}
+
+#: Fault-injection campaigns flip bits in instruction memory, so the set of
+#: distinct words seen grows over a long campaign; cap the cache so a
+#: pathological workload cannot grow it without bound.
+_DECODE_CACHE_MAX = 1 << 16
+
+
+def decode_cached(word: int) -> "tuple[Optional[Instruction], int, Op]":
+    """Memoized decode; returns ``(instruction | None, cycles, op)``.
+
+    The cycle cost and the operation are precomputed so the interpreter
+    pays one dict lookup and one call per fetch.
+    """
+    entry = _DECODE_CACHE.get(word)
+    if entry is None:
+        if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
+            _DECODE_CACHE.clear()
+        ins = decode(word)
+        cycles = ins.cycles if ins is not None else 0
+        entry = _DECODE_CACHE[word] = (ins, cycles, _specialise(ins, word))
+    return entry
+
+
+def _nop(m: Machine, v: Dict[str, int]) -> None:
+    return
+
+
+def _specialise(ins: Optional[Instruction], word: int) -> Op:
+    """The operation of one decoded *word*, called after the fetch advanced
+    PC.  Register names, immediates and shift amounts are resolved here
+    once; flags follow RegisterFile.update_arith_flags (Z=1, N=2, C=4,
+    where C is "the result did not fit 32 bits").  Every register writer
+    masks to 32 bits, so ``a - (a >> 31 << 32)`` is a register's signed
+    value."""
+    if ins is None:
+        def op(m, v):  # illegal opcode: the trap leaves PC at the word
+            pc = v["PC"] = (v["PC"] - 1) & WORD_MASK
+            raise IllegalOpcodeError(
+                f"illegal opcode {word >> 24 & 0xFF:#04x} at address {pc:#x}",
+                address=pc,
+            )
+        return op
+    name = ins.mnemonic
+    rd, ra, rb = REGISTER_NAMES[ins.rd], REGISTER_NAMES[ins.ra], REGISTER_NAMES[ins.rb]
+    imm = ins.imm  # sign-extended: equals _to_signed(uimm)
+    uimm = imm & WORD_MASK
+    shift = imm & 31
+    if name == "NOP":
+        return _nop
+    if name == "HALT":
+        def op(m, v):
+            m._halted = True
+    elif name == "MOVE":
+        def op(m, v):
+            v[rd] = v[ra]
+    elif name == "MOVEI":
+        def op(m, v):
+            v[rd] = uimm
+    elif name == "MOVEHI":
+        high = (imm & 0xFFFF) << 16
+
+        def op(m, v):
+            v[rd] = high | (v[rd] & 0xFFFF)
+    elif name == "LOAD":
+        def op(m, v):
+            address = (v[ra] + imm) & WORD_MASK
+            m.mmu.check(address, ACCESS_READ)
+            v[rd] = m._mem_read(address)
+    elif name == "STORE":
+        def op(m, v):
+            address = (v[ra] + imm) & WORD_MASK
+            m.mmu.check(address, ACCESS_WRITE)
+            m._mem_write(address, v[rd])
+    elif name == "PUSH":
+        def op(m, v):
+            sp = (v["SP"] - 1) & WORD_MASK
+            m.mmu.check(sp, ACCESS_WRITE)
+            m._mem_write(sp, v[rd])
+            v["SP"] = sp
+    elif name == "POP":
+        def op(m, v):
+            sp = v["SP"]
+            m.mmu.check(sp, ACCESS_READ)
+            v[rd] = m._mem_read(sp)
+            v["SP"] = (sp + 1) & WORD_MASK
+    elif name in ("ADD", "ADDI", "SUB", "SUBI"):
+        subtract = name.startswith("SUB")
+        if name.endswith("I"):
+            addend = -uimm if subtract else uimm
+
+            def op(m, v):
+                r = v[ra] + addend
+                t = r & WORD_MASK
+                v["SR"] = v["SR"] & ~7 | (t == 0) | t >> 31 << 1 | (r != t) << 2
+                v[rd] = t
+        elif not subtract:
+            def op(m, v):
+                r = v[ra] + v[rb]
+                t = r & WORD_MASK
+                v["SR"] = v["SR"] & ~7 | (t == 0) | t >> 31 << 1 | (r != t) << 2
+                v[rd] = t
+        else:
+            def op(m, v):
+                r = v[ra] - v[rb]
+                t = r & WORD_MASK
+                v["SR"] = v["SR"] & ~7 | (t == 0) | t >> 31 << 1 | (r != t) << 2
+                v[rd] = t
+    elif name in ("MUL", "MULI"):
+        immediate = name == "MULI"
+
+        def op(m, v):
+            a = v[ra]
+            b = imm if immediate else v[rb] - (v[rb] >> 31 << 32)
+            r = (a - (a >> 31 << 32)) * b
+            t = r & WORD_MASK
+            v["SR"] = v["SR"] & ~7 | (t == 0) | t >> 31 << 1 | (r != t) << 2
+            v[rd] = t
+    elif name in ("DIV", "DIVI"):
+        immediate = name == "DIVI"
+
+        def op(m, v):
+            b = imm if immediate else _to_signed(v[rb])
+            if b == 0:
+                raise DivisionByZeroError("integer division by zero")
+            r = int(_to_signed(v[ra]) / b)  # truncates toward zero
+            t = r & WORD_MASK
+            v["SR"] = v["SR"] & ~7 | (t == 0) | t >> 31 << 1 | (r != t) << 2
+            v[rd] = t
+    elif name in ("AND", "ANDI", "OR", "ORI", "XOR", "XORI"):
+        # Results of masked operands fit 32 bits: the carry clears.
+        kind, immediate = name.rstrip("I"), name.endswith("I")
+
+        def op(m, v):
+            a = v[ra]
+            b = uimm if immediate else v[rb]
+            r = a & b if kind == "AND" else a | b if kind == "OR" else a ^ b
+            v["SR"] = v["SR"] & ~7 | (r == 0) | r >> 31 << 1
+            v[rd] = r
+    elif name == "SHL":
+        def op(m, v):
+            v[rd] = (v[ra] << shift) & WORD_MASK
+    elif name == "SHR":
+        def op(m, v):
+            v[rd] = (v[ra] & WORD_MASK) >> shift
+    elif name in ("CMP", "CMPI"):
+        immediate = name == "CMPI"
+
+        def op(m, v):
+            a = v[ra]
+            d = a - (a >> 31 << 32) - (imm if immediate else v[rb] - (v[rb] >> 31 << 32))
+            v["SR"] = v["SR"] & ~3 | (d == 0) | (d < 0) << 1
+    elif name == "BRA":
+        def op(m, v):
+            v["PC"] = (v["PC"] + imm) & WORD_MASK
+    elif name in ("BEQ", "BNE", "BLT", "BGE"):
+        flag = 1 if name in ("BEQ", "BNE") else 2
+        taken = flag if name in ("BEQ", "BLT") else 0
+
+        def op(m, v):
+            if (v["SR"] & flag) == taken:
+                v["PC"] = (v["PC"] + imm) & WORD_MASK
+    elif name == "JMP":
+        def op(m, v):
+            v["PC"] = v[ra]
+    elif name == "JSR":
+        def op(m, v):
+            sp = (v["SP"] - 1) & WORD_MASK
+            m.mmu.check(sp, ACCESS_WRITE)
+            m._mem_write(sp, v["PC"])
+            v["SP"] = sp
+            v["PC"] = uimm
+    elif name == "RTS":
+        def op(m, v):
+            sp = v["SP"]
+            m.mmu.check(sp, ACCESS_READ)
+            v["PC"] = m._mem_read(sp)
+            v["SP"] = (sp + 1) & WORD_MASK
+    elif name == "SIG":
+        low = imm & 0xFFFF
+
+        def op(m, v):
+            m.signature = (m.signature * 31 + low) & WORD_MASK
+    else:  # pragma: no cover - decode() only yields OPCODES mnemonics
+        raise ProgramError(f"decoder produced unexecutable instruction {ins}")
+    return op

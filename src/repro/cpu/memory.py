@@ -77,6 +77,22 @@ class Memory:
         self._rom_sealed = False
         self.ecc_stats = EccStatistics()
 
+    def clone(self) -> "Memory":
+        """An independent copy: stored words, latent ECC error bits, ECC
+        counters, geometry and the ROM seal."""
+        twin = Memory.__new__(Memory)
+        twin.size_words = self.size_words
+        twin.rom_limit = self.rom_limit
+        twin.ecc_enabled = self.ecc_enabled
+        twin._clean = dict(self._clean)
+        twin._error_bits = {address: set(bits) for address, bits in self._error_bits.items()}
+        twin._rom_sealed = self._rom_sealed
+        stats = self.ecc_stats
+        twin.ecc_stats = EccStatistics(
+            stats.corrections, stats.detections, stats.silent_corruptions
+        )
+        return twin
+
     # ------------------------------------------------------------------
     # Bounds / ROM handling
     # ------------------------------------------------------------------

@@ -89,6 +89,21 @@ class Mmu:
         # table) instead of re-filtered per access.
         self._visible: Dict[str, List["tuple[int, int, str]"]] = {}
 
+    def clone(self) -> "Mmu":
+        """An independent copy: region table, domain and violation count.
+
+        Regions are frozen and a materialised per-domain view is never
+        mutated (:meth:`add_region` drops the views instead), so both are
+        shared with the copy.
+        """
+        twin = Mmu.__new__(Mmu)
+        twin.enabled = self.enabled
+        twin._regions = list(self._regions)
+        twin._domain = self._domain
+        twin.violations = self.violations
+        twin._visible = dict(self._visible)
+        return twin
+
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
@@ -100,6 +115,18 @@ class Mmu:
     def regions_for(self, domain: str) -> List[Region]:
         """Regions visible to *domain* (its own plus shared regions)."""
         return [r for r in self._regions if r.domain is None or r.domain == domain]
+
+    def view(self, domain: str) -> List["tuple[int, int, str]"]:
+        """``(base, end, permissions)`` of the regions visible to *domain*,
+        in table order (materialised once per domain and table)."""
+        visible = self._visible.get(domain)
+        if visible is None:
+            visible = self._visible[domain] = [
+                (r.base, r.base + r.size, r.permissions)
+                for r in self._regions
+                if r.domain is None or r.domain == domain
+            ]
+        return visible
 
     # ------------------------------------------------------------------
     # Domain switching
@@ -128,14 +155,7 @@ class Mmu:
         """
         if not self.enabled or self._domain == KERNEL_DOMAIN:
             return
-        visible = self._visible.get(self._domain)
-        if visible is None:
-            visible = self._visible[self._domain] = [
-                (r.base, r.base + r.size, r.permissions)
-                for r in self._regions
-                if r.domain is None or r.domain == self._domain
-            ]
-        for base, end, permissions in visible:
+        for base, end, permissions in self.view(self._domain):
             if base <= address < end and access in permissions:
                 return
         self.violations += 1

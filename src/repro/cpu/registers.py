@@ -57,6 +57,12 @@ class RegisterFile:
     def __init__(self) -> None:
         self._values: Dict[str, int] = {name: 0 for name in ALL_REGISTERS}
 
+    def clone(self) -> "RegisterFile":
+        """An independent copy of every register value."""
+        twin = RegisterFile.__new__(RegisterFile)
+        twin._values = dict(self._values)
+        return twin
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

@@ -86,7 +86,7 @@ def make_brake_workload(
     mmu_enabled: bool = True,
     control_flow_checking: bool = True,
 ) -> TemWorkload:
-    """The canonical E5 workload (fresh machine per experiment).
+    """The canonical E5 workload (an independent machine per experiment).
 
     The three keyword toggles disable individual Table 1 mechanisms for
     ablation studies (experiment E11).
@@ -114,8 +114,10 @@ def make_brake_workload(
 
 #: Lockstep chunk of every registry E5/E14 run, the lane count the
 #: ledger's ``e5_batch``/``e5_jobs2`` workloads measure.  Batching is
-#: bit-identical to scalar execution and was no slower at any campaign
-#: size measured (30 to 2000 trials), so no run needs another chunk.
+#: bit-identical to scalar execution and faster from about 60 trials up;
+#: only smaller calls (30 trials: 4.4 vs 5.6 ms on a 2-core x86_64 box)
+#: pay more for the lockstep set-up than it saves, and no registry run
+#: is that small, so no run needs another chunk.
 BATCH_CHUNK = 1024
 
 

@@ -73,8 +73,8 @@ class BatchTemExecutor:
     """Runs TEM injection experiments *batch* lanes at a time.
 
     Built once per worker/shard (mirroring the scalar harness cache): the
-    template executable is constructed a single time and its ROM image,
-    MMU regions and machine configuration are broadcast into a fresh
+    harness's pristine template executable supplies the ROM image, MMU
+    regions and machine configuration broadcast into a fresh
     :class:`BatchMachine` per chunk.
     """
 
@@ -83,7 +83,7 @@ class BatchTemExecutor:
             raise ConfigurationError("batch size must be >= 1")
         self.harness = harness
         self.batch = int(batch)
-        self.template = harness.workload.executable_factory()
+        self.template = harness.template
         monitor = harness._monitor()
         self._signature = None if monitor is None else monitor.expected_signature
         self._clean = self._clean_job()

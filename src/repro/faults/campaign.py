@@ -8,8 +8,9 @@ dependability models.
 
 Harness structure per experiment:
 
-1. a **fresh machine** is built by the workload factory (so experiments are
-   independent);
+1. every experiment runs on a **clone** of the harness's pristine
+   template executable, which the workload factory builds once (so
+   experiments are independent and none pays for a rebuild);
 2. the TEM state machine runs the task copy by copy; the machine is stepped
    *instruction by instruction* and the fault is applied when the global
    step counter reaches ``fault.at_step`` (mid-execution injection with
@@ -54,6 +55,8 @@ class TemWorkload:
     ----------
     executable_factory:
         Builds a fresh :class:`MachineExecutable` (with its own machine).
+        A harness calls it once and keeps the result as its pristine
+        template; the golden run and every trial run on clones of it.
     inputs:
         The job's input tuple (written before every copy).
     signature_checkpoints:
@@ -82,7 +85,8 @@ class TemInjectionHarness:
 
     def __init__(self, workload: TemWorkload) -> None:
         self.workload = workload
-        golden_exec = workload.executable_factory()
+        self.template = workload.executable_factory()
+        golden_exec = self.template.clone()
         plan = golden_exec.plan_copy(workload.inputs, 0)
         if plan.result is None or plan.detected_error is not None:
             raise ConfigurationError(
@@ -138,7 +142,7 @@ class TemInjectionHarness:
         against :meth:`run_experiment`.
         """
         obs_metrics.inc("injection.single_experiments")
-        executable = self.workload.executable_factory()
+        executable = self.template.clone()
         injector = MachineFaultInjector(executable.machine)
         monitor = self._monitor()
         stepper = _SteppedTem(
@@ -178,14 +182,14 @@ class TemInjectionHarness:
         Returns the per-job TEM outcomes and whether the permanent-fault
         suspector tripped (node shutdown for off-line diagnosis).
 
-        A fresh machine is used for the whole sequence so memory state
+        One machine (a template clone) serves the whole sequence so memory state
         (including latent corruption) carries across jobs, as on real
         hardware.  With *miss_window* the sliding (m,k) budget gates every
         job's recovery and accumulates the sequence's hits/misses.
         """
         if suspector is None:
             suspector = PermanentFaultSuspector()
-        executable = self.workload.executable_factory()
+        executable = self.template.clone()
         injector = MachineFaultInjector(executable.machine)
         monitor = self._monitor()
         outcomes: List[TemOutcome] = []
@@ -224,7 +228,7 @@ class TemInjectionHarness:
     def _run_tem_job(
         self, fault: Fault, miss_window: Optional[MKWindow] = None
     ) -> "tuple[TemReport, tuple[str, ...], int]":
-        executable = self.workload.executable_factory()
+        executable = self.template.clone()
         injector = MachineFaultInjector(executable.machine)
         monitor = self._monitor()
         stepper = _SteppedTem(
@@ -342,11 +346,10 @@ class _SteppedTem:
                 if injector._stuck:
                     # Permanent fault active: single-step so the stuck-at
                     # is re-asserted after every instruction.
-                    try:
-                        machine.step()
-                    except HardwareException as exc:
+                    exception = machine.run(max_steps=1).exception
+                    if exception is not None:
                         global_step += 1
-                        return None, exc.mechanism
+                        return None, exception.mechanism
                     injector.reassert_permanent()
                     global_step += 1
                     steps_this_copy += 1

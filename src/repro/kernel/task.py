@@ -401,6 +401,14 @@ class MachineExecutable(Executable):
         if confine_with_mmu:
             self._install_regions(stack_words)
 
+    def clone(self) -> "MachineExecutable":
+        """An independent copy running on a :meth:`Machine.clone` of this
+        executable's machine (program and layout are shared, immutable)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.machine = self.machine.clone()
+        return twin
+
     def _install_regions(self, stack_words: int) -> None:
         """Confine the task to its code, data and stack (Section 2.4).
 

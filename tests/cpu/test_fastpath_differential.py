@@ -1,14 +1,16 @@
 """Differential gate: the production interpreter is bit-identical to the
 reference oracle.
 
-:class:`Machine` (decoded-instruction cache, opcode dispatch table,
-batched counters in :meth:`Machine.run`) is only admissible because it is
+:class:`Machine` (each distinct word decoded once into a pre-specialised
+operation held in a capped per-word memo, the fetch inlined into
+:meth:`Machine.run`, batched counters) is only admissible because it is
 *provably equivalent* to the reference interpreter kept in
 ``tests/oracles/reference_cpu.py``.  This suite drives both through the
 same workloads — the stock campaign programs and seeded random mini-ISA
 programs, clean and with injected register/memory bit flips, run in
-chunks or single-stepped under stuck-at faults — and asserts that every
-architecturally visible outcome matches exactly: registers, memory
+chunks or single-stepped under stuck-at faults, and the random cases once
+more with the memo cap shrunk so it is cleared mid-run — and asserts that
+every architecturally visible outcome matches exactly: registers, memory
 digest, instruction/cycle counts, control-flow signature, halt state and
 the raised EDM exception class.
 """
@@ -18,6 +20,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.cpu import machine as machine_module
 from repro.cpu.assembler import assemble
 from repro.cpu.isa import encode
 from repro.cpu.exceptions import HardwareException
@@ -252,6 +255,21 @@ def test_raw_random_words_hit_identical_illegal_opcodes():
         words = [int(w) for w in rng.integers(0, 2 ** 32, size=12)]
         outcome = _assert_paths_identical(words)
         assert outcome["exception"] is None or outcome["exception_log"]
+
+
+@pytest.mark.parametrize("case", [
+    test_random_programs_differential,
+    test_random_programs_with_bit_flips,
+    test_raw_random_words_hit_identical_illegal_opcodes,
+], ids=lambda case: case.__name__.removeprefix("test_"))
+def test_random_cases_with_memo_evictions(monkeypatch, case):
+    """The random cases again with the decode memo capped at 8 words, so
+    it is cleared over and over, mid-run included: an evicted word must
+    decode to the same operation on its next fetch."""
+    monkeypatch.setattr(machine_module, "_DECODE_CACHE_MAX", 8)
+    machine_module._DECODE_CACHE.clear()
+    case()
+    assert len(machine_module._DECODE_CACHE) <= 8
 
 
 # ----------------------------------------------------------------------

@@ -186,3 +186,75 @@ class TestContextHandling:
         result = machine.run()
         assert result.ok
         assert machine.read_words(OUT, 1) == [6]
+
+
+class TestClone:
+    def _used_machine(self) -> Machine:
+        """A machine with state in every component: run to a trap under an
+        MMU domain, with a latent memory error and ECC activity."""
+        from repro.cpu.mmu import Region
+
+        machine = Machine()
+        machine.load_program(assemble(
+            f"MOVEI D0, 3\nSTORE D0, A0, {OUT}\nSIG 5\nMOVEI D1, 0\nDIV D0, D0, D1\nHALT\n"
+        ))
+        machine.seal_rom()
+        machine.mmu.add_region(Region(base=0, size=16, permissions="rx", domain="task"))
+        machine.mmu.add_region(Region(base=OUT, size=4, permissions="rw", domain="task"))
+        machine.memory.write(DATA, 77)
+        machine.memory.flip_bit(DATA, 3)
+        machine.memory.flip_bit(OUT + 1, 4)
+        machine.read_words(DATA, 1)  # one ECC correction
+        machine.prepare(0)
+        machine.mmu.enter_domain("task")
+        assert machine.run().exception is not None
+        return machine
+
+    @staticmethod
+    def _state(machine: Machine):
+        memory, mmu = machine.memory, machine.mmu
+        return (
+            machine.save_context(), memory.state_digest(), memory._rom_sealed,
+            (memory.ecc_stats.corrections, memory.ecc_stats.detections),
+            list(mmu._regions), mmu.domain, mmu.violations,
+            machine.instruction_count, machine.cycle_count, machine.signature,
+            machine.halted,
+            [(type(e).__name__, str(e)) for e in machine.exception_log],
+        )
+
+    def test_clone_copies_every_component(self):
+        machine = self._used_machine()
+        twin = machine.clone()
+        assert type(twin) is Machine
+        assert self._state(twin) == self._state(machine)
+        assert twin.memory.rom_limit == machine.memory.rom_limit
+        assert twin.memory.ecc_enabled == machine.memory.ecc_enabled
+        assert twin.mmu.enabled == machine.mmu.enabled
+
+    def test_clone_is_independent(self):
+        machine = self._used_machine()
+        before = self._state(machine)
+        twin = machine.clone()
+        twin.registers.flip_bit("D0", 1)
+        twin.memory.write(DATA + 2, 5)
+        twin.memory.flip_bit(OUT + 1, 7)
+        twin.memory.ecc_stats.corrections += 1
+        twin.mmu.add_region(twin.mmu.regions_for("task")[0])
+        twin.mmu.enter_kernel()
+        twin.mmu.violations += 1
+        twin.prepare(0)
+        assert twin.run().exception is not None
+        assert len(twin.exception_log) == 2
+        assert self._state(machine) == before
+
+    def test_clone_runs_like_the_original(self):
+        machine = self._used_machine()
+        machine.mmu.enter_kernel()
+        twin = machine.clone()
+        for m in (machine, twin):
+            m.prepare(0)
+            m.registers["D1"] = 0
+        results = [m.run() for m in (machine, twin)]
+        assert results[0].steps == results[1].steps > 0
+        assert results[0].exception is not results[1].exception
+        assert self._state(machine) == self._state(twin)

@@ -139,3 +139,30 @@ class TestCampaignRun:
         )
         stats = harness.run_campaign(faults)
         assert stats.coverage is not None and stats.coverage > 0.9
+
+
+class TestTemplateClones:
+    def test_factory_runs_once_and_trials_leave_the_template_pristine(
+        self, machine_executable_factory
+    ):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return machine_executable_factory()
+
+        harness = TemInjectionHarness(TemWorkload(
+            executable_factory=factory, inputs=(10, 4), max_copies=4,
+        ))
+        template = harness.template.machine
+        before = (template.memory.state_digest(), template.save_context(),
+                  template.instruction_count, template.mmu.violations)
+        harness.run_experiment(register_fault("PC", bit=13, at_step=3))
+        harness.run_single_experiment(register_fault("D0", bit=9, at_step=2))
+        harness.run_job_sequence(
+            register_fault("D1", bit=0, at_step=1, fault_type=FaultType.PERMANENT),
+            jobs=3,
+        )
+        assert len(calls) == 1
+        assert (template.memory.state_digest(), template.save_context(),
+                template.instruction_count, template.mmu.violations) == before

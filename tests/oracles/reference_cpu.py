@@ -3,9 +3,9 @@
 :class:`ReferenceMachine` decodes every fetched word afresh, dispatches on
 mnemonic strings and goes through the public register-file, memory and MMU
 APIs for every access.  It is slow and obviously correct; the production
-interpreter in :mod:`repro.cpu.machine` (decode cache, opcode dispatch
-table, inlined no-error memory accesses, batched counters) must be
-bit-identical to it in every architectural effect.
+interpreter in :mod:`repro.cpu.machine` (memoized pre-specialised
+operations, inlined fetch and no-error memory accesses, batched counters)
+must be bit-identical to it in every architectural effect.
 """
 
 from __future__ import annotations
