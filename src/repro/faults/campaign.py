@@ -142,13 +142,7 @@ class TemInjectionHarness:
         against :meth:`run_experiment`.
         """
         obs_metrics.inc("injection.single_experiments")
-        executable = self.template.clone()
-        injector = MachineFaultInjector(executable.machine)
-        monitor = self._monitor()
-        stepper = _SteppedTem(
-            executable, self.workload.inputs, injector, monitor,
-            self.budget_steps, fault,
-        )
+        stepper = self._stepper(fault)
         result, mechanism = stepper.execute_copy(0)
         if mechanism is not None:
             return ExperimentRecord(
@@ -182,21 +176,15 @@ class TemInjectionHarness:
         Returns the per-job TEM outcomes and whether the permanent-fault
         suspector tripped (node shutdown for off-line diagnosis).
 
-        One machine (a template clone) serves the whole sequence so memory state
-        (including latent corruption) carries across jobs, as on real
-        hardware.  With *miss_window* the sliding (m,k) budget gates every
+        One machine (a template clone) serves the whole sequence, so
+        memory state (including latent corruption) carries across jobs, as
+        on real hardware.  With *miss_window* the sliding (m,k) budget gates every
         job's recovery and accumulates the sequence's hits/misses.
         """
         if suspector is None:
             suspector = PermanentFaultSuspector()
-        executable = self.template.clone()
-        injector = MachineFaultInjector(executable.machine)
-        monitor = self._monitor()
         outcomes: List[TemOutcome] = []
-        stepper = _SteppedTem(
-            executable, self.workload.inputs, injector, monitor,
-            self.budget_steps, fault,
-        )
+        stepper = self._stepper(fault)
         for _job in range(jobs):
             stepper.reset_job()
             report = run_tem_direct(
@@ -225,17 +213,20 @@ class TemInjectionHarness:
             return None
         return SignatureMonitor(self.workload.signature_checkpoints)
 
+    def _stepper(self, fault: Fault) -> "_SteppedTem":
+        """A copy executor for *fault* on a fresh clone of the template."""
+        executable = self.template.clone()
+        return _SteppedTem(
+            executable, self.workload.inputs, MachineFaultInjector(executable.machine),
+            self._monitor(), self.budget_steps, fault,
+        )
+
     def _run_tem_job(
         self, fault: Fault, miss_window: Optional[MKWindow] = None
     ) -> "tuple[TemReport, tuple[str, ...], int]":
-        executable = self.template.clone()
-        injector = MachineFaultInjector(executable.machine)
-        monitor = self._monitor()
-        stepper = _SteppedTem(
-            executable, self.workload.inputs, injector, monitor,
-            self.budget_steps, fault,
-        )
-        corrections_before = executable.machine.memory.ecc_stats.corrections
+        stepper = self._stepper(fault)
+        ecc_stats = stepper.executable.machine.memory.ecc_stats
+        corrections_before = ecc_stats.corrections
         report = run_tem_direct(
             stepper.execute_copy,
             can_run_another_copy=stepper.can_run_another_copy(
@@ -246,7 +237,7 @@ class TemInjectionHarness:
         )
         if miss_window is not None:
             miss_window.record(report.outcome is TemOutcome.OMISSION)
-        corrections = executable.machine.memory.ecc_stats.corrections - corrections_before
+        corrections = ecc_stats.corrections - corrections_before
         return report, (), corrections
 
 
