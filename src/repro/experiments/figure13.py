@@ -13,7 +13,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..models import BbwParameters, build_all_configurations
+from ..models import MODES, NODE_TYPES, BbwParameters, build_all_configurations
+from ..models.bbw import subsystem_reliability_curves
 from ..units import HOURS_PER_YEAR
 from .asciiplot import render_chart, render_table
 
@@ -59,20 +60,14 @@ def compute_figure13(
     """Reproduce Figure 13 (subsystem reliabilities over one year)."""
     params = params if params is not None else BbwParameters.paper()
     times = list(np.linspace(0.0, HOURS_PER_YEAR, points))
-    models = build_all_configurations(params)
+    # One grid solve per curve: the CU chain does not depend on the
+    # functionality mode, so each node type has one.
+    central_unit, wheels = subsystem_reliability_curves(build_all_configurations(params), times)
     curves: Dict[str, List[float]] = {}
-    # The CU model does not depend on the functionality mode; take it from
-    # the degraded configuration of each node type.
-    for node_type in ("fs", "nlft"):
-        model = models[(node_type, "degraded")]
-        curves[f"CU {node_type}"] = model.subsystem_reliability_curves(times)[
-            "central_unit"
-        ]
-        for mode in ("full", "degraded"):
-            wn_model = models[(node_type, mode)]
-            curves[f"WN {node_type}/{mode}"] = wn_model.subsystem_reliability_curves(
-                times
-            )["wheel_subsystem"]
+    for node_type in NODE_TYPES:
+        curves[f"CU {node_type}"] = central_unit[node_type]
+        for mode in MODES:
+            curves[f"WN {node_type}/{mode}"] = wheels[(node_type, mode)]
     r_one_year = {name: values[-1] for name, values in curves.items()}
     return Figure13Result(times_hours=times, curves=curves, r_one_year=r_one_year)
 

@@ -69,34 +69,6 @@ class BbwSystemModel:
             "wheel_subsystem": self._wn_reliability(t),
         }
 
-    def subsystem_reliability_curves(
-        self, times: Sequence[float]
-    ) -> Dict[str, List[float]]:
-        """Per-subsystem R(t) over a whole time grid — one grid solve each.
-
-        Delegates to
-        :meth:`repro.reliability.ctmc.MarkovChain.transient_distributions`,
-        so a uniform grid costs one matrix exponential instead of one per
-        point.
-        """
-        return {
-            "central_unit": _chain_reliability_curve(self.central_unit, times),
-            "wheel_subsystem": _chain_reliability_curve(self.wheel_subsystem, times),
-        }
-
-    def reliability_curve(self, times: Sequence[float]) -> List[float]:
-        """System R(t) over a whole time grid (two grid solves).
-
-        The Figure 5 fault tree is a two-input OR over independent
-        subsystems, so ``R_sys(t) = R_CU(t) * R_WN(t)`` — the identical
-        composition :meth:`reliability` evaluates point by point.
-        """
-        curves = self.subsystem_reliability_curves(times)
-        return [
-            cu * wn
-            for cu, wn in zip(curves["central_unit"], curves["wheel_subsystem"])
-        ]
-
     def mttf_hours(self) -> float:
         """System MTTF in hours: the exact integral of ``R_CU * R_WN``.
 
@@ -124,14 +96,32 @@ class BbwSystemModel:
         )
 
 
-def _chain_reliability_curve(
-    chain: MarkovChain, times: Sequence[float]
-) -> List[float]:
-    """R(t) of one subsystem chain over a grid via one batched solve."""
-    failure_states = chain.absorbing_states()
-    indices = [chain.state_index(s) for s in failure_states]
+def _chain_reliability_curve(chain: MarkovChain, times: Sequence[float]) -> List[float]:
+    """R(t) of one subsystem chain over a time grid via one grid solve."""
+    indices = [chain.state_index(s) for s in chain.absorbing_states()]
     probs = chain.transient_distributions(times)
-    return [float(1.0 - row[indices].sum()) for row in probs]
+    return (1.0 - probs[:, indices].sum(axis=1)).tolist()
+
+
+def subsystem_reliability_curves(
+    models: Dict[Tuple[str, str], BbwSystemModel], times: Sequence[float]
+) -> Tuple[Dict[str, List[float]], Dict[Tuple[str, str], List[float]]]:
+    """Subsystem R(t) grids of the four configurations, one grid solve per chain.
+
+    Returns the central-unit curve per node type (the CU chain does not
+    depend on the mode) and the wheel-subsystem curve per ``(node_type,
+    mode)``.  The Figure 5 OR tree over independent subsystems makes a
+    configuration's system curve their product, ``R_CU(t) * R_WN(t)``.
+    """
+    central_unit = {
+        node_type: _chain_reliability_curve(models[(node_type, "degraded")].central_unit, times)
+        for node_type in NODE_TYPES
+    }
+    wheel_subsystem = {
+        key: _chain_reliability_curve(model.wheel_subsystem, times)
+        for key, model in models.items()
+    }
+    return central_unit, wheel_subsystem
 
 
 def build_bbw_system(

@@ -78,14 +78,15 @@ def transient_distributions(
         pi0 = chain.initial_distribution
         q = chain.generator_matrix()
         with obs_metrics.span("solver.ode"):
-            return np.vstack([_clip(row) for row in _ode(pi0, q, times)])
+            return _clip(_ode(pi0, q, times))
     if method == "expm" and len(times) > 1:
         pi0 = chain.initial_distribution
         q = chain.generator_matrix()
         with obs_metrics.span("solver.expm"):
-            grid = _expm_grid_propagated(pi0, q, times)
-        # t == 0 rows return pi0 exactly as a single-point solve does.
-        return np.vstack([pi0 if t == 0.0 else _clip(grid[t]) for t in times])
+            rows = _expm_grid_propagated(pi0, q, times)
+        grid = _clip(rows)
+        grid[np.asarray(times) == 0.0] = pi0  # exactly pi0, as in a point solve
+        return grid
     return np.vstack([transient_distribution(chain, t, method=method, tol=tol) for t in times])
 
 
@@ -123,22 +124,21 @@ def steady_state(chain: MarkovChain) -> np.ndarray:
 # Internals
 # ----------------------------------------------------------------------
 def _clip(pi: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative round-off and renormalise."""
-    pi = np.asarray(pi, dtype=float).ravel()
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
+    """Clamp tiny negative round-off and renormalise along the last axis."""
+    pi = np.where(np.abs(pi) < 1e-15, 0.0, np.asarray(pi, dtype=float))
     if (pi < -1e-9).any():
         raise ModelError(f"solver produced significantly negative probability: {pi}")
     pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0:
+    total = pi.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ModelError("solver produced an all-zero distribution")
     return pi / total
 
 
 def _expm_grid_propagated(
     pi0: np.ndarray, q: np.ndarray, times: List[float]
-) -> Dict[float, np.ndarray]:
-    """Unnormalised ``pi(t)`` for every positive t in *times*.
+) -> np.ndarray:
+    """Unnormalised ``pi(t)`` for every t in *times*, one row each.
 
     Walks the distinct times ascending with one ``expm(Q dt)`` per distinct
     step.  The step is quantized to 12 significant digits, so np.linspace
@@ -146,7 +146,7 @@ def _expm_grid_propagated(
     perturbation is ~1e-12, far inside solver tolerance.
     """
     steps: Dict[float, np.ndarray] = {}
-    out: Dict[float, np.ndarray] = {}
+    rows: Dict[float, np.ndarray] = {0.0: pi0}
     current, current_t = pi0, 0.0
     for t in sorted(set(times) - {0.0}):
         dt = float(f"{t - current_t:.12e}")
@@ -154,8 +154,8 @@ def _expm_grid_propagated(
             steps[dt] = expm(q * dt)
         current = current @ steps[dt]
         current_t = t
-        out[t] = current
-    return out
+        rows[t] = current
+    return np.stack([rows[t] for t in times])
 
 
 def _uniformization(pi0: np.ndarray, q: np.ndarray, t: float, tol: float) -> np.ndarray:

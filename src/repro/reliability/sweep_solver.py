@@ -4,15 +4,16 @@ The reliability experiments evaluate R(t) over parameter grids: Figure 14
 sweeps a (coverage, fault-rate) grid of structurally identical chains at
 one mission time.  The point solver
 (:func:`repro.reliability.solvers.transient_distribution`) answers one
-``(chain, t)`` pair per call, paying the Python overhead of the memo and
-the front-end for every point.
+``(chain, t)`` pair per call, paying the Python overhead of the front-end
+for every point.
 
 :func:`reliability_batch` stacks the C generators into one ``(C, n, n)``
 array and calls :func:`scipy.linalg.expm` once per requested time.  scipy
 exponentiates the slices of a stacked array with the same scaling-and-
 squaring Pade routine it applies to a single matrix, so each chain's
 distribution ``pi0 @ expm(Q t)`` goes through exactly the arithmetic of
-the ``expm`` point solve, followed by the same ``_clip``.
+the ``expm`` point solve, followed by the same row-wise ``_clip`` (once per
+``(C, n)`` batch) and the same left-to-right failure-mass sum.
 
 Equivalence contract
 --------------------
@@ -79,6 +80,10 @@ def reliability_batch(
     if any(t < 0 for t in times):
         raise ModelError("all times must be non-negative")
     failures = [_failure_indices(chain, failure_states) for chain in chains]
+    width = max(map(len, failures))
+    # (K, C) failure columns; -1 pads a chain with fewer than K failure states.
+    columns = np.array([f + [-1] * (width - len(f)) for f in failures]).T
+    rows = np.arange(len(chains))
     pi0s = np.stack([chain.initial_distribution for chain in chains])
     qs = np.stack([chain.generator_matrix() for chain in chains])
     out = np.empty((len(chains), len(times)))
@@ -88,7 +93,10 @@ def reliability_batch(
         else:
             with obs_metrics.span("solver.expm_batch"):
                 steps = expm(qs * t)
-            dists = [_clip(pi0 @ step) for pi0, step in zip(pi0s, steps)]
-        for c, (dist, failure) in enumerate(zip(dists, failures)):
-            out[c, i] = 1.0 - sum(dist[j] for j in failure)
+            dists = _clip(np.stack([pi0 @ step for pi0, step in zip(pi0s, steps)]))
+        # Summed left to right as the point path's sum() is; a pad adds 0.0.
+        mass = 0.0
+        for column in columns:
+            mass = mass + np.where(column >= 0, dists[rows, column], 0.0)
+        out[:, i] = 1.0 - mass
     return out

@@ -1,9 +1,11 @@
 """Per-point CTMC transient solves: the results production must match.
 
 Every call computes one matrix exponential (or one uniformization / ODE
-pass) per time point — no step-matrix propagation.  Production
-(:mod:`repro.reliability.solvers`) must return bit-identical point solves
-and grids within 1e-9 of these.
+pass) per time point — no step-matrix propagation — and post-processes it
+with :func:`clip`, a private one-vector copy of the clamp-and-renormalise
+step, so the oracle does not share the row-wise ``_clip`` production runs
+on whole grids.  Production (:mod:`repro.reliability.solvers`) must return
+bit-identical point solves and grids within 1e-9 of these.
 """
 
 from __future__ import annotations
@@ -15,7 +17,20 @@ from scipy.linalg import expm
 
 from repro.errors import ModelError
 from repro.reliability.ctmc import MarkovChain
-from repro.reliability.solvers import _METHODS, _clip, _ode, _uniformization
+from repro.reliability.solvers import _METHODS, _ode, _uniformization
+
+
+def clip(pi: np.ndarray) -> np.ndarray:
+    """Clamp tiny negative round-off of one distribution and renormalise."""
+    pi = np.asarray(pi, dtype=float).ravel()
+    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
+    if (pi < -1e-9).any():
+        raise ModelError(f"solver produced significantly negative probability: {pi}")
+    pi = np.clip(pi, 0.0, None)
+    total = pi.sum()
+    if total <= 0:
+        raise ModelError("solver produced an all-zero distribution")
+    return pi / total
 
 
 def transient_distribution(
@@ -31,10 +46,10 @@ def transient_distribution(
         return pi0
     q = chain.generator_matrix()
     if method == "expm":
-        return _clip(pi0 @ expm(q * t))
+        return clip(pi0 @ expm(q * t))
     if method == "uniformization":
-        return _clip(_uniformization(pi0, q, t, tol))
-    return _clip(_ode(pi0, q, [t])[-1])
+        return clip(_uniformization(pi0, q, t, tol))
+    return clip(_ode(pi0, q, [t])[-1])
 
 
 def transient_distributions(

@@ -1,6 +1,6 @@
 """Property tests: CTMC solver equivalence across methods and oracles.
 
-Four independent claims, over randomly generated generator matrices:
+Five independent claims, over randomly generated generator matrices:
 
 1. the three transient solvers (matrix exponential, uniformization,
    Kolmogorov ODE) agree within solver tolerance and always return a
@@ -14,7 +14,14 @@ Four independent claims, over randomly generated generator matrices:
    same :class:`ModelError` by production and oracle;
 4. the batched sweep solver (:func:`repro.reliability.reliability_batch`)
    is bit-identical to per-chain ``expm`` point solves, failure states
-   included.
+   included;
+5. production's row-wise ``_clip``, run once on a stacked grid or batch,
+   is bit-identical to the oracle's one-vector copy applied row by row —
+   near-distributions with entries at the 1e-15 and -1e-9 thresholds
+   included — and raises the same :class:`ModelError` when any row is
+   bad; the ``expm`` grid keeps ``t == 0`` rows exactly ``pi0`` for
+   duplicate and unsorted times, and the ``ode`` grid clips its rows as
+   the oracle does.
 """
 
 import numpy as np
@@ -29,6 +36,7 @@ from repro.reliability import (
     transient_distribution,
     transient_distributions,
 )
+from repro.reliability.solvers import _clip, _ode
 
 from tests.oracles import reference_ctmc
 
@@ -122,6 +130,17 @@ def test_batch_solve_equals_point_solves(batch, grid):
             reliability_batch(batch, grid)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(batch=chain_batches(), grid=st.lists(times, min_size=1, max_size=3), data=st.data())
+def test_batch_failure_mass_adds_in_the_point_paths_order(batch, grid, data):
+    """Several failure states in any order: float addition is not
+    associative, so the batch must add them in the order the caller gave."""
+    states = data.draw(st.permutations(batch[0].states))
+    failure = states[: data.draw(st.integers(min_value=1, max_value=len(states)))]
+    explicit = [[chain.reliability(t, failure) for t in grid] for chain in batch]
+    assert np.array_equal(reliability_batch(batch, grid, failure), explicit)
+
+
 @pytest.mark.parametrize("production", [False, True])
 def test_invalid_inputs_rejected_on_both_paths(production):
     chain = MarkovChain(["up", "down"])
@@ -139,3 +158,98 @@ def test_invalid_inputs_rejected_on_both_paths(production):
         grid(chain, [])
     with pytest.raises(ModelError):
         point(chain, 1.0, method="laplace")
+
+
+#: Near-distribution entries: probability mass, round-off within 1e-15 of
+#: zero (signed zeros and subnormals included), small negatives the clamp
+#: absorbs, and the exact threshold values on both sides.
+entries = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-1e-15, max_value=1e-15),
+    st.floats(min_value=-1e-9, max_value=0.0),
+    st.sampled_from([
+        1e-15, -1e-15, float(np.nextafter(1e-15, 0.0)), float(np.nextafter(-1e-15, 0.0)),
+        -1e-9, float(np.nextafter(-1e-9, -1.0)),
+    ]),
+)
+
+
+@st.composite
+def near_distribution_stacks(draw):
+    """A ``(T, n)`` stack; n reaches past 8 so pairwise summation blocks run."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    return np.array(
+        [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(rows)]
+    )
+
+
+def _bits(array):
+    return array.shape, array.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=near_distribution_stacks())
+def test_clip_on_stacked_rows_equals_oracle_row_by_row(stack):
+    try:
+        expected = np.vstack([reference_ctmc.clip(row) for row in stack])
+    except ModelError:
+        with pytest.raises(ModelError):
+            _clip(stack)
+        return
+    assert _bits(_clip(stack)) == _bits(expected)
+    for row, want in zip(stack, expected):
+        assert _bits(_clip(row)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "bad", [[0.5, -2e-9, 0.5], [0.0, 1e-16, -1e-16]], ids=["negative", "all-zero"]
+)
+def test_clip_batch_with_one_bad_row_raises(bad):
+    good = [0.2, 0.3, 0.5]
+    with pytest.raises(ModelError):
+        reference_ctmc.clip(bad)
+    with pytest.raises(ModelError):
+        _clip(np.array([good, bad, good]))
+    assert _bits(_clip(np.array([good, good]))[1]) == _bits(reference_ctmc.clip(good))
+
+
+@st.composite
+def shuffled_grids(draw):
+    """Unsorted grids with ``t == 0`` and at least one duplicate time."""
+    base = draw(st.lists(times, min_size=1, max_size=6))
+    return draw(st.permutations(base + [0.0, base[0]]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    chain=chains(),
+    weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5),
+    grid=shuffled_grids(),
+)
+def test_expm_grid_keeps_pi0_rows_for_zero_duplicate_unsorted_times(chain, weights, grid):
+    n = len(chain.states)
+    mass = np.array([1.0, *weights[: n - 1]])
+    mass[-1] = 1e-17 if n > 1 else mass[-1]  # below the clamp threshold
+    chain.set_initial(dict(zip(chain.states, mass / mass.sum())))
+    pi0 = chain.initial_distribution
+    got = transient_distributions(chain, grid, method="expm")
+    reference = reference_ctmc.transient_distributions(chain, grid, method="expm")
+    assert got.shape == (len(grid), n)
+    for t, row, want in zip(grid, got, reference):
+        if t == 0.0:
+            assert _bits(row) == _bits(pi0)
+        assert np.allclose(row, want, atol=1e-9)
+        assert _bits(row) == _bits(got[grid.index(t)])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(chain=chains(), horizon=st.floats(min_value=0.5, max_value=20.0))
+def test_ode_grid_clips_rows_as_the_oracle_does(chain, horizon):
+    grid = list(np.linspace(0.0, horizon, 7))
+    raw = _ode(chain.initial_distribution, chain.generator_matrix(), grid)
+    expected = np.vstack([reference_ctmc.clip(row) for row in raw])
+    got = transient_distributions(chain, grid, method="ode")
+    assert _bits(got) == _bits(expected)
+    reference = reference_ctmc.transient_distributions(chain, grid, method="ode")
+    assert np.allclose(got, reference, atol=1e-6)
