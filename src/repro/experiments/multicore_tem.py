@@ -152,7 +152,7 @@ def run_multicore_trial(
         sim,
         name="mc",
         trace=TraceRecorder(enabled=False),
-        rng=np.random.default_rng(seed),
+        rng=seed,
         config=KernelConfig(
             cores=NODE_CORES,
             resource_protocol=protocol,
@@ -166,8 +166,7 @@ def run_multicore_trial(
         scheduler.add_task(spec, CallableExecutable(lambda i, v=value: v, spec.wcet))
     scheduler.start()
     sim.schedule_at(
-        trial.tick,
-        lambda: scheduler.apply_fault_effect(trial.effect, core=trial.core),
+        trial.tick, scheduler.apply_fault_effect, trial.effect, trial.core,
         priority=PRIORITY_DEFAULT,
     )
     sim.run(until=2 * PERIOD_TICKS + PERIOD_TICKS // 2)

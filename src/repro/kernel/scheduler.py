@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -282,6 +283,13 @@ def best_ready(ready: Sequence[Job], core: Optional[int] = None) -> Optional[Job
     return best
 
 
+def another_copy_fits(job: Job, now: int, comparison_cost: int) -> bool:
+    """The TEM deadline check: one more copy of *job* (its WCET plus the
+    comparison) started at *now* still completes by its deadline."""
+    cost = job.task.wcet + comparison_cost
+    return now + cost <= job.absolute_deadline
+
+
 class Scheduler:
     """The per-node real-time kernel.
 
@@ -294,8 +302,14 @@ class Scheduler:
     trace:
         Optional shared :class:`TraceRecorder`.
     rng:
-        Random generator used only for fault-effect realisation (result
-        corruption patterns); scheduling itself is deterministic.
+        Random generator, or the int seed of one made on first use, used
+        only for fault-effect realisation (result corruption patterns).
+
+    Between :meth:`Simulator.run` passes, ``copy.deepcopy((sim, scheduler))``
+    is an independent kernel: calendar events are bound methods plus their
+    operands, so the copy fires into itself, finishes as the original would
+    and leaves the original unchanged.  Plain functions (executables, input
+    providers, node-layer ``on_*`` callbacks) are shared, not copied.
     """
 
     def __init__(
@@ -303,13 +317,13 @@ class Scheduler:
         sim: Simulator,
         name: str = "kernel",
         trace: Optional[TraceRecorder] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: "np.random.Generator | int | None" = None,
         config: Optional[KernelConfig] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
         self.config = config if config is not None else KernelConfig()
         self.stats = JobStats()
         self._cores = CoreSet(self.config.cores)
@@ -327,6 +341,14 @@ class Scheduler:
         self.on_kernel_error: Optional[Callable[[str], None]] = None
         self.on_undetected_output: Optional[Callable[[TaskSpec, Job, Result], None]] = None
         self.on_noncritical_shutdown: Optional[Callable[[TaskSpec], None]] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The fault-realisation generator (seed 0 when none was given)."""
+        if not isinstance(self._rng, np.random.Generator):
+            seed = self._rng
+            self._rng = np.random.default_rng(0) if seed is None else np.random.default_rng(seed)
+        return self._rng
 
     # ------------------------------------------------------------------
     # Task registration / lifecycle
@@ -521,10 +543,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _schedule_release(self, entry: _TaskEntry, when: int) -> None:
         entry.release_event = self.sim.schedule_at(
-            when,
-            lambda: self._release(entry),
-            priority=PRIORITY_KERNEL,
-            label=f"{self.name}:release:{entry.spec.name}",
+            when, self._release, entry,
+            priority=PRIORITY_KERNEL, label=(self.name, "release", entry.spec.name),
         )
 
     def _release(self, entry: _TaskEntry) -> None:
@@ -548,22 +568,20 @@ class Scheduler:
                 # Spatial redundancy: concurrent copies on distinct cores.
                 job.spatial = _SpatialState(
                     tem=SpatialTem(
-                        can_run_another_copy=self._deadline_predicate(job),
+                        can_run_another_copy=functools.partial(self._deadline_predicate, job),
                         max_copies=self.config.tem_max_copies,
                         accept_miss=accept_miss,
                     )
                 )
                 job.deadline_event = self.sim.schedule_at(
-                    job.absolute_deadline,
-                    lambda: self._deadline_check(job),
-                    priority=PRIORITY_OBSERVER,
-                    label=f"{self.name}:deadline:{job.job_id}",
+                    job.absolute_deadline, self._deadline_check, job,
+                    priority=PRIORITY_OBSERVER, label=(self.name, "deadline", job.job_id),
                 )
                 self._spawn_spatial_copies(job)
                 self._dispatch()
                 return
             job.tem = TemStateMachine(
-                can_run_another_copy=self._deadline_predicate(job),
+                can_run_another_copy=functools.partial(self._deadline_predicate, job),
                 max_copies=self.config.tem_max_copies,
                 accept_miss=accept_miss,
             )
@@ -571,10 +589,8 @@ class Scheduler:
             if action is not TemAction.RUN_COPY:  # pragma: no cover - cannot happen
                 raise SchedulingError("fresh TEM job did not request a copy")
         job.deadline_event = self.sim.schedule_at(
-            job.absolute_deadline,
-            lambda: self._deadline_check(job),
-            priority=PRIORITY_OBSERVER,
-            label=f"{self.name}:deadline:{job.job_id}",
+            job.absolute_deadline, self._deadline_check, job,
+            priority=PRIORITY_OBSERVER, label=(self.name, "deadline", job.job_id),
         )
         self._ready.append(job)
         self._dispatch()
@@ -583,12 +599,8 @@ class Scheduler:
         self._jobs_created += 1
         return Job(task, release_time, inputs, self._jobs_created)
 
-    def _deadline_predicate(self, job: Job) -> Callable[[], bool]:
-        def can_run_another_copy() -> bool:
-            cost = job.task.wcet + self.config.comparison_cost
-            return self.sim.now + cost <= job.absolute_deadline
-
-        return can_run_another_copy
+    def _deadline_predicate(self, job: Job) -> bool:
+        return another_copy_fits(job, self.sim.now, self.config.comparison_cost)
 
     # ------------------------------------------------------------------
     # Spatial TEM copy management
@@ -785,16 +797,14 @@ class Scheduler:
             self._plan_copy(job)
         job.state = JobState.RUNNING
         start_at = self.sim.now
+        overhead = self.config.context_switch_cost
         fire_in, reason = self._boundary(job)
-        event = self.sim.schedule_after(
-            fire_in + self.config.context_switch_cost,
-            lambda: self._segment_event(job, reason),
-            priority=PRIORITY_KERNEL,
-            label=f"{self.name}:segment:{job.job_id}:{reason}",
+        event = self.sim.schedule_at(
+            start_at + fire_in + overhead, self._segment_event, job, reason, core,
+            priority=PRIORITY_KERNEL, label=(self.name, "segment", job.job_id, reason),
         )
         self._cores.slots[core] = _Running(
-            job=job, started_at=start_at, event=event, core=core,
-            overhead=self.config.context_switch_cost,
+            job=job, started_at=start_at, event=event, core=core, overhead=overhead,
         )
         if self._cores.count > 1:
             if job.core is not None and job.core != core:
@@ -814,15 +824,14 @@ class Scheduler:
     def _continue_segment(self, job: Job, core: int) -> None:
         """Resume the running copy in place after a section boundary —
         no dispatch, no context switch, no preemption decision."""
+        now = self.sim.now
         fire_in, reason = self._boundary(job)
-        event = self.sim.schedule_after(
-            fire_in,
-            lambda: self._segment_event(job, reason),
-            priority=PRIORITY_KERNEL,
-            label=f"{self.name}:segment:{job.job_id}:{reason}",
+        event = self.sim.schedule_at(
+            now + fire_in, self._segment_event, job, reason, core,
+            priority=PRIORITY_KERNEL, label=(self.name, "segment", job.job_id, reason),
         )
         self._cores.slots[core] = _Running(
-            job=job, started_at=self.sim.now, event=event, core=core, overhead=0,
+            job=job, started_at=now, event=event, core=core, overhead=0,
         )
 
     def _plan_copy(self, job: Job) -> None:
@@ -883,12 +892,10 @@ class Scheduler:
                 return core
         return None
 
-    def _segment_event(self, job: Job, reason: str) -> None:
-        core = self._core_running_job(job)
-        if core is None:  # pragma: no cover - defensive
-            raise SchedulingError("segment event fired for a non-running job")
+    def _segment_event(self, job: Job, reason: str, core: int) -> None:
         slot = self._cores.slots[core]
-        assert slot is not None
+        if slot is None or slot.job is not job:  # pragma: no cover - defensive
+            raise SchedulingError("segment event fired for a non-running job")
         elapsed = self.sim.now - slot.started_at
         progressed = max(0, elapsed - slot.overhead)
         job.consumed += progressed
@@ -927,11 +934,11 @@ class Scheduler:
                 # (MSRP busy-wait); only the budget timer can interrupt.
                 job.spinning_on = section
                 assert job.budget is not None
-                event = self.sim.schedule_after(
-                    job.budget.remaining,
-                    lambda: self._segment_event(job, "budget"),
+                event = self.sim.schedule_at(
+                    self.sim.now + job.budget.remaining,
+                    self._segment_event, job, "budget", core,
                     priority=PRIORITY_KERNEL,
-                    label=f"{self.name}:segment:{job.job_id}:budget",
+                    label=(self.name, "segment", job.job_id, "budget"),
                 )
                 self._cores.slots[core] = _Running(
                     job=job, started_at=self.sim.now, event=event,
@@ -1094,12 +1101,8 @@ class Scheduler:
                         job=job.job_id, resource=resource, cost=cost,
                     )
                     self.sim.schedule_after(
-                        cost,
-                        lambda resource=resource, job=job: self._cleanup_release(
-                            resource, job
-                        ),
-                        priority=PRIORITY_KERNEL,
-                        label=f"{self.name}:cleanup:{resource}",
+                        cost, self._cleanup_release, resource, job,
+                        priority=PRIORITY_KERNEL, label=(self.name, "cleanup", resource),
                     )
                     continue
             job.holding.remove(resource)

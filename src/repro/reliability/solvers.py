@@ -68,6 +68,7 @@ def transient_distributions(
     which is much faster than repeated single-point solves on dense grids.
     The ``expm`` method solves the whole grid with one scaled decomposition
     (step-matrix propagation) instead of one matrix exponential per point.
+    Every method returns ``pi0`` exactly in the rows where ``t == 0``.
     """
     times = [float(t) for t in times]
     if not times:
@@ -78,16 +79,16 @@ def transient_distributions(
         pi0 = chain.initial_distribution
         q = chain.generator_matrix()
         with obs_metrics.span("solver.ode"):
-            return _clip(_ode(pi0, q, times))
-    if method == "expm" and len(times) > 1:
+            grid = _clip(_ode(pi0, q, times))
+    elif method == "expm" and len(times) > 1:
         pi0 = chain.initial_distribution
         q = chain.generator_matrix()
         with obs_metrics.span("solver.expm"):
-            rows = _expm_grid_propagated(pi0, q, times)
-        grid = _clip(rows)
-        grid[np.asarray(times) == 0.0] = pi0  # exactly pi0, as in a point solve
-        return grid
-    return np.vstack([transient_distribution(chain, t, method=method, tol=tol) for t in times])
+            grid = _clip(_expm_grid_propagated(pi0, q, times))
+    else:
+        return np.vstack([transient_distribution(chain, t, method=method, tol=tol) for t in times])
+    grid[np.asarray(times) == 0.0] = pi0  # exactly pi0, as in a point solve
+    return grid
 
 
 def steady_state(chain: MarkovChain) -> np.ndarray:

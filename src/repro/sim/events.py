@@ -9,7 +9,7 @@ whenever the job is preempted or a fault forces a re-execution).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Tuple
 
 
 class EventHandle:
@@ -19,20 +19,31 @@ class EventHandle:
     ----------
     time:
         Absolute simulated time (ticks) at which the event fires.
-    callback:
-        Zero-argument callable invoked when the event fires.
+    callback, args:
+        The event calls ``callback(*args)``; a bound method and operands,
+        unlike a closure, deep-copy along with the object they act on.
     label:
-        Free-form description used in traces and error messages.
+        Free-form description used in traces and error messages (a tuple
+        of parts is joined with ``":"`` only when read).
     """
 
-    __slots__ = ("time", "callback", "label", "_cancelled", "_fired")
+    __slots__ = ("time", "callback", "args", "_label", "_cancelled", "_fired")
 
-    def __init__(self, time: int, callback: Callable[[], Any], label: str = "") -> None:
+    def __init__(
+        self, time: int, callback: Callable[..., Any], args: Tuple[Any, ...] = (), label: Any = ""
+    ) -> None:
         self.time = time
         self.callback = callback
-        self.label = label
+        self.args = args
+        self._label = label
         self._cancelled = False
         self._fired = False
+
+    @property
+    def label(self) -> str:
+        """The description, with a tuple label's parts joined by ``":"``."""
+        label = self._label
+        return ":".join(map(str, label)) if isinstance(label, tuple) else label
 
     @property
     def cancelled(self) -> bool:
@@ -59,10 +70,6 @@ class EventHandle:
             return False
         self._cancelled = True
         return True
-
-    def _fire(self) -> None:
-        self._fired = True
-        self.callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")

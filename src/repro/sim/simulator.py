@@ -8,6 +8,9 @@ event-calendar design:
 * events are kept in a binary heap of plain ``(time, priority, seq,
   handle)`` tuples; ``seq`` is unique, so ordering never reaches the
   handle;
+* an event fires ``callback(*args)``: kernels schedule bound methods, so
+  ``copy.deepcopy`` of a simulator and its kernel fires into the copy; a
+  tuple label is joined with ``":"`` only when read;
 * executing an event may schedule or cancel further events.
 
 Determinism matters for reproducing fault-injection campaigns: two runs with
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
@@ -38,15 +41,18 @@ PRIORITY_OBSERVER = 9
 class Simulator:
     """Discrete-event simulator with cancellable events.
 
+    An event fires ``callback(*args)`` with the positional operands given
+    after the callback; a zero-argument closure needs none.
+
     Example
     -------
     >>> sim = Simulator()
     >>> fired = []
     >>> _ = sim.schedule_at(10, lambda: fired.append(sim.now))
-    >>> _ = sim.schedule_after(3, lambda: fired.append(sim.now))
-    >>> sim.run()
+    >>> _ = sim.schedule_after(3, fired.append, "three")
+    >>> _ = sim.run()
     >>> fired
-    [3, 10]
+    ['three', 10]
     """
 
     def __init__(self) -> None:
@@ -76,12 +82,12 @@ class Simulator:
     def schedule_at(
         self,
         time: int,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = PRIORITY_DEFAULT,
-        label: str = "",
+        label: str | Tuple[Any, ...] = "",
     ) -> EventHandle:
-        """Schedule *callback* at absolute tick *time*.
+        """Schedule ``callback(*args)`` at absolute tick *time*.
 
         Raises :class:`SimulationError` when *time* lies in the past.
         Scheduling at the current time is allowed; the event fires within the
@@ -93,7 +99,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
-        handle = EventHandle(time, callback, label)
+        handle = EventHandle(time, callback, args, label)
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, self._seq, handle))
         return handle
@@ -101,16 +107,16 @@ class Simulator:
     def schedule_after(
         self,
         delay: int,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = PRIORITY_DEFAULT,
-        label: str = "",
+        label: str | Tuple[Any, ...] = "",
     ) -> EventHandle:
-        """Schedule *callback* after *delay* ticks from now."""
+        """Schedule ``callback(*args)`` after *delay* ticks from now."""
         delay = int(delay)
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, priority=priority, label=label)
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority, label=label)
 
     # ------------------------------------------------------------------
     # Execution
@@ -150,7 +156,8 @@ class Simulator:
                 if time < self._now:  # pragma: no cover - internal invariant
                     raise SimulationError("event calendar corrupted: time went backwards")
                 self._now = time
-                handle._fire()
+                handle._fired = True
+                handle.callback(*handle.args)
                 self._events_executed += 1
                 executed_this_run += 1
                 if max_events is not None and executed_this_run >= max_events:
@@ -174,7 +181,8 @@ class Simulator:
             if handle._cancelled:
                 continue
             self._now = time
-            handle._fire()
+            handle._fired = True
+            handle.callback(*handle.args)
             self._events_executed += 1
             return True
         return False

@@ -9,3 +9,9 @@ def check(sim, job):
     sim.schedule_at(10, job.run)
     sim.schedule_after(5, job.run)
     return None
+
+
+def check_operands(sim, handler, job):
+    # Positional operands do not stand in for a missing priority.
+    sim.schedule_at(10, handler, job)
+    sim.schedule_after(5, handler, job, "budget")

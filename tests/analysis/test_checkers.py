@@ -126,11 +126,14 @@ class TestSim001SimTime:
             "float-compare:now",
             "no-priority:check:schedule_at",
             "no-priority:check:schedule_after",
+            "no-priority:check_operands:schedule_at",
+            "no-priority:check_operands:schedule_after",
         }
 
     def test_negative_explicit_priorities_pass(self, run_rule):
         # Integer tick literals, a *_s-suffixed float threshold, and
-        # explicit priorities: all deliberate, none flagged.
+        # explicit priorities (with positional operands too): all
+        # deliberate, none flagged.
         assert run_rule("SIM001", "sim001_neg.py") == []
 
     def test_reliability_layer_is_out_of_scope(self):

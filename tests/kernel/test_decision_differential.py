@@ -9,15 +9,23 @@ section not yet entered or already entered (behind a finished one or
 not), every duration, consumed time and remaining budget up to a few
 ticks.  :func:`~repro.kernel.scheduler.best_ready` must pick the same job
 object as ``min(key=priority)`` for every small ready list, ties
-included.
+included.  The TEM deadline check,
+:func:`~repro.kernel.scheduler.another_copy_fits` and the scheduler's
+``functools.partial`` binding of it, must agree with the closure form
+over a grid of WCET, comparison cost, release, deadline and current time
+that puts the copy's end on, before and after the deadline.
 """
 
+import functools
 import itertools
 
 import pytest
 
-from repro.kernel.scheduler import Job, _Section, best_ready, next_boundary
+from repro.kernel.scheduler import (
+    Job, KernelConfig, Scheduler, _Section, another_copy_fits, best_ready, next_boundary,
+)
 from repro.kernel.task import CopyPlan, TaskSpec
+from repro.sim import Simulator
 from tests.oracles import reference_kernel
 
 TICKS = range(0, 5)
@@ -82,3 +90,32 @@ def test_best_ready_matches_min(length):
             ready = _jobs(priorities, homes)
             for core in (None, 0, 1):
                 assert best_ready(ready, core) is reference_kernel.best_ready(ready, core)
+
+
+def test_deadline_predicate_matches_closure_form():
+    outcomes = set()
+    edges = 0
+    for cost in range(0, 4):
+        sim = Simulator()
+        scheduler = Scheduler(sim, config=KernelConfig(comparison_cost=cost))
+        for now in range(0, 16):
+            sim.run(until=now)
+            assert sim.now == now
+            for wcet, release, deadline in itertools.product(
+                range(1, 5), (0, 3), range(1, 12)
+            ):
+                if wcet > deadline:
+                    continue
+                task = TaskSpec(
+                    name="t", period=20, wcet=wcet, priority=0, deadline=deadline
+                )
+                job = Job(task, release, (), 1)
+                want = reference_kernel.deadline_predicate(scheduler, job)()
+                assert another_copy_fits(job, now, cost) is want
+                assert functools.partial(scheduler._deadline_predicate, job)() is want
+                outcomes.add(want)
+                if now + wcet + cost == release + deadline:
+                    edges += 1
+                    assert want  # a copy ending exactly at the deadline fits
+    assert outcomes == {True, False}
+    assert edges > 0

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cpu.profiles import FaultEffect
 from repro.errors import SchedulingError
-from repro.experiments.multicore_tem import workload_tasks
+from repro.experiments.multicore_tem import MulticoreTrial, run_multicore_trial, workload_tasks
+from repro.kernel.resources import ResourceProtocol
 from repro.kernel.scheduler import KernelConfig, Scheduler
 from repro.kernel.task import CallableExecutable, Criticality, TaskSpec, TemMode
 from repro.sim import Simulator, TraceRecorder
@@ -353,3 +354,29 @@ class TestDeterminism:
         assert first_labels == second_labels
         assert first_events[0].details["job"] == "ctrl#1"
         assert any("#" in label for label in first_labels)
+
+
+class TestLazyRng:
+    def test_int_seed_draws_as_the_generator_it_names(self):
+        scheduler = Scheduler(Simulator(), rng=11)
+        first = scheduler.rng
+        assert scheduler.rng is first
+        want = np.random.default_rng(11)
+        assert first.integers(0, 1 << 30, size=4).tolist() == want.integers(
+            0, 1 << 30, size=4
+        ).tolist()
+
+    def test_default_stream_is_seed_zero(self):
+        got = Scheduler(Simulator()).rng.uniform(size=3).tolist()
+        assert got == np.random.default_rng(0).uniform(size=3).tolist()
+
+    @pytest.mark.parametrize(
+        "effect,drawn",
+        [(FaultEffect.HARDWARE_EXCEPTION, False), (FaultEffect.WRONG_RESULT, True)],
+    )
+    def test_generator_is_made_only_when_a_fault_draws(self, effect, drawn):
+        trial = MulticoreTrial(tick=100, core=0, effect=effect, targets_cs=False)
+        _, scheduler = run_multicore_trial(
+            trial, TemMode.TEMPORAL, ResourceProtocol.LOCK, seed=5
+        )
+        assert isinstance(scheduler._rng, np.random.Generator) is drawn

@@ -1,17 +1,22 @@
-"""The scheduler's decisions in their candidate-list form.
+"""The scheduler's decisions in the forms production replaced.
 
 Production (:func:`repro.kernel.scheduler.next_boundary` and
 :func:`repro.kernel.scheduler.best_ready`) makes both choices in one pass
 without building candidates.  These are the forms they replaced: collect
 every candidate, then take ``min`` under an explicit key.  For every
 input the two must return the same boundary and the same job.
+
+:func:`deadline_predicate` is the TEM deadline check in its closure form,
+which production replaced with the pure
+:func:`repro.kernel.scheduler.another_copy_fits` reached through
+``functools.partial`` (a closure would not survive ``copy.deepcopy``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.kernel.scheduler import Job, _Section
+from repro.kernel.scheduler import Job, Scheduler, _Section
 from repro.kernel.task import CopyPlan
 
 #: Tie-break among boundaries that fall on the same tick.
@@ -44,3 +49,13 @@ def best_ready(ready: Sequence[Job], core: Optional[int] = None) -> Optional[Job
         key=lambda job: job.task.priority,
         default=None,
     )
+
+
+def deadline_predicate(scheduler: Scheduler, job: Job) -> Callable[[], bool]:
+    """TEM's ``can_run_another_copy`` as a closure over the live kernel."""
+
+    def can_run_another_copy() -> bool:
+        cost = job.task.wcet + scheduler.config.comparison_cost
+        return scheduler.sim.now + cost <= job.absolute_deadline
+
+    return can_run_another_copy

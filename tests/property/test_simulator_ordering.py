@@ -7,6 +7,13 @@ keeps its pending events in a plain list and sorts it before every pick.
 Events scheduled by firing events run further script steps, so calls
 land at every simulated time, and the small time and priority ranges
 make equal times and equal priorities the common case.
+
+Each scheduled event also carries zero to three positional operands
+(zero means a zero-argument closure) and a label given either as text or
+as a tuple of parts.  The log records the operands the callback received
+and the handle's ``label`` when it fires; the model logs the operands it
+was given and the ``":"``-joined label text, so a callback that gets the
+wrong arguments or a label joined any other way fails the comparison.
 """
 
 from hypothesis import given, settings
@@ -21,6 +28,8 @@ ACTION = st.tuples(
     st.sampled_from(["at", "after", "cancel"]),
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),  # positional operands
+    st.booleans(),  # label given as a tuple of parts
 )
 SCRIPT = st.lists(st.lists(ACTION, max_size=3), min_size=1, max_size=20)
 
@@ -56,19 +65,30 @@ class NaiveCalendar:
             fire(event_id)
 
 
+def operands(event_id, count):
+    """The positional operands event *event_id* is scheduled with."""
+    return tuple(f"{event_id}.{index}" for index in range(count))
+
+
+def label_parts(event_id, priority, count):
+    return ("ev", event_id, priority, *operands(event_id, count))
+
+
 def play(script, calendar_factory):
     """Run *script* on one calendar; returns the log of fires and cancels."""
     log = []
     handles = []
 
     def run_step(step):
-        for kind, value, priority in script[step % len(script)]:
+        for kind, value, priority, count, tuple_label in script[step % len(script)]:
             if kind == "cancel":
                 if handles:
                     log.append(("cancel", value % len(handles), cancel(value % len(handles))))
             elif len(handles) < MAX_EVENTS:
                 event_id = len(handles)
-                handles.append(schedule(kind, value, priority, event_id))
+                handles.append(
+                    schedule(kind, value, priority, event_id, count, tuple_label)
+                )
 
     schedule, cancel, run = calendar_factory(log, run_step)
     run_step(0)
@@ -80,15 +100,25 @@ def simulator_calendar(log, run_step):
     sim = Simulator()
     handles = {}
 
-    def schedule(kind, value, priority, event_id):
-        def fire():
-            log.append(("fire", event_id, sim.now))
-            run_step(event_id + 1)
+    def fire(event_id, *received):
+        log.append(("fire", event_id, sim.now, received, handles[event_id].label))
+        run_step(event_id + 1)
 
-        if kind == "at":
-            handle = sim.schedule_at(sim.now + value, fire, priority=priority)
+    def schedule(kind, value, priority, event_id, count, tuple_label):
+        parts = label_parts(event_id, priority, count)
+        label = parts if tuple_label else ":".join(map(str, parts))
+        if count:
+            callback, args = fire, (event_id, *operands(event_id, count))
         else:
-            handle = sim.schedule_after(value, fire, priority=priority)
+            callback, args = (lambda: fire(event_id)), ()
+        if kind == "at":
+            handle = sim.schedule_at(
+                sim.now + value, callback, *args, priority=priority, label=label
+            )
+        else:
+            handle = sim.schedule_after(
+                value, callback, *args, priority=priority, label=label
+            )
         handles[event_id] = handle
         return handle
 
@@ -104,14 +134,17 @@ def simulator_calendar(log, run_step):
 
 def naive_calendar(log, run_step):
     calendar = NaiveCalendar()
+    expected = {}
 
-    def schedule(kind, value, priority, event_id):
+    def schedule(kind, value, priority, event_id, count, tuple_label):
         # "at now + v" and "after v" are the same request to the model.
         calendar.schedule(calendar.now + value, priority, event_id)
+        label = ":".join(str(part) for part in label_parts(event_id, priority, count))
+        expected[event_id] = (operands(event_id, count), label)
         return event_id
 
     def fire(event_id):
-        log.append(("fire", event_id, calendar.now))
+        log.append(("fire", event_id, calendar.now, *expected[event_id]))
         run_step(event_id + 1)
 
     def run():

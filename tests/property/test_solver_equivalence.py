@@ -21,7 +21,9 @@ Five independent claims, over randomly generated generator matrices:
    included — and raises the same :class:`ModelError` when any row is
    bad; the ``expm`` grid keeps ``t == 0`` rows exactly ``pi0`` for
    duplicate and unsorted times, and the ``ode`` grid clips its rows as
-   the oracle does.
+   the oracle does, except the ``t == 0`` row, which is ``pi0``;
+6. for every method, grid rows and point solves at ``t == 0`` are
+   exactly the initial distribution, also when it is not a unit vector.
 """
 
 import numpy as np
@@ -249,7 +251,25 @@ def test_ode_grid_clips_rows_as_the_oracle_does(chain, horizon):
     grid = list(np.linspace(0.0, horizon, 7))
     raw = _ode(chain.initial_distribution, chain.generator_matrix(), grid)
     expected = np.vstack([reference_ctmc.clip(row) for row in raw])
+    expected[0] = chain.initial_distribution  # t == 0: pi0 exactly, as a point solve
     got = transient_distributions(chain, grid, method="ode")
     assert _bits(got) == _bits(expected)
     reference = reference_ctmc.transient_distributions(chain, grid, method="ode")
     assert np.allclose(got, reference, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    chain=chains(),
+    weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
+    method=st.sampled_from(["expm", "uniformization", "ode"]),
+    horizon=st.floats(min_value=0.5, max_value=20.0),
+)
+def test_zero_time_rows_are_exactly_pi0_for_every_method(chain, weights, method, horizon):
+    n = len(chain.states)
+    mass = np.array([1.0, *weights[: n - 1]])
+    chain.set_initial(dict(zip(chain.states, mass / mass.sum())))
+    pi0 = chain.initial_distribution
+    got = transient_distributions(chain, [0.0, horizon / 4, horizon], method=method)
+    assert _bits(got[0]) == _bits(pi0)
+    assert _bits(transient_distribution(chain, 0.0, method=method)) == _bits(pi0)
