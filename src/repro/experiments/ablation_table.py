@@ -55,15 +55,20 @@ def _make_harness(variant: str) -> TemInjectionHarness:
 _HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}
 
 
-def _ablation_trial(payload: "tuple[str, Fault]", seed: int) -> ExperimentRecord:
-    """One ablation injection (supervisor trial function)."""
-    variant, fault = payload
+def _cached_harness(variant: str) -> TemInjectionHarness:
     harness = _HARNESS_CACHE.get(variant)
     if harness is None:
         harness = _HARNESS_CACHE[variant] = _make_harness(variant)
+    return harness
+
+
+def _ablation_trial(payload: "tuple[str, Fault]", seed: int) -> ExperimentRecord:
+    """One ablation injection (supervisor trial function)."""
+    variant, fault = payload
+    harness = _cached_harness(variant)
     if variant == "no_tem":
         return harness.run_single_experiment(fault)
-    return harness.run_experiment(fault)
+    return harness.settle_or_run(fault)
 
 
 @dataclasses.dataclass
@@ -119,6 +124,17 @@ class AblationResult:
         return table + "\n" + verdict
 
 
+def ablation_faults(experiments: int, seed: int) -> List[Fault]:
+    """The seeded fault list every ablation variant is injected with."""
+    return random_fault_list(
+        np.random.default_rng(seed),
+        experiments,
+        max_step=max(_cached_harness("full").golden_steps * 2, 2),
+        code_range=(0, assemble(BRAKE_TASK_SOURCE).size),
+        data_range=(0x1800, 0x1902),
+    )
+
+
 def compute_ablation_table(
     experiments: int = 1_200,
     seed: int = 424_242,
@@ -138,15 +154,7 @@ def compute_ablation_table(
     ``chaos`` attacks the shard runners of every variant's campaign when
     ``workers >= 1`` (:class:`repro.harness.ChaosPolicy`).
     """
-    program_words = assemble(BRAKE_TASK_SOURCE).size
-    reference = _make_harness("full")
-    faults = random_fault_list(
-        np.random.default_rng(seed),
-        experiments,
-        max_step=max(reference.golden_steps * 2, 2),
-        code_range=(0, program_words),
-        data_range=(0x1800, 0x1902),
-    )
+    faults = ablation_faults(experiments, seed)
     stats: Dict[str, CampaignStatistics] = {}
     for variant in VARIANTS:
         variant_journal = (

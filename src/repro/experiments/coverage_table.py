@@ -20,6 +20,17 @@ The absolute numbers need not equal the paper's (different processor); the
 claims under test are the *taxonomy and ordering*: most detected errors are
 masked, omissions and fail-silent failures are small minorities, coverage
 is high.
+
+About 70% of the seeded faults are *dead*: from their arrival step on, the
+fault-free job writes the flipped register or word before reading it, or
+never touches it again.  Accesses between instructions (copy-start
+``prepare`` and input writes, copy-end signature check and output reads)
+count as before that step's injection.  The trial functions and the batch
+runner settle such a trial as the fault-free job's record under the
+fault's description, without the CPU
+(:meth:`~repro.faults.campaign.TemInjectionHarness.settle_or_run`; the
+rule is in :mod:`repro.faults.liveness`).  Records and metrics are those a
+simulation gives.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
 from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable, MKWindow
+from ..obs import metrics as obs_metrics
 from ..obs.progress import ProgressReporter
 from .asciiplot import render_table
 
@@ -159,8 +171,7 @@ def _e5_trial(payload: "tuple[int, Fault]", seed: int) -> ExperimentRecord:
     machine per trial) which makes this function safe for any worker.
     """
     max_copies, fault = payload
-    harness = _cached_harness(max_copies)
-    return harness.run_experiment(fault)
+    return _cached_harness(max_copies).settle_or_run(fault)
 
 
 def _cached_harness(max_copies: int) -> TemInjectionHarness:
@@ -176,9 +187,11 @@ def _tem_batch_replies(
 ) -> "list[BatchReply]":
     """Run ``(max_copies, fault, miss_window)`` experiments in lockstep.
 
-    Groups the items by TEM copy cap, steps each group through one
-    :class:`repro.faults.batch_campaign.BatchTemExecutor` over the cached
-    harness of that cap and returns the replies in item order —
+    Groups the items by TEM copy cap.  In each group the faults the cached
+    harness of that cap calls dead are settled without the CPU
+    (:meth:`TemInjectionHarness.settle`); the others step through one
+    :class:`repro.faults.batch_campaign.BatchTemExecutor`, which gets
+    lanes for them only.  The replies come back in item order —
     bit-identical to :meth:`TemInjectionHarness.run_experiment` under
     metrics capture.  The chunk engine behind both campaign batch runners.
     """
@@ -187,15 +200,36 @@ def _tem_batch_replies(
     for index, (max_copies, _, _) in enumerate(items):
         groups.setdefault(max_copies, []).append(index)
     for max_copies in sorted(groups):
-        members = groups[max_copies]
-        executor = BatchTemExecutor(
-            _cached_harness(max_copies), batch=len(members)
-        )
+        harness = _cached_harness(max_copies)
+        live = []
+        # A settle without a window records the same metrics whatever the
+        # fault, so those items share the first one's snapshot object,
+        # which the supervisor's merge folds once, scaled.
+        shared: "Optional[BatchReply]" = None
+        for index in groups[max_copies]:
+            _, fault, window = items[index]
+            if not harness.is_dead(fault):
+                live.append(index)
+            elif window is None and shared is not None:
+                record = shared[0]
+                replies[index] = (ExperimentRecord(
+                    record.outcome, fault.describe(),
+                    record.detection_mechanisms, record.copies_run,
+                ), shared[1])
+            else:
+                with obs_metrics.capture() as registry:
+                    record = harness.settle(fault, window)
+                replies[index] = (record, registry.snapshot() or None)
+                if window is None:
+                    shared = replies[index]
+        if not live:
+            continue
+        executor = BatchTemExecutor(harness, batch=len(live))
         chunk_replies = executor.run_experiments(
-            [items[i][1] for i in members],
-            miss_windows=[items[i][2] for i in members],
+            [items[i][1] for i in live],
+            miss_windows=[items[i][2] for i in live],
         )
-        for index, reply in zip(members, chunk_replies):
+        for index, reply in zip(live, chunk_replies):
             replies[index] = reply
     return replies
 

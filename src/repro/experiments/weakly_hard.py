@@ -146,7 +146,7 @@ def _mk_trial(payload: MkPayload, seed: int) -> ExperimentRecord:
     del seed
     max_copies = payload[0]
     harness = _cached_harness(max_copies)
-    return harness.run_experiment(payload[4], miss_window=_mk_window(payload))
+    return harness.settle_or_run(payload[4], miss_window=_mk_window(payload))
 
 
 def _mk_batch_runner(

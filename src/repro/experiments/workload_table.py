@@ -61,15 +61,30 @@ def make_workload(program: WorkloadProgram, max_copies: int = 3) -> TemWorkload:
 _HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}
 
 
-def _workload_trial(payload: "tuple[str, Fault]", seed: int) -> ExperimentRecord:
-    """One injection into one library workload (supervisor trial function)."""
-    name, fault = payload
+def _cached_harness(name: str) -> TemInjectionHarness:
     harness = _HARNESS_CACHE.get(name)
     if harness is None:
         harness = _HARNESS_CACHE[name] = TemInjectionHarness(
             make_workload(get_program(name))
         )
-    return harness.run_experiment(fault)
+    return harness
+
+
+def _workload_trial(payload: "tuple[str, Fault]", seed: int) -> ExperimentRecord:
+    """One injection into one library workload (supervisor trial function)."""
+    name, fault = payload
+    return _cached_harness(name).settle_or_run(fault)
+
+
+def workload_faults(name: str, experiments: int, seed: int) -> List[Fault]:
+    """The seeded fault list injected into library workload *name*."""
+    return random_fault_list(
+        np.random.default_rng(seed),
+        experiments,
+        max_step=max(_cached_harness(name).golden_steps * 2, 2),
+        code_range=(0, assemble(get_program(name).source).size),
+        data_range=(0x1800, 0x1910),
+    )
 
 
 @dataclasses.dataclass
@@ -132,17 +147,8 @@ def compute_workload_table(
     (:class:`repro.harness.ChaosPolicy`).
     """
     stats: Dict[str, CampaignStatistics] = {}
-    for index, (name, program) in enumerate(sorted(PROGRAMS.items())):
-        harness = TemInjectionHarness(make_workload(program))
-        assembled_size = assemble(program.source).size
-        rng = np.random.default_rng(seed + index)
-        faults = random_fault_list(
-            rng,
-            experiments,
-            max_step=max(harness.golden_steps * 2, 2),
-            code_range=(0, assembled_size),
-            data_range=(0x1800, 0x1910),
-        )
+    for index, name in enumerate(sorted(PROGRAMS)):
+        faults = workload_faults(name, experiments, seed + index)
         stats[name] = run_experiment_campaign(
             _workload_trial,
             [(name, fault) for fault in faults],

@@ -18,6 +18,21 @@ Harness structure per experiment:
 3. every copy is guarded by a step budget (the execution-time monitor) and,
    optionally, a control-flow signature check;
 4. the outcome is classified against the golden (fault-free) result.
+
+A fault that cannot change the job is *settled* instead of simulated
+(:meth:`TemInjectionHarness.settle_or_run`).  Each harness traces its
+fault-free job once into a def/use table (:mod:`repro.faults.liveness`);
+a transient register or memory flip is dead when, from its arrival step
+on, the fault-free job writes the location before reading it or never
+touches it again.  Accesses between instructions (a copy's ``prepare``
+and input writes, the previous copy's signature check and output reads)
+count as happening before the injection at that step, as in the stepper
+below.  A settled trial replays the fault-free job's copy replies
+through a real TEM state machine — the deadline check in step currency
+and the trial's (m,k) window included — so its record and metrics are
+the fault-free job's, under the fault's description.  PC faults and
+permanent faults are always simulated, and :meth:`run_experiment`
+simulates whatever it is given.
 """
 
 from __future__ import annotations
@@ -35,13 +50,14 @@ from ..kernel.task import MachineExecutable, MKWindow
 from ..obs import metrics as obs_metrics
 from ..types import Result
 from .injector import MachineFaultInjector
+from .liveness import AccessLog, LivenessTable
 from .outcomes import (
     CampaignStatistics,
     ExperimentRecord,
     OutcomeClass,
     classify_tem_report,
 )
-from .types import Fault
+from .types import Fault, FaultTarget, FaultType
 
 #: Copy step budget as a multiple of the golden run's step count.
 BUDGET_STEP_FACTOR = 2.0
@@ -96,6 +112,7 @@ class TemInjectionHarness:
         self.golden_steps = max(1, golden_exec.machine.instruction_count)
         self.budget_steps = int(self.golden_steps * BUDGET_STEP_FACTOR) + 50
         self.deadline_steps = int(self.golden_steps * workload.deadline_factor) + 50
+        self.liveness = self._trace_liveness()
 
     # ------------------------------------------------------------------
     def run_experiment(
@@ -111,19 +128,40 @@ class TemInjectionHarness:
         hard-deadline path untouched.
         """
         with obs_metrics.span("injection.experiment"):
-            report, mechanisms, ecc_corrections = self._run_tem_job(
-                fault, miss_window=miss_window
-            )
-        obs_metrics.inc("injection.experiments")
-        outcome = classify_tem_report(report, self.golden)
-        if ecc_corrections > 0:
-            mechanisms = mechanisms + ("ecc_correct",)
-        return ExperimentRecord(
-            outcome=outcome,
-            fault_description=fault.describe(),
-            detection_mechanisms=tuple(report.detection_mechanisms) + tuple(mechanisms),
-            copies_run=report.copies_run,
-        )
+            stepper = self._stepper(fault)
+            ecc_stats = stepper.executable.machine.memory.ecc_stats
+            corrections_before = ecc_stats.corrections
+            report = self._run_job(stepper, miss_window)
+        return self._record(fault, report, ecc_stats.corrections - corrections_before)
+
+    def is_dead(self, fault: Fault) -> bool:
+        """True when *fault* cannot change the job: its location is, from
+        its arrival on, written before it is read or never accessed by the
+        fault-free job (:meth:`LivenessTable.is_dead`)."""
+        return self.liveness is not None and self.liveness.is_dead(fault)
+
+    def settle(
+        self, fault: Fault, miss_window: Optional[MKWindow] = None
+    ) -> ExperimentRecord:
+        """The record of a fault :meth:`is_dead` calls dead, without the CPU.
+
+        The fault-free job's copy replies are replayed through a real TEM
+        state machine with this harness's deadline check and *miss_window*,
+        so the record and the metrics it records are exactly what
+        :meth:`run_experiment` gives for that fault.
+        """
+        assert self.liveness is not None
+        with obs_metrics.span("injection.experiment"):
+            report = self._run_job(_ReplayedJob(self.liveness.copies), miss_window)
+        return self._record(fault, report, 0)
+
+    def settle_or_run(
+        self, fault: Fault, miss_window: Optional[MKWindow] = None
+    ) -> ExperimentRecord:
+        """:meth:`settle` a dead fault, :meth:`run_experiment` any other."""
+        if self.is_dead(fault):
+            return self.settle(fault, miss_window)
+        return self.run_experiment(fault, miss_window)
 
     def run_campaign(self, faults: Iterable[Fault]) -> CampaignStatistics:
         """Run one experiment per fault and aggregate statistics."""
@@ -221,15 +259,13 @@ class TemInjectionHarness:
             self._monitor(), self.budget_steps, fault,
         )
 
-    def _run_tem_job(
-        self, fault: Fault, miss_window: Optional[MKWindow] = None
-    ) -> "tuple[TemReport, tuple[str, ...], int]":
-        stepper = self._stepper(fault)
-        ecc_stats = stepper.executable.machine.memory.ecc_stats
-        corrections_before = ecc_stats.corrections
+    def _run_job(
+        self, job: "_SteppedTem | _ReplayedJob", miss_window: Optional[MKWindow]
+    ) -> TemReport:
+        """One TEM job over *job*'s copies; the outcome goes into the window."""
         report = run_tem_direct(
-            stepper.execute_copy,
-            can_run_another_copy=stepper.can_run_another_copy(
+            job.execute_copy,
+            can_run_another_copy=job.can_run_another_copy(
                 self.deadline_steps, self.golden_steps
             ),
             max_copies=self.workload.max_copies,
@@ -237,8 +273,49 @@ class TemInjectionHarness:
         )
         if miss_window is not None:
             miss_window.record(report.outcome is TemOutcome.OMISSION)
-        corrections = ecc_stats.corrections - corrections_before
-        return report, (), corrections
+        return report
+
+    def _record(
+        self, fault: Fault, report: TemReport, ecc_corrections: int
+    ) -> ExperimentRecord:
+        obs_metrics.inc("injection.experiments")
+        mechanisms = tuple(report.detection_mechanisms)
+        if ecc_corrections > 0:
+            mechanisms = mechanisms + ("ecc_correct",)
+        return ExperimentRecord(
+            outcome=classify_tem_report(report, self.golden),
+            fault_description=fault.describe(),
+            detection_mechanisms=mechanisms,
+            copies_run=report.copies_run,
+        )
+
+    def _trace_liveness(self) -> Optional[LivenessTable]:
+        """Run the fault-free job once on a logged, single-stepped clone.
+
+        ``None`` when the template carries latent ECC errors: then the
+        fault-free job's own ECC corrections would be part of every record,
+        and no fault is settled.
+        """
+        if self.template.machine.memory.error_word_count():
+            return None
+        stepper = self._stepper(_NO_FAULT)
+        log = AccessLog()
+        copies = []
+
+        def execute_copy(copy_index: int) -> "tuple[Optional[Result], Optional[str]]":
+            reply = stepper.execute_copy(copy_index)
+            copies.append((reply, stepper.global_step))
+            return reply
+
+        with log.attached(stepper.executable.machine), obs_metrics.capture():
+            run_tem_direct(
+                execute_copy,
+                can_run_another_copy=stepper.can_run_another_copy(
+                    self.deadline_steps, self.golden_steps
+                ),
+                max_copies=self.workload.max_copies,
+            )
+        return log.table(copies, self.template.machine.memory.size_words)
 
 
 class _SteppedTem:
@@ -367,3 +444,32 @@ class _SteppedTem:
         except HardwareException as exc:
             return None, exc.mechanism
         return tuple(outputs), None
+
+
+#: The fault of the traced fault-free job: no arrival step, so the stepper
+#: never injects it.
+_NO_FAULT = Fault(FaultType.TRANSIENT, FaultTarget.DATA_REGISTER, register="D0")
+
+
+class _ReplayedJob:
+    """The fault-free job's copies played back for a settled trial.
+
+    Each copy returns its traced reply and moves the global step to where
+    that copy ended, so the deadline check sees the same step counts as in
+    a simulated trial.  The trace ran without an (m,k) window; a window can
+    only end a job early (a skipped recovery), so a settled job replays a
+    prefix of the traced copies.
+    """
+
+    __slots__ = ("copies", "global_step", "job_step_base")
+
+    can_run_another_copy = _SteppedTem.can_run_another_copy
+
+    def __init__(self, copies: "tuple[tuple[tuple, int], ...]") -> None:
+        self.copies = copies
+        self.global_step = 0
+        self.job_step_base = 0
+
+    def execute_copy(self, copy_index: int) -> "tuple[Optional[Result], Optional[str]]":
+        reply, self.global_step = self.copies[copy_index]
+        return reply

@@ -373,6 +373,10 @@ class Scheduler:
                 f"task {spec.name!r} is pinned to core {spec.core} but the "
                 f"node has only {self.config.cores} core(s)"
             )
+        # Names are unique already, so only the new priority needs checking;
+        # a clash raises the task set's own duplicate-priority error.
+        if any(entry.spec.priority == spec.priority for entry in self._tasks.values()):
+            validate_task_set([*(entry.spec for entry in self._tasks.values()), spec])
         self._tasks[spec.name] = _TaskEntry(
             spec=spec,
             executable=executable,
@@ -380,7 +384,6 @@ class Scheduler:
         )
         if spec.weakly_hard is not None:
             self._mk_windows[spec.name] = MKWindow(spec.weakly_hard)
-        validate_task_set([entry.spec for entry in self._tasks.values()])
 
     def add_sporadic_task(
         self,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.profiles import FaultEffect
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.experiments.multicore_tem import MulticoreTrial, run_multicore_trial, workload_tasks
 from repro.kernel.resources import ResourceProtocol
 from repro.kernel.scheduler import KernelConfig, Scheduler
@@ -22,6 +22,29 @@ def make_scheduler(config=None):
     scheduler.on_kernel_error = lambda m: log["kernel_errors"].append((sim.now, m))
     scheduler.on_undetected_output = lambda t, j, r: log["undetected"].append((sim.now, t.name, r))
     return sim, trace, scheduler, log
+
+
+class TestTaskRegistration:
+    def test_duplicate_priority_on_third_add_raises_the_task_set_error(self):
+        """Only the new task is checked against the registered ones; the
+        error text is the task set's, listing every priority in
+        registration order, and the refused task stays unregistered."""
+        _, _, scheduler, _ = make_scheduler()
+        for name, priority in (("A", 3), ("B", 1)):
+            scheduler.add_task(
+                TaskSpec(name=name, period=10_000, wcet=100, priority=priority),
+                CallableExecutable(lambda i: (0,), 100),
+            )
+        with pytest.raises(ConfigurationError) as excinfo:
+            scheduler.add_task(
+                TaskSpec(name="C", period=10_000, wcet=100, priority=3),
+                CallableExecutable(lambda i: (0,), 100),
+            )
+        assert str(excinfo.value) == (
+            "duplicate priorities [3, 1, 3]; fixed-priority scheduling "
+            "requires unique priorities"
+        )
+        assert scheduler.active_tasks() == ["A", "B"]
 
 
 class TestBasicExecution:

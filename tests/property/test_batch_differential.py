@@ -218,9 +218,10 @@ _WORKLOAD = make_brake_workload()
 _HARNESS = TemInjectionHarness(_WORKLOAD)
 
 
-def _random_fault_mix(rng, count):
+def _random_fault_mix(
+    rng, count, harness=_HARNESS, code_size=24, data_range=(0x1800, 0x1902)
+):
     """E5-style fault list with scalar-fallback and divergence coverage."""
-    code_size = 24
     faults = []
     for _ in range(count):
         fault_type = (
@@ -229,9 +230,9 @@ def _random_fault_mix(rng, count):
         faults.append(
             random_fault(
                 rng,
-                max_step=max(_HARNESS.golden_steps * 2, 2),
+                max_step=max(harness.golden_steps * 2, 2),
                 code_range=(0, code_size),
-                data_range=(0x1800, 0x1902),
+                data_range=data_range,
                 fault_type=fault_type,
             )
         )
