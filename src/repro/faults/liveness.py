@@ -14,8 +14,8 @@ stand-ins into a clone's register file and memory and single-steps its
 ``run``).  The run goes through the harness's own copy executor, so the
 table sees exactly what a trial does around the instructions: ``prepare``,
 the input ``write_words``, the signature check and the output
-``read_words`` (ECC scrubs happen on those reads, MMU checks only read
-registers that are logged anyway).
+``read_words``.  An ECC scrub happens only on a logged read, and the MMU
+checks addresses computed from logged register reads.
 
 **Ordering.**  Each access is stamped with a global step.  An access made
 by the instruction at global step *s* gets stamp *s*; an access made
@@ -84,10 +84,10 @@ class AccessLog:
     """Every register and memory-word access of one machine, stamped."""
 
     def __init__(self) -> None:
-        #: Global steps executed so far (a failed instruction counts, as
-        #: in the harness's step accounting).
-        self.step = 0
-        #: The stamp the next access gets (see the module docstring).
+        #: The stamp the next access gets: the global step of the running
+        #: instruction, or between instructions the step of the last one
+        #: (see the module docstring).  A failed instruction takes a step,
+        #: as in the harness's step accounting.
         self.stamp = -1
         self._registers: Dict[str, List[Tuple[int, bool]]] = {}
         self._memory: Dict[int, List[Tuple[int, bool]]] = {}
@@ -116,10 +116,8 @@ class AccessLog:
     ) -> RunResult:
         steps = cycles = 0
         while steps < max_steps and not machine._halted:
-            self.stamp = self.step
+            self.stamp += 1
             result = Machine.run(machine, 1, stop_on_exception)
-            # Between instructions the stamp stays at step - 1.
-            self.step += 1
             if result.exception is not None:
                 return RunResult(machine._halted, result.exception, steps, cycles)
             steps += 1
