@@ -202,26 +202,18 @@ def _tem_batch_replies(
     for max_copies in sorted(groups):
         harness = _cached_harness(max_copies)
         live = []
-        # A settle without a window records the same metrics whatever the
-        # fault, so those items share the first one's snapshot object,
-        # which the supervisor's merge folds once, scaled.
-        shared: "Optional[BatchReply]" = None
         for index in groups[max_copies]:
             _, fault, window = items[index]
             if not harness.is_dead(fault):
                 live.append(index)
-            elif window is None and shared is not None:
-                record = shared[0]
-                replies[index] = (ExperimentRecord(
-                    record.outcome, fault.describe(),
-                    record.detection_mechanisms, record.copies_run,
-                ), shared[1])
+            elif window is None:
+                # One snapshot object for all: the supervisor's merge folds
+                # it once, scaled.
+                replies[index] = harness.settled_reply(fault)
             else:
                 with obs_metrics.capture() as registry:
                     record = harness.settle(fault, window)
                 replies[index] = (record, registry.snapshot() or None)
-                if window is None:
-                    shared = replies[index]
         if not live:
             continue
         executor = BatchTemExecutor(harness, batch=len(live))

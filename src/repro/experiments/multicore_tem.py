@@ -33,6 +33,7 @@ The experiment measures both sides of the trade on the DES kernel:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -102,6 +103,12 @@ def workload_tasks(tem_mode: TemMode) -> List[TaskSpec]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _trial_tasks(tem_mode: TemMode) -> Tuple[TaskSpec, ...]:
+    """:func:`workload_tasks`, built once per mode (task specs are frozen)."""
+    return tuple(workload_tasks(tem_mode))
+
+
 @dataclasses.dataclass
 class MulticoreTrial:
     """One pre-generated single-fault injection."""
@@ -161,7 +168,7 @@ def run_multicore_trial(
             cs_fault_cleanup_cost=500,
         ),
     )
-    for spec in workload_tasks(tem_mode):
+    for spec in _trial_tasks(tem_mode):
         value = {"ctrl": (17,), "mon": (29,), "log": (1,)}[spec.name]
         scheduler.add_task(spec, CallableExecutable(lambda i, v=value: v, spec.wcet))
     scheduler.start()

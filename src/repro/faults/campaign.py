@@ -19,26 +19,40 @@ Harness structure per experiment:
    optionally, a control-flow signature check;
 4. the outcome is classified against the golden (fault-free) result.
 
-A fault that cannot change the job is *settled* instead of simulated
-(:meth:`TemInjectionHarness.settle_or_run`).  Each harness traces its
-fault-free job once into a def/use table (:mod:`repro.faults.liveness`);
-a transient register or memory flip is dead when, from its arrival step
-on, the fault-free job writes the location before reading it or never
-touches it again.  Accesses between instructions (a copy's ``prepare``
-and input writes, the previous copy's signature check and output reads)
-count as happening before the injection at that step, as in the stepper
-below.  A settled trial replays the fault-free job's copy replies
-through a real TEM state machine — the deadline check in step currency
-and the trial's (m,k) window included — so its record and metrics are
-the fault-free job's, under the fault's description.  PC faults and
-permanent faults are always simulated, and :meth:`run_experiment`
-simulates whatever it is given.
+**Golden-trace replay** (after Berrojo et al., "New Techniques for
+Speeding-up Fault-Injection Campaigns", DATE 2002).  Each harness runs
+its fault-free ("golden") job once, single-stepped, and keeps: the
+replies, start and end steps and end-of-copy memory state (words and ECC
+error bits) of ``max_copies`` copies run back to back; a checkpoint (an
+executable clone) before every golden step; and a def/use table
+(:mod:`repro.faults.liveness`).  :meth:`TemInjectionHarness.settle_or_run`
+then drives a real TEM state machine — the deadline check in step
+currency and the trial's (m,k) window included — over a job that
+simulates only where the fault can act:
+
+* copies before the fault's arrival replay their golden replies;
+* the arrival copy resumes from the checkpoint at the arrival step, and
+  it and every later copy run on the CPU until the memory words and ECC
+  error bits equal the golden ones after the same copy;
+* from then on each copy replays its golden reply and golden length, so
+  the deadline check still counts steps.
+
+A *dead* fault — a transient register or memory flip whose location the
+fault-free job, from the arrival on, writes before it reads or never
+touches again — simulates no copy at all (:meth:`settle`); accesses
+between instructions (a copy's ``prepare`` and input writes, the
+previous copy's signature check and output reads) count as happening
+before the injection at that step, as in the stepper below.  Permanent
+faults, faults without an arrival step and templates with latent ECC
+errors are simulated from the start, and :meth:`run_experiment`
+simulates whatever it is given: it is the oracle of the replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.control_flow import ControlFlowError, SignatureMonitor
 from ..core.diagnosis import PermanentFaultSuspector
@@ -57,7 +71,7 @@ from .outcomes import (
     OutcomeClass,
     classify_tem_report,
 )
-from .types import Fault, FaultTarget, FaultType
+from .types import MEMORY_TARGETS, REGISTER_TARGETS, Fault, FaultTarget, FaultType
 
 #: Copy step budget as a multiple of the golden run's step count.
 BUDGET_STEP_FACTOR = 2.0
@@ -112,7 +126,7 @@ class TemInjectionHarness:
         self.golden_steps = max(1, golden_exec.machine.instruction_count)
         self.budget_steps = int(self.golden_steps * BUDGET_STEP_FACTOR) + 50
         self.deadline_steps = int(self.golden_steps * workload.deadline_factor) + 50
-        self.liveness = self._trace_liveness()
+        self.liveness, self.golden_copies, self._checkpoints = self._trace_golden()
 
     # ------------------------------------------------------------------
     def run_experiment(
@@ -145,23 +159,55 @@ class TemInjectionHarness:
     ) -> ExperimentRecord:
         """The record of a fault :meth:`is_dead` calls dead, without the CPU.
 
-        The fault-free job's copy replies are replayed through a real TEM
-        state machine with this harness's deadline check and *miss_window*,
-        so the record and the metrics it records are exactly what
-        :meth:`run_experiment` gives for that fault.
+        The golden copies are replayed through a real TEM state machine
+        with this harness's deadline check and *miss_window*, so the record
+        and the metrics it records are exactly what :meth:`run_experiment`
+        gives for that fault.  Without a window the outcome and metrics are
+        the same whatever the fault: they are made once per harness
+        (:meth:`settled_reply`) and merged inside this trial's span.
         """
-        assert self.liveness is not None
+        if miss_window is not None:
+            return self._replay(fault, None, miss_window)
+        record, _ = self.settled_reply(fault)
         with obs_metrics.span("injection.experiment"):
-            report = self._run_job(_ReplayedJob(self.liveness.copies), miss_window)
-        return self._record(fault, report, 0)
+            obs_metrics.merge_into_active(self._settled[2])
+        return record
+
+    def settled_reply(self, fault: Fault) -> "Tuple[ExperimentRecord, dict]":
+        """A windowless :meth:`settle` as a batch reply: the record and the
+        metrics snapshot one would capture, the same snapshot object for
+        every fault."""
+        record, snapshot, _ = self._settled
+        return ExperimentRecord(
+            record.outcome, fault.describe(), record.detection_mechanisms, record.copies_run
+        ), snapshot
+
+    @functools.cached_property
+    def _settled(self) -> "Tuple[ExperimentRecord, dict, dict]":
+        """A windowless settle's record, captured snapshot and counters."""
+        assert self.liveness is not None
+        with obs_metrics.capture() as registry:
+            record = self._replay(_NO_FAULT, None, None)
+        snapshot = registry.snapshot()
+        return record, snapshot, {"counters": snapshot["counters"]}
 
     def settle_or_run(
         self, fault: Fault, miss_window: Optional[MKWindow] = None
     ) -> ExperimentRecord:
-        """:meth:`settle` a dead fault, :meth:`run_experiment` any other."""
+        """One trial: :meth:`settle` a dead fault, replay the golden trace
+        around a live transient flip, and :meth:`run_experiment` anything
+        else (permanent, step-less or abstract faults, or a harness with no
+        trace)."""
         if self.is_dead(fault):
             return self.settle(fault, miss_window)
-        return self.run_experiment(fault, miss_window)
+        if (
+            self._checkpoints is None
+            or fault.fault_type is not FaultType.TRANSIENT
+            or fault.at_step is None
+            or not (fault.target in REGISTER_TARGETS or fault.target in MEMORY_TARGETS)
+        ):
+            return self.run_experiment(fault, miss_window)
+        return self._replay(fault, fault, miss_window)
 
     def run_campaign(self, faults: Iterable[Fault]) -> CampaignStatistics:
         """Run one experiment per fault and aggregate statistics."""
@@ -251,16 +297,29 @@ class TemInjectionHarness:
             return None
         return SignatureMonitor(self.workload.signature_checkpoints)
 
-    def _stepper(self, fault: Fault) -> "_SteppedTem":
-        """A copy executor for *fault* on a fresh clone of the template."""
-        executable = self.template.clone()
+    def _stepper(
+        self, fault: Fault, source: Optional[MachineExecutable] = None
+    ) -> "_SteppedTem":
+        """A copy executor for *fault* on a fresh clone of *source* (the
+        template by default)."""
+        executable = (source or self.template).clone()
         return _SteppedTem(
             executable, self.workload.inputs, MachineFaultInjector(executable.machine),
             self._monitor(), self.budget_steps, fault,
         )
 
+    def _replay(
+        self, fault: Fault, injected: Optional[Fault], miss_window: Optional[MKWindow]
+    ) -> ExperimentRecord:
+        """*fault*'s record from a :class:`_GoldenJob` injecting *injected*
+        (``None``: a dead fault, no copy simulated)."""
+        with obs_metrics.span("injection.experiment"):
+            job = _GoldenJob(self, injected)
+            report = self._run_job(job, miss_window)
+        return self._record(fault, report, job.ecc_corrections)
+
     def _run_job(
-        self, job: "_SteppedTem | _ReplayedJob", miss_window: Optional[MKWindow]
+        self, job: "_SteppedTem | _GoldenJob", miss_window: Optional[MKWindow]
     ) -> TemReport:
         """One TEM job over *job*'s copies; the outcome goes into the window."""
         report = run_tem_direct(
@@ -289,25 +348,43 @@ class TemInjectionHarness:
             copies_run=report.copies_run,
         )
 
-    def _trace_liveness(self) -> Optional[LivenessTable]:
-        """Run the fault-free job once on a logged, single-stepped clone.
+    def _trace_golden(self) -> Tuple[
+        Optional[LivenessTable], Tuple[GoldenCopy, ...], Optional[List[MachineExecutable]]
+    ]:
+        """Run the golden job once on a logged, single-stepped clone.
 
-        ``None`` when the template carries latent ECC errors: then the
-        fault-free job's own ECC corrections would be part of every record,
-        and no fault is settled.
+        The fault-free TEM job runs first, logged into the def/use table;
+        then the remaining copies up to ``max_copies`` run back to back on
+        the same machine, because a faulty job may need them.  Returns the
+        table, every copy's :class:`GoldenCopy` and a checkpoint before
+        every golden step (index = global step).  No trace when the
+        template carries latent ECC errors: the fault-free job's own ECC
+        corrections would then be part of every record.
         """
         if self.template.machine.memory.error_word_count():
-            return None
+            return None, (), None
         stepper = self._stepper(_NO_FAULT)
+        executable = stepper.executable
+        memory = executable.machine.memory
         log = AccessLog()
-        copies = []
+        copies: List[GoldenCopy] = []
+        checkpoints: List[MachineExecutable] = []
+
+        def checkpoint() -> None:
+            twin = executable.clone()
+            del twin.machine.run  # the clone copied the single-stepping stand-in
+            checkpoints.append(twin)
 
         def execute_copy(copy_index: int) -> "tuple[Optional[Result], Optional[str]]":
+            start = stepper.global_step
             reply = stepper.execute_copy(copy_index)
-            copies.append((reply, stepper.global_step))
+            copies.append(GoldenCopy(
+                reply, start, stepper.global_step, dict(memory._clean),
+                {address: set(bits) for address, bits in memory._error_bits.items()},
+            ))
             return reply
 
-        with log.attached(stepper.executable.machine), obs_metrics.capture():
+        with log.attached(executable.machine, checkpoint), obs_metrics.capture():
             run_tem_direct(
                 execute_copy,
                 can_run_another_copy=stepper.can_run_another_copy(
@@ -315,7 +392,22 @@ class TemInjectionHarness:
                 ),
                 max_copies=self.workload.max_copies,
             )
-        return log.table(copies, self.template.machine.memory.size_words)
+            liveness = log.table(memory.size_words)
+            for copy_index in range(len(copies), self.workload.max_copies):
+                execute_copy(copy_index)
+        return liveness, tuple(copies), checkpoints
+
+
+class GoldenCopy(NamedTuple):
+    """One copy of the golden run: its ``(result, mechanism)`` reply, the
+    global steps at its start and end, and the memory words and ECC error
+    bits at its end."""
+
+    reply: "Tuple[Optional[Result], Optional[str]]"
+    start: int
+    end: int
+    clean: Dict[int, int]
+    error_bits: Dict[int, Set[int]]
 
 
 class _SteppedTem:
@@ -451,25 +543,59 @@ class _SteppedTem:
 _NO_FAULT = Fault(FaultType.TRANSIENT, FaultTarget.DATA_REGISTER, register="D0")
 
 
-class _ReplayedJob:
-    """The fault-free job's copies played back for a settled trial.
+class _GoldenJob:
+    """One TEM job over the golden trace, simulating only where a fault acts.
 
-    Each copy returns its traced reply and moves the global step to where
-    that copy ended, so the deadline check sees the same step counts as in
-    a simulated trial.  The trace ran without an (m,k) window; a window can
-    only end a job early (a skipped recovery), so a settled job replays a
-    prefix of the traced copies.
+    Copies before the fault's arrival return their golden replies.  The
+    arrival copy resumes on a clone of the checkpoint at the arrival step
+    and runs to its end; it and each later copy run on the CPU until the
+    memory words and ECC error bits equal the golden ones after the same
+    copy.  Every copy after that returns its golden reply and advances the
+    global step by its golden length, so the deadline check sees the step
+    counts of a simulated trial.  With no fault no copy is simulated.
+
+    The golden run corrects no ECC error (a template with latent errors
+    gets no trace), so the simulated machine's correction count is the
+    trial's: :attr:`ecc_corrections`.
     """
 
-    __slots__ = ("copies", "global_step", "job_step_base")
+    __slots__ = (
+        "copies", "global_step", "job_step_base", "ecc_corrections",
+        "_harness", "_fault", "_arrival", "_stepper",
+    )
 
     can_run_another_copy = _SteppedTem.can_run_another_copy
 
-    def __init__(self, copies: "tuple[tuple[tuple, int], ...]") -> None:
-        self.copies = copies
+    def __init__(self, harness: TemInjectionHarness, fault: Optional[Fault]) -> None:
+        self.copies = harness.golden_copies
         self.global_step = 0
         self.job_step_base = 0
+        self.ecc_corrections = 0
+        self._harness = harness
+        self._fault = fault
+        # A fault due before the first step arrives at step 0.
+        self._arrival = None if fault is None else max(fault.at_step, 0)
+        self._stepper: Optional[_SteppedTem] = None
 
     def execute_copy(self, copy_index: int) -> "tuple[Optional[Result], Optional[str]]":
-        reply, self.global_step = self.copies[copy_index]
+        golden = self.copies[copy_index]
+        stepper, arrival = self._stepper, self._arrival
+        if stepper is not None:
+            reply = stepper.execute_copy(copy_index)
+        elif arrival is None or arrival >= golden.end:
+            self.global_step += golden.end - golden.start
+            return golden.reply
+        else:
+            harness = self._harness
+            stepper = self._stepper = harness._stepper(
+                self._fault, harness._checkpoints[arrival]
+            )
+            stepper.global_step = arrival
+            reply = stepper.run_copy(arrival - golden.start)
+            self._arrival = None
+        self.global_step = stepper.global_step
+        memory = stepper.executable.machine.memory
+        self.ecc_corrections = memory.ecc_stats.corrections
+        if memory._clean == golden.clean and memory._error_bits == golden.error_bits:
+            self._stepper = None
         return reply

@@ -11,11 +11,12 @@ known without running the CPU.
 A :class:`LivenessTable` is built once per harness from one traced run of
 the fault-free job (:meth:`AccessLog.attached` swaps access-logging
 stand-ins into a clone's register file and memory and single-steps its
-``run``).  The run goes through the harness's own copy executor, so the
-table sees exactly what a trial does around the instructions: ``prepare``,
-the input ``write_words``, the signature check and the output
-``read_words``.  An ECC scrub happens only on a logged read, and the MMU
-checks addresses computed from logged register reads.
+``run``, calling a hook before every instruction — the harness takes its
+golden checkpoints there).  The run goes through the harness's own copy
+executor, so the table sees exactly what a trial does around the
+instructions: ``prepare``, the input ``write_words``, the signature check
+and the output ``read_words``.  An ECC scrub happens only on a logged
+read, and the MMU checks addresses computed from logged register reads.
 
 **Ordering.**  Each access is stamped with a global step.  An access made
 by the instruction at global step *s* gets stamp *s*; an access made
@@ -39,15 +40,11 @@ from __future__ import annotations
 import contextlib
 import functools
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from ..cpu.machine import Machine, RunResult
 from ..cpu.registers import ALL_REGISTERS
 from .types import MEMORY_TARGETS, REGISTER_TARGETS, Fault, FaultTarget, FaultType
-
-#: One copy of the fault-free job: its ``(result, mechanism)`` reply and
-#: the global step counter when it ended.
-CopyTrace = Tuple[Tuple[Optional[tuple], Optional[str]], int]
 
 #: Per location: access stamps (non-decreasing) and, in parallel, whether
 #: each access is a write.
@@ -93,30 +90,38 @@ class AccessLog:
         self._memory: Dict[int, List[Tuple[int, bool]]] = {}
 
     @contextlib.contextmanager
-    def attached(self, machine: Machine) -> Iterator[None]:
+    def attached(
+        self, machine: Machine, before_step: Callable[[], None]
+    ) -> Iterator[None]:
         """Log *machine*'s accesses and make it single-step, inside the block.
 
         The register file and memory get logging stand-ins for their value
         dicts, and ``machine.run`` runs one instruction at a time so every
-        access is stamped with its instruction's global step.  On exit the
+        access is stamped with its instruction's global step;
+        *before_step* is called before each instruction.  On exit the
         machine's own ``run`` is back: the stand-in refers to the machine,
         and left in place it would make the machine cyclic garbage.
         """
         registers, memory = machine.registers, machine.memory
         registers._values = _LoggedDict(registers._values, self._registers, self)
         memory._clean = _LoggedDict(memory._clean, self._memory, self)
-        machine.run = functools.partial(self._run, machine)
+        machine.run = functools.partial(self._run, machine, before_step)
         try:
             yield
         finally:
             del machine.run
 
     def _run(
-        self, machine: Machine, max_steps: int = 1_000_000, stop_on_exception: bool = True
+        self,
+        machine: Machine,
+        before_step: Callable[[], None],
+        max_steps: int = 1_000_000,
+        stop_on_exception: bool = True,
     ) -> RunResult:
         steps = cycles = 0
         while steps < max_steps and not machine._halted:
             self.stamp += 1
+            before_step()
             result = Machine.run(machine, 1, stop_on_exception)
             if result.exception is not None:
                 return RunResult(machine._halted, result.exception, steps, cycles)
@@ -124,8 +129,8 @@ class AccessLog:
             cycles += result.cycles
         return RunResult(machine._halted, None, steps, cycles)
 
-    def table(self, copies: Sequence[CopyTrace], memory_words: int) -> "LivenessTable":
-        """The def/use table of everything logged, plus the job's copies."""
+    def table(self, memory_words: int) -> "LivenessTable":
+        """The def/use table of everything logged so far."""
 
         def split(log: Dict) -> Dict:
             return {
@@ -133,32 +138,20 @@ class AccessLog:
                 for key, accesses in log.items()
             }
 
-        return LivenessTable(
-            tuple(copies), split(self._registers), split(self._memory), memory_words
-        )
+        return LivenessTable(split(self._registers), split(self._memory), memory_words)
 
 
 class LivenessTable:
-    """Def/use table of one harness's fault-free job.
+    """Def/use table of one harness's fault-free job."""
 
-    Attributes
-    ----------
-    copies:
-        The fault-free job's copies in order: each copy's reply and the
-        global step at its end — what a settled trial replays through a
-        real :class:`~repro.core.tem.TemStateMachine`.
-    """
-
-    __slots__ = ("copies", "_registers", "_memory", "_memory_words")
+    __slots__ = ("_registers", "_memory", "_memory_words")
 
     def __init__(
         self,
-        copies: Tuple[CopyTrace, ...],
         registers: Dict[str, _Accesses],
         memory: Dict[int, _Accesses],
         memory_words: int,
     ) -> None:
-        self.copies = copies
         self._registers = registers
         self._memory = memory
         self._memory_words = memory_words

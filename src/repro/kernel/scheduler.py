@@ -424,10 +424,11 @@ class Scheduler:
             entry.last_release is not None
             and self.sim.now - entry.last_release < entry.spec.period
         ):
-            self.trace.emit(
-                self.sim.now, "kernel.sporadic_rejected", self.name,
-                task=name, since_last=self.sim.now - entry.last_release,
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "kernel.sporadic_rejected", self.name,
+                    task=name, since_last=self.sim.now - entry.last_release,
+                )
             return False
         self._do_release(entry, inputs)
         return True
@@ -537,9 +538,10 @@ class Scheduler:
             return
         if window.record(missed):
             self.stats.mk_violations += 1
-            self.trace.emit(
-                self.sim.now, "kernel.mk_violation", self.name, job=job.job_id
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "kernel.mk_violation", self.name, job=job.job_id
+                )
 
     # ------------------------------------------------------------------
     # Release machinery
@@ -563,7 +565,8 @@ class Scheduler:
             inputs = tuple(entry.input_provider())
         job = self._new_job(spec, self.sim.now, tuple(inputs))
         self.stats.released += 1
-        self.trace.emit(self.sim.now, "kernel.release", self.name, job=job.job_id)
+        if self.trace.active:
+            self.trace.emit(self.sim.now, "kernel.release", self.name, job=job.job_id)
         if spec.is_critical:
             window = self._mk_windows.get(spec.name)
             accept_miss = window.can_accept_miss if window is not None else None
@@ -638,10 +641,11 @@ class Scheduler:
                 copy.home_core = home
             state.copies.append(copy)
             category = "tem.recovery" if index >= 2 else "tem.copy"
-            self.trace.emit(
-                self.sim.now, category, self.name,
-                job=parent.job_id, copy=index + 1,
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, category, self.name,
+                    job=parent.job_id, copy=index + 1,
+                )
             self._ready.append(copy)
 
     def _spatial_copy_finished(self, job: Job) -> Job:
@@ -675,11 +679,12 @@ class Scheduler:
         report = state.tem.report
         self._cancel_spatial_copies(parent)
         if report.delivered_result is not None:
-            self.trace.emit(
-                self.sim.now, "tem.vote", self.name,
-                job=parent.job_id, outcome=report.outcome.value,
-                copies=report.copies_run,
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "tem.vote", self.name,
+                    job=parent.job_id, outcome=report.outcome.value,
+                    copies=report.copies_run,
+                )
             self._finish_delivered(
                 parent,
                 report.delivered_result,
@@ -704,10 +709,11 @@ class Scheduler:
                 assert slot is not None
                 slot.event.cancel()
                 self._cores.slots[core] = None
-                self.trace.emit(
-                    self.sim.now, "tem.cancel", self.name,
-                    job=parent.job_id, core=core,
-                )
+                if self.trace.active:
+                    self.trace.emit(
+                        self.sim.now, "tem.cancel", self.name,
+                        job=parent.job_id, core=core,
+                    )
             self._end_copy_cleanup(copy, faulted=False)
 
     # ------------------------------------------------------------------
@@ -812,10 +818,11 @@ class Scheduler:
         if self._cores.count > 1:
             if job.core is not None and job.core != core:
                 self.stats.migrations += 1
-                self.trace.emit(
-                    self.sim.now, "kernel.migrate", self.name,
-                    job=job.job_id, src=job.core, dst=core,
-                )
+                if self.trace.active:
+                    self.trace.emit(
+                        self.sim.now, "kernel.migrate", self.name,
+                        job=job.job_id, src=job.core, dst=core,
+                    )
             job.core = core
         if self.trace.active:
             self.trace.emit(
@@ -1099,10 +1106,11 @@ class Scheduler:
                 if cost > 0:
                     self.resources.stats.cleanup_ticks += cost
                     job.holding.remove(resource)
-                    self.trace.emit(
-                        self.sim.now, "kernel.cs_cleanup", self.name,
-                        job=job.job_id, resource=resource, cost=cost,
-                    )
+                    if self.trace.active:
+                        self.trace.emit(
+                            self.sim.now, "kernel.cs_cleanup", self.name,
+                            job=job.job_id, resource=resource, cost=cost,
+                        )
                     self.sim.schedule_after(
                         cost, self._cleanup_release, resource, job,
                         priority=PRIORITY_KERNEL, label=(self.name, "cleanup", resource),
@@ -1132,10 +1140,11 @@ class Scheduler:
         plan = job.plan
         assert plan is not None
         job.plan = None
-        self.trace.emit(
-            self.sim.now, "kernel.complete", self.name,
-            job=job.job_id, copy=job.copy_index,
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.complete", self.name,
+                job=job.job_id, copy=job.copy_index,
+            )
         if plan.result is None:  # pragma: no cover - defensive
             raise SchedulingError("completed copy carries no result")
         if job.spatial_parent is not None:
@@ -1166,10 +1175,11 @@ class Scheduler:
     def _copy_detected_error(self, job: Job, mechanism: str) -> None:
         job.plan = None
         self.stats.edm_detections += 1
-        self.trace.emit(
-            self.sim.now, "kernel.edm", self.name,
-            job=job.job_id, mechanism=mechanism,
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.edm", self.name,
+                job=job.job_id, mechanism=mechanism,
+            )
         self._end_copy_cleanup(job, faulted=True)
         if self.config.fail_silent_mode:
             if job.spatial_parent is not None:
@@ -1199,7 +1209,8 @@ class Scheduler:
             entry.release_event = None
         self._finish_job(job)
         self.stats.noncritical_shutdowns += 1
-        self.trace.emit(self.sim.now, "task.shutdown", self.name, task=job.task.name)
+        if self.trace.active:
+            self.trace.emit(self.sim.now, "task.shutdown", self.name, task=job.task.name)
         if self.on_noncritical_shutdown is not None:
             self.on_noncritical_shutdown(job.task)
 
@@ -1215,21 +1226,23 @@ class Scheduler:
             return
         if action is TemAction.RUN_COPY:
             category = "tem.recovery" if job.tem.errors_detected else "tem.copy"
-            self.trace.emit(
-                self.sim.now, category, self.name,
-                job=job.job_id, copy=job.copy_index + 1,
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, category, self.name,
+                    job=job.job_id, copy=job.copy_index + 1,
+                )
             job.state = JobState.READY
             self._ready.append(job)
             return
         report = job.tem.report
         if action is TemAction.DELIVER:
             assert report.delivered_result is not None
-            self.trace.emit(
-                self.sim.now, "tem.vote", self.name,
-                job=job.job_id, outcome=report.outcome.value,
-                copies=report.copies_run,
-            )
+            if self.trace.active:
+                self.trace.emit(
+                    self.sim.now, "tem.vote", self.name,
+                    job=job.job_id, outcome=report.outcome.value,
+                    copies=report.copies_run,
+                )
             self._finish_delivered(
                 job, report.delivered_result, masked=report.outcome is TemOutcome.MASKED
             )
@@ -1257,10 +1270,11 @@ class Scheduler:
         else:
             self.stats.delivered_ok += 1
         self._record_mk(job, missed=False)
-        self.trace.emit(
-            self.sim.now, "kernel.deliver", self.name,
-            job=job.job_id, masked=masked,
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.deliver", self.name,
+                job=job.job_id, masked=masked,
+            )
         if self.on_deliver is not None:
             self.on_deliver(job.task, job, result)
 
@@ -1268,10 +1282,11 @@ class Scheduler:
         self._finish_job(job)
         self.stats.omissions += 1
         self._record_mk(job, missed=True)
-        self.trace.emit(
-            self.sim.now, "kernel.omission", self.name,
-            job=job.job_id, reason=reason,
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.omission", self.name,
+                job=job.job_id, reason=reason,
+            )
         if self.on_omission is not None:
             self.on_omission(job.task, job, reason)
 
@@ -1279,9 +1294,10 @@ class Scheduler:
         self._finish_job(job)
         self.stats.undetected_wrong_outputs += 1
         self._record_mk(job, missed=False)
-        self.trace.emit(
-            self.sim.now, "kernel.undetected_output", self.name, job=job.job_id
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now, "kernel.undetected_output", self.name, job=job.job_id
+            )
         if self.on_undetected_output is not None:
             self.on_undetected_output(job.task, job, result)
 
@@ -1289,7 +1305,8 @@ class Scheduler:
         if job.state is JobState.FINISHED:
             return
         self.stats.deadline_misses += 1
-        self.trace.emit(self.sim.now, "kernel.deadline_miss", self.name, job=job.job_id)
+        if self.trace.active:
+            self.trace.emit(self.sim.now, "kernel.deadline_miss", self.name, job=job.job_id)
         if job.spatial is not None:
             self._cancel_spatial_copies(job)
             self._finish_omitted(job, "deadline")
@@ -1414,7 +1431,8 @@ class Scheduler:
         tracing/accounting — the FS baseline silences on *application*
         errors too, which an NLFT node would have masked.
         """
-        self.trace.emit(self.sim.now, "kernel.fail_silent", self.name, mechanism=mechanism)
+        if self.trace.active:
+            self.trace.emit(self.sim.now, "kernel.fail_silent", self.name, mechanism=mechanism)
         self.shutdown()
         if self.on_kernel_error is not None:
             self.on_kernel_error(mechanism)
@@ -1426,7 +1444,8 @@ class Scheduler:
         real-time kernel should result in the node becoming silent."
         """
         self.stats.kernel_errors += 1
-        self.trace.emit(self.sim.now, "kernel.error", self.name, mechanism=mechanism)
+        if self.trace.active:
+            self.trace.emit(self.sim.now, "kernel.error", self.name, mechanism=mechanism)
         self.shutdown()
         if self.on_kernel_error is not None:
             self.on_kernel_error(mechanism)

@@ -72,7 +72,8 @@ class MetricsRegistry:
         self._gauges: Dict[str, float] = {}
         # timer: [count, total_s, min_s, max_s]
         self._timers: Dict[str, List[float]] = {}
-        # histogram: [bounds tuple, counts list (len(bounds)+1), count, total]
+        # histogram: [bounds tuple, counts list (len(bounds)+1), count, total,
+        #             the bounds object last checked against the tuple]
         self._histograms: Dict[str, List[Any]] = {}
 
     # ------------------------------------------------------------------
@@ -117,20 +118,25 @@ class MetricsRegistry:
 
         The first observation fixes the bucket bounds; later calls with
         different bounds raise :class:`ValueError` (silently re-bucketing
-        would corrupt merges).
+        would corrupt merges).  A call passing the same bounds tuple object
+        as the last checked one skips the comparison.
         """
         if not self.enabled:
             return
         hist = self._histograms.get(name)
         if hist is None:
-            bounds = tuple(float(b) for b in bounds)
-            if list(bounds) != sorted(bounds):
+            checked = tuple(float(b) for b in bounds)
+            if list(checked) != sorted(checked):
                 raise ValueError(f"histogram {name!r} bounds must be sorted")
-            hist = self._histograms[name] = [bounds, [0] * (len(bounds) + 1), 0, 0.0]
-        elif tuple(hist[0]) != tuple(float(b) for b in bounds):
-            raise ValueError(
-                f"histogram {name!r} already registered with bounds {hist[0]}"
-            )
+            hist = self._histograms[name] = [
+                checked, [0] * (len(checked) + 1), 0, 0.0, _immutable(bounds),
+            ]
+        elif bounds is not hist[4]:
+            if hist[0] != tuple(float(b) for b in bounds):
+                raise ValueError(
+                    f"histogram {name!r} already registered with bounds {hist[0]}"
+                )
+            hist[4] = _immutable(bounds)
         hist[1][_bucket_index(hist[0], value)] += count
         hist[2] += count
         hist[3] += value * count
@@ -203,7 +209,7 @@ class MetricsRegistry:
             if hist is None:
                 self._histograms[name] = [
                     tuple(data["bounds"]), counts,
-                    data["count"] * times, data["total"] * times,
+                    data["count"] * times, data["total"] * times, None,
                 ]
             else:
                 if tuple(hist[0]) != tuple(data["bounds"]):
@@ -253,6 +259,11 @@ class _Span:
             registry.observe_duration(
                 self.name, time.perf_counter() - self._started
             )
+
+
+def _immutable(bounds: Sequence[float]) -> Optional[Sequence[float]]:
+    """*bounds* when it is a tuple (safe to recognise by identity later)."""
+    return bounds if type(bounds) is tuple else None
 
 
 def _bucket_index(bounds: Sequence[float], value: float) -> int:

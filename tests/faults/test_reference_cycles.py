@@ -43,6 +43,24 @@ def test_coverage_campaign_leaves_no_cycles(collector_disabled, batch):
     assert gc.collect() == 0
 
 
+def test_golden_trace_replay_leaves_no_cycles(collector_disabled):
+    """A harness built here, so its traced clone and checkpoints are made
+    with the collector off whatever ran before, then a fault list through
+    every ``settle_or_run`` path: settle, resume-and-reconverge, and the
+    full simulation of a permanent fault."""
+    harness = TemInjectionHarness(make_brake_workload())
+    code_words = assemble(BRAKE_TASK_SOURCE).size
+    rng = np.random.default_rng(7)
+    for index in range(TRIALS):
+        fault = random_fault(
+            rng, 2 * harness.golden_steps, (0, code_words), (0x1800, 0x1902),
+            fault_type=FaultType.PERMANENT if index % 8 == 0 else FaultType.TRANSIENT,
+        )
+        harness.settle_or_run(fault)
+    del harness
+    assert gc.collect() == 0
+
+
 def test_permanent_fault_job_sequences_leave_no_cycles(collector_disabled):
     harness = TemInjectionHarness(make_brake_workload())
     code_words = assemble(BRAKE_TASK_SOURCE).size

@@ -54,6 +54,26 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.observe("h", 1.0, bounds=(1.0, 3.0))
 
+    def test_new_bounds_objects_are_checked_by_value(self):
+        """The registered bounds object skips the check; any other object
+        is compared by value, after a list is mutated too."""
+        reg = metrics.MetricsRegistry()
+        bounds = [1, 2]
+        reg.observe("h", 1.0, bounds=bounds)
+        reg.observe("h", 1.5, bounds=(1.0, 2.0))
+        reg.observe("h", 1.5, bounds=[1.0, 2])
+        with pytest.raises(ValueError):
+            reg.observe("h", 1.0, bounds=(1.0, 3.0))
+        bounds[1] = 3
+        with pytest.raises(ValueError):
+            reg.observe("h", 1.0, bounds=bounds)
+        merged = metrics.MetricsRegistry()
+        merged.merge_snapshot(reg.snapshot())
+        merged.observe("h", 1.0, bounds=(1, 2))
+        with pytest.raises(ValueError):
+            merged.observe("h", 1.0, bounds=(1.0, 2.5))
+        assert merged.snapshot()["histograms"]["h"]["count"] == 4
+
     def test_disabled_registry_is_a_noop(self):
         reg = metrics.MetricsRegistry(enabled=False)
         reg.inc("a")

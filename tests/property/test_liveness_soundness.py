@@ -1,4 +1,4 @@
-"""Property gate: a fault called dead settles to exactly what simulation gives.
+"""Property gate: golden-trace replay gives exactly what simulation gives.
 
 Random branch-heavy mini-ISA programs (the generator of
 ``test_batch_differential.py``) become TEM workloads whose outputs are the
@@ -6,15 +6,18 @@ whole scratch data block, so a flip that reaches any stored word shows.
 Only two of the eight words are inputs: the rest carry over from copy to
 copy.  Half of the programs start by incrementing the last data word, so
 their fault-free copies never agree and the job runs a comparison, a
-third copy, an (m,k) miss or an omission — the settle path must replay
-that job, not assume two golden copies.  The copy cap, the deadline
-factor and an optional prefilled (m,k) window vary too.
+third copy, an (m,k) miss or an omission — the replay must follow that
+job, not assume two golden copies, and a faulty copy that leaves the
+counter where the golden copy did must not be mistaken for a different
+one.  The copy cap, the deadline factor and an optional prefilled (m,k)
+window vary too.
 
 For every fault of a random mix (transient and permanent flips over
-registers, code and data words, arrivals up to twice the golden length)
-that :meth:`TemInjectionHarness.is_dead` calls dead, the settled record,
-its metrics stable view and the window's end state must equal those of
-:meth:`TemInjectionHarness.run_experiment`.
+registers, PC, code and data words, arrivals up to twice the golden
+length), :meth:`TemInjectionHarness.settle_or_run` — a settle for a dead
+fault, a resume-and-reconverge replay for a live transient one, a full
+simulation for a permanent one — must give the record, metrics stable
+view and window end state of :meth:`TemInjectionHarness.run_experiment`.
 """
 
 import numpy as np
@@ -68,7 +71,7 @@ def _captured(run, window):
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_dead_faults_settle_to_the_simulated_record(seed):
+def test_every_fault_replays_to_the_simulated_record(seed):
     rng = np.random.default_rng(seed)
     words = _random_program(rng)
     if rng.integers(0, 2):
@@ -97,8 +100,6 @@ def test_dead_faults_settle_to_the_simulated_record(seed):
         data_range=(IN, IN + DATA_WORDS),
     )
     for fault in faults:
-        if not harness.is_dead(fault):
-            continue
         simulated = _captured(lambda w: harness.run_experiment(fault, w), window())
-        settled = _captured(lambda w: harness.settle(fault, w), window())
-        assert settled == simulated, fault.describe()
+        replayed = _captured(lambda w: harness.settle_or_run(fault, w), window())
+        assert replayed == simulated, fault.describe()
