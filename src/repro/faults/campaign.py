@@ -22,18 +22,22 @@ Harness structure per experiment:
 **Golden-trace replay** (after Berrojo et al., "New Techniques for
 Speeding-up Fault-Injection Campaigns", DATE 2002).  Each harness runs
 its fault-free ("golden") job once, single-stepped, and keeps: the
-replies, start and end steps and end-of-copy memory state (words and ECC
-error bits) of ``max_copies`` copies run back to back; a checkpoint (an
-executable clone) before every golden step; and a def/use table
-(:mod:`repro.faults.liveness`).  :meth:`TemInjectionHarness.settle_or_run`
-then drives a real TEM state machine — the deadline check in step
+replies, start and end steps of ``max_copies`` copies run back to back,
+and after each copy the value of every memory word *live* there (read
+before it is written by the golden copies after it); a checkpoint (an
+executable clone) before every golden step; and a def/use table of all
+those copies (:mod:`repro.faults.liveness`).
+:meth:`TemInjectionHarness.settle_or_run` then drives a real TEM state machine — the deadline check in step
 currency and the trial's (m,k) window included — over a job that
 simulates only where the fault can act:
 
 * copies before the fault's arrival replay their golden replies;
 * the arrival copy resumes from the checkpoint at the arrival step, and
-  it and every later copy run on the CPU until the memory words and ECC
-  error bits equal the golden ones after the same copy;
+  it and every later copy run on the CPU until a copy ends with the
+  golden value and no ECC error bit on every live word: the words it
+  still differs in are written before they are read or never touched
+  again, so the rest of the job is the golden one (registers, the
+  signature and the halt flag are reset by the next copy's ``prepare``);
 * from then on each copy replays its golden reply and golden length, so
   the deadline check still counts steps.
 
@@ -52,13 +56,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.control_flow import ControlFlowError, SignatureMonitor
 from ..core.diagnosis import PermanentFaultSuspector
 from ..core.tem import TemOutcome, TemReport, run_tem_direct
 from ..cpu.exceptions import HardwareException
 from ..cpu.machine import Machine
+from ..cpu.memory import Memory
 from ..errors import ConfigurationError
 from ..kernel.task import MachineExecutable, MKWindow
 from ..obs import metrics as obs_metrics
@@ -353,13 +358,14 @@ class TemInjectionHarness:
     ]:
         """Run the golden job once on a logged, single-stepped clone.
 
-        The fault-free TEM job runs first, logged into the def/use table;
-        then the remaining copies up to ``max_copies`` run back to back on
-        the same machine, because a faulty job may need them.  Returns the
-        table, every copy's :class:`GoldenCopy` and a checkpoint before
-        every golden step (index = global step).  No trace when the
-        template carries latent ECC errors: the fault-free job's own ECC
-        corrections would then be part of every record.
+        The fault-free TEM job runs first, then the remaining copies up to
+        ``max_copies`` run back to back on the same machine, because a
+        faulty job may need them; all of them are logged into the def/use
+        table, whose dead-fault rule stops at the end of the TEM job.
+        Returns the table, every copy's :class:`GoldenCopy` and a
+        checkpoint before every golden step (index = global step).  No
+        trace when the template carries latent ECC errors: the fault-free
+        job's own ECC corrections would then be part of every record.
         """
         if self.template.machine.memory.error_word_count():
             return None, (), None
@@ -367,7 +373,7 @@ class TemInjectionHarness:
         executable = stepper.executable
         memory = executable.machine.memory
         log = AccessLog()
-        copies: List[GoldenCopy] = []
+        copies: List[tuple] = []  # reply, start, end, memory words at the end
         checkpoints: List[MachineExecutable] = []
 
         def checkpoint() -> None:
@@ -378,10 +384,7 @@ class TemInjectionHarness:
         def execute_copy(copy_index: int) -> "tuple[Optional[Result], Optional[str]]":
             start = stepper.global_step
             reply = stepper.execute_copy(copy_index)
-            copies.append(GoldenCopy(
-                reply, start, stepper.global_step, dict(memory._clean),
-                {address: set(bits) for address, bits in memory._error_bits.items()},
-            ))
+            copies.append((reply, start, stepper.global_step, dict(memory._clean)))
             return reply
 
         with log.attached(executable.machine, checkpoint), obs_metrics.capture():
@@ -392,22 +395,39 @@ class TemInjectionHarness:
                 ),
                 max_copies=self.workload.max_copies,
             )
-            liveness = log.table(memory.size_words)
+            horizon = stepper.global_step
             for copy_index in range(len(copies), self.workload.max_copies):
                 execute_copy(copy_index)
-        return liveness, tuple(copies), checkpoints
+        liveness = log.table(memory.size_words, horizon)
+        golden_copies = tuple(
+            GoldenCopy(reply, start, end, {
+                address: clean.get(address, 0) for address in liveness.live_words(end)
+            })
+            for reply, start, end, clean in copies
+        )
+        return liveness, golden_copies, checkpoints
 
 
 class GoldenCopy(NamedTuple):
     """One copy of the golden run: its ``(result, mechanism)`` reply, the
-    global steps at its start and end, and the memory words and ECC error
-    bits at its end."""
+    global steps at its start and end, and the value at its end of every
+    memory word live there (:meth:`LivenessTable.live_words`)."""
 
     reply: "Tuple[Optional[Result], Optional[str]]"
     start: int
     end: int
-    clean: Dict[int, int]
-    error_bits: Dict[int, Set[int]]
+    live: Dict[int, int]
+
+    def reconverged(self, memory: Memory) -> bool:
+        """True when *memory*, after a faulty run of this copy, agrees with
+        the golden memory on every live word, in value and in ECC error
+        bits.  The golden run has no error bits (it injects nothing, and a
+        template with latent errors gets no trace), so a live word must
+        have none."""
+        clean, live = memory._clean, self.live
+        return live.keys().isdisjoint(memory._error_bits.keys()) and all(
+            clean.get(address, 0) == value for address, value in live.items()
+        )
 
 
 class _SteppedTem:
@@ -548,9 +568,10 @@ class _GoldenJob:
 
     Copies before the fault's arrival return their golden replies.  The
     arrival copy resumes on a clone of the checkpoint at the arrival step
-    and runs to its end; it and each later copy run on the CPU until the
-    memory words and ECC error bits equal the golden ones after the same
-    copy.  Every copy after that returns its golden reply and advances the
+    and runs to its end; it and each later copy run on the CPU until a copy
+    ends :meth:`GoldenCopy.reconverged`: the memory agrees with the golden
+    one on every word the golden copies after it read before they write
+    it.  Every copy after that returns its golden reply and advances the
     global step by its golden length, so the deadline check sees the step
     counts of a simulated trial.  With no fault no copy is simulated.
 
@@ -596,6 +617,6 @@ class _GoldenJob:
         self.global_step = stepper.global_step
         memory = stepper.executable.machine.memory
         self.ecc_corrections = memory.ecc_stats.corrections
-        if memory._clean == golden.clean and memory._error_bits == golden.error_bits:
+        if golden.reconverged(memory):
             self._stepper = None
         return reply

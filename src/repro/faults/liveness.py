@@ -9,7 +9,8 @@ flipped value, so the faulty job is the fault-free job.  Its record is
 known without running the CPU.
 
 A :class:`LivenessTable` is built once per harness from one traced run of
-the fault-free job (:meth:`AccessLog.attached` swaps access-logging
+the fault-free job and the golden copies after it, up to the copy cap
+(:meth:`AccessLog.attached` swaps access-logging
 stand-ins into a clone's register file and memory and single-steps its
 ``run``, calling a hook before every instruction — the harness takes its
 golden checkpoints there).  The run goes through the harness's own copy
@@ -29,10 +30,21 @@ copy's first step.
 
 **Rule.**  A fault is dead iff it is transient, targets a register other
 than PC or an in-range memory word, has an arrival step, and the first
-access at or after that step is a write, or there is none.  Within one
+access at or after that step, up to the end of the fault-free TEM job
+(the table's *horizon*), is a write, or there is none.  Within one
 instruction accesses keep their order, so a read-modify-write (an SR
 flag update, ``MOVEHI``) is a read.  PC faults and permanent faults are
 never dead.
+
+**Live words at a copy boundary.**  The same rule, applied at a copy end
+to every traced copy after it, tells a faulty trial when it may stop
+simulating (:meth:`LivenessTable.live_words`): a memory word is live at
+the end of golden copy *c*, global step *e*, when its first access at or
+after *e* is a read.  A trial whose memory agrees with the golden memory
+on every live word after copy *c* runs the later copies exactly as the
+golden run does.  The accesses stamped *e - 1* after the copy (the next
+copy's ``prepare`` and input writes) are left out: they only write, so
+leaving them out can only add live words.
 """
 
 from __future__ import annotations
@@ -129,8 +141,9 @@ class AccessLog:
             cycles += result.cycles
         return RunResult(machine._halted, None, steps, cycles)
 
-    def table(self, memory_words: int) -> "LivenessTable":
-        """The def/use table of everything logged so far."""
+    def table(self, memory_words: int, horizon: int) -> "LivenessTable":
+        """The def/use table of everything logged so far; *horizon* is the
+        global step at which the fault-free TEM job ended."""
 
         def split(log: Dict) -> Dict:
             return {
@@ -138,23 +151,27 @@ class AccessLog:
                 for key, accesses in log.items()
             }
 
-        return LivenessTable(split(self._registers), split(self._memory), memory_words)
+        return LivenessTable(
+            split(self._registers), split(self._memory), memory_words, horizon
+        )
 
 
 class LivenessTable:
-    """Def/use table of one harness's fault-free job."""
+    """Def/use table of one harness's golden copies."""
 
-    __slots__ = ("_registers", "_memory", "_memory_words")
+    __slots__ = ("_registers", "_memory", "_memory_words", "_horizon")
 
     def __init__(
         self,
         registers: Dict[str, _Accesses],
         memory: Dict[int, _Accesses],
         memory_words: int,
+        horizon: int,
     ) -> None:
         self._registers = registers
         self._memory = memory
         self._memory_words = memory_words
+        self._horizon = horizon
 
     def is_dead(self, fault: Fault) -> bool:
         """True when *fault* cannot change the job (see the module rule)."""
@@ -178,4 +195,14 @@ class LivenessTable:
         stamps, writes = accesses
         # A fault due before the first step arrives at step 0.
         first = bisect_left(stamps, max(step, 0))
-        return first == len(stamps) or writes[first]
+        return first == len(stamps) or stamps[first] >= self._horizon or writes[first]
+
+    def live_words(self, step: int) -> List[int]:
+        """The memory words whose first access at or after *step* is a read
+        (see the module docstring)."""
+        live = []
+        for address, (stamps, writes) in self._memory.items():
+            first = bisect_left(stamps, step)
+            if first < len(stamps) and not writes[first]:
+                live.append(address)
+        return live

@@ -3,8 +3,8 @@
 A live transient flip is not simulated from the start: the trial replays
 the golden copies before the fault's arrival, resumes the arrival copy
 from the golden checkpoint at the arrival step, and goes back to golden
-replies once the memory words and ECC error bits equal the golden ones
-after the same copy.  That is only sound if the record, the metrics
+replies once a copy ends with the golden value and no ECC error bit on
+every memory word the later golden copies read before they write it.  That is only sound if the record, the metrics
 stable view (counters and timer counts) and the (m,k) window it leaves
 behind are exactly what :meth:`TemInjectionHarness.run_experiment` —
 which simulates every fault from step 0 — gives.  This suite checks every
@@ -15,8 +15,10 @@ seed-2005 list), the E11 TEM variants, the E12 workloads and the E14
 The pinned cases name the boundaries a replay can get wrong: an arrival
 at a copy's first and last step, a PC flip, an ECC-corrected code flip
 whose correction happens in the next copy (so the error bits, not the
-words, keep the copy on the CPU), and a copy that ends in an exception
-and reconverges one copy later.
+words, keep the copy on the CPU), a copy that ends in an exception
+before it stores its output (a difference only in words the next copy
+writes first, so the trial reconverges at once), and a wrong value on a
+word the next copy reads, which keeps every copy on the CPU.
 """
 
 import pytest
@@ -27,10 +29,12 @@ from repro.experiments.coverage_table import _cached_harness
 from repro.experiments.weakly_hard import _mk_window, mk_fault_payloads
 from repro.experiments.workload_table import _cached_harness as workload_harness
 from repro.experiments.workload_table import workload_faults
+from repro.cpu.isa import encode
 from repro.cpu.programs import PROGRAMS
-from repro.faults.campaign import _GoldenJob, _SteppedTem
+from repro.faults.campaign import TemInjectionHarness, _GoldenJob, _SteppedTem
 from repro.faults.types import FaultTarget
 from tests.faults.test_liveness import SEED, _captured, _e5_faults, _fault
+from tests.property.test_liveness_soundness import _COUNTER, _workload
 
 
 def _mismatches(harness, faults, windows=None):
@@ -135,9 +139,12 @@ class TestPinnedCases:
         )
 
     def test_pc_flip(self, harness, monkeypatch):
+        """Copy 1 traps before it stores its output.  The output word is
+        its only difference from the golden memory, and copy 2 writes it
+        before reading it, so copy 2 already replays."""
         fault = _fault("PC", 7, 32, FaultTarget.PC)
         self._check(
-            harness, fault, monkeypatch, ("masked", ("address_error",), 3), [0, 1]
+            harness, fault, monkeypatch, ("masked", ("address_error",), 3), [0]
         )
 
     def test_ecc_corrected_code_flip(self, harness, monkeypatch):
@@ -153,9 +160,24 @@ class TestPinnedCases:
         )
 
     def test_exception_then_reconvergence_one_copy_later(self, harness, monkeypatch):
-        """Copy 1 traps before it stores its outputs; copy 2 runs on the CPU
-        and leaves the golden memory, so copy 3 replays."""
+        """Copy 1 traps before it stores its outputs.  Its memory differs
+        from the golden one only in the output word, which copy 2 writes
+        before it reads it: the trial has reconverged after copy 1, and
+        copies 2 and 3 replay."""
         fault = _fault("A0", 11, 27)
         self._check(
-            harness, fault, monkeypatch, ("masked", ("address_error",), 3), [0, 1]
+            harness, fault, monkeypatch, ("masked", ("address_error",), 3), [0]
+        )
+
+    def test_wrong_value_on_a_live_word(self, monkeypatch):
+        """The property suite's counter program (``mem[IN + 7] += 1``): a D0
+        flip between the ADDI and the STORE leaves a wrong counter, which
+        each next copy loads before it stores it.  No copy ends
+        reconverged, so all three run on the CPU."""
+        harness = TemInjectionHarness(
+            _workload([*_COUNTER, encode("HALT")], (5, 6), 4, 3.3)
+        )
+        self._check(
+            harness, _fault("D0", 3, 2), monkeypatch,
+            ("omission", ("comparison",), 3), [0, 1, 2],
         )

@@ -189,9 +189,42 @@ class TestCopyStarts:
         lands, whatever it targets (bar PC)."""
         assert harness.is_dead(_fault("D0", 0, 2 * harness.golden_steps))
 
+    def test_code_flip_after_the_job_is_dead(self, harness):
+        """The traced third copy fetches the entry word, but ``is_dead``
+        stops at the end of the fault-free TEM job."""
+        fault = Fault(
+            FaultType.TRANSIENT, FaultTarget.CODE_MEMORY,
+            address=harness.template.entry_address, bit=0,
+            at_step=2 * harness.golden_steps,
+        )
+        assert harness.is_dead(fault)
+
     def test_permanent_faults_are_live(self, harness):
         fault = Fault(
             FaultType.PERMANENT, FaultTarget.SP, register="SP",
             at_step=2 * harness.golden_steps,
         )
         assert not harness.is_dead(fault)
+
+
+class TestLiveWords:
+    def test_copy_boundaries_of_the_brake_task(self):
+        """A word is live at a copy end when the later golden copies read
+        it before they write it: the next copy's code and inputs (whose
+        ``prepare`` writes are left out), never the output word, which
+        the next copy stores before it reads it; nothing after the last
+        traced copy."""
+        harness = _cached_harness(3)
+        executable = harness.template
+        inputs = set(range(
+            executable.input_base, executable.input_base + executable.input_count
+        ))
+        outputs = set(range(
+            executable.output_base, executable.output_base + executable.output_count
+        ))
+        *earlier, last = harness.golden_copies
+        assert earlier and last.live == {}
+        for copy in earlier:
+            assert executable.entry_address in copy.live
+            assert inputs <= copy.live.keys()
+            assert not outputs & copy.live.keys()

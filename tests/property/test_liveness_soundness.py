@@ -18,9 +18,16 @@ length), :meth:`TemInjectionHarness.settle_or_run` — a settle for a dead
 fault, a resume-and-reconverge replay for a live transient one, a full
 simulation for a permanent one — must give the record, metrics stable
 view and window end state of :meth:`TemInjectionHarness.run_experiment`.
+A replay stops simulating once a copy ends with the golden value on every
+word the later golden copies read first; it must never simulate a copy
+after one that ended in exactly the golden memory words and ECC error
+bits, the stricter rule it replaced.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +35,13 @@ from repro.cpu.assembler import AssembledProgram
 from repro.cpu.isa import encode
 from repro.cpu.machine import Machine
 from repro.errors import ConfigurationError
-from repro.faults.campaign import TemInjectionHarness, TemWorkload
+from repro.faults.campaign import (
+    _NO_FAULT,
+    TemInjectionHarness,
+    TemWorkload,
+    _GoldenJob,
+    _SteppedTem,
+)
 from repro.kernel.task import MachineExecutable, MKWindow, WeaklyHardConstraint
 from repro.obs import metrics as obs_metrics
 from tests.property.test_batch_differential import (
@@ -69,6 +82,45 @@ def _captured(run, window):
     return record.to_json(), obs_metrics.stable_view(registry.snapshot()), state
 
 
+def _golden_memories(harness):
+    """The memory words and ECC error bits after each golden copy."""
+    stepper = harness._stepper(_NO_FAULT)
+    memory = stepper.executable.machine.memory
+    states = []
+    with obs_metrics.capture():
+        for copy_index in range(harness.workload.max_copies):
+            stepper.execute_copy(copy_index)
+            states.append((
+                dict(memory._clean),
+                {address: set(bits) for address, bits in memory._error_bits.items()},
+            ))
+    return states
+
+
+@contextlib.contextmanager
+def _ends_in_golden_memory(golden):
+    """Per copy a replay runs on the CPU, in order: whether it ended in
+    exactly the golden memory of *golden*."""
+    copy, ended = [], []
+    execute_copy, run_copy = _GoldenJob.execute_copy, _SteppedTem.run_copy
+
+    def spy_execute(job, copy_index):
+        copy.append(copy_index)
+        return execute_copy(job, copy_index)
+
+    def spy_run(stepper, steps_this_copy):
+        reply = run_copy(stepper, steps_this_copy)
+        if copy:  # a replayed job, not run_experiment
+            memory = stepper.executable.machine.memory
+            ended.append((memory._clean, memory._error_bits) == golden[copy[-1]])
+        return reply
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_GoldenJob, "execute_copy", spy_execute)
+        patch.setattr(_SteppedTem, "run_copy", spy_run)
+        yield ended
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_every_fault_replays_to_the_simulated_record(seed):
@@ -99,7 +151,10 @@ def test_every_fault_replays_to_the_simulated_record(seed):
         rng, 24, harness=harness, code_size=len(words),
         data_range=(IN, IN + DATA_WORDS),
     )
+    golden = _golden_memories(harness)
     for fault in faults:
         simulated = _captured(lambda w: harness.run_experiment(fault, w), window())
-        replayed = _captured(lambda w: harness.settle_or_run(fault, w), window())
+        with _ends_in_golden_memory(golden) as ended:
+            replayed = _captured(lambda w: harness.settle_or_run(fault, w), window())
         assert replayed == simulated, fault.describe()
+        assert True not in ended[:-1], fault.describe()
