@@ -66,7 +66,7 @@ def _run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resume", type=Path, default=None, metavar="PATH",
-        help="directory for checkpoint journals (and shard leases)",
+        help="directory for checkpoint journals (one per shard with --jobs)",
     )
     parser.add_argument(
         "--chaos", type=str, default=None, metavar="SPEC",

@@ -316,7 +316,7 @@ def run_coverage_campaign(
         TEM copy cap per job — the schedule's reserved recovery slack; a
         tight cap is what produces omission failures.
     workers / timeout_s / journal_path:
-        Campaign-supervisor knobs (:mod:`repro.harness`): lease-owned
+        Campaign-supervisor knobs (:mod:`repro.harness`): heartbeating
         shard runner processes that survive SIGKILLs and wedges,
         per-trial wall-clock budget, and checkpoint journal for
         interrupt/resume.  The defaults preserve the historic serial

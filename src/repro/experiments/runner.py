@@ -305,7 +305,7 @@ def _parse_args(argv: "list[str]") -> argparse.Namespace:
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
         help="crash-tolerant shard runner processes for campaign "
-             "sections (lease/heartbeat failure detection, fencing-token "
+             "sections (heartbeat failure detection, kill-and-respawn "
              "takeover; 0 = serial in-process, the default)",
     )
     parser.add_argument(

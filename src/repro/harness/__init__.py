@@ -12,10 +12,9 @@ paper's framework uses — applied to the harness itself:
 
 * :mod:`repro.harness.shards` — the sharded campaign coordinator behind
   ``workers >= 1``: contiguous seed-range shards, one serial runner
-  process per shard, lease/heartbeat failure detection, fencing-token
-  takeover, in-memory handoff of finished shards and a commutative
-  merge;
-* :mod:`repro.harness.leases` — the checkpointed lease files behind it;
+  process per shard, heartbeat failure detection through an in-memory
+  beat counter per shard, kill-and-respawn takeover, in-memory handoff
+  of finished shards and a commutative merge;
 * :mod:`repro.harness.chaos` — deterministic, seeded chaos injection
   (runner SIGKILLs, heartbeat stalls, journal-tail corruption) used to
   prove that recovery reproduces the undisturbed run bit-identically.
@@ -32,7 +31,6 @@ from .journal import (
     SalvageReport,
     TrialEntry,
 )
-from .leases import LEASE_ABANDONED, LEASE_DONE, LEASE_RUNNING, Lease, LeaseFile
 from .seeds import derive_seed
 from .shards import (
     ShardConfig,
@@ -59,11 +57,6 @@ __all__ = [
     "HarnessFailure",
     "JOURNAL_VERSION",
     "JournalHeader",
-    "LEASE_ABANDONED",
-    "LEASE_DONE",
-    "LEASE_RUNNING",
-    "Lease",
-    "LeaseFile",
     "SalvageReport",
     "ShardConfig",
     "ShardSpec",

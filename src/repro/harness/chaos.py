@@ -4,9 +4,9 @@ The repo's fault-injection campaigns prove the *paper's* node-level fault
 tolerance by injecting faults into simulated nodes.  This module turns the
 same discipline on the harness: a seeded :class:`ChaosPolicy` attacks the
 campaign infrastructure — SIGKILLing shard runners at chosen trial
-indices, stalling runner heartbeats until the lease expires, tearing or
-poisoning journal tails — and the acceptance bar is the repo's signature move: under **any** chaos schedule
-the recovered campaign must reproduce the undisturbed serial run's outcome
+indices, stalling runner heartbeats until the coordinator takes the shard
+over, tearing or poisoning journal tails — and the acceptance bar is the
+repo's signature move: under **any** chaos schedule the recovered campaign must reproduce the undisturbed serial run's outcome
 counts and deterministic metrics view bit-identically (see
 ``tests/harness/test_chaos_equivalence.py`` and ``tools/chaos_smoke.py``).
 
@@ -26,8 +26,8 @@ Spec grammar (the ``--chaos`` CLI knob), comma-separated events::
                     node death with a durable journal)
     stall:T         shard runner stops heartbeating after journaling trial
                     T (batched: its chunk) but keeps computing (a wedged
-                    node; the coordinator must expire the lease and take
-                    the shard over)
+                    node; the coordinator must see its beat counter go
+                    stale and take the shard over)
     corrupt:K:MODE  damage shard K's journal tail at its first takeover;
                     MODE is ``tear`` (truncate mid-line), ``garbage``
                     (append invalid-UTF-8 bytes and a torn line) or

@@ -15,24 +15,25 @@ shard runners.
   :class:`repro.harness.supervisor.CampaignSupervisor` over the shard's
   slice that inherits the whole config (a batching config steps
   lockstep chunks and journals one record per chunk), journaling every
-  trial — that owns the shard through
-  a checkpointed **lease** (:mod:`repro.harness.leases`): heartbeats from
-  a background thread, fencing token, atomic writes;
+  trial.  A background thread of the runner proves it alive by bumping
+  the shard's **beat counter**, one slot of a shared-memory array the
+  coordinator made before the first fork;
 * a runner that finishes its slice **hands its result off** in memory:
   it sends its :class:`SupervisorResult` (results, failures, per-commit
-  metrics snapshots, harness counters) over a one-way pipe, then writes
-  its DONE lease.  The coordinator merges a DONE shard from that handoff
-  and reads a shard journal back only for shards that ended without one
-  (abandoned, or a result that does not pickle), the way the paper's
-  nodes return results as messages and leave recovery to node failures;
+  metrics snapshots, harness counters) over a one-way pipe and exits 0.
+  The coordinator merges a finished shard from that handoff and reads a
+  shard journal back only for shards that ended without one (abandoned,
+  or a result that does not pickle), the way the paper's nodes return
+  results as messages and leave recovery to node failures;
 * the **coordinator** blocks on the runners' process sentinels and
-  handoff pipes, and wakes at least every ``poll_s`` to check leases.  A
-  dead runner (crash, SIGKILL) or an expired lease (frozen runner)
-  triggers a *takeover*: the old process is killed, its pipe closed, the
-  fencing token bumped, and a fresh runner respawned — it resumes from
-  the shard journal, re-runs only the missing trials and hands off the
-  whole shard.  Deterministic per-trial seeds make the recovered
-  campaign bit-identical to an undisturbed one;
+  handoff pipes, and wakes at least every ``poll_s`` to read the beat
+  counters.  A dead runner (crash, SIGKILL) or a counter that has not
+  moved for ``lease_ttl_s`` (frozen runner) triggers a *takeover*: the
+  old process is killed and reaped, its pipe closed, and a fresh runner
+  respawned — it resumes from the shard journal, re-runs only the
+  missing trials and hands off the whole shard.  Deterministic
+  per-trial seeds make the recovered campaign bit-identical to an
+  undisturbed one;
 * a **trial that keeps killing its runner** is contained like a raising
   trial: once ``max(2, MAX_RETRIES + 1)`` runners in a row died (by a
   signal) or froze with it as the shard's first unrecorded trial, the
@@ -45,27 +46,28 @@ shard runners.
   instead of an exception.
 
 Per-trial timeouts (``timeout_s``) are enforced by ``SIGALRM`` inside the
-runner executing the trial.  The lease measures liveness only: the runner
-heartbeats from a thread, so neither a long trial nor a long batch chunk
-expires it, and ``lease_ttl_s`` need not know how long trials take.  It
-catches a runner frozen beyond ``SIGALRM``'s reach (stopped, or stuck in
-native code holding the GIL).
+runner executing the trial.  The beat counter measures liveness only: the
+runner heartbeats from a thread, so neither a long trial nor a long batch
+chunk stops it, and ``lease_ttl_s`` need not know how long trials take.
+It catches a runner frozen beyond ``SIGALRM``'s reach (stopped, or stuck
+in native code holding the GIL).
 
 Chaos injection (:mod:`repro.harness.chaos`) plugs in at two points: the
 runner's after-trial hook (``die:T`` SIGKILLs the runner after journaling
 trial T, or the chunk holding it; ``stall:T`` stops heartbeats and wedges
-the runner so the lease
-must expire) and the coordinator's takeover path (``corrupt:K:MODE``
-damages shard K's journal tail before the replacement runner salvages it).
+the runner so its beat counter must go stale) and the coordinator's
+takeover path (``corrupt:K:MODE`` damages shard K's journal tail before
+the replacement runner salvages it).
 
-Wall-clock (`time.time`/`time.monotonic`) is legitimate here: it measures
-the *host* — liveness of runner processes — never simulated time
+Wall-clock (`time.monotonic`) is legitimate here: it measures the *host*
+— liveness of runner processes — never simulated time
 (:mod:`repro.harness` is DET001's home for infrastructure clocks).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import gc
 import multiprocessing
@@ -86,7 +88,6 @@ from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
 from . import chaos as chaos_mod
 from .journal import CampaignJournal, JournalHeader, TrialEntry
-from .leases import LEASE_ABANDONED, LEASE_DONE, Lease, LeaseFile
 from .supervisor import (
     MAX_RETRIES,
     CampaignSupervisor,
@@ -96,9 +97,6 @@ from .supervisor import (
     TrialFn,
     _replay_entries,
 )
-
-#: Exit code of a runner that observed a newer fencing token and stopped.
-FENCED_EXIT_CODE = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,38 +133,33 @@ def plan_shards(total: int, count: int) -> List[ShardSpec]:
     return specs
 
 
-def shard_paths(
-    journal_path: Union[str, Path], shard_id: int
-) -> "tuple[Path, Path]":
-    """``(shard journal, shard lease)`` paths derived from the campaign's
-    base journal path (``x.jsonl`` -> ``x.shard3.jsonl`` / ``x.shard3.lease``).
-    """
+def shard_paths(journal_path: Union[str, Path], shard_id: int) -> Path:
+    """The shard journal path derived from the campaign's base journal
+    path (``x.jsonl`` -> ``x.shard3.jsonl``)."""
     base = Path(journal_path)
     stem = base.stem if base.suffix else base.name
     suffix = base.suffix if base.suffix else ".jsonl"
-    journal = base.with_name(f"{stem}.shard{shard_id}{suffix}")
-    lease = base.with_name(f"{stem}.shard{shard_id}.lease")
-    return journal, lease
+    return base.with_name(f"{stem}.shard{shard_id}{suffix}")
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardConfig:
-    """Lease and polling timings of the sharded coordinator (the shard
+    """Liveness and polling timings of the sharded coordinator (the shard
     count is ``max(1, SupervisorConfig.workers)``).
 
     Attributes
     ----------
     lease_ttl_s:
-        A running lease whose heartbeat is older than this is expired;
-        the coordinator takes the shard over.  Must comfortably exceed
-        ``heartbeat_s`` (heartbeats come from a runner thread, so trial
-        and batch-chunk durations do not matter).
+        A running shard whose beat counter has not moved for this long
+        is taken over.  Must comfortably exceed ``heartbeat_s``
+        (heartbeats come from a runner thread, so trial and batch-chunk
+        durations do not matter).
     heartbeat_s:
-        Interval between a runner's lease heartbeats.
+        Interval between a runner's heartbeats.
     poll_s:
         Longest the coordinator blocks on runner sentinels and handoff
-        pipes before it checks lease expiry again; a runner's exit or
-        handoff wakes it at once.
+        pipes before it reads the beat counters again; a runner's exit
+        or handoff wakes it at once.
     max_takeovers:
         A shard taken over more than this many times in a row without its
         journal advancing is abandoned — the campaign degrades instead of
@@ -214,32 +207,30 @@ def _shard_runner_main(
     spec: ShardSpec,
     config: SupervisorConfig,
     journal_path: Path,
-    lease_path: Path,
-    token: int,
+    beats: "ctypes.Array[ctypes.c_uint64]",
     heartbeat_s: float,
     policy: "Optional[chaos_mod.ChaosPolicy]",
     run_config: runtime.RunConfig,
     handoff: "mp_connection.Connection",
 ) -> None:
-    """Run one shard serially while a thread heartbeats its lease.
+    """Run one shard serially while a thread bumps its beat counter.
 
-    The heartbeat thread proves the runner alive however long a trial or
-    batch chunk takes, and exits the runner with :data:`FENCED_EXIT_CODE`
-    the moment it observes a newer fencing token — a superseded runner
-    must not touch the shard — or that its coordinator died (no orphan
-    outlives the campaign).  The runner dies by ``os.kill(SIGKILL)`` at a
-    chaos ``die:T`` point (fail-stop death with a durable journal) and
-    stops heartbeating after a chaos ``stall:T`` point (the coordinator
-    must expire the lease).
+    The heartbeat thread increments ``beats[spec.shard_id]`` every
+    ``heartbeat_s``, proving the runner alive however long a trial or
+    batch chunk takes, and exits the runner the moment its coordinator
+    died (no orphan outlives the campaign).  The runner dies by
+    ``os.kill(SIGKILL)`` at a chaos ``die:T`` point (fail-stop death with
+    a durable journal) and stops heartbeating after a chaos ``stall:T``
+    point (the coordinator must see the counter go stale).
 
-    On completion, after a last fencing check, the runner sends its
-    :class:`SupervisorResult` — journal replays included, so a replacement
-    runner hands off the whole shard — over ``handoff``, the write end of
-    a one-way pipe the coordinator created for this spawn, and only then
-    writes the DONE lease.  The coordinator receives while the runner is
-    alive (a result past the pipe buffer blocks ``send`` until it does)
-    and merges a DONE shard from it.  A result that does not pickle is
-    not sent: the coordinator then merges the shard from its journal.
+    On completion the runner sends its :class:`SupervisorResult` —
+    journal replays included, so a replacement runner hands off the whole
+    shard — over ``handoff``, the write end of a one-way pipe the
+    coordinator created for this spawn, and only then exits 0.  The
+    coordinator receives while the runner is alive (a result past the
+    pipe buffer blocks ``send`` until it does) and merges a finished
+    shard from it.  A result that does not pickle is not sent: the
+    coordinator then merges the shard from its journal.
 
     ``run_config`` is the coordinator's effective run configuration
     (:func:`_runner_run_config`), activated explicitly rather than
@@ -249,26 +240,17 @@ def _shard_runner_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     chaos_mod.install(policy)
     coordinator_pid = os.getppid()
-    lease_file = LeaseFile(lease_path)
-    lease = lease_file.heartbeat(Lease(
-        shard_id=spec.shard_id,
-        owner=f"pid{os.getpid()}",
-        token=token,
-        heartbeat=time.time(),
-    ))
     stalled = threading.Event()
-    finished = threading.Event()
 
     def heartbeat() -> None:
-        while not finished.wait(heartbeat_s):
-            if stalled.is_set():
-                continue
-            if lease_file.fenced_out(token) or os.getppid() != coordinator_pid:
-                os._exit(FENCED_EXIT_CODE)
-            lease_file.heartbeat(lease)
+        # Stops at a chaos stall point; the main thread then does the
+        # orphan check once its slice is done.
+        while not stalled.wait(heartbeat_s):
+            if os.getppid() != coordinator_pid:
+                os._exit(1)
+            beats[spec.shard_id] += 1
 
-    beater = threading.Thread(target=heartbeat, daemon=True)
-    beater.start()
+    threading.Thread(target=heartbeat, daemon=True).start()
 
     def after_trial(trial_id: int, harness_failures: int) -> None:
         # Only called for freshly *executed* trials (journal replays on
@@ -298,18 +280,13 @@ def _shard_runner_main(
         result = CampaignSupervisor(trial_fn, runner_config).run(payloads)
     if stalled.is_set():
         # A wedged node: alive, journal intact, no heartbeats.  The
-        # coordinator expires the lease and kills this process.
+        # coordinator sees the counter go stale and kills this process.
         while os.getppid() == coordinator_pid:
             time.sleep(0.25)
-        os._exit(FENCED_EXIT_CODE)
-    finished.set()
-    beater.join()
-    if lease_file.fenced_out(token):
-        os._exit(FENCED_EXIT_CODE)
+        os._exit(1)
     with contextlib.suppress(pickle.PicklingError, TypeError, AttributeError):
         handoff.send(result)
     handoff.close()
-    lease_file.heartbeat(lease, state=LEASE_DONE)
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +299,6 @@ class _ShardState:
 
     spec: ShardSpec
     journal_path: Path
-    lease_file: LeaseFile
-    token: int = 0
     takeovers: int = 0
     process: Optional["multiprocessing.process.BaseProcess"] = None
     done: bool = False
@@ -333,6 +308,10 @@ class _ShardState:
     reader: Optional["mp_connection.Connection"] = None
     #: The current runner's finished result, received over ``reader``.
     handoff: Optional[SupervisorResult] = None
+    #: Last value read from the runner's beat slot, and the coordinator's
+    #: ``time.monotonic()`` when it last changed or the runner was spawned.
+    beat: int = 0
+    beat_at: float = 0.0
     #: First unrecorded trial at the latest takeover, and how many
     #: takeovers in a row found the journal stuck there.
     stuck_at: Optional[int] = None
@@ -384,10 +363,10 @@ def run_sharded_campaign(
 ) -> SupervisorResult:
     """Run a campaign across crash-tolerant shard runner processes.
 
-    Shard journals and leases derive from ``config.journal_path``; without
-    one they live in a temporary directory that is removed after the
-    merge (nothing to resume from, nothing left behind).  It runs
-    ``max(1, config.workers)`` runners with ``shard_config``'s lease
+    Shard journals derive from ``config.journal_path``; without one they
+    live in a temporary directory that is removed after the merge
+    (nothing to resume from, nothing left behind).  It runs
+    ``max(1, config.workers)`` runners with ``shard_config``'s liveness
     timings (default :class:`ShardConfig`).  Chaos comes from
     ``config.chaos``: ``die``/``stall`` events fire inside the runners,
     ``corrupt`` at the coordinator's takeover path.  The merged
@@ -430,31 +409,17 @@ def _coordinate(
     if reporter is not None:
         reporter.start(total=len(payloads))
 
-    shards: List[_ShardState] = []
-    for spec in plan_shards(len(payloads), max(1, config.workers)):
-        journal_path, lease_path = shard_paths(journal_base, spec.shard_id)
-        shard = _ShardState(spec, journal_path, LeaseFile(lease_path))
-        # Resume across *coordinator* deaths: start fencing tokens above
-        # whatever a previous coordinator issued, so runners orphaned by
-        # a killed coordinator observe a newer token at their next
-        # heartbeat and stop (their journal entries remain valid — trials
-        # are deterministic, so even a raced duplicate append is an
-        # identical record).
-        existing = shard.lease_file.read()
-        if existing is not None:
-            shard.token = existing.token
-        shards.append(shard)
+    shards = [
+        _ShardState(spec, shard_paths(journal_base, spec.shard_id))
+        for spec in plan_shards(len(payloads), max(1, config.workers))
+    ]
+    # One beat counter per shard, shared with every runner forked below.
+    beats = ctx.RawArray(ctypes.c_uint64, len(shards))
 
     def spawn(shard: _ShardState) -> None:
-        shard.token += 1
-        # The coordinator stamps a fresh lease before the runner exists,
-        # so the TTL countdown covers a runner that dies during startup.
-        shard.lease_file.write(Lease(
-            shard_id=shard.spec.shard_id,
-            owner=f"coordinator#t{shard.token}",
-            token=shard.token,
-            heartbeat=time.time(),
-        ))
+        # The TTL countdown restarts now, so it covers a runner that dies
+        # during startup.
+        shard.beat_at = time.monotonic()
         reader, writer = ctx.Pipe(duplex=False)
         shard.process = ctx.Process(
             target=_shard_runner_main,
@@ -464,8 +429,7 @@ def _coordinate(
                 shard.spec,
                 config,
                 shard.journal_path,
-                shard.lease_file.path,
-                shard.token,
+                beats,
                 shard_config.heartbeat_s,
                 policy,
                 run_config,
@@ -491,10 +455,10 @@ def _coordinate(
     def take_over(
         shard: _ShardState, charge: Optional[OutcomeClass], why: str
     ) -> None:
-        # Fail-stop enforcement: whatever is (or is not) attached to the
-        # lease gets killed before the shard is reassigned — combined
-        # with fencing tokens this keeps a wedged-but-alive runner from
-        # racing its replacement on the journal.
+        # Fail-stop enforcement: the old runner is SIGKILLed and joined
+        # before the shard is reassigned.  Once SIGKILL is pending it runs
+        # no further instruction, so a wedged-but-alive runner can never
+        # race its replacement on the journal.
         _kill_process(shard.process)
         # A replacement runner replays the journal and hands off anew.
         _close_reader(shard)
@@ -542,13 +506,6 @@ def _coordinate(
         if shard.stuck_takeovers > shard_config.max_takeovers:
             shard.abandoned = True
             harness.inc("harness.shards_abandoned")
-            shard.lease_file.write(Lease(
-                shard_id=shard.spec.shard_id,
-                owner="coordinator",
-                token=shard.token + 1,
-                heartbeat=time.time(),
-                state=LEASE_ABANDONED,
-            ))
             return
         spawn(shard)
 
@@ -560,7 +517,7 @@ def _coordinate(
             if not active:
                 break
             # Sleep until a runner exits or hands off, or poll_s passes
-            # and the leases of the live runners are due for an expiry
+            # and the beat counters of the live runners are due for a
             # check.
             ready = mp_connection.wait(
                 [s.process.sentinel for s in active if s.process is not None]
@@ -582,21 +539,23 @@ def _coordinate(
                     # blocks its send until this end reads it.  Once it
                     # exited, the pipe holds the whole result or EOF.
                     _receive(shard)
-                lease = shard.lease_file.read()
                 if exitcode is None:
-                    if lease is None:
-                        take_over(shard, None, "shard lease unreadable")
-                    elif lease.expired(shard_config.lease_ttl_s):
+                    beat = beats[shard.spec.shard_id]
+                    now = time.monotonic()
+                    if beat != shard.beat:
+                        shard.beat, shard.beat_at = beat, now
+                    elif now - shard.beat_at > shard_config.lease_ttl_s:
                         take_over(
                             shard, OutcomeClass.HARNESS_TIMEOUT,
                             "shard runner froze past the lease TTL",
                         )
-                elif exitcode == 0 and lease is not None and lease.state == LEASE_DONE:
+                elif exitcode == 0:
+                    # A runner exits 0 only after its handoff attempt.
                     shard.done = True
                 else:
                     # Killed by a signal (SIGKILL, SIGSEGV, OOM killer):
                     # chargeable to a trial.  A runner that exited by
-                    # itself (an exception, fencing) is not.
+                    # itself (an exception) is not.
                     take_over(
                         shard,
                         OutcomeClass.HARNESS_CRASH if exitcode < 0 else None,

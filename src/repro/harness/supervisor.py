@@ -8,8 +8,9 @@ framework supervises nodes — contain the failure, classify it, keep the
 mission going:
 
 * **crash isolation** — with ``workers >= 1`` the campaign runs on N
-  lease-owned shard runner processes (:mod:`repro.harness.shards`); a
-  runner that dies is taken over and resumes its slice from its journal;
+  heartbeating shard runner processes (:mod:`repro.harness.shards`); a
+  runner that dies or freezes is taken over and resumes its slice from
+  its journal;
 * **per-trial wall-clock timeouts** — a trial over its budget is
   interrupted with ``SIGALRM`` and classified
   :attr:`OutcomeClass.HARNESS_TIMEOUT` (in process, or inside the shard
@@ -120,11 +121,11 @@ class SupervisorConfig:
     ----------
     workers:
         0 = serial in-process execution (the default; preserves historic
-        behaviour); N >= 1 = N lease-owned shard runner processes
+        behaviour); N >= 1 = N heartbeating shard runner processes
         (:func:`repro.harness.shards.run_sharded_campaign`), each a serial
         supervisor over a contiguous slice of the campaign that inherits
         this whole config — ``batch_size``/``batch_runner`` included.
-        Without a ``journal_path`` the shard journals and leases live in a
+        Without a ``journal_path`` the shard journals live in a
         temporary directory removed after the merge.  Profiled runs
         always execute in process.
     timeout_s:

@@ -6,8 +6,9 @@ The observability substrate of the campaign engine.  Design constraints:
   instrumented hot paths (DES event loop, TEM execution, CTMC solvers) pay
   roughly one dict update per recorded fact;
 * **mergeable snapshots** — a registry serialises to a plain-JSON dict
-  (:meth:`MetricsRegistry.snapshot`) that can travel in a journal or a
-  lease file and be merged coordinator-side (:func:`merge_snapshots`).
+  (:meth:`MetricsRegistry.snapshot`) that can travel in a journal or
+  over a shard runner's handoff pipe and be merged coordinator-side
+  (:func:`merge_snapshots`).
   Counter, timer-count and histogram-count merges are commutative and
   associative, so aggregating the same seeded trials serially, on shard
   runners, or across a checkpoint resume yields the identical totals;

@@ -44,7 +44,7 @@ class RunConfig:
     Attributes
     ----------
     jobs:
-        Lease-owned shard runner processes for campaign-shaped experiments
+        Heartbeating shard runner processes for campaign-shaped experiments
         (:mod:`repro.harness.shards`; 0 = serial in-process).  Each runner
         executes its slice serially, in the same lockstep chunks as a
         serial run.  Shard journals go under ``resume_dir`` when it is

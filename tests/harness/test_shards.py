@@ -1,4 +1,4 @@
-"""Sharded crash-tolerant coordinator: planning, leases, takeover,
+"""Sharded crash-tolerant coordinator: planning, heartbeats, takeover,
 degradation and coordinator-kill resume.
 
 The acceptance properties under test mirror the paper's node-level FT
@@ -6,9 +6,11 @@ claims, applied to the harness itself: a shard runner may be SIGKILLed or
 wedge at any trial and the recovered campaign is bit-identical to the
 undisturbed serial run; a shard that keeps dying degrades the campaign
 gracefully instead of wrecking it; killing the *coordinator* (and every
-runner with it) loses zero acknowledged trials.
+runner with it) loses zero acknowledged trials, and killing the
+coordinator alone leaves no runner behind.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -27,15 +29,12 @@ from repro.faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeC
 from repro.harness import (
     CampaignSupervisor,
     ChaosPolicy,
-    Lease,
-    LeaseFile,
     ShardConfig,
     SupervisorConfig,
     plan_shards,
     run_sharded_campaign,
     shard_paths,
 )
-from repro.harness.leases import LEASE_ABANDONED, LEASE_DONE
 from repro.obs.progress import ProgressReporter
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -90,9 +89,9 @@ class TestPlanShards:
             plan_shards(10, 0)
 
     def test_shard_paths_derive_from_journal(self, tmp_path):
-        journal, lease = shard_paths(tmp_path / "e5.jsonl", 3)
-        assert journal == tmp_path / "e5.shard3.jsonl"
-        assert lease == tmp_path / "e5.shard3.lease"
+        shard3 = tmp_path / "e5.shard3.jsonl"
+        assert shard_paths(tmp_path / "e5.jsonl", 3) == shard3
+        assert shard_paths(tmp_path / "e5", 3) == shard3
 
     @pytest.mark.parametrize("bad", [
         dict(lease_ttl_s=0.0),
@@ -104,44 +103,6 @@ class TestPlanShards:
     def test_shard_config_validation(self, bad):
         with pytest.raises(ConfigurationError):
             ShardConfig(**bad)
-
-
-class TestLeases:
-    def test_round_trip_and_expiry(self, tmp_path):
-        lease_file = LeaseFile(tmp_path / "s.lease")
-        lease = Lease(shard_id=1, owner="pid42", token=3, heartbeat=1000.0)
-        lease_file.write(lease)
-        assert lease_file.read() == lease
-        assert lease.expired(ttl_s=5.0, now=1006.0)
-        assert not lease.expired(ttl_s=5.0, now=1004.0)
-
-    @pytest.mark.parametrize("state", [LEASE_DONE, LEASE_ABANDONED])
-    def test_only_running_leases_expire(self, state):
-        lease = Lease(shard_id=0, owner="x", token=1, heartbeat=0.0, state=state)
-        assert not lease.expired(ttl_s=0.001, now=1e9)
-
-    def test_missing_and_garbage_files_read_as_no_lease(self, tmp_path):
-        lease_file = LeaseFile(tmp_path / "s.lease")
-        assert lease_file.read() is None
-        lease_file.path.write_bytes(b"\xff\xfe not a lease")
-        assert lease_file.read() is None
-        lease_file.path.write_text('{"shard_id": "nope"}')
-        assert lease_file.read() is None
-
-    def test_fencing(self, tmp_path):
-        lease_file = LeaseFile(tmp_path / "s.lease")
-        assert not lease_file.fenced_out(0)  # no lease: nobody fenced
-        lease_file.write(Lease(shard_id=0, owner="new", token=5, heartbeat=0.0))
-        assert lease_file.fenced_out(4)
-        assert not lease_file.fenced_out(5)
-
-    def test_heartbeat_refreshes_timestamp_and_state(self, tmp_path):
-        lease_file = LeaseFile(tmp_path / "s.lease")
-        stale = Lease(shard_id=0, owner="x", token=1, heartbeat=0.0)
-        refreshed = lease_file.heartbeat(stale, state=LEASE_DONE)
-        assert refreshed.heartbeat > 0.0
-        assert refreshed.state == LEASE_DONE
-        assert lease_file.read() == refreshed
 
 
 class TestShardedCampaign:
@@ -158,8 +119,8 @@ class TestShardedCampaign:
         )
 
     def test_journal_less_campaign_leaves_no_files(self, tmp_path, monkeypatch):
-        """Without journal_path, shard journals and leases live in a
-        temporary directory that the merge removes."""
+        """Without journal_path, shard journals live in a temporary
+        directory that the merge removes."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         payloads = list(range(12))
         result = CampaignSupervisor(
@@ -173,7 +134,8 @@ class TestShardedCampaign:
 
     def test_monitor_waits_on_runner_sentinels(self, tmp_path, monkeypatch):
         """The coordinator blocks on process sentinels (woken by a runner's
-        exit, or by poll_s for lease checks), never in a fixed sleep."""
+        exit, or by poll_s for beat-counter checks), never in a fixed
+        sleep."""
 
         def no_sleep(seconds):
             raise AssertionError("coordinator slept instead of waiting")
@@ -208,10 +170,11 @@ class TestShardedCampaign:
         assert [r.to_json() for r in sharded.statistics().records] == [
             r.to_json() for r in serial.statistics().records
         ]
-        for shard_id in range(3):
-            journal, lease = shard_paths(tmp_path / "toy.jsonl", shard_id)
-            assert journal.exists()
-            assert LeaseFile(lease).read().state == LEASE_DONE
+        # The journal directory holds the shard journals and nothing
+        # else: no lease file, no temp file of an atomic write.
+        assert sorted(tmp_path.iterdir()) == [
+            shard_paths(tmp_path / "toy.jsonl", k) for k in range(3)
+        ]
 
     @pytest.mark.parametrize("spec", ["die:7", "die:7,corrupt:0:tear"])
     def test_runner_death_recovers_bit_identically(self, tmp_path, spec):
@@ -337,8 +300,7 @@ class TestShardedCampaign:
         assert sorted(sharded.results) == [0, 1, 2, *range(10, 20)]
         assert counters["harness.shard_journal_merges"] == 1
         assert counters["harness.shard_handoffs"] == 1
-        journal, lease = shard_paths(tmp_path / "toy.jsonl", 0)
-        assert LeaseFile(lease).read().state == LEASE_ABANDONED
+        assert not list(tmp_path.glob("*.lease"))
 
         stats = sharded.statistics()
         assert stats.degraded
@@ -389,13 +351,31 @@ def _trial_entries(journal_path):
     return entries
 
 
+def _live_group_members(pgid):
+    """Pids in process group *pgid* that have not exited.  A zombie counts
+    as exited: a container's PID 1 may never reap an orphan."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # The fields after the parenthesised command: state, ppid, pgrp.
+        state, _ppid, pgrp = stat.rpartition(")")[2].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry.name))
+    return live
+
+
 class TestCoordinatorKillAndResume:
     def test_no_acknowledged_trial_is_lost(self, tmp_path):
         """SIGKILL the whole sharded campaign — coordinator and runners —
         mid-run; resume; every pre-kill journal entry survives verbatim
         and the final result equals the undisturbed serial run."""
         journal = tmp_path / "kr.jsonl"
-        shard_journals = [shard_paths(journal, k)[0] for k in range(2)]
+        shard_journals = [shard_paths(journal, k) for k in range(2)]
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         child = subprocess.Popen(
@@ -450,4 +430,67 @@ class TestCoordinatorKillAndResume:
         serial = CampaignSupervisor(
             _slow_trial, SupervisorConfig(master_seed=11, campaign="kr")
         ).run(list(range(40)))
+        assert resumed.results == serial.results
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs /proc"
+    )
+    def test_killing_the_coordinator_alone_stops_its_runners(self, tmp_path):
+        """SIGKILL only the coordinator mid-run: every runner sees its
+        parent change at its next heartbeat and exits, so no orphan keeps
+        appending to a shard journal; a resume over the same journals
+        still equals the undisturbed serial run."""
+        journal = tmp_path / "kr.jsonl"
+        shard_journals = [shard_paths(journal, k) for k in range(2)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", _COORDINATOR_PROGRAM, str(journal)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,  # the group id is the coordinator pid
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while sum(len(_trial_entries(p)) for p in shard_journals) < 6:
+                if child.poll() is not None:
+                    pytest.fail("coordinator exited before it could be killed")
+                if time.monotonic() > deadline:
+                    pytest.fail("coordinator never made journal progress")
+                time.sleep(0.01)
+            runners = set(_live_group_members(child.pid)) - {child.pid}
+            assert len(runners) == 2, "both runners must outlive the wait"
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 2.0
+            while _live_group_members(child.pid):
+                if time.monotonic() > deadline:
+                    pytest.fail(
+                        f"orphaned runners {_live_group_members(child.pid)} "
+                        "outlived their coordinator by 2 s"
+                    )
+                time.sleep(0.02)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            if child.poll() is None:
+                child.wait(timeout=30)
+
+        acknowledged = sum(len(_trial_entries(p)) for p in shard_journals)
+        assert 0 < acknowledged < 40, (
+            "campaign must die mid-run for this test to mean anything"
+        )
+        resumed = run_sharded_campaign(
+            _slow_trial,
+            list(range(40)),
+            SupervisorConfig(
+                workers=2, master_seed=11, campaign="kr", journal_path=journal
+            ),
+            ShardConfig(**_FAST),
+        )
+        serial = CampaignSupervisor(
+            _slow_trial, SupervisorConfig(master_seed=11, campaign="kr")
+        ).run(list(range(40)))
+        assert not resumed.degraded
         assert resumed.results == serial.results

@@ -10,7 +10,7 @@ the completed campaign must also have merged through its runner's
 in-memory handoff, replacement runners included, never from a journal
 read back by the coordinator.
 
-Shard journals, leases and quarantine files are written to the artifact
+Shard journals and quarantine files are written to the artifact
 directory (``--artifacts``, default ``chaos-artifacts/``) so a failing CI
 run leaves the full forensic record behind.
 
@@ -64,7 +64,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--artifacts", type=Path, default=Path("chaos-artifacts"),
-        metavar="DIR", help="directory for journals/leases/report",
+        metavar="DIR", help="directory for journals/report",
     )
     parser.add_argument(
         "--chaos", default=DEFAULT_CHAOS, metavar="SPEC",
