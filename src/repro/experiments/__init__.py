@@ -1,7 +1,8 @@
 """Experiment drivers regenerating every table and figure (Section 3.4).
 
-One module per paper artefact; ``runner.run_all()`` produces the complete
-report.  The per-experiment index lives in DESIGN.md.
+One module per paper artefact; ``runner.run_report(config)`` produces the
+complete report (``python -m repro`` on the command line).  The
+per-experiment index lives in DESIGN.md.
 """
 
 from .ablation_table import AblationResult, compute_ablation_table

@@ -48,13 +48,11 @@ from ..kernel.scheduler import KernelConfig, Scheduler
 from ..kernel.task import CallableExecutable, Criticality, TaskSpec, TemMode
 from ..sim import PRIORITY_DEFAULT, Simulator, TraceRecorder
 from .asciiplot import render_table
+from .weakly_hard import mission_reliability
 
 #: Control period of the injected workload (ticks = microseconds): 10 ms.
 PERIOD_TICKS = 10_000
 JOBS_PER_HOUR = int(3_600 / (PERIOD_TICKS * 1e-6))
-
-#: Mission length for the reliability column (one year of operation).
-MISSION_HOURS = 8760.0
 
 #: Fault arrival rates (faults/hour) swept in the dependability table.
 DEFAULT_FAULT_RATES = (0.1, 1.0, 10.0)
@@ -447,7 +445,7 @@ def run_multicore_experiment(
                     label=config.label,
                     faults_per_hour=rate,
                     mttf_hours=mttf,
-                    reliability=_mission_reliability(mttf),
+                    reliability=mission_reliability(mttf),
                 )
             )
 
@@ -482,15 +480,6 @@ def run_multicore_experiment(
         trials=len(trial_list), configs=configs, rates=rates,
         utilisation=utilisation,
     )
-
-
-def _mission_reliability(mttf_hours: float) -> float:
-    """P(no omission over one year), exponential approximation."""
-    if not math.isfinite(mttf_hours):
-        return 1.0
-    if mttf_hours <= 0:
-        return 0.0
-    return math.exp(-MISSION_HOURS / mttf_hours)
 
 
 # ----------------------------------------------------------------------

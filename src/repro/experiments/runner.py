@@ -1,42 +1,35 @@
-"""Run every experiment and print the paper-comparable output.
+"""Run every experiment and collect the paper-comparable report.
 
-``python -m repro.experiments.runner`` regenerates all tables and figures.
-The section index is not hand-wired here: it is resolved through the
-declarative experiment registry (:mod:`repro.experiments.registry`), the
-same source of truth behind ``python -m repro --list`` / ``run <id>`` and
-each benchmark in ``benchmarks/`` (see DESIGN.md's per-experiment index).
+The library behind ``python -m repro`` (:mod:`repro.__main__`, the only
+command line).  The section index is not hand-wired here: it is resolved
+through the declarative experiment registry
+(:mod:`repro.experiments.registry`), the same source of truth behind
+``python -m repro --list`` / ``run <id>`` and each benchmark in
+``benchmarks/`` (see DESIGN.md's per-experiment index)::
+
+    from repro.runtime import RunConfig
+    from repro.experiments.runner import run_report
+
+    report = run_report(RunConfig(smoke=True, jobs=2), metrics_path="m.jsonl")
+    print(report.text)
 
 The runner is fault-tolerant in the same spirit as the system it
 reproduces: each section runs isolated, a failing section prints an
 ``[ERROR]`` banner and the report continues with the remaining sections
-(``main`` still exits non-zero).  The campaign-shaped sections (E5, E8a,
-E11, E12) route through the resilient campaign supervisor
-(:mod:`repro.harness`) and accept ``--jobs``, ``--timeout`` and
-``--resume``::
-
-    python -m repro.experiments.runner --fast --jobs 4 --timeout 30 \
-        --resume /tmp/nlft-journals
-
-Observability (:mod:`repro.obs`): every section runs inside its own
-metrics capture, its wall-clock and hot-path digest is appended to the
-section text, and ``--metrics PATH`` exports one snapshot row per section
-(JSONL, or CSV when the path ends in ``.csv``).  ``--profile`` adds
-cProfile capture of the hottest campaign trials; a live progress line is
-shown on TTY stderr unless ``--no-progress``::
-
-    python -m repro.experiments.runner --fast --jobs 2 \
-        --metrics out.jsonl --profile
+(``report.ok`` turns false).  Every section runs inside its own metrics
+capture (:mod:`repro.obs`); its wall-clock and hot-path digest is
+appended to the section text, and *metrics_path* exports one snapshot row
+per section.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import sys
+import functools
 import traceback
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import runtime
 from ..obs import health as obs_health
@@ -63,6 +56,9 @@ class SectionReport:
     #: Metrics snapshot captured while the section ran (None when the
     #: section recorded nothing).
     metrics: Optional[dict] = None
+    #: What the section returned: its text, or the structured result
+    #: whose ``render()`` is the text (None when the section failed).
+    result: Any = None
 
     @property
     def ok(self) -> bool:
@@ -98,64 +94,17 @@ class RunnerReport:
         return "\n".join(parts)
 
 
-def build_run_config(
-    fast: bool = False,
-    jobs: int = 0,
-    timeout: Optional[float] = None,
-    resume: Optional[Path] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[str] = None,
-    chaos_seed: int = 0,
-) -> runtime.RunConfig:
-    """The :class:`repro.runtime.RunConfig` of one runner invocation.
-
-    The runner CLI's historic ``--fast`` flag selects *smoke-test campaign
-    sizes* (``RunConfig.smoke``).
-    """
-    return runtime.RunConfig(
-        smoke=fast,
-        jobs=jobs,
-        timeout_s=timeout,
-        resume_dir=str(resume) if resume is not None else None,
-        progress=progress,
-        profile=profile,
-        chaos=chaos,
-        chaos_seed=chaos_seed,
-    )
-
-
-def build_sections(
-    fast: bool = False,
-    jobs: int = 0,
-    timeout: Optional[float] = None,
-    resume: Optional[Path] = None,
-    progress: bool = False,
-    profile: bool = False,
-    context: Optional[runtime.RunContext] = None,
-) -> "Dict[str, Callable[[], str]]":
-    """The experiment index E1-E13, resolved through the registry.
+def build_sections(context: runtime.RunContext) -> "Dict[str, Callable[[], Any]]":
+    """The experiment index E1-E15, resolved through the registry.
 
     Every section is one registered :class:`~repro.experiments.registry.
-    Experiment`; its driver derives all knobs — campaign sizes, worker
-    count, per-trial timeout, journal paths, observability switches — from
-    the section's run context.  The keyword arguments build that context
-    (``fast`` selects smoke campaign sizes, ``jobs`` / ``timeout`` /
-    ``resume`` shape the campaign supervisor, ``progress`` / ``profile``
-    are the :mod:`repro.obs` knobs); pass ``context`` instead to supply a
-    ready-made one.
+    Experiment` bound to *context*; its driver derives all knobs —
+    campaign sizes, worker count, per-trial timeout, journal paths,
+    observability switches — from ``context.config``.  A section returns
+    the experiment's structured result; :func:`run_sections` renders it.
     """
-    if context is None:
-        context = runtime.RunContext(build_run_config(
-            fast=fast, jobs=jobs, timeout=timeout, resume=resume,
-            progress=progress, profile=profile,
-        ))
-
-    def make_section(exp: experiment_registry.Experiment) -> Callable[[], str]:
-        return lambda: exp.render(exp.run(context))
-
     return {
-        exp.section_title: make_section(exp)
+        exp.section_title: functools.partial(exp.run, context)
         for exp in experiment_registry.load_all()
     }
 
@@ -178,11 +127,13 @@ def _drain_hot_trials() -> "List[dict]":
 
 
 def run_sections(
-    sections: "Dict[str, Callable[[], str]]",
+    sections: "Dict[str, Callable[[], Any]]",
     sink: Optional[MetricsSink] = None,
 ) -> RunnerReport:
     """Run each section isolated; one failure never aborts the report.
 
+    A section returns its text, or a structured result whose ``render()``
+    gives the text (:attr:`SectionReport.result` keeps what it returned).
     Every section executes inside its own metrics capture
     (:func:`repro.obs.metrics.capture`), so the snapshot attached to its
     :class:`SectionReport` — and exported through *sink*, when given — is
@@ -194,10 +145,12 @@ def run_sections(
     for title, section in sections.items():
         started = perf_counter()  # reprolint: disable=DET001 -- report wall-clock: per-section elapsed time shown in the [obs] footer, not a simulation input
         error: Optional[str] = None
+        result: Any = None
         text = ""
         with obs_metrics.capture(merge_upstream=True) as registry:
             try:
-                text = section()
+                result = section()
+                text = result if isinstance(result, str) else result.render()
             except Exception as exc:  # noqa: BLE001 — per-section containment
                 error = "".join(
                     traceback.format_exception_only(type(exc), exc)
@@ -225,6 +178,7 @@ def run_sections(
                 error=error,
                 elapsed_s=elapsed,
                 metrics=None if empty else snapshot,
+                result=result,
             )
         )
         if sink is not None:
@@ -242,35 +196,25 @@ def run_sections(
 
 
 def run_report(
-    fast: bool = False,
-    jobs: int = 0,
-    timeout: Optional[float] = None,
-    resume: Optional[Path] = None,
-    progress: bool = False,
-    profile: bool = False,
+    config: runtime.RunConfig,
     metrics_path: "Optional[Path | str]" = None,
-    config: Optional[runtime.RunConfig] = None,
-    chaos: Optional[str] = None,
-    chaos_seed: int = 0,
+    experiment: Optional[str] = None,
 ) -> RunnerReport:
-    """Run E1-E13 with per-section containment; structured result.
+    """Run E1-E15 (or only the registered *experiment* id) with
+    per-section containment; structured result.
 
     The whole run executes inside one activated
-    :class:`repro.runtime.RunContext`, so every layer — metrics
-    registry stack, profile collector, shard runners —
+    :class:`repro.runtime.RunContext` built from *config*, so every
+    layer — metrics registry stack, profile collector, shard runners —
     resolves through the same context and concurrent reports never share
-    state.  Pass ``config`` (e.g. loaded via
-    :meth:`repro.runtime.RunConfig.from_file`) to override the keyword
-    knobs wholesale.
+    state.  *metrics_path* exports one snapshot row per section (JSONL,
+    or CSV when the path ends in ``.csv``).
     """
-    if config is None:
-        config = build_run_config(
-            fast=fast, jobs=jobs, timeout=timeout, resume=resume,
-            progress=progress, profile=profile,
-            chaos=chaos, chaos_seed=chaos_seed,
-        )
     context = runtime.RunContext(config)
-    sections = build_sections(context=context)
+    sections = build_sections(context)
+    if experiment is not None:
+        title = experiment_registry.load_all().get(experiment).section_title
+        sections = {title: sections[title]}
     sink = MetricsSink(metrics_path) if metrics_path is not None else None
     try:
         with runtime.activate(context):
@@ -281,85 +225,3 @@ def run_report(
     finally:
         if sink is not None:
             sink.close()
-
-
-def run_all(
-    fast: bool = False,
-    jobs: int = 0,
-    timeout: Optional[float] = None,
-    resume: Optional[Path] = None,
-) -> str:
-    """Run E1-E13 and return the combined report text."""
-    return run_report(fast=fast, jobs=jobs, timeout=timeout, resume=resume).text
-
-
-def _parse_args(argv: "list[str]") -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Regenerate every table and figure of the paper.",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="smaller campaigns / fewer replicas (smoke-test sizes)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="crash-tolerant shard runner processes for campaign "
-             "sections (heartbeat failure detection, kill-and-respawn "
-             "takeover; 0 = serial in-process, the default)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget; hung trials are interrupted "
-             "(SIGALRM) and classified HARNESS_TIMEOUT",
-    )
-    parser.add_argument(
-        "--resume", type=Path, default=None, metavar="PATH",
-        help="directory for per-campaign JSONL checkpoint journals; pass "
-             "the same path again to resume an interrupted run",
-    )
-    parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="deterministic chaos injection into the --jobs shard "
-             "runners, e.g. 'die:40,stall:80,corrupt:0:tear' (die:T, "
-             "stall:T, corrupt:K:MODE)",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0, metavar="SEED",
-        help="seed of the chaos policy's corruption-byte generator",
-    )
-    parser.add_argument(
-        "--metrics", type=Path, default=None, metavar="PATH",
-        help="export one metrics snapshot per section to PATH "
-             "(JSONL; CSV when the path ends in .csv)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="capture cProfile statistics of the hottest campaign trials "
-             "(expensive; embedded in the --metrics export)",
-    )
-    parser.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the live campaign progress line (it is already "
-             "silent when stderr is not a TTY)",
-    )
-    return parser.parse_args(argv)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    args = _parse_args(argv)
-    if args.resume is not None:
-        args.resume.mkdir(parents=True, exist_ok=True)
-    report = run_report(
-        fast=args.fast, jobs=args.jobs, timeout=args.timeout, resume=args.resume,
-        progress=not args.no_progress, profile=args.profile,
-        metrics_path=args.metrics,
-        chaos=args.chaos, chaos_seed=args.chaos_seed,
-    )
-    print(report.text)
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

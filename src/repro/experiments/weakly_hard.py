@@ -499,8 +499,8 @@ def run_weakly_hard_experiment(
                 faults_per_hour=rate,
                 hard_mttf_hours=hard_mttf,
                 mk_mttf_hours=mk_mttf,
-                hard_reliability=_mission_reliability(hard_mttf),
-                mk_reliability=_mission_reliability(mk_mttf),
+                hard_reliability=mission_reliability(hard_mttf),
+                mk_reliability=mission_reliability(mk_mttf),
             )
         )
 
@@ -527,8 +527,10 @@ def run_weakly_hard_experiment(
     )
 
 
-def _mission_reliability(mttf_hours: float) -> float:
-    """P(no contract violation over one year), exponential approximation."""
+def mission_reliability(mttf_hours: float) -> float:
+    """P(no failure event over one :data:`MISSION_HOURS` year) of a node
+    whose failure events (E14: contract violations, E15: omissions) have
+    mean time *mttf_hours*, exponential approximation."""
     if not math.isfinite(mttf_hours):
         return 1.0
     if mttf_hours <= 0:

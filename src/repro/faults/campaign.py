@@ -276,18 +276,7 @@ class TemInjectionHarness:
         stepper = self._stepper(fault)
         for _job in range(jobs):
             stepper.reset_job()
-            report = run_tem_direct(
-                stepper.execute_copy,
-                can_run_another_copy=stepper.can_run_another_copy(
-                    self.deadline_steps, self.golden_steps
-                ),
-                max_copies=self.workload.max_copies,
-                accept_miss=(
-                    miss_window.can_accept_miss if miss_window is not None else None
-                ),
-            )
-            if miss_window is not None:
-                miss_window.record(report.outcome is TemOutcome.OMISSION)
+            report = self._run_job(stepper, miss_window)
             outcomes.append(report.outcome)
             tripped = suspector.record_job(
                 report.errors_detected > 0 or report.outcome is not TemOutcome.OK

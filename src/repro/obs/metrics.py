@@ -65,10 +65,9 @@ Snapshot = Dict[str, Any]
 class MetricsRegistry:
     """One process-local set of counters/gauges/timers/histograms."""
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_timers", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_timers", "_histograms")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         # timer: [count, total_s, min_s, max_s]
@@ -83,20 +82,16 @@ class MetricsRegistry:
     def inc(self, name: str, by: float = 1) -> None:
         """Add *by* to counter *name* (no-op for 0, so zero-valued keys
         never appear and snapshots stay sparse)."""
-        if not self.enabled or not by:
+        if not by:
             return
         self._counters[name] = self._counters.get(name, 0) + by
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge *name* to *value* (last write wins)."""
-        if not self.enabled:
-            return
         self._gauges[name] = value
 
     def observe_duration(self, name: str, seconds: float) -> None:
         """Record one duration sample into timer *name*."""
-        if not self.enabled:
-            return
         timer = self._timers.get(name)
         if timer is None:
             self._timers[name] = [1, seconds, seconds, seconds]
@@ -122,8 +117,6 @@ class MetricsRegistry:
         would corrupt merges).  A call passing the same bounds tuple object
         as the last checked one skips the comparison.
         """
-        if not self.enabled:
-            return
         hist = self._histograms.get(name)
         if hist is None:
             checked = tuple(float(b) for b in bounds)
@@ -233,7 +226,7 @@ class MetricsRegistry:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, timers={len(self._timers)}, "
-            f"histograms={len(self._histograms)}, enabled={self.enabled})"
+            f"histograms={len(self._histograms)})"
         )
 
 
@@ -255,11 +248,9 @@ class _Span:
         self._started = time.perf_counter()
 
     def __exit__(self, *exc_info: Any) -> None:
-        registry = self.registry
-        if registry.enabled:
-            registry.observe_duration(
-                self.name, time.perf_counter() - self._started
-            )
+        self.registry.observe_duration(
+            self.name, time.perf_counter() - self._started
+        )
 
 
 def _immutable(bounds: Sequence[float]) -> Optional[Sequence[float]]:

@@ -65,8 +65,6 @@ class RunConfig:
     scale:
         Multiplier applied on top of the smoke/full campaign sizes
         (:meth:`campaign_size`); ``1.0`` reproduces the published counts.
-    metrics:
-        Collect :mod:`repro.obs.metrics` during the run.
     progress:
         Show the live campaign progress line (TTY stderr only).
     profile:
@@ -88,7 +86,6 @@ class RunConfig:
     resume_dir: Optional[str] = None
     smoke: bool = False
     scale: float = 1.0
-    metrics: bool = True
     progress: bool = False
     profile: bool = False
     horizon_hours: float = DEFAULT_HORIZON_HOURS
@@ -150,16 +147,21 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "RunConfig":
         """Load a JSON config file (the CLI's ``--config FILE``)."""
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"config {path} must hold a JSON object of RunConfig fields"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with *changes* applied (frozen-dataclass convenience)."""
         return dataclasses.replace(self, **changes)
+
+
+def read_config_file(path: Union[str, Path]) -> Dict[str, Any]:
+    """The JSON object of :class:`RunConfig` fields held in *path*."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"config {path} must hold a JSON object of RunConfig fields"
+        )
+    return data

@@ -81,7 +81,7 @@ class RunContext:
         if self._metrics is None:
             from ..obs.metrics import MetricsRegistry
 
-            self._metrics = MetricsRegistry(enabled=self.config.metrics)
+            self._metrics = MetricsRegistry()
         return self._metrics
 
     @property

@@ -81,8 +81,11 @@ class TestDiscovery:
 
     def test_section_titles_match_runner_sections(self, loaded):
         from repro.experiments.runner import build_sections
+        from repro.runtime import RunContext
 
-        assert list(build_sections()) == [exp.section_title for exp in loaded]
+        assert list(build_sections(RunContext())) == [
+            exp.section_title for exp in loaded
+        ]
 
     def test_get_unknown_id(self, loaded):
         with pytest.raises(ConfigurationError, match="unknown experiment"):

@@ -22,7 +22,7 @@ def _config_probe_trial(payload, seed):
     config = runtime.current().config
     return ExperimentRecord(
         OutcomeClass.NO_EFFECT,
-        f"root_seed={config.root_seed} metrics={config.metrics} "
+        f"root_seed={config.root_seed} smoke={config.smoke} "
         f"jobs={config.jobs} progress={config.progress}",
     )
 
@@ -42,17 +42,17 @@ def _run_in_runners(workers=2, trials=6):
     return {record.fault_description for record in records}
 
 
-@pytest.mark.parametrize("metrics", [False, True])
-def test_spawned_workers_inherit_context_mode(metrics):
+@pytest.mark.parametrize("smoke", [False, True])
+def test_spawned_workers_inherit_context_mode(smoke):
     """Every shard runner runs with the coordinator's context config —
     also non-default values — minus the parallel/interactive knobs."""
-    seed = 4711 + int(metrics)
+    seed = 4711 + int(smoke)
     context = runtime.RunContext(runtime.RunConfig(
-        root_seed=seed, metrics=metrics, jobs=2, progress=True,
+        root_seed=seed, smoke=smoke, jobs=2, progress=True,
     ))
     with runtime.activate(context):
         probes = _run_in_runners()
-    assert probes == {f"root_seed={seed} metrics={metrics} jobs=0 progress=False"}
+    assert probes == {f"root_seed={seed} smoke={smoke} jobs=0 progress=False"}
 
 
 def test_spawned_workers_follow_transient_override():
@@ -62,4 +62,4 @@ def test_spawned_workers_follow_transient_override():
     with runtime.activate(outer):
         with runtime.activate(runtime.RunContext(runtime.RunConfig(root_seed=99))):
             probes = _run_in_runners()
-    assert probes == {"root_seed=99 metrics=True jobs=0 progress=False"}
+    assert probes == {"root_seed=99 smoke=False jobs=0 progress=False"}

@@ -74,13 +74,6 @@ class TestRegistry:
             merged.observe("h", 1.0, bounds=(1.0, 2.5))
         assert merged.snapshot()["histograms"]["h"]["count"] == 4
 
-    def test_disabled_registry_is_a_noop(self):
-        reg = metrics.MetricsRegistry(enabled=False)
-        reg.inc("a")
-        reg.observe_duration("t", 1.0)
-        reg.observe("h", 1.0, bounds=(1.0,))
-        assert metrics.snapshot_is_empty(reg.snapshot())
-
     def test_empty_kinds_omitted_from_snapshot(self):
         reg = metrics.MetricsRegistry()
         reg.inc("only.counter")

@@ -19,7 +19,6 @@ class TestDefaults:
         assert cfg.resume_dir is None
         assert not cfg.smoke
         assert cfg.scale == 1.0
-        assert cfg.metrics
         assert not cfg.progress and not cfg.profile
         assert cfg.horizon_hours == DEFAULT_HORIZON_HOURS
 
@@ -72,11 +71,11 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="unknown RunConfig keys"):
             RunConfig.from_dict({"jbos": 2})
 
-    @pytest.mark.parametrize("key", ["fast", "batch", "budget_s"])
+    @pytest.mark.parametrize("key", ["fast", "batch", "budget_s", "metrics"])
     def test_from_dict_rejects_removed_key(self, key):
         """A config file naming a removed field (the fast/reference
-        switch, the batch knob, the unread campaign budget) fails loudly
-        and names it."""
+        switch, the batch knob, the unread campaign budget, the metrics
+        switch no run turned off) fails loudly and names it."""
         with pytest.raises(ConfigurationError, match=key):
             RunConfig.from_dict({key: 1})
 

@@ -67,10 +67,6 @@ class TestPerContextServices:
         assert a.metrics is not b.metrics
         assert a.rng is not b.rng
 
-    def test_metrics_disabled_by_config(self):
-        ctx = runtime.RunContext(runtime.RunConfig(metrics=False))
-        assert not ctx.metrics.enabled
-
     def test_rng_seeded_from_root_seed(self):
         a = runtime.RunContext(runtime.RunConfig(root_seed=42))
         b = runtime.RunContext(runtime.RunConfig(root_seed=42))
