@@ -104,8 +104,8 @@ def test_benchmark_mk_batch_lockstep():
     assert [r.to_json() for r in batch_records] == [
         r.to_json() for r in scalar_records
     ]
-    assert [w.state() for w in batch_windows] == [
-        w.state() for w in scalar_windows
+    assert [tuple(w._history) for w in batch_windows] == [
+        tuple(w._history) for w in scalar_windows
     ]
 
     scalar_s = common.best_of(BEST_OF, scalar_run)

@@ -22,22 +22,7 @@ from .brake_controller import (
     membership_mask,
     nominal_shares,
 )
-from .scenarios import (
-    SCENARIOS,
-    FaultEvent,
-    Scenario,
-    ScenarioResult,
-    get_scenario,
-    run_scenario,
-)
-from .pedal import (
-    PEDAL_SCALE,
-    PedalProfile,
-    constant,
-    pulse_train,
-    ramp_brake,
-    step_brake,
-)
+from .pedal import PEDAL_SCALE, PedalProfile, step_brake
 from .vehicle import GRAVITY, Vehicle, VehicleParameters
 from .wheel_controller import (
     DEFAULT_SLEW_PER_PERIOD,
@@ -57,26 +42,17 @@ __all__ = [
     "NODE_NAMES",
     "PEDAL_SCALE",
     "PedalProfile",
-    "SCENARIOS",
-    "FaultEvent",
-    "Scenario",
-    "ScenarioResult",
     "SHARE_SCALE",
     "STATUS_OK",
     "SystemMonitor",
     "Vehicle",
     "VehicleParameters",
     "WHEEL_NODES",
-    "constant",
     "compute_wheel_output",
     "distribute_brake_force",
     "expected_deceleration",
-    "get_scenario",
     "membership_mask",
     "nominal_shares",
-    "pulse_train",
-    "ramp_brake",
-    "run_scenario",
     "step_brake",
     "wheel_force_step",
 ]

@@ -2,7 +2,7 @@
 
 The pedal is sampled by the central unit's control task each period.  A
 :class:`PedalProfile` maps simulated time to a pedal position in [0, 1];
-several standard driver profiles are provided for the scenarios.
+:func:`step_brake` is the driver profile the braking runs use.
 
 Pedal positions travel the network as fixed-point integers
 (:data:`PEDAL_SCALE` steps = fully pressed) because task results and frame
@@ -12,7 +12,7 @@ deterministic integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable
 
 from ..errors import ConfigurationError
 from ..units import seconds
@@ -48,11 +48,6 @@ class PedalProfile:
         return int(round(self.position(now_ticks) * PEDAL_SCALE))
 
 
-def constant(position: float) -> PedalProfile:
-    """A pedal held at a fixed position."""
-    return PedalProfile(lambda _t: position, name=f"constant({position})")
-
-
 def step_brake(at_s: float, position: float = 1.0) -> PedalProfile:
     """Full (or partial) braking applied at *at_s* seconds."""
     at_ticks = seconds(at_s)
@@ -60,32 +55,3 @@ def step_brake(at_s: float, position: float = 1.0) -> PedalProfile:
         lambda t: position if t >= at_ticks else 0.0,
         name=f"step({position}@{at_s}s)",
     )
-
-
-def ramp_brake(start_s: float, full_s: float, position: float = 1.0) -> PedalProfile:
-    """Linear ramp from 0 to *position* between *start_s* and *full_s*."""
-    if full_s <= start_s:
-        raise ConfigurationError("ramp needs full_s > start_s")
-    start_ticks, full_ticks = seconds(start_s), seconds(full_s)
-
-    def fn(t: int) -> float:
-        if t <= start_ticks:
-            return 0.0
-        if t >= full_ticks:
-            return position
-        return position * (t - start_ticks) / (full_ticks - start_ticks)
-
-    return PedalProfile(fn, name=f"ramp({start_s}-{full_s}s)")
-
-
-def pulse_train(pulses: Sequence[Tuple[float, float]], position: float = 1.0) -> PedalProfile:
-    """Braking pulses, e.g. ``[(1.0, 2.0), (3.0, 3.5)]`` seconds on/off."""
-    windows: List[Tuple[int, int]] = [(seconds(a), seconds(b)) for a, b in pulses]
-    for a, b in windows:
-        if b <= a:
-            raise ConfigurationError("each pulse needs end > start")
-
-    def fn(t: int) -> float:
-        return position if any(a <= t < b for a, b in windows) else 0.0
-
-    return PedalProfile(fn, name=f"pulses({len(windows)})")

@@ -7,8 +7,7 @@ Modules:
 * :mod:`~repro.core.integrity` — duplication/CRC end-to-end checks (2.6);
 * :mod:`~repro.core.control_flow` — signature monitoring (2.7);
 * :mod:`~repro.core.diagnosis` — permanent-fault suspicion & off-line
-  diagnosis (2.5);
-* :mod:`~repro.core.policies` — the per-class error strategy table (2.2).
+  diagnosis (2.5).
 """
 
 from .comparison import detects_mismatch, majority_vote, results_match
@@ -34,15 +33,6 @@ from .integrity import (
     crc16,
     words_to_bytes,
 )
-from .policies import (
-    ErrorResponse,
-    ExecutionClass,
-    MissBudgetPolicy,
-    NlftPolicy,
-    fail_silent_policy,
-    nlft_policy,
-    weakly_hard_policy,
-)
 from .tem import (
     MK_BUDGET_MISS,
     SpatialTem,
@@ -59,12 +49,8 @@ __all__ = [
     "DIAGNOSIS_TICKS",
     "DiagnosisResult",
     "DuplicatedValue",
-    "ErrorResponse",
-    "ExecutionClass",
     "IntegrityError",
     "MK_BUDGET_MISS",
-    "MissBudgetPolicy",
-    "NlftPolicy",
     "OfflineDiagnosis",
     "PermanentFaultSuspector",
     "ProtectedStore",
@@ -77,14 +63,11 @@ __all__ = [
     "TemStateMachine",
     "crc16",
     "detects_mismatch",
-    "fail_silent_policy",
     "fold_signature",
     "instrument_assembly",
     "majority_vote",
-    "nlft_policy",
     "restart_duration_ticks",
     "results_match",
     "run_tem_direct",
-    "weakly_hard_policy",
     "words_to_bytes",
 ]

@@ -35,12 +35,7 @@ from .ft_analysis import (
     tem_cost,
     tem_utilization,
 )
-from .priority import (
-    assign_criticality_monotonic,
-    assign_deadline_monotonic,
-    audsley_assignment,
-    validate_distinct_priorities,
-)
+from .priority import assign_criticality_monotonic
 from .resources import (
     CriticalSection,
     ResourceManager,
@@ -96,8 +91,6 @@ __all__ = [
     "analyse_mk",
     "analyse_mk_mc",
     "assign_criticality_monotonic",
-    "assign_deadline_monotonic",
-    "audsley_assignment",
     "budget_for_wcet",
     "ft_response_time",
     "ft_response_time_mc",
@@ -115,7 +108,6 @@ __all__ = [
     "tem_cost",
     "tem_utilization",
     "utilization",
-    "validate_distinct_priorities",
     "validate_sections",
     "validate_task_set",
 ]

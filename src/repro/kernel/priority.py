@@ -1,39 +1,26 @@
-"""Priority-assignment policies for the fixed-priority kernel.
+"""Priority assignment for the fixed-priority kernel.
 
 Section 2.8: "In our kernel, priority assignments are made on the basis of
 the *criticality* of the task ... e.g. a brake request is assigned a higher
 priority than a diagnostic request."
 
-Policies provided:
-
-* :func:`assign_criticality_monotonic` — the paper's policy: all critical
-  tasks above all non-critical ones; within a class, deadline-monotonic
-  (shorter relative deadline = higher priority), which is optimal for
-  constrained-deadline FP scheduling within each band.
-* :func:`assign_deadline_monotonic` — plain deadline-monotonic.
-* :func:`audsley_assignment` — Audsley's optimal priority-ordering
-  algorithm with a pluggable feasibility test (works with the plain and the
-  fault-tolerant RTA alike).
+:func:`assign_criticality_monotonic` implements that policy: all critical
+tasks above all non-critical ones; within a class, deadline-monotonic
+(shorter relative deadline = higher priority), which is optimal for
+constrained-deadline FP scheduling within each band.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
-from ..errors import SchedulingError
 from .task import Criticality, TaskSpec
 
 
 def _with_priorities(ordered: Sequence[TaskSpec]) -> List[TaskSpec]:
     """Re-issue specs with priorities 0..n-1 following the given order."""
     return [dataclasses.replace(task, priority=index) for index, task in enumerate(ordered)]
-
-
-def assign_deadline_monotonic(tasks: Sequence[TaskSpec]) -> List[TaskSpec]:
-    """Deadline-monotonic order (ties broken by name for determinism)."""
-    ordered = sorted(tasks, key=lambda t: (t.relative_deadline, t.name))
-    return _with_priorities(ordered)
 
 
 def assign_criticality_monotonic(tasks: Sequence[TaskSpec]) -> List[TaskSpec]:
@@ -49,54 +36,3 @@ def assign_criticality_monotonic(tasks: Sequence[TaskSpec]) -> List[TaskSpec]:
         key=lambda t: (t.criticality is not Criticality.CRITICAL, t.relative_deadline, t.name),
     )
     return _with_priorities(ordered)
-
-
-def audsley_assignment(
-    tasks: Sequence[TaskSpec],
-    feasible_at: Callable[[Sequence[TaskSpec], TaskSpec], bool],
-) -> Optional[List[TaskSpec]]:
-    """Audsley's optimal priority assignment.
-
-    Assigns the *lowest* priority level to any task that is feasible there
-    (given all others at higher priority), then recurses on the rest.  If no
-    task fits a level, no fixed-priority assignment exists for this
-    feasibility test and None is returned.
-
-    Parameters
-    ----------
-    feasible_at:
-        ``feasible_at(task_set_with_priorities, task)`` must return True
-        when *task* meets its deadline with the priorities encoded in
-        *task_set_with_priorities* (the candidate occupies the lowest level).
-    """
-    remaining = list(tasks)
-    assigned: List[TaskSpec] = []
-    level = len(remaining) - 1
-    while remaining:
-        placed = False
-        for candidate in sorted(remaining, key=lambda t: t.name):
-            trial_rest = [
-                dataclasses.replace(t, priority=i)
-                for i, t in enumerate(t2 for t2 in remaining if t2 is not candidate)
-            ]
-            trial_candidate = dataclasses.replace(candidate, priority=level)
-            if feasible_at(trial_rest + [trial_candidate], trial_candidate):
-                assigned.append(dataclasses.replace(candidate, priority=level))
-            else:
-                continue
-            remaining.remove(candidate)
-            level -= 1
-            placed = True
-            break
-        if not placed:
-            return None
-    # Re-normalise priorities to 0..n-1 preserving the found order.
-    ordered = sorted(assigned, key=lambda t: t.priority)
-    return _with_priorities(ordered)
-
-
-def validate_distinct_priorities(tasks: Sequence[TaskSpec]) -> None:
-    """Raise when two tasks share a priority level."""
-    priorities = [t.priority for t in tasks]
-    if len(priorities) != len(set(priorities)):
-        raise SchedulingError(f"priorities are not distinct: {priorities}")

@@ -21,8 +21,7 @@ extended to multicore nodes per ROADMAP item 4).  Responsibilities:
   or LEFT-RS-style lock-free retries), including the kernel-side cleanup
   when a fault aborts a copy *inside* a section;
 * enforcing weakly-hard (m,k) miss budgets: the scheduler owns one
-  checkpointable :class:`~repro.kernel.task.MKWindow` per weakly-hard
-  task and threads its ``accept_miss`` hook into the TEM machinery;
+  :class:`~repro.kernel.task.MKWindow` per weakly-hard task and threads its ``accept_miss`` hook into the TEM machinery;
 * shutting down non-critical tasks on their first detected error
   (Section 2.2, strategy 2);
 * escalating kernel-level errors to the node (strategy 3: fail-silent).
@@ -38,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -226,10 +225,6 @@ class _TaskEntry:
     input_provider: Callable[[], Result]
     active: bool = True
     release_event: Optional[EventHandle] = None
-    #: Sporadic tasks are released on demand (events), never periodically;
-    #: their spec.period is interpreted as the minimum inter-arrival time.
-    sporadic: bool = False
-    last_release: Optional[int] = None
 
 
 def next_boundary(
@@ -385,54 +380,6 @@ class Scheduler:
         if spec.weakly_hard is not None:
             self._mk_windows[spec.name] = MKWindow(spec.weakly_hard)
 
-    def add_sporadic_task(
-        self,
-        spec: TaskSpec,
-        executable: Executable,
-        input_provider: Optional[Callable[[], Result]] = None,
-    ) -> None:
-        """Register a *sporadic* task (Section 2.8: FP scheduling "allows
-        both periodic and sporadic task executions").
-
-        The task is never released periodically; call
-        :meth:`release_sporadic` when its triggering event occurs (e.g. a
-        frame arriving in the dynamic network segment).  ``spec.period`` is
-        interpreted as the minimum inter-arrival time, which the kernel
-        enforces — the schedulability analyses treat sporadic tasks exactly
-        like periodic ones under that reading.
-        """
-        self.add_task(spec, executable, input_provider)
-        self._tasks[spec.name].sporadic = True
-
-    def release_sporadic(self, name: str, inputs: Optional[Result] = None) -> bool:
-        """Release one job of a sporadic task now.
-
-        Returns False (and releases nothing) when the minimum inter-arrival
-        time has not yet elapsed — the kernel's guard against event storms
-        that would invalidate the schedulability guarantee — or when the
-        node is silent.  *inputs* overrides the task's input provider for
-        this job.
-        """
-        entry = self._tasks.get(name)
-        if entry is None:
-            raise SchedulingError(f"unknown task {name!r}")
-        if not entry.sporadic:
-            raise SchedulingError(f"task {name!r} is periodic, not sporadic")
-        if self._silent or not entry.active or not self._started:
-            return False
-        if (
-            entry.last_release is not None
-            and self.sim.now - entry.last_release < entry.spec.period
-        ):
-            if self.trace.active:
-                self.trace.emit(
-                    self.sim.now, "kernel.sporadic_rejected", self.name,
-                    task=name, since_last=self.sim.now - entry.last_release,
-                )
-            return False
-        self._do_release(entry, inputs)
-        return True
-
     def start(self) -> None:
         """Begin releasing jobs (call once, before running the simulator)."""
         if self._started:
@@ -441,8 +388,7 @@ class Scheduler:
             raise SchedulingError("no tasks registered")
         self._started = True
         for entry in self._tasks.values():
-            if not entry.sporadic:
-                self._schedule_release(entry, self.sim.now + entry.spec.offset)
+            self._schedule_release(entry, self.sim.now + entry.spec.offset)
 
     def shutdown(self) -> None:
         """Stop all activity immediately (node becomes silent).
@@ -474,7 +420,7 @@ class Scheduler:
         self._latent_effects.clear()
         for entry in self._tasks.values():
             entry.active = True
-            if not entry.sporadic and entry.release_event is None:
+            if entry.release_event is None:
                 self._schedule_release(entry, self.sim.now)
 
     @property
@@ -508,27 +454,6 @@ class Scheduler:
         """The scheduler-owned miss window of one weakly-hard task."""
         return self._mk_windows.get(name)
 
-    def mk_state(self) -> Dict[str, "Tuple[int, ...]"]:
-        """Checkpoint of every task's (m,k) window (JSON-friendly).
-
-        Part of the kernel's resumable state: pair it with the
-        simulator/journal checkpoint and feed it back through
-        :meth:`restore_mk_state` so miss-budget decisions after a resume
-        are bit-identical to an uninterrupted run (the
-        :class:`~repro.kernel.task.MKWindow` checkpoint contract).
-        """
-        return {name: self._mk_windows[name].state() for name in sorted(self._mk_windows)}
-
-    def restore_mk_state(self, state: Mapping[str, Iterable[int]]) -> None:
-        """Restore :meth:`mk_state` output into the scheduler's windows."""
-        for name in sorted(state):
-            window = self._mk_windows.get(name)
-            if window is None:
-                raise SchedulingError(f"no weakly-hard window for task {name!r}")
-            self._mk_windows[name] = MKWindow.resume(
-                window.constraint, tuple(state[name])
-            )
-
     def _record_mk(self, job: Job, missed: bool) -> None:
         """Feed one terminal job outcome into the task's miss window."""
         if job.spatial_parent is not None:  # copies are not jobs
@@ -556,14 +481,11 @@ class Scheduler:
         if self._silent or not entry.active:
             return
         self._schedule_release(entry, self.sim.now + entry.spec.period)
-        self._do_release(entry, None)
+        self._do_release(entry)
 
-    def _do_release(self, entry: _TaskEntry, inputs: Optional[Result]) -> None:
+    def _do_release(self, entry: _TaskEntry) -> None:
         spec = entry.spec
-        entry.last_release = self.sim.now
-        if inputs is None:
-            inputs = tuple(entry.input_provider())
-        job = self._new_job(spec, self.sim.now, tuple(inputs))
+        job = self._new_job(spec, self.sim.now, tuple(entry.input_provider()))
         self.stats.released += 1
         if self.trace.active:
             self.trace.emit(self.sim.now, "kernel.release", self.name, job=job.job_id)

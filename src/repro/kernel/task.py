@@ -110,14 +110,14 @@ class MKWindow:
     — *may the next job miss without any k-window exceeding m misses?* —
     and :meth:`record` appends a job's actual outcome.
 
-    The counter is checkpointable: :meth:`state` serialises the exact
-    history and :meth:`resume` reconstructs it, and the property suite
+    The counter is resumable: :meth:`resume` rebuilds a window from the
+    last ``k - 1`` outcomes, and the property suite
     (``tests/property/test_mk_window.py``) proves that splitting any
-    record sequence at any point across a checkpoint/resume leaves every
-    subsequent decision unchanged.  The ``jobs``/``misses``/``violations``
-    counters are shard-local statistics, deliberately excluded from the
-    checkpoint: a resumed window restarts them at zero, and campaign
-    totals are summed across shard records rather than read off a single
+    record sequence at any point and resuming from that suffix leaves
+    every subsequent decision unchanged.  The ``jobs``/``misses``/
+    ``violations`` counters are shard-local statistics, not part of the
+    history: a resumed window restarts them at zero, and campaign totals
+    are summed across shard records rather than read off a single
     window.
     """
 
@@ -166,24 +166,17 @@ class MKWindow:
         return violated
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-    def state(self) -> Tuple[int, ...]:
-        """The window history (last ``k - 1`` outcomes), oldest first, as
-        JSON-friendly ints.  The ``jobs``/``misses``/``violations``
-        statistics counters are *not* part of the checkpoint (see the
-        class docstring)."""
-        return tuple(self._history)
-
     @classmethod
     def resume(
         cls, constraint: WeaklyHardConstraint, state: Iterable[int]
     ) -> "MKWindow":
-        """Reconstruct a window from :meth:`state` output.
+        """A window whose history is *state*: the last ``k - 1`` outcomes,
+        oldest first, as 0/1 ints (a journal payload carries them).
 
         Every subsequent :meth:`can_accept_miss`/:meth:`record` decision
-        matches the original window's; the statistics counters restart at
-        zero (they are shard-local, not checkpointed)."""
+        matches that of a window which recorded those outcomes; the
+        statistics counters start at zero (they are shard-local, not
+        checkpointed)."""
         return cls(constraint, history=state)
 
 

@@ -47,7 +47,6 @@ from .wheel_nodes import (
     build_wheel_subsystem,
     build_wn_fs_degraded,
     build_wn_fs_full,
-    build_wn_fs_full_rbd,
     build_wn_nlft_degraded,
     build_wn_nlft_full,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "up_states",
     "build_wn_fs_degraded",
     "build_wn_fs_full",
-    "build_wn_fs_full_rbd",
     "build_wn_nlft_degraded",
     "build_wn_nlft_full",
 ]

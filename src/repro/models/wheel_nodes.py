@@ -27,8 +27,7 @@ three remaining nodes the exposure rate is ``3 x`` the per-node rate.
 
 from __future__ import annotations
 
-from ..reliability import Exponential, MarkovChain, Series
-from ..reliability.rbd import Block
+from ..reliability import MarkovChain
 from .central_unit import (
     STATE_FAILED,
     STATE_OK,
@@ -39,24 +38,12 @@ from .central_unit import (
 from .parameters import WHEEL_NODE_COUNT, BbwParameters
 
 
-def build_wn_fs_full_rbd(params: BbwParameters) -> Block:
-    """FS nodes, full functionality (paper Figure 8): series RBD.
-
-    Each node fails (at least temporarily, which full functionality counts
-    as failure) at its total activated-fault rate ``lambda_p + lambda_t``.
-    """
-    nodes = [
-        Exponential(params.fs_failure_rate, name=f"WN{i + 1}")
-        for i in range(WHEEL_NODE_COUNT)
-    ]
-    return Series(nodes, name="WN-FS-full")
-
-
 def build_wn_fs_full(params: BbwParameters) -> MarkovChain:
-    """FS nodes, full functionality, as an equivalent 2-state CTMC.
+    """FS nodes, full functionality (paper Figure 8), as a 2-state CTMC.
 
-    Provided alongside the RBD form so the system composition can treat all
-    subsystem models uniformly; tests verify both agree analytically.
+    The figure's series RBD of four exponential nodes has the same
+    reliability; as a CTMC the system composition treats all subsystem
+    models uniformly, and the tests check the two forms agree.
     """
     chain = MarkovChain([STATE_OK, STATE_FAILED], name="WN-FS-full")
     chain.set_initial(STATE_OK)
@@ -176,8 +163,8 @@ def build_wheel_subsystem(
     """Dispatch on (node_type, mode) to the four paper models.
 
     ``node_type`` is ``"fs"`` or ``"nlft"``; ``mode`` is ``"full"`` or
-    ``"degraded"``.  The FS/full case returns the CTMC form (equivalent to
-    the Figure 8 RBD, see :func:`build_wn_fs_full_rbd`).
+    ``"degraded"``.  The FS/full case returns the CTMC form of the
+    Figure 8 series RBD (see :func:`build_wn_fs_full`).
     """
     builders = {
         ("fs", "full"): build_wn_fs_full,

@@ -1,4 +1,4 @@
-"""Node-level abstractions: FS and NLFT nodes, restart, duplex replication.
+"""Node-level abstractions: FS and NLFT nodes, restart, state recovery.
 
 Implements the node semantics of Section 3.2.1 on the discrete-event
 simulator, in two fidelities: behavioural nodes (Monte-Carlo twins of the
@@ -7,7 +7,6 @@ emerges from the real TEM machinery.
 """
 
 from .base import NodeBase
-from .duplex import DuplexGroup
 from .failures import FailureKind, FailureRecord, NodeStatistics, NodeStatus
 from .fs_node import FailSilentNode
 from .nlft_node import NlftBehaviouralNode, NlftKernelNode
@@ -15,7 +14,6 @@ from .reintegration import RestartController
 from .state_sync import RecoveryStatistics, StateRecoveryService
 
 __all__ = [
-    "DuplexGroup",
     "FailSilentNode",
     "FailureKind",
     "FailureRecord",

@@ -1,4 +1,4 @@
-"""Absorbing-chain analysis: mean time to failure and absorption probabilities.
+"""Absorbing-chain analysis: mean time to failure.
 
 For a CTMC with transient states T and absorbing states A, partition the
 generator as::
@@ -6,12 +6,9 @@ generator as::
         | Q_TT  Q_TA |
     Q = |  0     0   |
 
-Then with initial distribution pi0 restricted to T:
-
-* expected total time spent in the transient states before absorption
-  (the **MTTF** when A are the failure states) is  pi0_T @ (-Q_TT)^-1 @ 1;
-* the absorption probability into each absorbing state a is
-  pi0_T @ (-Q_TT)^-1 @ Q_TA[:, a]  (plus any initial mass on a).
+Then with initial distribution pi0 restricted to T, the expected total
+time spent in the transient states before absorption (the **MTTF** when A
+are the failure states) is  pi0_T @ (-Q_TT)^-1 @ 1.
 
 Independent chains in series (the system fails when any one of them does,
 an OR fault tree over the chains) form one product chain that is transient
@@ -23,7 +20,7 @@ fundamental-matrix solve (:func:`series_mean_time_to_absorption`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +30,8 @@ from .ctmc import MarkovChain
 
 def _partition(
     chain: MarkovChain, failure_states: Optional[Sequence[str]]
-) -> tuple[List[int], List[int], np.ndarray]:
-    """Return (transient indices, absorbing indices, Q)."""
+) -> tuple[List[int], np.ndarray]:
+    """Return (transient indices, Q)."""
     if failure_states is None:
         failure_states = chain.absorbing_states()
     if not failure_states:
@@ -46,11 +43,10 @@ def _partition(
     if unknown:
         raise ModelError(f"unknown failure states {sorted(unknown)}")
     q = chain.generator_matrix()
-    absorbing = [chain.state_index(s) for s in chain.states if s in failure_set]
     transient = [chain.state_index(s) for s in chain.states if s not in failure_set]
     if not transient:
         raise ModelError("all states are failure states; MTTF is trivially zero")
-    return transient, absorbing, q
+    return transient, q
 
 
 def mean_time_to_absorption(
@@ -61,7 +57,7 @@ def mean_time_to_absorption(
     Raises :class:`NotAbsorbingError` if the failure states are unreachable
     from the initial distribution (the fundamental-matrix solve is singular).
     """
-    transient, _, q = _partition(chain, failure_states)
+    transient, q = _partition(chain, failure_states)
     q_tt = q[np.ix_(transient, transient)]
     pi0 = chain.initial_distribution[transient]
     return _absorption_time(q_tt, pi0, repr(chain.name))
@@ -83,7 +79,7 @@ def series_mean_time_to_absorption(chains: Sequence[MarkovChain]) -> float:
     q_tt = np.zeros((1, 1))
     pi0 = np.ones(1)
     for chain in chains:
-        transient, _, q = _partition(chain, None)
+        transient, q = _partition(chain, None)
         block = q[np.ix_(transient, transient)]
         # The Kronecker sum is singular only when every block is, and
         # round-off can hide that; check each chain on its own block.
@@ -115,40 +111,3 @@ def _absorption_time(q_tt: np.ndarray, pi0: np.ndarray, name: str) -> float:
         )
     return float(pi0 @ tau)
 
-
-def absorption_probabilities(
-    chain: MarkovChain, failure_states: Optional[Sequence[str]] = None
-) -> Dict[str, float]:
-    """Probability of eventually being absorbed into each failure state."""
-    transient, absorbing, q = _partition(chain, failure_states)
-    q_tt = q[np.ix_(transient, transient)]
-    q_ta = q[np.ix_(transient, absorbing)]
-    pi0_t = chain.initial_distribution[transient]
-    pi0_a = chain.initial_distribution[absorbing]
-    try:
-        n_matrix = np.linalg.solve(-q_tt, q_ta)  # (-Q_TT)^-1 Q_TA
-    except np.linalg.LinAlgError as exc:
-        raise NotAbsorbingError(
-            f"absorption probabilities undefined for chain {chain.name!r}"
-        ) from exc
-    probs = pi0_t @ n_matrix + pi0_a
-    states = chain.states
-    return {states[a]: float(p) for a, p in zip(absorbing, probs)}
-
-
-def expected_visits(
-    chain: MarkovChain, failure_states: Optional[Sequence[str]] = None
-) -> Dict[str, float]:
-    """Expected total time (hours) spent in each transient state before
-    absorption — useful for identifying where a subsystem spends its life."""
-    transient, _, q = _partition(chain, failure_states)
-    q_tt = q[np.ix_(transient, transient)]
-    pi0 = chain.initial_distribution[transient]
-    try:
-        occupancy = np.linalg.solve(-q_tt.T, pi0)
-    except np.linalg.LinAlgError as exc:
-        raise NotAbsorbingError(
-            f"expected visit times undefined for chain {chain.name!r}"
-        ) from exc
-    states = chain.states
-    return {states[i]: float(v) for i, v in zip(transient, occupancy)}

@@ -15,7 +15,7 @@ handled exactly by conditioning (Shannon decomposition) on the shared events.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Sequence, Set
+from typing import Callable, Dict, Sequence, Set
 
 from ..errors import ModelError
 
@@ -69,18 +69,6 @@ class FaultTreeNode:
     def _count_events(self, counts: "Dict[BasicEvent, int]") -> None:
         raise NotImplementedError
 
-    def minimal_cut_sets(self) -> List[Set[str]]:
-        """Minimal cut sets (by basic-event name) via MOCUS-style expansion."""
-        raw = self._cut_sets()
-        minimal: List[Set[str]] = []
-        for candidate in sorted(raw, key=len):
-            if not any(existing <= candidate for existing in minimal):
-                minimal.append(candidate)
-        return minimal
-
-    def _cut_sets(self) -> List[Set[str]]:
-        raise NotImplementedError
-
 
 class BasicEvent(FaultTreeNode):
     """A leaf event with occurrence probability F(t).
@@ -90,7 +78,7 @@ class BasicEvent(FaultTreeNode):
     failure_fn:
         Callable t -> F(t), the probability the event has occurred by *t*.
     name:
-        Identifier; cut sets are reported in terms of these names.
+        Identifier; shared events are conditioned on in name order.
     """
 
     def __init__(self, failure_fn: Callable[[float], float], name: str):
@@ -113,9 +101,6 @@ class BasicEvent(FaultTreeNode):
 
     def _count_events(self, counts: Dict["BasicEvent", int]) -> None:
         counts[self] = counts.get(self, 0) + 1
-
-    def _cut_sets(self) -> List[Set[str]]:
-        return [{self.name}]
 
 
 class Gate(FaultTreeNode):
@@ -150,12 +135,6 @@ class OrGate(Gate):
             survive *= 1.0 - child._probability(t, assignment)
         return 1.0 - survive
 
-    def _cut_sets(self) -> List[Set[str]]:
-        cuts: List[Set[str]] = []
-        for child in self.children:
-            cuts.extend(child._cut_sets())
-        return cuts
-
 
 class AndGate(Gate):
     """Fails only if *all* inputs fail: F = prod(F_i)."""
@@ -168,12 +147,6 @@ class AndGate(Gate):
         for child in self.children:
             fail *= child._probability(t, assignment)
         return fail
-
-    def _cut_sets(self) -> List[Set[str]]:
-        combos: List[Set[str]] = [set()]
-        for child in self.children:
-            combos = [base | extra for base in combos for extra in child._cut_sets()]
-        return combos
 
 
 class KofNGate(Gate):
@@ -195,12 +168,3 @@ class KofNGate(Gate):
                 new[j + 1] += mass * p
             dist = new
         return float(sum(dist[self.k :]))
-
-    def _cut_sets(self) -> List[Set[str]]:
-        cuts: List[Set[str]] = []
-        for combo in itertools.combinations(self.children, self.k):
-            partial: List[Set[str]] = [set()]
-            for child in combo:
-                partial = [base | extra for base in partial for extra in child._cut_sets()]
-            cuts.extend(partial)
-        return cuts

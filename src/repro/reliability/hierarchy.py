@@ -5,13 +5,11 @@ subsystem with the most natural formalism (Markov chain for the central unit,
 Markov chain or RBD for the wheel-node subsystem) and combine the resulting
 reliability functions in a system-level fault tree (Figure 5).
 
-This module provides the adapters that let the three formalisms plug into
-each other:
+This module provides the adapter that plugs a Markov chain into a fault
+tree:
 
-* :func:`markov_component` — a CTMC as an RBD block;
 * :func:`markov_event` — a CTMC's failure probability as a fault-tree
   basic event;
-* :func:`block_event` — an RBD block's failure as a basic event;
 * :class:`CachedReliability` — memoises R(t) evaluations, which matters when
   a fault tree re-evaluates a Markov subsystem at many time points.
 """
@@ -22,7 +20,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 from .ctmc import MarkovChain
 from .faulttree import BasicEvent
-from .rbd import Block, Component
 
 
 class CachedReliability:
@@ -46,10 +43,6 @@ class CachedReliability:
             self._cache[t] = value
         return value
 
-    def cache_size(self) -> int:
-        """Number of memoised evaluation points."""
-        return len(self._cache)
-
 
 def markov_reliability_fn(
     chain: MarkovChain, failure_states: Optional[Sequence[str]] = None
@@ -59,18 +52,6 @@ def markov_reliability_fn(
     return CachedReliability(
         lambda t: chain.reliability(t, failure_states=failure_list),
         name=f"R[{chain.name}]",
-    )
-
-
-def markov_component(
-    chain: MarkovChain,
-    failure_states: Optional[Sequence[str]] = None,
-    name: Optional[str] = None,
-) -> Component:
-    """Wrap a CTMC as an RBD :class:`~repro.reliability.rbd.Component`."""
-    return Component(
-        markov_reliability_fn(chain, failure_states),
-        name=name or (chain.name or "markov"),
     )
 
 
@@ -86,12 +67,3 @@ def markov_event(
         name=name or (chain.name or "markov"),
     )
 
-
-def block_event(block: Block, name: Optional[str] = None) -> BasicEvent:
-    """Wrap an RBD block's failure as a fault-tree basic event."""
-    return BasicEvent(block.unreliability, name=name or (block.name or "block"))
-
-
-def function_event(fn: Callable[[float], float], name: str) -> BasicEvent:
-    """Wrap a plain unreliability function F(t) as a basic event."""
-    return BasicEvent(fn, name=name)

@@ -17,7 +17,7 @@ are exact fundamental-matrix solves.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from scipy.integrate import quad
 
@@ -74,46 +74,3 @@ def _tail_estimate(reliability: Callable[[float], float], horizon: float) -> flo
         return 0.0
     return r_h / rate
 
-
-def reliability_improvement(
-    baseline: Callable[[float], float],
-    improved: Callable[[float], float],
-    t: float,
-) -> float:
-    """Relative reliability gain at time t: R_new/R_old - 1 (0.55 = +55%)."""
-    r_old = baseline(t)
-    if r_old <= 0:
-        raise ModelError(f"baseline reliability is {r_old} at t={t}")
-    return improved(t) / r_old - 1.0
-
-
-def crossing_time(
-    reliability: Callable[[float], float],
-    level: float,
-    t_max: float,
-    tolerance: float = 1e-6,
-) -> float:
-    """First time R(t) drops to *level*, by bisection on [0, t_max].
-
-    Useful for statements like "time until reliability falls below 0.9".
-    Raises :class:`ModelError` when R stays above *level* on the interval.
-    """
-    if not 0.0 < level < 1.0:
-        raise ModelError(f"level must be in (0, 1), got {level}")
-    lo, hi = 0.0, float(t_max)
-    if reliability(hi) > level:
-        raise ModelError(f"reliability is still {reliability(hi):.4f} at t={t_max}")
-    while hi - lo > tolerance * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if reliability(mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def sample_curve(
-    reliability: Callable[[float], float], times: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """Evaluate R on a time grid, returning (t, R(t)) pairs."""
-    return [(float(t), float(reliability(t))) for t in times]

@@ -8,13 +8,10 @@ from repro.apps import (
     BbwSimulation,
     Vehicle,
     VehicleParameters,
-    constant,
     distribute_brake_force,
     expected_deceleration,
     membership_mask,
     nominal_shares,
-    pulse_train,
-    ramp_brake,
     step_brake,
     wheel_force_step,
 )
@@ -71,25 +68,11 @@ class TestVehicle:
 
 
 class TestPedalProfiles:
-    def test_constant(self):
-        pedal = constant(0.4)
-        assert pedal.position(0) == 0.4
-        assert pedal.sample(123456) == 400
-
     def test_step(self):
         pedal = step_brake(1.0, position=0.8)
         assert pedal.position(999_999) == 0.0
         assert pedal.position(1_000_000) == 0.8
-
-    def test_ramp(self):
-        pedal = ramp_brake(1.0, 2.0)
-        assert pedal.position(1_500_000) == pytest.approx(0.5)
-        assert pedal.position(3_000_000) == 1.0
-
-    def test_pulses(self):
-        pedal = pulse_train([(1.0, 2.0)], position=0.6)
-        assert pedal.position(1_500_000) == 0.6
-        assert pedal.position(2_500_000) == 0.0
+        assert pedal.sample(1_000_000) == 800
 
     def test_out_of_range_profile_rejected(self):
         from repro.apps.pedal import PedalProfile

@@ -1,25 +1,18 @@
 """The weakly-hard miss-budget seam in the core layer.
 
-ISSUE 8 tentpole, core layer: the TEM ``accept_miss`` hook (skip a
-recovery copy when the (m,k) window still has budget) and the
-:class:`~repro.core.policies.MissBudgetPolicy` strategy wrapper.  The
-load-bearing property is degeneracy — ``accept_miss=None`` and an
-always-False predicate must be byte-for-byte the classic hard path.
+The TEM ``accept_miss`` hook skips a recovery copy when the (m,k)
+window still has budget; the harness hands it
+:meth:`~repro.kernel.task.MKWindow.can_accept_miss`.  The load-bearing
+property is degeneracy — ``accept_miss=None`` and an always-False
+predicate must be byte-for-byte the classic hard path.
 """
 
-from repro.core.policies import (
-    ErrorResponse,
-    ExecutionClass,
-    MissBudgetPolicy,
-    nlft_policy,
-    weakly_hard_policy,
-)
 from repro.core.tem import (
     MK_BUDGET_MISS,
     TemOutcome,
     run_tem_direct,
 )
-from repro.kernel.task import Criticality, MKWindow, WeaklyHardConstraint
+from repro.kernel.task import MKWindow, WeaklyHardConstraint
 
 #: Copy scripts: scenario (iv) of the paper — EDM abort in the first
 #: copy, clean re-execution afterwards.  The hard path masks with three
@@ -81,63 +74,3 @@ class TestAcceptMissHook:
         assert second.outcome is TemOutcome.MASKED
         assert window.violations == 0
 
-
-class TestMissBudgetPolicy:
-    def test_accepts_miss_while_window_has_budget(self):
-        policy = weakly_hard_policy(max_misses=1, window_jobs=4)
-        window = policy.make_window()
-        assert (
-            policy.response_for(ExecutionClass.CRITICAL_TASK, window=window)
-            is ErrorResponse.ACCEPT_MISS
-        )
-
-    def test_falls_back_to_base_when_exhausted(self):
-        policy = weakly_hard_policy(max_misses=1, window_jobs=4)
-        window = policy.make_window()
-        window.record(True)  # budget spent
-        assert (
-            policy.response_for(ExecutionClass.CRITICAL_TASK, window=window)
-            is ErrorResponse.MASK_WITH_TEM
-        )
-
-    def test_without_window_behaves_like_base(self):
-        policy = weakly_hard_policy(max_misses=1, window_jobs=4)
-        base = nlft_policy()
-        for execution_class in ExecutionClass:
-            assert policy.response_for(execution_class) is base.response_for(
-                execution_class
-            )
-
-    def test_non_critical_classes_never_accept_misses(self):
-        policy = weakly_hard_policy(max_misses=3, window_jobs=4)
-        window = policy.make_window()
-        for execution_class in (
-            ExecutionClass.NON_CRITICAL_TASK,
-            ExecutionClass.KERNEL,
-        ):
-            assert (
-                policy.response_for(execution_class, window=window)
-                is not ErrorResponse.ACCEPT_MISS
-            )
-
-    def test_hard_constraint_never_accepts(self):
-        policy = weakly_hard_policy(max_misses=0, window_jobs=1)
-        window = policy.make_window()
-        assert (
-            policy.response_for(ExecutionClass.CRITICAL_TASK, window=window)
-            is ErrorResponse.MASK_WITH_TEM
-        )
-
-    def test_classify_delegates_to_base(self):
-        policy = weakly_hard_policy(max_misses=1, window_jobs=4)
-        assert policy.classify(Criticality.CRITICAL) is ExecutionClass.CRITICAL_TASK
-        assert (
-            policy.classify(Criticality.NON_CRITICAL)
-            is ExecutionClass.NON_CRITICAL_TASK
-        )
-
-    def test_constraint_exposed_for_analysis(self):
-        constraint = WeaklyHardConstraint(max_misses=2, window_jobs=5)
-        policy = MissBudgetPolicy(constraint=constraint)
-        assert policy.constraint is constraint
-        assert policy.make_window().constraint is constraint

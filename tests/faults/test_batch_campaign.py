@@ -132,8 +132,8 @@ class TestFastPathGates:
         )
         assert _stable(replies) == _stable(expected)
         assert any("mk_budget_miss" in r.detection_mechanisms for r, _ in replies)
-        assert [(w.state(), w.jobs, w.misses) for w in batch_windows] == [
-            (w.state(), w.jobs, w.misses) for w in scalar_windows
+        assert [(tuple(w._history), w.jobs, w.misses) for w in batch_windows] == [
+            (tuple(w._history), w.jobs, w.misses) for w in scalar_windows
         ]
 
 

@@ -47,8 +47,8 @@ def _mismatches(harness, faults, windows=None):
         simulated = _captured(lambda: harness.run_experiment(fault, run_window))
         replayed = _captured(lambda: harness.settle_or_run(fault, replay_window))
         if run_window is not None:
-            simulated += (run_window.state(), run_window.misses)
-            replayed += (replay_window.state(), replay_window.misses)
+            simulated += (tuple(run_window._history), run_window.misses)
+            replayed += (tuple(replay_window._history), replay_window.misses)
         if replayed != simulated:
             mismatched.append((fault.describe(), simulated, replayed))
     return mismatched

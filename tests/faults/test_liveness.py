@@ -58,8 +58,8 @@ def _check(harness, faults, windows=None):
         simulated = _captured(lambda: harness.run_experiment(fault, run_window))
         settled = _captured(lambda: harness.settle(fault, settle_window))
         if windows is not None and run_window is not None:
-            simulated += (run_window.state(), run_window.misses)
-            settled += (settle_window.state(), settle_window.misses)
+            simulated += (tuple(run_window._history), run_window.misses)
+            settled += (tuple(settle_window._history), settle_window.misses)
         if settled != simulated:
             unsound.append((fault.describe(), simulated, settled))
     return unsound, dead

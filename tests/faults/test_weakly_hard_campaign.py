@@ -223,8 +223,8 @@ def test_batch_executor_windows_match_scalar(payloads):
     for scalar_w, batch_w in zip(scalar_windows, batch_windows):
         assert (
             scalar_w.jobs, scalar_w.misses, scalar_w.violations,
-            scalar_w.state(),
+            tuple(scalar_w._history),
         ) == (
             batch_w.jobs, batch_w.misses, batch_w.violations,
-            batch_w.state(),
+            tuple(batch_w._history),
         )

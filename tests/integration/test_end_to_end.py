@@ -1,4 +1,4 @@
-"""End-to-end integration: kernel nodes + bus + duplex + fault injection."""
+"""End-to-end integration: kernel nodes + bus + duplex pair + fault injection."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.faults.injector import PoissonInjector
 from repro.faults.types import FaultType
 from repro.kernel.task import CallableExecutable, TaskSpec
 from repro.net import FlexRayBus, NetworkInterface, round_robin_schedule
-from repro.node import DuplexGroup, NlftKernelNode, NodeStatus
+from repro.node import NlftKernelNode, NodeStatus
 from repro.sim import RandomStreams, Simulator, TraceRecorder
 from repro.units import ms, seconds, us
 
@@ -41,11 +41,10 @@ class TestDuplexOverBus:
             nodes[name] = node
         consumer = NetworkInterface("consumer")
         bus.attach(consumer)
-        group = DuplexGroup(sim, "pair", [nodes["a"], nodes["b"]], trace=trace)
-        return sim, bus, interfaces, nodes, consumer, group
+        return sim, bus, interfaces, nodes, consumer
 
     def test_consumer_sees_output_from_either_member(self):
-        sim, bus, interfaces, nodes, consumer, group = self.build()
+        sim, bus, interfaces, nodes, consumer = self.build()
         bus.start()
         for node in nodes.values():
             node.start()
@@ -54,14 +53,14 @@ class TestDuplexOverBus:
         assert consumer.read_rx(2).frame.payload == (77,)
 
     def test_service_continues_when_one_member_silent(self):
-        sim, bus, interfaces, nodes, consumer, group = self.build()
+        sim, bus, interfaces, nodes, consumer = self.build()
         bus.start()
         for node in nodes.values():
             node.start()
         sim.schedule_at(ms(4), lambda: nodes["a"].fail_silent("test"))
         sim.run(until=ms(8))
         assert nodes["a"].status is NodeStatus.RESTARTING
-        assert group.service_available
+        assert nodes["b"].status is NodeStatus.OPERATIONAL
         now = sim.now
         # Member a's frame has gone stale; member b's is fresh.
         assert consumer.read_fresh(1, now, max_age=ms(3)) is None
@@ -72,7 +71,7 @@ class TestDuplexOverBus:
         assert bus.omissions_observed > omissions_before
 
     def test_member_reintegrates_and_publishes_again(self):
-        sim, bus, interfaces, nodes, consumer, group = self.build()
+        sim, bus, interfaces, nodes, consumer = self.build()
         bus.start()
         for node in nodes.values():
             node.start()

@@ -14,11 +14,7 @@ from repro.kernel.ft_analysis import (
     tem_cost,
     tem_utilization,
 )
-from repro.kernel.priority import (
-    assign_criticality_monotonic,
-    assign_deadline_monotonic,
-    audsley_assignment,
-)
+from repro.kernel.priority import assign_criticality_monotonic
 from repro.kernel.task import Criticality, TaskSpec
 
 
@@ -127,16 +123,6 @@ class TestFtRta:
 
 
 class TestPriorityAssignment:
-    def test_deadline_monotonic_orders_by_deadline(self):
-        tasks = [
-            task("slow", 100, 1, 9),
-            task("fast", 10, 1, 8),
-            task("mid", 50, 1, 7, deadline=20),
-        ]
-        assigned = assign_deadline_monotonic(tasks)
-        order = [t.name for t in sorted(assigned, key=lambda t: t.priority)]
-        assert order == ["fast", "mid", "slow"]
-
     def test_criticality_monotonic_puts_critical_first(self):
         tasks = [
             task("nc_fast", 5, 1, 0, critical=False),
@@ -153,31 +139,6 @@ class TestPriorityAssignment:
         tasks = [task(f"t{i}", 10 * (i + 1), 1, 99 - i) for i in range(5)]
         assigned = assign_criticality_monotonic(tasks)
         assert sorted(t.priority for t in assigned) == list(range(5))
-
-    def test_audsley_finds_feasible_assignment(self):
-        from repro.kernel.analysis import response_time as rt
-
-        tasks = [task("a", 4, 1, 0), task("b", 6, 2, 1), task("c", 10, 3, 2)]
-
-        def feasible(task_set, candidate):
-            r = rt(task_set, candidate)
-            return r is not None and r <= candidate.relative_deadline
-
-        assigned = audsley_assignment(tasks, feasible)
-        assert assigned is not None
-        result = analyse(assigned)
-        assert result.schedulable
-
-    def test_audsley_reports_infeasible(self):
-        tasks = [task("a", 10, 6, 0), task("b", 10, 6, 1)]
-
-        def feasible(task_set, candidate):
-            from repro.kernel.analysis import response_time as rt
-
-            r = rt(task_set, candidate)
-            return r is not None and r <= candidate.relative_deadline
-
-        assert audsley_assignment(tasks, feasible) is None
 
 
 class TestBudget:

@@ -379,39 +379,6 @@ class TestSchedulerMkWindows:
         assert s.stats.mk_violations == 1
         assert trace.select("kernel.mk_violation")
 
-    def test_mk_state_round_trips_across_schedulers(self):
-        sim, trace, s, log = make_scheduler()
-        s.add_task(self.mk_task(), CallableExecutable(lambda i: (7,), 1_000))
-        s.start()
-        sim.schedule_at(
-            300, lambda: s.apply_fault_effect(FaultEffect.HARDWARE_EXCEPTION)
-        )
-        sim.run(until=9_999)
-        state = s.mk_state()
-        assert state == {"W": (1,)}
-
-        # A fresh scheduler restored from the checkpoint makes the same
-        # decision the original would: the window budget is exhausted, so
-        # the next fault runs the full recovery instead of a skip.
-        sim2, trace2, s2, log2 = make_scheduler()
-        s2.add_task(self.mk_task(), CallableExecutable(lambda i: (7,), 1_000))
-        s2.restore_mk_state(state)
-        s2.start()
-        sim2.schedule_at(
-            300, lambda: s2.apply_fault_effect(FaultEffect.HARDWARE_EXCEPTION)
-        )
-        sim2.run(until=9_999)
-        assert s2.stats.delivered_masked == 1
-        assert s2.stats.omissions == 0
-
-    def test_restore_unknown_task_raises(self):
-        from repro.errors import SchedulingError
-
-        sim, trace, s, log = make_scheduler()
-        s.add_task(self.mk_task(), CallableExecutable(lambda i: (7,), 1_000))
-        with pytest.raises(SchedulingError):
-            s.restore_mk_state({"nope": (0,)})
-
 
 class TestMulticoreAnalysisDegeneracy:
     """ISSUE 9 gate: the M-core analyses reduce to the single-core ones

@@ -15,12 +15,12 @@ from repro.models import (
     build_wheel_subsystem,
     build_wn_fs_degraded,
     build_wn_fs_full,
-    build_wn_fs_full_rbd,
     build_wn_nlft_degraded,
     build_wn_nlft_full,
 )
 from repro.reliability import rate_sum
 from repro.units import HOURS_PER_YEAR
+from tests.oracles.reference_rbd import build_wn_fs_full_rbd
 
 
 @pytest.fixture

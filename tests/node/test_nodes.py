@@ -1,4 +1,4 @@
-"""Tests of FS/NLFT node semantics, restart sequencing and duplex groups."""
+"""Tests of FS/NLFT node semantics and restart sequencing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.cpu.profiles import FaultEffect, ManifestationProfile
 from repro.faults.types import FaultType
 from repro.kernel.task import CallableExecutable, TaskSpec
 from repro.node import (
-    DuplexGroup,
     FailSilentNode,
     FailureKind,
     NlftBehaviouralNode,
@@ -230,37 +229,3 @@ class TestFsKernelNode:
         assert node.stats.masked == 0
         sim.run(until=seconds(5))
         assert node.status is NodeStatus.OPERATIONAL
-
-
-class TestDuplexGroup:
-    def test_service_survives_single_member_failure(self, sim):
-        a = FailSilentNode(sim, "a", rng=np.random.default_rng(0))
-        b = FailSilentNode(sim, "b", rng=np.random.default_rng(1))
-        group = DuplexGroup(sim, "cu", [a, b])
-        a.inject_fault(FaultType.TRANSIENT)
-        assert group.service_available
-        assert len(group.working_members) == 1
-
-    def test_outage_recorded_when_both_down(self, sim):
-        a = FailSilentNode(sim, "a", rng=np.random.default_rng(0))
-        b = FailSilentNode(sim, "b", rng=np.random.default_rng(1))
-        group = DuplexGroup(sim, "cu", [a, b])
-        events = []
-        group.add_observer(lambda g, available: events.append((sim.now, available)))
-        a.inject_fault(FaultType.TRANSIENT)
-        b.inject_fault(FaultType.TRANSIENT)
-        assert not group.service_available
-        assert group.outage_count == 1
-        sim.run()
-        assert group.service_available
-        assert group.outage_ticks == pytest.approx(seconds(3.0))
-        assert events[0][1] is False and events[-1][1] is True
-
-    def test_permanently_down(self, sim):
-        a = FailSilentNode(sim, "a", rng=np.random.default_rng(0))
-        b = FailSilentNode(sim, "b", rng=np.random.default_rng(1))
-        group = DuplexGroup(sim, "cu", [a, b])
-        a.inject_fault(FaultType.PERMANENT)
-        b.inject_fault(FaultType.PERMANENT)
-        sim.run()
-        assert group.permanently_down

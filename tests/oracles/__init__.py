@@ -12,5 +12,8 @@ differential suites compare production against them:
   ``Generator.choice`` (``tests/faults/test_fault_draw_differential.py``);
 * :mod:`tests.oracles.reference_kernel` — the scheduler's boundary and
   dispatch choices as ``min`` over candidate lists
-  (``tests/kernel/test_decision_differential.py``).
+  (``tests/kernel/test_decision_differential.py``);
+* :mod:`tests.oracles.reference_rbd` — reliability block diagrams and the
+  Figure 8 series RBD, closed forms the CTMC models must equal
+  (``tests/models/test_models.py``, ``tests/reliability/``).
 """

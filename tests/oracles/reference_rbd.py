@@ -1,4 +1,4 @@
-"""Reliability block diagrams (RBD).
+"""Reliability block diagrams (RBD): a second formalism to check the CTMCs against.
 
 An RBD expresses a system's success logic: the system works iff a path of
 working blocks connects source to sink.  We implement the compositional
@@ -12,6 +12,12 @@ block is functioning at time *t*.  Blocks are immutable and freely shareable
 statistically independent failure processes — sharing one physical component
 in two branches therefore requires factoring (not provided; the paper's
 models never need it).
+
+The models solve every subsystem as a CTMC; these blocks are the
+independent closed forms the tests compare them with
+(``tests/reliability/test_rbd_faulttree.py``, the Figure 8 check in
+``tests/models/test_models.py`` and the hypothesis properties in
+``tests/property/test_reliability_properties.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from ..errors import ModelError
+from repro.errors import ModelError
+from repro.models.parameters import WHEEL_NODE_COUNT, BbwParameters
 
 
 class Block:
@@ -174,3 +181,16 @@ class KofNHeterogeneous(Block):
                 new[j + 1] += mass * p
             dist = new
         return float(sum(dist[self.k :]))
+
+
+def build_wn_fs_full_rbd(params: BbwParameters) -> Block:
+    """FS nodes, full functionality (paper Figure 8): series RBD.
+
+    Each node fails (at least temporarily, which full functionality counts
+    as failure) at its total activated-fault rate ``lambda_p + lambda_t``.
+    """
+    nodes = [
+        Exponential(params.fs_failure_rate, name=f"WN{i + 1}")
+        for i in range(WHEEL_NODE_COUNT)
+    ]
+    return Series(nodes, name="WN-FS-full")

@@ -78,7 +78,7 @@ def _workload(words, inputs, max_copies, deadline_factor):
 def _captured(run, window):
     with obs_metrics.capture() as registry:
         record = run(window)
-    state = None if window is None else (window.state(), window.misses)
+    state = None if window is None else (tuple(window._history), window.misses)
     return record.to_json(), obs_metrics.stable_view(registry.snapshot()), state
 
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import BbwParameters, build_bbw_system
-from repro.reliability import (
+from repro.reliability import MarkovChain
+from tests.oracles.reference_rbd import (
     Exponential,
     KofN,
     KofNHeterogeneous,
-    MarkovChain,
     Parallel,
     Series,
 )

