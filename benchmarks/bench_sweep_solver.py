@@ -9,7 +9,7 @@ stacked generators of every structurally identical chain with one
 ``scipy.linalg.expm`` call per mission time.  This bench checks it against
 both point paths on the exact chains Figure 14 uses:
 
-* the uniformization point solver — the gate: the batch must be
+* the test oracle's uniformization point solver — the gate: the batch must be
   at least 3x faster and agree within the 1e-9 solver-equivalence
   tolerance;
 * the ``expm`` point solver (``chain.reliability(t)``) — the batch must be
@@ -21,7 +21,8 @@ import os
 
 import common
 from repro.models import BbwParameters, build_bbw_system
-from repro.reliability import sweep_solver, transient_distribution
+from repro.reliability import sweep_solver
+from tests.oracles import reference_ctmc
 
 #: The Figure 14 sweep axes (both node types, degraded mode).
 RATE_SCALES = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
@@ -66,9 +67,9 @@ def _point_grid(chains):
             [
                 float(
                     1.0
-                    - transient_distribution(chain, t, method="uniformization")[
-                        failure
-                    ].sum()
+                    - reference_ctmc.transient_distribution(
+                        chain, t, method="uniformization"
+                    )[failure].sum()
                 )
                 for t in MISSION_TIMES
             ]

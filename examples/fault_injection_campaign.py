@@ -22,6 +22,7 @@ Run:  python examples/fault_injection_campaign.py [experiments] [jobs] [journal]
 
 import sys
 
+from repro import runtime
 from repro.core.diagnosis import PermanentFaultSuspector
 from repro.experiments import make_brake_workload, run_coverage_campaign
 from repro.faults import Fault, FaultTarget, FaultType, TemInjectionHarness
@@ -33,10 +34,13 @@ def main() -> None:
     journal = sys.argv[3] if len(sys.argv) > 3 else None
     mode = f"{jobs} shard runners" if jobs else "serial in-process"
     print(f"Running {experiments} single-bit-flip experiments ({mode}) ...\n")
-    result = run_coverage_campaign(
-        experiments=experiments, seed=2005,
-        workers=jobs, timeout_s=60.0 if jobs else None, journal_path=journal,
-    )
+    # Shard runners get a per-trial budget; it comes from the run context.
+    config = runtime.RunConfig(timeout_s=60.0 if jobs else None)
+    with runtime.activate(runtime.RunContext(config)):
+        result = run_coverage_campaign(
+            experiments=experiments, seed=2005,
+            workers=jobs, journal_path=journal,
+        )
     print(result.render())
     print()
     print(result.stats.summary())

@@ -64,7 +64,6 @@ from .engine import (  # noqa: F401
     AnalysisResult,
     analyze_file,
     build_project_index,
-    changed_files,
     discover_files,
     find_repo_root,
     run_analysis,
@@ -117,7 +116,6 @@ __all__ = [
     "build_checkers",
     "build_project_checkers",
     "build_project_index",
-    "changed_files",
     "checker_rule_ids",
     "content_sha",
     "discover_files",

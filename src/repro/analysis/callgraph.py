@@ -9,9 +9,7 @@ JSON-serialisable :class:`ModuleSummary` per file, and links the
 summaries into a :class:`ProjectIndex`:
 
 * a **module graph** (who imports whom, relative imports resolved
-  against the package layout) whose reverse-dependency closure drives
-  incremental re-analysis — touching ``harness/seeds.py`` re-analyses
-  everything that can observe the change;
+  against the package layout);
 * an approximate **call graph**: lexically resolved call targets
   (imported names, module-level functions, ``self.method()`` within a
   class), with re-exports through ``__init__.py`` chased at link time;
@@ -547,10 +545,6 @@ class ProjectIndex:
                 if target is not None and target != s.module:
                     edges.add(target)
             self.deps[s.module] = edges
-        self.rdeps: Dict[str, Set[str]] = {m: set() for m in self.deps}
-        for module, targets in self.deps.items():
-            for target in targets:
-                self.rdeps.setdefault(target, set()).add(module)
         self._known: Set[str] = set(self.by_module)
 
     @staticmethod
@@ -623,32 +617,6 @@ class ProjectIndex:
             resolved = self.resolve(target)
             if resolved is not None:
                 yield resolved, call["line"]
-
-    # -- reverse-dependency closure ------------------------------------
-    def reverse_closure(self, relpaths: Sequence[str]) -> Set[str]:
-        """All project files that can observe a change to *relpaths*.
-
-        The transitive importers of the touched modules, plus the touched
-        files themselves.  Non-project paths pass through untouched (the
-        caller unions them back into its work list).
-        """
-        roots = [
-            self.summaries[rel].module
-            for rel in relpaths
-            if rel in self.summaries and self.summaries[rel].module
-        ]
-        seen: Set[str] = set()
-        stack = list(roots)
-        while stack:
-            module = stack.pop()
-            if module in seen:
-                continue
-            seen.add(module)
-            stack.extend(sorted(self.rdeps.get(module, ())))
-        out = set(relpaths)
-        for module in sorted(seen):
-            out.add(self.by_module[module].relpath)
-        return out
 
     # -- suppressions --------------------------------------------------
     def suppressed(self, relpath: str, line: int, rule: str) -> bool:

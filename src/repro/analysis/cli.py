@@ -62,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reasons for new entries; stale entries dropped)",
     )
     parser.add_argument(
-        "--changed-only", action="store_true",
-        help="analyse only files changed since the merge-base with "
-             "--base (falls back to a full scan when git is unavailable)",
-    )
-    parser.add_argument(
-        "--base", default=None,
-        help="base ref for --changed-only (default: origin/main, then main)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=0,
         help="worker processes (0 = auto, 1 = serial)",
     )
@@ -165,8 +156,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         rules=rules,
         baseline=baseline,
         jobs=_resolve_jobs(args.jobs),
-        changed_only=args.changed_only,
-        base_ref=args.base,
         cache_path=cache_path,
     )
 

@@ -14,16 +14,12 @@ One :func:`run_analysis` call is one lint pass:
    requested: whole-program rules need the whole program, and it is what
    makes analysing a subset of files return exactly the slice of a full
    run.
-3. **Narrow** (``changed_only=True``): the changed-since-merge-base set
-   is expanded to its reverse-dependency closure — touching
-   ``harness/seeds.py`` re-analyses everything that can observe the
-   change — then the work list is filtered to it.
-4. **Analyse** each file — cached findings by content hash, a process
+3. **Analyse** each file — cached findings by content hash, a process
    pool for the misses — then run the whole-program checkers over the
    index, filter their findings to the analysed set, and honour inline
    suppressions through the index (summaries record suppression lines,
    so even a cache-hit file keeps its exemptions).
-5. **Apply the baseline**: covered findings pass (marked ``baselined``),
+4. **Apply the baseline**: covered findings pass (marked ``baselined``),
    uncovered *error* findings fail the gate, and stale baseline entries
    are surfaced as warnings so the baseline only ratchets down.
 
@@ -36,22 +32,16 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import Checker, ModuleSource
 from .baseline import Baseline, BaselineEntry
 from .cache import AnalysisCache, content_sha, rules_fingerprint
 from .callgraph import ModuleSummary, ProjectIndex, extract_summary
 from .findings import ERROR, Finding, sort_findings
-from .registry import (
-    build_checkers,
-    build_project_checkers,
-    checker_rule_ids,
-    project_rule_ids,
-)
+from .registry import build_checkers, build_project_checkers
 from .suppressions import apply_suppressions, parse_suppressions
 
 #: Roots scanned when no explicit paths are given.
@@ -116,47 +106,6 @@ def discover_files(
                 continue
             seen[rel] = path
     return [(seen[rel], rel) for rel in sorted(seen)]
-
-
-# ----------------------------------------------------------------------
-# Changed-only mode
-# ----------------------------------------------------------------------
-def changed_files(root: Path, base_ref: Optional[str] = None) -> Optional[List[str]]:
-    """Repo-relative paths touched since the merge-base with *base_ref*.
-
-    Tries ``origin/main`` then ``main`` when *base_ref* is not given, and
-    includes uncommitted and untracked files.  Returns None when git is
-    unavailable or the refs don't resolve — callers fall back to a full
-    scan rather than silently linting nothing.
-    """
-
-    def git(*args: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                ["git", "-C", str(root), *args],
-                capture_output=True, text=True, timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    merge_base = None
-    for ref in ([base_ref] if base_ref else ["origin/main", "main"]):
-        out = git("merge-base", "HEAD", ref)
-        if out:
-            merge_base = out.strip()
-            break
-    if merge_base is None:
-        return None
-    committed = git("diff", "--name-only", merge_base, "HEAD")
-    working = git("diff", "--name-only", "HEAD")
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    if committed is None:
-        return None
-    names = set()
-    for chunk in (committed, working or "", untracked or ""):
-        names.update(line.strip() for line in chunk.splitlines() if line.strip())
-    return sorted(n for n in names if n.endswith(".py"))
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +229,6 @@ def run_analysis(
     rules: Optional[List[str]] = None,
     baseline: Optional[Baseline] = None,
     jobs: int = 1,
-    changed_only: bool = False,
-    base_ref: Optional[str] = None,
     cache_path: Optional[Path] = None,
 ) -> AnalysisResult:
     """Run the configured checkers over the tree and apply the baseline.
@@ -300,16 +247,6 @@ def run_analysis(
     shas: Dict[str, str] = {}
 
     index = build_project_index(root, cache, shas) if project_checkers else None
-
-    if changed_only:
-        changed = changed_files(root, base_ref)
-        if changed is not None:
-            narrowed: Set[str] = set(changed)
-            if index is not None:
-                # A change to a module is observable by everything that
-                # (transitively) imports it: expand before narrowing.
-                narrowed = index.reverse_closure(sorted(narrowed))
-            files = [(p, rel) for p, rel in files if rel in narrowed]
 
     all_findings: List[Finding] = []
     misses: List[Tuple[Path, str, str]] = []
@@ -358,7 +295,7 @@ def run_analysis(
         else sorted(set(rules))
     )
     # An entry is only provably stale when this run actually looked where
-    # it points: a narrowed run (paths / --changed-only / --rules) must
+    # it points: a narrowed run (paths / --rules) must
     # not report entries for unanalysed files or inactive rules as fixed.
     analyzed_rels = {rel for _, rel in files}
     active_set = set(active)
@@ -375,8 +312,3 @@ def run_analysis(
         files_reanalyzed=len(misses),
         files_from_cache=len(files) - len(misses),
     )
-
-
-def default_rules() -> List[str]:
-    """All registered rule ids — per-file and project (what a bare run runs)."""
-    return sorted(set(checker_rule_ids()) | set(project_rule_ids()))

@@ -18,7 +18,7 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .findings import ERROR, WARNING, Finding
 from .registry import is_known_rule
@@ -162,9 +162,3 @@ def apply_suppressions(
             hint="delete the stale `# reprolint: disable=` comment",
         ))
     return kept, unused
-
-
-def iter_reasons(suppressions: List[Suppression]) -> Iterator[str]:
-    """The reason strings (used by tests and tooling)."""
-    for suppression in suppressions:
-        yield suppression.reason

@@ -108,10 +108,3 @@ class Vehicle:
         self.speed_mps = new_speed
         self.time_s += dt_s
         self.history.append((self.time_s, self.speed_mps, self.distance_m))
-
-    def stopping_summary(self) -> str:
-        """One-line summary for experiment logs."""
-        return (
-            f"v={self.speed_mps:.2f} m/s after {self.time_s:.2f} s, "
-            f"distance {self.distance_m:.1f} m, decel {self.deceleration:.2f} m/s^2"
-        )

@@ -330,15 +330,6 @@ class SpatialTem:
         return self._finished
 
     @property
-    def copies_launched(self) -> int:
-        return self._launched
-
-    @property
-    def in_flight(self) -> int:
-        """Copies launched but not yet reported complete/aborted."""
-        return self._in_flight
-
-    @property
     def errors_detected(self) -> int:
         return self._errors_detected
 

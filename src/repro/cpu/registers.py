@@ -15,7 +15,7 @@ conditions from information stored in the task control block").
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from ..errors import MachineError
 
@@ -144,10 +144,6 @@ class RegisterFile:
         """Zero every register (hardware reset)."""
         for name in ALL_REGISTERS:
             self._values[name] = 0
-
-    def snapshot_values(self) -> List[int]:
-        """Register values in canonical order (cheap comparison helper)."""
-        return [self._values[name] for name in ALL_REGISTERS]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         interesting = {n: v for n, v in self._values.items() if v}

@@ -30,8 +30,7 @@ from ..faults.campaign import TemInjectionHarness
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
-from ..obs.progress import ProgressReporter
+from ..harness import SupervisorConfig, run_experiment_campaign
 from .coverage_table import BRAKE_TASK_SOURCE, make_brake_workload
 from ..cpu.assembler import assemble
 from .asciiplot import render_table
@@ -139,20 +138,14 @@ def compute_ablation_table(
     experiments: int = 1_200,
     seed: int = 424_242,
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_path: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
 ) -> AblationResult:
     """Run the identical fault list against every ablation variant.
 
     With ``journal_path`` set, one journal per variant is written next to
     the given path (``<path>.<variant>``) so an interrupted ablation
-    resumes per variant.  ``progress`` / ``profile`` enable the live
-    stderr progress line and hottest-trial profiling (:mod:`repro.obs`).
-    ``chaos`` attacks the shard runners of every variant's campaign when
-    ``workers >= 1`` (:class:`repro.harness.ChaosPolicy`).
+    resumes per variant.  The per-trial timeout, progress line, profiling
+    and chaos come from the active :class:`repro.runtime.RunConfig`.
     """
     faults = ablation_faults(experiments, seed)
     stats: Dict[str, CampaignStatistics] = {}
@@ -165,16 +158,9 @@ def compute_ablation_table(
             [(variant, fault) for fault in faults],
             SupervisorConfig(
                 workers=workers,
-                timeout_s=timeout_s,
                 journal_path=variant_journal,
                 master_seed=seed,
                 campaign=f"e11-ablation-{variant}-n{experiments}",
-                progress=(
-                    ProgressReporter(f"E11 ablation ({variant})")
-                    if progress else None
-                ),
-                profile=profile,
-                chaos=chaos,
             ),
         )
     return AblationResult(experiments=experiments, stats=stats)
@@ -199,9 +185,5 @@ def _experiment(ctx) -> AblationResult:
     return compute_ablation_table(
         experiments=cfg.campaign_size(1_200, 300),
         workers=cfg.jobs,
-        timeout_s=cfg.timeout_s,
         journal_path=cfg.journal_path("e11"),
-        progress=cfg.progress,
-        profile=cfg.profile,
-        chaos=cfg.chaos_policy(),
     )

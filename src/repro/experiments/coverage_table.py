@@ -48,10 +48,9 @@ from ..faults.campaign import TemInjectionHarness, TemWorkload
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
+from ..harness import SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable, MKWindow
 from ..obs import metrics as obs_metrics
-from ..obs.progress import ProgressReporter
 from .asciiplot import render_table
 
 #: A brake-controller-like workload: scaling, saturation, accumulation —
@@ -295,11 +294,7 @@ def run_coverage_campaign(
     kernel_share: float = 0.05,
     max_copies: int = 3,
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_path: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
     batch: int = 0,
 ) -> CoverageTableResult:
     """Run the E5 campaign and estimate the paper's parameters.
@@ -315,21 +310,14 @@ def run_coverage_campaign(
     max_copies:
         TEM copy cap per job — the schedule's reserved recovery slack; a
         tight cap is what produces omission failures.
-    workers / timeout_s / journal_path:
+    workers / journal_path:
         Campaign-supervisor knobs (:mod:`repro.harness`): heartbeating
-        shard runner processes that survive SIGKILLs and wedges,
-        per-trial wall-clock budget, and checkpoint journal for
-        interrupt/resume.  The defaults preserve the historic serial
-        in-process behaviour and output bit-for-bit; outcomes are
-        bit-identical for any ``workers``.
-    progress / profile:
-        Observability knobs (:mod:`repro.obs`): a live stderr progress
-        line (silent when stderr is not a TTY), and opt-in cProfile
-        capture of the hottest trials.
-    chaos:
-        Deterministic harness chaos injection
-        (:class:`repro.harness.ChaosPolicy`) — runner deaths/stalls and
-        journal corruption when ``workers >= 1``.
+        shard runner processes that survive SIGKILLs and wedges, and a
+        checkpoint journal for interrupt/resume.  The defaults preserve
+        the historic serial in-process behaviour and output bit-for-bit;
+        outcomes are bit-identical for any ``workers``.  The per-trial
+        timeout, progress line, profiling and chaos come from the active
+        :class:`repro.runtime.RunConfig`.
     batch:
         Vectorised execution: step up to ``batch`` experiments in numpy
         lockstep per chunk (:func:`_e5_batch_runner`).  Records and
@@ -344,13 +332,9 @@ def run_coverage_campaign(
     )
     config = SupervisorConfig(
         workers=workers,
-        timeout_s=timeout_s,
         journal_path=journal_path,
         master_seed=seed,
         campaign=f"e5-coverage-n{experiments}",
-        progress=ProgressReporter("E5 coverage") if progress else None,
-        profile=profile,
-        chaos=chaos,
         batch_size=batch,
         batch_runner=_e5_batch_runner if batch > 0 else None,
     )
@@ -404,10 +388,6 @@ def _experiment(ctx) -> CoverageTableResult:
     return run_coverage_campaign(
         experiments=cfg.campaign_size(2_000, 300),
         workers=cfg.jobs,
-        timeout_s=cfg.timeout_s,
         journal_path=cfg.journal_path("e5"),
-        progress=cfg.progress,
-        profile=cfg.profile,
-        chaos=cfg.chaos_policy(),
         batch=BATCH_CHUNK,
     )

@@ -106,10 +106,6 @@ class Experiment:
         """The exact report banner title (index padded to three columns)."""
         return f"{self.index:<3} {self.title}"
 
-    @property
-    def is_campaign(self) -> bool:
-        return "campaign" in self.tags
-
     def run(self, ctx: Optional[runtime.RunContext] = None) -> Any:
         """Execute with *ctx* (default: the active run context)."""
         return self.run_fn(ctx if ctx is not None else runtime.current())

@@ -30,9 +30,8 @@ from ..apps.bbw_system import BbwConfig, BbwSimulation
 from ..apps.pedal import step_brake
 from ..faults.injector import PoissonInjector
 from ..faults.types import FaultType
-from ..harness import CampaignSupervisor, ChaosPolicy, SupervisorConfig
+from ..harness import CampaignSupervisor, SupervisorConfig
 from ..models import BbwParameters, build_bbw_system
-from ..obs.progress import ProgressReporter
 from ..node import FailSilentNode, NlftBehaviouralNode, NodeBase, NodeStatus
 from ..sim import RandomStreams, Simulator
 from ..units import US_PER_SECOND
@@ -200,22 +199,16 @@ def run_simulation_study(
     params: Optional[BbwParameters] = None,
     seed: int = 7,
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_path: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
 ) -> SimulationStudyResult:
     """Run the mission Monte-Carlo for both node types and both criteria.
 
-    ``workers`` / ``timeout_s`` / ``journal_path`` route the replicas
-    through the campaign supervisor (:mod:`repro.harness`); with a journal
-    an interrupted study resumes where it stopped.  Survival fractions are
-    computed over *completed* replicas, so a few lost replicas degrade the
-    sample size, not the estimate.  ``progress`` / ``profile`` enable the
-    live stderr progress line and hottest-trial cProfile capture
-    (:mod:`repro.obs`).  ``chaos`` attacks the shard runners of both
-    studies when ``workers >= 1`` (:class:`repro.harness.ChaosPolicy`).
+    ``workers`` / ``journal_path`` route the replicas through the campaign
+    supervisor (:mod:`repro.harness`); with a journal an interrupted study
+    resumes where it stopped.  Survival fractions are computed over
+    *completed* replicas, so a few lost replicas degrade the sample size,
+    not the estimate.  The per-trial timeout, progress line, profiling
+    and chaos come from the active :class:`repro.runtime.RunConfig`.
     """
     params = params if params is not None else BbwParameters.paper()
     empirical: Dict[str, float] = {}
@@ -226,19 +219,12 @@ def run_simulation_study(
             _mission_trial,
             SupervisorConfig(
                 workers=workers,
-                timeout_s=timeout_s,
                 journal_path=(
                     f"{journal_path}.{node_type}"
                     if journal_path is not None else None
                 ),
                 master_seed=seed,
                 campaign=f"e8a-mission-{node_type}-n{replicas}",
-                progress=(
-                    ProgressReporter(f"E8a missions ({node_type})")
-                    if progress else None
-                ),
-                profile=profile,
-                chaos=chaos,
             ),
         )
         result = supervisor.run(
@@ -337,9 +323,5 @@ def _experiment(ctx) -> SimulationStudyResult:
         replicas=cfg.campaign_size(300, 60),
         mission_hours=cfg.horizon_hours,
         workers=cfg.jobs,
-        timeout_s=cfg.timeout_s,
         journal_path=cfg.journal_path("e8a"),
-        progress=cfg.progress,
-        profile=cfg.profile,
-        chaos=cfg.chaos_policy(),
     )

@@ -47,10 +47,9 @@ from ..faults.outcomes import (
     OutcomeClass,
 )
 from ..faults.types import Fault
-from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
+from ..harness import SupervisorConfig, run_experiment_campaign
 from ..kernel.ft_analysis import max_tolerable_faults, mk_max_tolerable_faults
 from ..kernel.task import MKWindow, TaskSpec, WeaklyHardConstraint
-from ..obs.progress import ProgressReporter
 from ..units import us
 from .asciiplot import render_table
 from .coverage_table import (
@@ -174,11 +173,7 @@ def run_mk_campaign(
     prefill_miss_rate: float = 0.0,
     campaign: Optional[str] = None,
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_path: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
     batch: int = 0,
     assignments: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> "tuple[CampaignStatistics, List[MkPayload]]":
@@ -204,13 +199,9 @@ def run_mk_campaign(
     name = campaign or f"e14-mk{max_misses}of{window_jobs}-n{experiments}"
     config = SupervisorConfig(
         workers=workers,
-        timeout_s=timeout_s,
         journal_path=journal_path,
         master_seed=seed,
         campaign=name,
-        progress=ProgressReporter("E14 weakly-hard") if progress else None,
-        profile=profile,
-        chaos=chaos,
         batch_size=batch,
         batch_runner=_mk_batch_runner if batch > 0 else None,
     )
@@ -413,12 +404,8 @@ def run_weakly_hard_experiment(
     fault_rates: Sequence[float] = DEFAULT_FAULT_RATES,
     comparison_cost: int = us(20),
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_hard: Optional[Union[str, Path]] = None,
     journal_mk: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
 ) -> WeaklyHardResult:
     """Run the hard and (m,k) campaigns and derive the comparison.
 
@@ -434,10 +421,6 @@ def run_weakly_hard_experiment(
         seed=seed,
         max_copies=max_copies,
         workers=workers,
-        timeout_s=timeout_s,
-        progress=progress,
-        profile=profile,
-        chaos=chaos,
         batch=BATCH_CHUNK,
     )
     hard_stats, _hard_payloads = run_mk_campaign(
@@ -557,10 +540,6 @@ def _experiment(ctx) -> WeaklyHardResult:
     return run_weakly_hard_experiment(
         experiments=cfg.campaign_size(1_000, 150),
         workers=cfg.jobs,
-        timeout_s=cfg.timeout_s,
         journal_hard=cfg.journal_path("e14-hard"),
         journal_mk=cfg.journal_path("e14-mk"),
-        progress=cfg.progress,
-        profile=cfg.profile,
-        chaos=cfg.chaos_policy(),
     )

@@ -23,9 +23,8 @@ from ..faults.campaign import TemInjectionHarness, TemWorkload
 from ..faults.generators import random_fault_list
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..faults.types import Fault
-from ..harness import ChaosPolicy, SupervisorConfig, run_experiment_campaign
+from ..harness import SupervisorConfig, run_experiment_campaign
 from ..kernel.task import MachineExecutable
-from ..obs.progress import ProgressReporter
 from ..types import Result
 from .asciiplot import render_table
 
@@ -131,20 +130,14 @@ def compute_workload_table(
     experiments: int = 800,
     seed: int = 1999,
     workers: int = 0,
-    timeout_s: Optional[float] = None,
     journal_path: Optional[Union[str, Path]] = None,
-    progress: bool = False,
-    profile: bool = False,
-    chaos: Optional[ChaosPolicy] = None,
 ) -> WorkloadTableResult:
     """Run the campaign for every library workload.
 
     With ``journal_path`` set, one journal per workload is written next to
-    the given path (``<path>.<name>``) for interrupt/resume.  ``progress``
-    / ``profile`` enable the live stderr progress line and hottest-trial
-    profiling (:mod:`repro.obs`).  ``chaos`` attacks the shard runners of
-    every workload's campaign when ``workers >= 1``
-    (:class:`repro.harness.ChaosPolicy`).
+    the given path (``<path>.<name>``) for interrupt/resume.  The
+    per-trial timeout, progress line, profiling and chaos come from the
+    active :class:`repro.runtime.RunConfig`.
     """
     stats: Dict[str, CampaignStatistics] = {}
     for index, name in enumerate(sorted(PROGRAMS)):
@@ -154,18 +147,11 @@ def compute_workload_table(
             [(name, fault) for fault in faults],
             SupervisorConfig(
                 workers=workers,
-                timeout_s=timeout_s,
                 journal_path=(
                     f"{journal_path}.{name}" if journal_path is not None else None
                 ),
                 master_seed=seed + index,
                 campaign=f"e12-workload-{name}-n{experiments}",
-                progress=(
-                    ProgressReporter(f"E12 workload ({name})")
-                    if progress else None
-                ),
-                profile=profile,
-                chaos=chaos,
             ),
         )
     return WorkloadTableResult(experiments_per_workload=experiments, stats=stats)
@@ -190,9 +176,5 @@ def _experiment(ctx) -> WorkloadTableResult:
     return compute_workload_table(
         experiments=cfg.campaign_size(800, 200),
         workers=cfg.jobs,
-        timeout_s=cfg.timeout_s,
         journal_path=cfg.journal_path("e12"),
-        progress=cfg.progress,
-        profile=cfg.profile,
-        chaos=cfg.chaos_policy(),
     )

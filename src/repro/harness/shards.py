@@ -86,6 +86,7 @@ from ..errors import ConfigurationError
 from ..faults.outcomes import OutcomeClass
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
+from ..obs.progress import ProgressReporter
 from . import chaos as chaos_mod
 from .journal import CampaignJournal, JournalHeader, TrialEntry
 from .supervisor import (
@@ -273,8 +274,6 @@ def _shard_runner_main(
         campaign=f"{config.campaign}/shard{spec.shard_id}",
         trial_offset=spec.start,
         after_trial=after_trial,  # reprolint: disable=PKL001 -- shard runner is serial (workers=0 above): the chaos hook never crosses a process boundary
-        progress=None,  # the coordinator reports progress at merge
-        chaos=None,  # die/stall fire from after_trial above
     )
     with runtime.activate(runtime.RunContext(run_config)):
         result = CampaignSupervisor(trial_fn, runner_config).run(payloads)
@@ -367,9 +366,10 @@ def run_sharded_campaign(
     live in a temporary directory that is removed after the merge
     (nothing to resume from, nothing left behind).  It runs
     ``max(1, config.workers)`` runners with ``shard_config``'s liveness
-    timings (default :class:`ShardConfig`).  Chaos comes from
-    ``config.chaos``: ``die``/``stall`` events fire inside the runners,
-    ``corrupt`` at the coordinator's takeover path.  The merged
+    timings (default :class:`ShardConfig`).  Chaos and the progress line
+    come from the active run context (``runtime.current().config``):
+    ``die``/``stall`` events fire inside the runners, ``corrupt`` at the
+    coordinator's takeover path.  The merged
     :class:`SupervisorResult` is — for a completed campaign —
     bit-identical to the undisturbed serial run over the same payloads:
     same results, same statistics, same deterministic metrics view.
@@ -395,18 +395,16 @@ def _coordinate(
     shard_config: ShardConfig,
     journal_base: Path,
 ) -> SupervisorResult:
-    policy = (
-        config.chaos
-        if config.chaos is not None and config.chaos.any_events
-        else None
-    )
+    coordinator_config = runtime.current().config
+    policy = coordinator_config.chaos_policy()
     started = time.monotonic()
     harness = MetricsRegistry()
     run_config = _runner_run_config()
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    reporter = config.progress
-    if reporter is not None:
+    reporter: Optional[ProgressReporter] = None
+    if coordinator_config.progress:
+        reporter = ProgressReporter(config.campaign)
         reporter.start(total=len(payloads))
 
     shards = [

@@ -62,13 +62,13 @@ from typing import (
     Union,
 )
 
+from .. import runtime
 from ..errors import ConfigurationError, ReproError
 from ..faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from ..obs import metrics as obs_metrics
 from ..obs import profile as obs_profile
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressReporter
-from .chaos import ChaosPolicy
 from .journal import CampaignJournal, JournalHeader, TrialEntry
 from .seeds import derive_seed
 
@@ -115,7 +115,19 @@ def backoff_s(attempt: int) -> float:
 
 @dataclasses.dataclass
 class SupervisorConfig:
-    """Knobs of the campaign supervisor.
+    """Per-campaign knobs of the campaign supervisor.
+
+    The per-run switches are not here: :meth:`CampaignSupervisor.run`
+    reads them once per run from the active
+    :class:`repro.runtime.RunConfig` (``runtime.current().config``) —
+    ``timeout_s`` (per-trial ``SIGALRM`` budget, enforced in the process
+    executing the trial; skipped off a POSIX main thread), ``progress``
+    (a live stderr line labelled with :attr:`campaign`), ``profile``
+    (cProfile of every trial, hottest kept in
+    :attr:`SupervisorResult.hot_trials`; forces the in-process scalar
+    path) and ``chaos`` (:meth:`~repro.runtime.RunConfig.chaos_policy`,
+    acting on shard runners only).  A caller that activates no context
+    gets the defaults: none of the four.
 
     Attributes
     ----------
@@ -127,15 +139,9 @@ class SupervisorConfig:
         this whole config — ``batch_size``/``batch_runner`` included.
         Without a ``journal_path`` the shard journals live in a
         temporary directory removed after the merge.  Profiled runs
-        always execute in process.
-    timeout_s:
-        Per-trial wall-clock budget.  ``None`` disables the budget.  It is
-        enforced with ``SIGALRM`` in the process executing the trial (the
-        caller's, or a shard runner's), which needs a POSIX main thread;
-        elsewhere it is silently skipped.  A shard runner heartbeats from a
+        always execute in process.  A shard runner heartbeats from a
         background thread, so a trial longer than the lease TTL is not
-        mistaken for a dead runner; a runner frozen beyond the reach of
-        ``SIGALRM`` (heartbeat thread starved too) is caught by the TTL.
+        mistaken for a dead runner.
     journal_path:
         JSONL checkpoint journal; pass the same path again to resume.
         Trial results must be :class:`ExperimentRecord` or plain
@@ -149,17 +155,6 @@ class SupervisorConfig:
         ``derive_seed(master_seed, i)``.
     campaign:
         Campaign name, recorded in the journal header (resume guard).
-    progress:
-        Optional :class:`repro.obs.progress.ProgressReporter`; fed one
-        per-outcome tally per finished trial (including ``harness_*``
-        infrastructure outcomes) and resume counts.  With
-        ``workers >= 1`` the coordinator feeds it as it merges the shard
-        results.
-    profile:
-        Run every trial under cProfile and keep the rendered stats of the
-        :data:`~repro.obs.profile.DEFAULT_TOP_K` hottest (longest
-        wall-clock) trials in :attr:`SupervisorResult.hot_trials` —
-        opt-in, it slows trials noticeably.
     trial_offset:
         Global trial id of the first payload.  A sharded campaign
         (:mod:`repro.harness.shards`) hands each shard a slice of the
@@ -167,13 +162,6 @@ class SupervisorConfig:
         seeds, journal entries and result keys all use *campaign-global*
         trial ids — the property that makes shard results merge into the
         whole-campaign result bit-identically.
-    chaos:
-        Optional :class:`repro.harness.chaos.ChaosPolicy` attacking the
-        shard runners (``die``/``stall``) and their journals
-        (``corrupt``).  Events fire once, so the recovery machinery —
-        not luck — restores the campaign.  Ignored in serial mode
-        (killing the only process would be the campaign failing, not
-        surviving).
     after_trial:
         Optional hook called as ``after_trial(trial_id, harness_failures)``
         after each trial is committed (journal append included), with the
@@ -209,14 +197,10 @@ class SupervisorConfig:
     """
 
     workers: int = 0
-    timeout_s: Optional[float] = None
     journal_path: Optional[Union[str, Path]] = None
     master_seed: int = 0
     campaign: str = "campaign"
-    progress: Optional[ProgressReporter] = None
-    profile: bool = False
     trial_offset: int = 0
-    chaos: Optional[ChaosPolicy] = None
     after_trial: Optional[Callable[[int, int], Optional[bool]]] = None
     batch_size: int = 0
     batch_runner: Optional[
@@ -230,8 +214,6 @@ class SupervisorConfig:
             raise ConfigurationError("batch_size must be >= 0")
         if self.batch_size > 0 and self.batch_runner is None:
             raise ConfigurationError("batch_size > 0 requires a batch_runner")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
         if self.trial_offset < 0:
             raise ConfigurationError("trial_offset must be >= 0")
 
@@ -443,6 +425,8 @@ class _RunState:
     results: Dict[int, Any]
     failures: Dict[int, HarnessFailure]
     journal: Optional[CampaignJournal]
+    #: Per-trial budget, read once per run from the active RunConfig.
+    timeout_s: Optional[float] = None
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     harness: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
     hot_trials: Optional["obs_profile.ProfileCollector"] = None
@@ -468,19 +452,25 @@ class CampaignSupervisor:
         """Run one trial per payload; trial ``trial_offset + i`` gets seed
         ``derive_seed(master_seed, trial_offset + i)``.
 
-        With ``workers >= 1`` (and no profiling) the campaign is handed to
+        The timeout, progress and profile switches come from the active
+        run context (see :class:`SupervisorConfig`).  With ``workers >= 1``
+        (and no profiling) the campaign is handed to
         :func:`repro.harness.shards.run_sharded_campaign`, whose runners
         each run this serial path over one slice.
         """
-        if self.config.workers > 0 and not self.config.profile:
+        run_config = runtime.current().config
+        if self.config.workers > 0 and not run_config.profile:
             # Imported here: the shard coordinator builds on this module.
             from .shards import run_sharded_campaign
 
             return run_sharded_campaign(self.trial_fn, payloads, self.config)
         started = time.monotonic()
         planned = len(payloads)
-        state = _RunState(results={}, failures={}, journal=None)
-        if self.config.profile:
+        state = _RunState(
+            results={}, failures={}, journal=None,
+            timeout_s=run_config.timeout_s,
+        )
+        if run_config.profile:
             state.hot_trials = obs_profile.ProfileCollector()
 
         if self.config.journal_path is not None:
@@ -517,8 +507,8 @@ class CampaignSupervisor:
             if trial_id not in state.results and trial_id not in state.failures
         )
 
-        state.reporter = self.config.progress
-        if state.reporter is not None:
+        if run_config.progress:
+            state.reporter = ProgressReporter(self.config.campaign)
             state.reporter.start(total=planned, already_done=resumed)
 
         try:
@@ -633,7 +623,7 @@ class CampaignSupervisor:
 
     def _run_serial(self, pending: Deque["tuple[int, Any]"], state: _RunState) -> bool:
         config = self.config
-        profiled = config.profile
+        profiled = state.hot_trials is not None
         # Vectorised fast path: profiling needs per-trial calls, so it
         # always wins over batching.
         batched = config.batch_size > 0 and config.batch_runner is not None and not profiled
@@ -667,7 +657,7 @@ class CampaignSupervisor:
             attempts += 1
             state.harness.inc("harness.trials_dispatched")
             try:
-                with _alarm(config.timeout_s):
+                with _alarm(state.timeout_s):
                     result, snapshot, duration, profile_text = _run_one_trial(
                         self.trial_fn, payload, seed, profiled
                     )

@@ -31,7 +31,6 @@ from .ft_analysis import (
     mk_response_time_mc,
     partition_tasks,
     recovery_cost,
-    slack_per_period,
     tem_cost,
     tem_utilization,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "partition_tasks",
     "recovery_cost",
     "response_time",
-    "slack_per_period",
     "tem_cost",
     "tem_utilization",
     "utilization",

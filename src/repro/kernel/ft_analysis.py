@@ -284,20 +284,6 @@ def mk_max_tolerable_faults(
     return best
 
 
-def slack_per_period(
-    tasks: Sequence[TaskSpec],
-    task: TaskSpec,
-    hypothesis: FaultHypothesis,
-    comparison_cost: int = 0,
-) -> Optional[int]:
-    """Deadline slack D_i - R_i under the fault hypothesis (None if
-    unschedulable)."""
-    r = ft_response_time(tasks, task, hypothesis, comparison_cost)
-    if r is None:
-        return None
-    return task.relative_deadline - r
-
-
 def tem_utilization(tasks: Sequence[TaskSpec], comparison_cost: int = 0) -> float:
     """Fault-free utilization with TEM doubling applied."""
     return sum(tem_cost(t, comparison_cost) / t.period for t in tasks)

@@ -438,11 +438,6 @@ class Scheduler:
         """Number of cores on this node."""
         return self._cores.count
 
-    def running_on(self, core: int) -> Optional[Job]:
-        """The job executing on *core* right now (None when idle)."""
-        slot = self._cores.slots[core]
-        return slot.job if slot is not None else None
-
     def active_tasks(self) -> List[str]:
         """Names of tasks still scheduled (non-critical ones may shut down)."""
         return [name for name, entry in self._tasks.items() if entry.active]

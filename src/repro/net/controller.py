@@ -49,10 +49,6 @@ class NetworkInterface:
         """
         self._tx_static[frame_id] = tuple(int(w) & 0xFFFF_FFFF for w in payload)
 
-    def clear_tx(self, frame_id: int) -> None:
-        """Stop transmitting *frame_id* (an explicit omission)."""
-        self._tx_static.pop(frame_id, None)
-
     def send_event(self, frame_id: int, payload: Sequence[int]) -> None:
         """Queue an event-triggered frame for the dynamic segment."""
         self._tx_dynamic.append(

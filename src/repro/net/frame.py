@@ -99,12 +99,6 @@ class ReceivedFrame:
     frame: Frame
     received_at: int
 
-    @property
-    def fresh_age(self) -> int:
-        """Alias kept for symmetry; age must be computed by the caller
-        against its own clock (received_at is absolute)."""
-        return self.received_at
-
     def age_at(self, now: int) -> int:
         """Ticks elapsed since reception."""
         return now - self.received_at

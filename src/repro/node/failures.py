@@ -76,8 +76,3 @@ class NodeStatistics:
             self.fail_silent += 1
         elif record.kind is FailureKind.UNDETECTED:
             self.undetected += 1
-
-    @property
-    def detected_errors(self) -> int:
-        """Errors that were detected and handled (masked or failed safely)."""
-        return self.masked + self.omissions + self.fail_silent

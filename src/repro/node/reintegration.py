@@ -59,11 +59,6 @@ class RestartController:
         """True while a restart/recovery sequence is in progress."""
         return self._busy
 
-    @property
-    def fail_silent_repair_ticks(self) -> int:
-        """Total fail-silent repair time (diagnosis + reintegration)."""
-        return self.diagnosis.duration_ticks + self.reintegration_ticks
-
     # ------------------------------------------------------------------
     def begin_restart(
         self,

@@ -126,10 +126,6 @@ class StateRecoveryService:
         self._serving = True
         self._schedule_poll()
 
-    def stop_serving(self) -> None:
-        """Stop answering (node silent / shut down)."""
-        self._serving = False
-
     def _schedule_poll(self) -> None:
         self._poll_event = self.sim.schedule_after(
             self.poll_period, self._poll,

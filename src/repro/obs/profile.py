@@ -3,10 +3,12 @@
 The always-on side of the observability layer is cheap ``perf_counter``
 spans recorded as timers (see :mod:`repro.obs.metrics`) inside the DES
 event loop, TEM execution and the CTMC solvers.  This module is the
-*expensive*, opt-in side: when profiling is enabled the campaign
-supervisor runs every trial under :mod:`cProfile` and keeps the rendered
-statistics of the K hottest (longest wall-clock) trials — exactly the
-trials worth reading when hunting a hot path.
+*expensive*, opt-in side: when the active run config has ``profile`` on
+the campaign supervisor runs every trial under :mod:`cProfile` and keeps
+the rendered statistics of the K hottest (longest wall-clock) trials —
+exactly the trials worth reading when hunting a hot path.  They reach the
+context's collector only while :func:`enabled` is on (the runner turns it
+on for ``--profile``).
 
 Workers render the profile to text before shipping it over the result
 pipe (``pstats.Stats`` objects do not pickle); the supervisor keeps a
@@ -14,8 +16,11 @@ bounded min-heap so memory stays O(K) regardless of campaign size.
 
 Usage::
 
-    with repro.obs.profile.enabled(top_k=3) as collector:
-        run_coverage_campaign(..., profile=True)
+    from repro import runtime
+
+    ctx = runtime.RunContext(runtime.RunConfig(profile=True))
+    with runtime.activate(ctx), repro.obs.profile.enabled(top_k=3) as collector:
+        run_coverage_campaign(experiments=200)
     print(collector.render())
 """
 

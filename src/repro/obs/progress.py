@@ -1,10 +1,15 @@
 """Throttled live progress reporting for long-running campaigns.
 
 A :class:`ProgressReporter` turns the campaign supervisor's per-trial
-completions into a single self-overwriting stderr line::
+completions into a single self-overwriting stderr line, labelled with the
+campaign name::
 
-    E5 coverage   1180/2000  59.0% | masked:912 no_effect:201 omission:44
-    fail_silent:23 | 412.3 trials/s  ETA 0:00:02
+    e5-coverage-n2000  1180/2000   59.0% | masked:912 no_effect:201
+    omission:44 | 412.3 trials/s | ETA 0:00:02
+
+The harness builds one per campaign run (serial path, or the shard
+coordinator as it merges) when the active run config has ``progress``
+on — ``python -m repro`` turns it on unless ``--no-progress`` is given.
 
 Design rules:
 
@@ -49,7 +54,8 @@ class ProgressReporter:
     Parameters
     ----------
     label:
-        Prefix identifying the campaign (e.g. ``"E5 coverage"``).
+        Prefix identifying the campaign (the harness passes the campaign
+        name, e.g. ``"e5-coverage-n2000"``).
     stream:
         Output stream; defaults to ``sys.stderr``.
     min_interval_s:

@@ -137,11 +137,6 @@ class MarkovChain:
         q[np.diag_indices(n)] = -q.sum(axis=1)
         return q
 
-    def exit_rate(self, state: str) -> float:
-        """Total outgoing rate of *state*."""
-        i = self.state_index(state)
-        return float(sum(t.rate for t in self._transitions if self._index[t.source] == i))
-
     def absorbing_states(self) -> List[str]:
         """States with no outgoing transitions of positive rate."""
         outgoing = {t.source for t in self._transitions if t.rate > 0}
@@ -150,27 +145,21 @@ class MarkovChain:
     # ------------------------------------------------------------------
     # Analysis front-ends (delegate to repro.reliability.solvers)
     # ------------------------------------------------------------------
-    def transient_distribution(
-        self, t: float, method: str = "expm"
-    ) -> np.ndarray:
+    def transient_distribution(self, t: float) -> np.ndarray:
         """State-probability vector at time *t* (hours)."""
         from . import solvers
 
-        return solvers.transient_distribution(self, t, method=method)
+        return solvers.transient_distribution(self, t)
 
-    def transient_distributions(
-        self, times: Iterable[float], method: str = "expm"
-    ) -> np.ndarray:
+    def transient_distributions(self, times: Iterable[float]) -> np.ndarray:
         """Matrix of state probabilities, one row per requested time."""
         from . import solvers
 
-        return solvers.transient_distributions(self, list(times), method=method)
+        return solvers.transient_distributions(self, list(times))
 
-    def probability_in(
-        self, states: Sequence[str], t: float, method: str = "expm"
-    ) -> float:
+    def probability_in(self, states: Sequence[str], t: float) -> float:
         """Probability of being in any of *states* at time *t*."""
-        probs = self.transient_distribution(t, method=method)
+        probs = self.transient_distribution(t)
         return float(sum(probs[self.state_index(s)] for s in states))
 
     def reliability(self, t: float, failure_states: Optional[Sequence[str]] = None) -> float:

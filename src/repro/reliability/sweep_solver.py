@@ -19,8 +19,8 @@ Equivalence contract
 --------------------
 Results are **bit-identical** to ``chain.reliability(t)`` (the ``expm``
 point path) for every chain and time, ``t == 0`` included, and agree with
-the independent uniformization point solver
-(``transient_distribution(..., method="uniformization")``) within 1e-9 —
+the independent uniformization point solver of the test oracle
+(``tests/oracles/reference_ctmc.py``) within 1e-9 —
 ``tests/reliability/test_sweep_solver.py`` enforces both.  Failure states
 default to *each chain's own* absorbing states, as in
 :meth:`repro.reliability.ctmc.MarkovChain.reliability`.

@@ -3,7 +3,10 @@
 One :class:`RunConfig` captures everything a run of the reproduction can
 be parameterised with — the campaign supervisor's parallelism and timeout
 knobs, the root seed, the resume directory and the observability
-switches.  It is
+switches.  The campaign front-ends take ``jobs`` and the journal path as
+arguments (their registry adapters pass them on); ``timeout_s``,
+``progress``, ``profile`` and ``chaos`` reach no front-end: the campaign
+supervisor reads them from the active context once per run.  It is
 
 * **frozen** — a config never changes after construction; a different
   setting means activating a different :class:`repro.runtime.RunContext`;
@@ -51,7 +54,8 @@ class RunConfig:
         set, else into a temporary directory removed after the campaign.
     timeout_s:
         Per-trial wall-clock budget for campaign trials (``None`` = no
-        budget).
+        budget), enforced with ``SIGALRM`` in the process executing the
+        trial.
     root_seed:
         Root seed of the run's RNG (:attr:`repro.runtime.RunContext.rng`).
         Experiment campaigns keep their own historic per-experiment seeds
@@ -66,9 +70,12 @@ class RunConfig:
         Multiplier applied on top of the smoke/full campaign sizes
         (:meth:`campaign_size`); ``1.0`` reproduces the published counts.
     progress:
-        Show the live campaign progress line (TTY stderr only).
+        Show the live campaign progress line (TTY stderr only), labelled
+        with the campaign name.
     profile:
-        Capture cProfile statistics of the hottest campaign trials.
+        Run every campaign trial under cProfile, in process and trial at
+        a time; the hottest land in the active context's collector when
+        :func:`repro.obs.profile.enabled` is on (the runner turns it on).
     horizon_hours:
         Reliability-curve horizon for experiments that sweep R(t).
     chaos:

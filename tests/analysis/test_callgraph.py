@@ -2,9 +2,8 @@
 
 Covers the resolution corners the project rules lean on: relative
 imports at every level, re-exports chased through ``__init__.py``
-(including chains and cycles), cycle-bearing import graphs in the
-reverse-dependency closure, and the summary round-trip the cache
-depends on.
+(including chains and cycles), module-graph edges, and the summary
+round-trip the cache depends on.
 """
 
 import ast
@@ -130,53 +129,15 @@ class TestReExports:
 
 
 # ----------------------------------------------------------------------
-# Cycles and the reverse-dependency closure
+# The module graph
 # ----------------------------------------------------------------------
-class TestReverseClosure:
-    def _diamond(self):
-        return index_of(
-            ("src/repro/base.py", "def b():\n    return 1\n"),
-            ("src/repro/left.py", "import repro.base\n"),
-            ("src/repro/right.py", "import repro.base\n"),
-            ("src/repro/top.py", "import repro.left\nimport repro.right\n"),
-        )
-
-    def test_closure_includes_transitive_importers(self):
-        idx = self._diamond()
-        assert idx.reverse_closure(["src/repro/base.py"]) == {
-            "src/repro/base.py", "src/repro/left.py",
-            "src/repro/right.py", "src/repro/top.py",
-        }
-
-    def test_closure_of_a_leaf_is_itself(self):
-        idx = self._diamond()
-        assert idx.reverse_closure(["src/repro/top.py"]) == {
-            "src/repro/top.py"
-        }
-
-    def test_cycle_bearing_graph_terminates(self):
-        idx = index_of(
-            ("src/repro/a.py", "import repro.b\n"),
-            ("src/repro/b.py", "import repro.c\n"),
-            ("src/repro/c.py", "import repro.a\n"),
-        )
-        closure = idx.reverse_closure(["src/repro/b.py"])
-        assert closure == {
-            "src/repro/a.py", "src/repro/b.py", "src/repro/c.py"
-        }
-
-    def test_non_project_paths_pass_through(self):
-        idx = self._diamond()
-        closure = idx.reverse_closure(["tests/test_x.py"])
-        assert closure == {"tests/test_x.py"}
-
+class TestModuleGraph:
     def test_from_import_of_a_symbol_creates_the_module_edge(self):
         idx = index_of(
             ("src/repro/base.py", "def b():\n    return 1\n"),
             ("src/repro/user.py", "from repro.base import b\n"),
         )
         assert idx.deps["repro.user"] == {"repro.base"}
-        assert "src/repro/user.py" in idx.reverse_closure(["src/repro/base.py"])
 
 
 # ----------------------------------------------------------------------

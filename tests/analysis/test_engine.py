@@ -1,13 +1,7 @@
-"""The engine: discovery, parallel == serial, changed-only, SYNTAX."""
-
-import subprocess
-
-import pytest
+"""The engine: discovery, parallel == serial, SYNTAX."""
 
 from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.engine import (
-    changed_files, discover_files, find_repo_root, run_analysis,
-)
+from repro.analysis.engine import discover_files, find_repo_root, run_analysis
 
 from .conftest import write_module
 
@@ -82,41 +76,6 @@ class TestRunAnalysis:
         parallel = run_analysis(tmp_repo, jobs=4)
         assert serial.findings == parallel.findings
         assert serial.files_scanned == parallel.files_scanned
-
-
-class TestChangedOnly:
-    @pytest.fixture
-    def git_repo(self, tmp_repo):
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(tmp_repo), *args],
-                check=True, capture_output=True,
-            )
-
-        git("init", "-b", "main")
-        git("config", "user.email", "t@example.com")
-        git("config", "user.name", "t")
-        write_module(tmp_repo, "src/repro/sim/old.py", CLEAN)
-        git("add", "-A")
-        git("commit", "-m", "seed")
-        return tmp_repo
-
-    def test_lists_working_tree_and_untracked_changes(self, git_repo):
-        write_module(git_repo, "src/repro/sim/new.py", BAD_RNG)
-        assert changed_files(git_repo, "main") == ["src/repro/sim/new.py"]
-
-    def test_changed_only_narrows_run_analysis(self, git_repo):
-        # The pre-existing file grows a violation only the full scan sees.
-        write_module(git_repo, "src/repro/sim/new.py", CLEAN)
-        result = run_analysis(git_repo, changed_only=True, base_ref="main")
-        assert result.files_scanned == 1
-
-    def test_no_git_falls_back_to_full_scan(self, tmp_repo):
-        write_module(tmp_repo, "src/repro/sim/bad.py", BAD_RNG)
-        assert changed_files(tmp_repo, "main") is None
-        result = run_analysis(tmp_repo, changed_only=True, base_ref="main")
-        assert result.files_scanned == 1  # scanned everything, not nothing
-        assert not result.ok
 
 
 class TestStaleScoping:

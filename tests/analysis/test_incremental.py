@@ -2,14 +2,11 @@
 
 The engine's contract (see ``project.py``): project checkers compute
 global facts over the always-full index, and the engine slices them to
-the requested paths.  So for *any* subset of files — including
-``--changed-only``'s closure expansion — analysing the subset must
+the requested paths.  So for *any* subset of files analysing the subset must
 return exactly the slice of a cold full-tree run.  A Hypothesis
 property drives that over generated module sets; deterministic tests
-pin the closure-expansion and warm-cache corners.
+pin the no-expansion and warm-cache corners.
 """
-
-import subprocess
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,35 +67,9 @@ def test_subset_analysis_equals_slice_of_cold_run(
 
 
 class TestChangedOnlyClosure:
-    def _git_tree(self, tmp_repo):
-        """A committed two-module repo where only the callee changes."""
-        write_module(tmp_repo, "src/repro/mod0.py", CLEAN.format(i=0))
-        write_module(tmp_repo, "src/repro/mod1.py", TRANSITIVE.format(i=1))
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(tmp_repo), "-c", "user.email=t@t",
-                 "-c", "user.name=t", *args],
-                check=True, capture_output=True,
-            )
-
-        git("init", "-q", "-b", "main")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-        # mod0 grows a wall-clock sink *after* the commit: the only
-        # git-changed file is the callee.
-        write_module(tmp_repo, "src/repro/mod0.py", WALLCLOCK.format(i=0))
-        return tmp_repo
-
-    def test_changed_only_expands_to_reverse_closure(self, tmp_repo):
-        root = self._git_tree(tmp_repo)
-        # Only the *callee* changed, but the caller's DET004 finding
-        # must surface because changed-only expands over rdeps.
-        result = run_analysis(root, changed_only=True, base_ref="main")
-        assert sorted({f.path for f in result.findings}) == [
-            "src/repro/mod0.py", "src/repro/mod1.py"
-        ]
-        assert any(f.rule == "DET004" for f in result.findings)
+    """Narrowing never expands to importers: a path-narrowed run analyses
+    exactly the given files (reprolint has no changed-files mode that
+    widens the set)."""
 
     def test_plain_paths_do_not_expand(self, tmp_repo):
         write_module(tmp_repo, "src/repro/mod0.py", WALLCLOCK.format(i=0))

@@ -2,14 +2,35 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+
+from repro import runtime
 
 from repro.cpu.assembler import assemble
 from repro.cpu.machine import Machine
 from repro.kernel.task import CallableExecutable, Criticality, MachineExecutable, TaskSpec
 from repro.models import BbwParameters
 from repro.sim import Simulator, TraceRecorder
+
+
+@pytest.fixture
+def run_config():
+    """Activate ``RunConfig(**fields)`` for the rest of the test.
+
+    The campaign supervisor reads ``timeout_s``, ``progress``, ``profile``
+    and ``chaos`` from the active run context; a test sets them here.
+    """
+    with contextlib.ExitStack() as stack:
+
+        def activate(**fields) -> runtime.RunContext:
+            context = runtime.RunContext(runtime.RunConfig(**fields))
+            stack.enter_context(runtime.activate(context))
+            return context
+
+        yield activate
 
 
 @pytest.fixture

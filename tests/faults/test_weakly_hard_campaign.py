@@ -22,7 +22,7 @@ from repro.experiments.weakly_hard import (
     mk_fault_payloads,
 )
 from repro.faults.batch_campaign import BatchTemExecutor
-from repro.harness import CampaignSupervisor, ChaosPolicy, SupervisorConfig
+from repro.harness import CampaignSupervisor, SupervisorConfig
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 
@@ -104,20 +104,20 @@ def test_sharded_matches_serial_scalar(tmp_path, payloads, serial):
 
 
 def test_sharded_kill_and_resume_matches_serial_scalar(
-    tmp_path, payloads, serial
+    tmp_path, payloads, serial, run_config
 ):
     # A shard runner dies (SIGKILL) mid-campaign under seeded chaos; the
     # lease takeover resumes its slice from the journal.  The recovered
     # weakly-hard campaign must still be bit-identical — miss windows are
     # per-trial payload state, so a replayed trial reconstructs the exact
     # window the dead runner used.
+    run_config(chaos="die:40", chaos_seed=7)
     with metrics.capture():
         result = CampaignSupervisor(
             _mk_trial,
             _config(
                 workers=2,
                 journal_path=tmp_path / "e14-chaos.jsonl",
-                chaos=ChaosPolicy.from_spec("die:40", seed=7),
             ),
         ).run(payloads)
     counters = result.harness_metrics.get("counters", {})

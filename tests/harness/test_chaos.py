@@ -118,15 +118,16 @@ def _int_trial(payload, seed):
     return payload * 1000 + seed % 97
 
 
-def test_chaos_ignored_in_serial_mode():
+def test_chaos_ignored_in_serial_mode(run_config):
     # Killing the only process would be the campaign failing, not
     # surviving: a serial campaign never consults the policy.
     payloads = list(range(12))
     serial = CampaignSupervisor(
         _int_trial, SupervisorConfig(master_seed=7)
     ).run(payloads)
-    result = CampaignSupervisor(_int_trial, SupervisorConfig(
-        master_seed=7, chaos=ChaosPolicy.from_spec("die:4,stall:1"),
-    )).run(payloads)
+    run_config(chaos="die:4,stall:1")
+    result = CampaignSupervisor(
+        _int_trial, SupervisorConfig(master_seed=7)
+    ).run(payloads)
     assert result.failures == {}
     assert result.results == serial.results

@@ -20,17 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import runtime
 from repro.experiments.coverage_table import (
     _e5_batch_runner,
     _e5_trial,
     e5_fault_payloads,
 )
-from repro.harness import (
-    ChaosPolicy,
-    ShardConfig,
-    SupervisorConfig,
-    run_sharded_campaign,
-)
+from repro.harness import ShardConfig, SupervisorConfig, run_sharded_campaign
 from repro.obs import metrics
 
 EXPERIMENTS = 150
@@ -83,7 +79,8 @@ def _freeze(result):
 
 def _assert_recovers(tmp_path, payloads, golden, name, **batch):
     spec, expected_counters = SCHEDULES[name]
-    with metrics.capture():
+    chaos = runtime.RunContext(runtime.RunConfig(chaos=spec, chaos_seed=7))
+    with runtime.activate(chaos), metrics.capture():
         result = run_sharded_campaign(
             _e5_trial,
             payloads,
@@ -92,7 +89,6 @@ def _assert_recovers(tmp_path, payloads, golden, name, **batch):
                 master_seed=SEED,
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=tmp_path / "e5.jsonl",
-                chaos=ChaosPolicy.from_spec(spec, seed=7),
                 **batch,
             ),
             ShardConfig(lease_ttl_s=1.2, heartbeat_s=0.1, poll_s=0.03),

@@ -24,20 +24,27 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import runtime
 from repro.errors import ConfigurationError
 from repro.faults.outcomes import CampaignStatistics, ExperimentRecord, OutcomeClass
 from repro.harness import (
     CampaignSupervisor,
-    ChaosPolicy,
     ShardConfig,
     SupervisorConfig,
     plan_shards,
     run_sharded_campaign,
     shard_paths,
 )
-from repro.obs.progress import ProgressReporter
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+class _FakeTty(io.StringIO):
+    """A captured stderr that claims to be a terminal, so the progress
+    line paints."""
+
+    def isatty(self):
+        return True
+
 
 #: Fast coordinator knobs shared by the functional tests.
 _FAST = dict(lease_ttl_s=1.0, heartbeat_s=0.05, poll_s=0.02)
@@ -108,15 +115,18 @@ class TestPlanShards:
 class TestShardedCampaign:
     def _run(self, tmp_path, payloads, chaos=None, shard_config=None,
              master_seed=17, workers=3):
-        return run_sharded_campaign(
-            _record_trial,
-            payloads,
-            SupervisorConfig(
-                workers=workers, master_seed=master_seed, campaign="toy",
-                journal_path=tmp_path / "toy.jsonl", chaos=chaos,
-            ),
-            shard_config or ShardConfig(**_FAST),
-        )
+        """A sharded toy campaign under ``RunConfig(chaos=chaos)``."""
+        context = runtime.RunContext(runtime.RunConfig(chaos=chaos, chaos_seed=3))
+        with runtime.activate(context):
+            return run_sharded_campaign(
+                _record_trial,
+                payloads,
+                SupervisorConfig(
+                    workers=workers, master_seed=master_seed, campaign="toy",
+                    journal_path=tmp_path / "toy.jsonl",
+                ),
+                shard_config or ShardConfig(**_FAST),
+            )
 
     def test_journal_less_campaign_leaves_no_files(self, tmp_path, monkeypatch):
         """Without journal_path, shard journals live in a temporary
@@ -145,19 +155,28 @@ class TestShardedCampaign:
         assert not result.degraded
         assert result.completed == 9
 
-    def test_progress_tallies_every_merged_trial(self, tmp_path):
-        reporter = ProgressReporter("toy", stream=io.StringIO(), enabled=True)
+    def test_progress_tallies_every_merged_trial(
+        self, tmp_path, monkeypatch, run_config
+    ):
+        """Under ``RunConfig(progress=True)`` the coordinator paints one
+        line labelled with the campaign name and tallies every merged
+        trial."""
+        tty = _FakeTty()
+        monkeypatch.setattr(sys, "stderr", tty)
+        run_config(progress=True)
         result = run_sharded_campaign(
             _record_trial, list(range(10)),
             SupervisorConfig(
-                workers=2, master_seed=17, journal_path=tmp_path / "p.jsonl",
-                progress=reporter,
+                workers=2, master_seed=17, campaign="toy",
+                journal_path=tmp_path / "p.jsonl",
             ),
             ShardConfig(**_FAST),
         )
-        assert reporter.done == reporter.total == 10
+        final = tty.getvalue().rsplit("\r", 1)[-1].rstrip()
+        assert final.startswith("toy  10/10  100.0% | ")
         counts = result.statistics().outcome_counts()
-        assert reporter.tallies == {k: v for k, v in counts.items() if v}
+        tally = " ".join(f"{k}:{v}" for k, v in sorted(counts.items()) if v)
+        assert final.split(" | ")[1] == tally
 
     def test_sharded_matches_serial(self, tmp_path):
         payloads = list(range(30))
@@ -180,7 +199,7 @@ class TestShardedCampaign:
     def test_runner_death_recovers_bit_identically(self, tmp_path, spec):
         payloads = list(range(30))
         sharded = self._run(
-            tmp_path, payloads, chaos=ChaosPolicy.from_spec(spec, seed=3)
+            tmp_path, payloads, chaos=spec
         )
         serial = CampaignSupervisor(
             _record_trial, SupervisorConfig(master_seed=17, campaign="toy")
@@ -286,7 +305,7 @@ class TestShardedCampaign:
         payloads = list(range(20))
         sharded = self._run(
             tmp_path, payloads,
-            chaos=ChaosPolicy.from_spec("die:2"),
+            chaos="die:2",
             shard_config=ShardConfig(max_takeovers=0, **_FAST),
             workers=2,
         )

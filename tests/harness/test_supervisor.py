@@ -94,17 +94,18 @@ def retry_schedule(monkeypatch):
 
 class TestContainment:
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_crash_and_hang_contained(self, workers, retry_schedule):
+    def test_crash_and_hang_contained(self, workers, retry_schedule, run_config):
         """Acceptance: a crafted infinite-loop workload and a crafted
         crashing workload are both contained in serial and parallel mode —
         classified as harness failures while every other trial of the
         campaign completes."""
         retry_schedule(1)
+        run_config(timeout_s=0.5)
         payloads = [0, 1, "crash", 2, "hang", 3, 4, 5]
         stats = run_experiment_campaign(
             _scripted_trial,
             payloads,
-            SupervisorConfig(workers=workers, timeout_s=0.5, master_seed=9),
+            SupervisorConfig(workers=workers, master_seed=9),
         )
         assert stats.total == len(payloads)
         assert stats.count(OutcomeClass.HARNESS_CRASH) == 1
@@ -115,7 +116,9 @@ class TestContainment:
         assert stats.count(OutcomeClass.NO_EFFECT) == 2
         assert stats.count(OutcomeClass.OMISSION) == 1
 
-    def test_harness_failures_do_not_poison_coverage(self, retry_schedule):
+    def test_harness_failures_do_not_poison_coverage(
+        self, retry_schedule, run_config
+    ):
         """Acceptance: HARNESS_* outcomes are excluded from the coverage
         estimators — the estimates equal those of the same campaign
         without the poisoned trials."""
@@ -124,9 +127,10 @@ class TestContainment:
             _scripted_trial, list(range(8)),
             SupervisorConfig(workers=0, master_seed=9),
         )
+        run_config(timeout_s=0.5)
         poisoned = run_experiment_campaign(
             _scripted_trial, list(range(8)) + ["hang", "crash"],
-            SupervisorConfig(workers=0, timeout_s=0.5, master_seed=9),
+            SupervisorConfig(workers=0, master_seed=9),
         )
         assert poisoned.harness_failures == 2
         assert poisoned.coverage == clean.coverage
@@ -154,23 +158,25 @@ class TestContainment:
         assert counters["harness.harness_crash"] == 1
         assert "harness.shards_abandoned" not in counters
 
-    def test_trials_longer_than_the_lease_ttl(self):
+    def test_trials_longer_than_the_lease_ttl(self, run_config):
         """Runners heartbeat while a trial runs: a healthy trial longer
         than the lease TTL completes, and a hung one ends as a
         HARNESS_TIMEOUT from its own timeout_s, not a lease takeover."""
+        run_config(timeout_s=3.0)
         result = CampaignSupervisor(
             _slow_trial,
-            SupervisorConfig(workers=2, timeout_s=3.0, master_seed=9),
+            SupervisorConfig(workers=2, master_seed=9),
         ).run([0, "slow", 1, "hang"])
         assert not result.degraded
         assert sorted(result.results) == [0, 1, 2]
         assert result.failures[3].kind is OutcomeClass.HARNESS_TIMEOUT
         assert "harness.lease_takeovers" not in result.harness_metrics["counters"]
 
-    def test_timeout_is_not_retried_but_crash_is(self):
+    def test_timeout_is_not_retried_but_crash_is(self, run_config):
+        run_config(timeout_s=0.3)
         result = CampaignSupervisor(
             _scripted_trial,
-            SupervisorConfig(workers=0, timeout_s=0.3, master_seed=1),
+            SupervisorConfig(workers=0, master_seed=1),
         ).run(["hang", "crash"])
         assert result.failures[0].kind is OutcomeClass.HARNESS_TIMEOUT
         assert result.failures[0].attempts == 1
@@ -244,8 +250,6 @@ class TestGracefulDegradation:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SupervisorConfig(workers=-1)
-        with pytest.raises(ConfigurationError):
-            SupervisorConfig(timeout_s=0.0)
         with pytest.raises(ConfigurationError):
             SupervisorConfig(trial_offset=-1)
 
@@ -416,12 +420,13 @@ class TestBatchedExecution:
         ]
         assert result.harness_metrics["counters"]["harness.batch_fallbacks"] == 1
 
-    def test_profiled_run_forces_scalar_path(self):
+    def test_profiled_run_forces_scalar_path(self, run_config):
         """Profiling needs per-trial calls: the runner is never used."""
+        run_config(profile=True)
         result = CampaignSupervisor(
             _scripted_trial,
             SupervisorConfig(
-                workers=0, master_seed=1, profile=True,
+                workers=0, master_seed=1,
                 batch_size=4, batch_runner=_exploding_batch_runner,
             ),
         ).run(list(range(6)))

@@ -15,6 +15,7 @@ identity guarantee.
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.cpu.assembler import assemble
 from repro.experiments.coverage_table import (
     BRAKE_TASK_SOURCE,
@@ -169,12 +170,9 @@ class TestModeIndependence:
 
 
 def _run_profiled(payloads):
-    with metrics.capture():
+    profiled = runtime.RunContext(runtime.RunConfig(profile=True))
+    with runtime.activate(profiled), metrics.capture():
         return CampaignSupervisor(
             _e5_trial,
-            SupervisorConfig(
-                master_seed=SEED,
-                campaign="e5-profiled",
-                profile=True,
-            ),
+            SupervisorConfig(master_seed=SEED, campaign="e5-profiled"),
         ).run(payloads)

@@ -5,8 +5,8 @@ The equivalence contract (module docstring of
 bit-identical (``==``) to the ``expm`` point solve ``chain.reliability(t)``
 — on random absorbing chains, on the exact BBW chain population the
 Figure 14 sweep batches (t = 0 included) and on rate-0 chains — and stays
-within 1e-9 of the independent uniformization point solver
-(``transient_distribution(..., method="uniformization")``).
+within 1e-9 of the independent uniformization point solver of the test
+oracle (``reference_ctmc.transient_distribution(..., method="uniformization")``).
 
 ``TestGridEquivalence`` solves one chain over a time grid,
 ``TestBatchEquivalence`` many chains at once; ``TestFailureStates`` pins
@@ -24,11 +24,9 @@ from repro.experiments.figure14 import (
     compute_figure14,
 )
 from repro.models import BbwParameters, build_bbw_system
-from repro.reliability import (
-    MarkovChain,
-    reliability_batch,
-    transient_distribution,
-)
+from repro.reliability import MarkovChain, reliability_batch
+
+from tests.oracles import reference_ctmc
 
 TOLERANCE = 1e-9
 TIMES = [0.0, 0.3, 1.0, 2.5, 5.0]
@@ -63,9 +61,9 @@ def _uniformization_grid(chains, times):
         grid.append(
             [
                 1.0
-                - transient_distribution(chain, t, method="uniformization")[
-                    failure
-                ].sum()
+                - reference_ctmc.transient_distribution(
+                    chain, t, method="uniformization"
+                )[failure].sum()
                 for t in times
             ]
         )

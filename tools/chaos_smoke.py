@@ -36,13 +36,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import runtime  # noqa: E402
 from repro.experiments.coverage_table import (  # noqa: E402
     _e5_batch_runner,
     _e5_trial,
     e5_fault_payloads,
 )
 from repro.harness import (  # noqa: E402
-    ChaosPolicy,
     ShardConfig,
     SupervisorConfig,
     run_sharded_campaign,
@@ -80,11 +80,15 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--batch must be >= 0")
 
     args.artifacts.mkdir(parents=True, exist_ok=True)
-    policy = ChaosPolicy.from_spec(args.chaos, seed=args.chaos_seed)
-    print(f"chaos schedule: {policy.describe() or '(none)'}")
+    # The coordinator reads the chaos schedule from the active run context.
+    context = runtime.RunContext(
+        runtime.RunConfig(chaos=args.chaos, chaos_seed=args.chaos_seed)
+    )
+    policy = context.config.chaos_policy()
+    print(f"chaos schedule: {(policy and policy.describe()) or '(none)'}")
     print(f"batch: {args.batch or 'scalar'}")
 
-    with metrics.capture():
+    with runtime.activate(context), metrics.capture():
         result = run_sharded_campaign(
             _e5_trial,
             e5_fault_payloads(EXPERIMENTS, seed=SEED, max_copies=MAX_COPIES),
@@ -93,7 +97,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 master_seed=SEED,
                 campaign=f"e5-golden-n{EXPERIMENTS}",
                 journal_path=args.artifacts / "e5.jsonl",
-                chaos=policy,
                 batch_size=args.batch,
                 batch_runner=_e5_batch_runner if args.batch else None,
             ),
@@ -123,7 +126,11 @@ def main(argv: "list[str] | None" = None) -> int:
     golden = json.loads(GOLDEN_PATH.read_text())
     failed = False
     counters = result.harness_metrics.get("counters", {})
-    if policy.any_events and not counters.get("harness.lease_takeovers"):
+    if (
+        policy is not None
+        and policy.any_events
+        and not counters.get("harness.lease_takeovers")
+    ):
         print("FAIL: chaos schedule produced no takeover — nothing was tested")
         failed = True
     if result.degraded or result.completed != EXPERIMENTS:
