@@ -93,7 +93,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile", action="store_true", default=unset,
         help="capture cProfile statistics of the hottest campaign trials "
-             "(expensive; embedded in the --metrics export)",
+             "(expensive; embedded in the --metrics export); trials "
+             "replayed from a --resume journal are not re-run, so they "
+             "are not profiled",
     )
     parser.add_argument(
         "--no-progress", dest="progress", action="store_false", default=unset,

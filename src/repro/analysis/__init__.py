@@ -11,8 +11,7 @@ they escalate to flaky golden-fixture failures, the same
 detect-early-mask-early stance the source paper takes for node failures.
 
 Beyond per-file rules, the **whole-program layer** links every module
-under ``src/repro`` into a project index (module graph + approximate
-call graph) and enforces the *cross-module* invariants: call chains must
+under ``src/repro`` into a project index (approximate call graph) and enforces the *cross-module* invariants: call chains must
 not reach nondeterminism sinks (DET004), RNG seeds must descend from
 ``derive_seed`` lineage (SEED001), nothing unpicklable may cross a
 worker spawn boundary (PKL001), and the scalar/batch twin APIs stay in
@@ -25,8 +24,8 @@ Layout:
 * :mod:`~repro.analysis.findings` — the :class:`Finding` record;
 * :mod:`~repro.analysis.base` — :class:`Checker` base, import resolution;
 * :mod:`~repro.analysis.nondet` — shared nondeterminism-sink tables;
-* :mod:`~repro.analysis.callgraph` — module summaries, module graph,
-  call graph (:class:`ProjectIndex`);
+* :mod:`~repro.analysis.callgraph` — module summaries and the call
+  graph (:class:`ProjectIndex`);
 * :mod:`~repro.analysis.project` — :class:`ProjectChecker` base for
   whole-program rules;
 * :mod:`~repro.analysis.registry` — the plugin registry
@@ -34,9 +33,8 @@ Layout:
 * :mod:`~repro.analysis.checkers` — the built-in rules (DET001/002/003/
   004, CTX001/002, SIM001, SEED001, PKL001, PAR001);
 * :mod:`~repro.analysis.suppressions` — ``# reprolint: disable=RULE --
-  reason`` comments (reason mandatory);
-* :mod:`~repro.analysis.baseline` — the committed ratchet
-  (``analysis/baseline.json``, ``max_entries`` pawl);
+  reason`` comments (reason mandatory), the only way to exempt a
+  finding; one that covers nothing is reported stale (SUP002);
 * :mod:`~repro.analysis.cache` — incremental per-file result cache;
 * :mod:`~repro.analysis.engine` — discovery, incremental parallel
   analysis, the project pass;
@@ -50,7 +48,6 @@ Run ``python -m repro.analysis --list-rules`` for the rule catalogue and
 from __future__ import annotations
 
 from .base import Checker, ImportMap, ModuleSource, path_in_scope  # noqa: F401
-from .baseline import Baseline, BaselineEntry, BaselineError  # noqa: F401
 from .cache import AnalysisCache, content_sha  # noqa: F401
 from .callgraph import (  # noqa: F401
     FunctionFacts,
@@ -97,9 +94,6 @@ from .report import (  # noqa: F401
 __all__ = [
     "AnalysisCache",
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "Checker",
     "ERROR",
     "Finding",

@@ -67,8 +67,8 @@ class ImportMap:
 class ModuleSource:
     """One parsed source file as seen by the checkers.
 
-    ``relpath`` is repo-relative POSIX — the identity used in findings,
-    baseline entries and path-scope matching.
+    ``relpath`` is repo-relative POSIX — the identity used in findings
+    and path-scope matching.
     """
 
     def __init__(self, path: Path, relpath: str, source: str, tree: ast.Module) -> None:

@@ -42,7 +42,7 @@ CACHE_VERSION = 1
 
 #: Bump when any checker's semantics change: cached findings produced by
 #: older rules must not survive into a run with the new ones.
-CHECKERS_VERSION = 1
+CHECKERS_VERSION = 2
 
 #: Default location, relative to the repo root (gitignored).
 DEFAULT_CACHE_PATH = ".reprolint-cache.json"

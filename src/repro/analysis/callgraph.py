@@ -1,4 +1,4 @@
-"""Whole-program facts: per-module summaries, module graph, call graph.
+"""Whole-program facts: per-module summaries and the call graph.
 
 Per-file linting (PR 5) sees one AST at a time; the invariants PRs 6–9
 added are *cross-module* — RNG lineage flows through ``derive_seed``
@@ -8,11 +8,10 @@ module extracts everything those rules need into a compact,
 JSON-serialisable :class:`ModuleSummary` per file, and links the
 summaries into a :class:`ProjectIndex`:
 
-* a **module graph** (who imports whom, relative imports resolved
-  against the package layout);
 * an approximate **call graph**: lexically resolved call targets
-  (imported names, module-level functions, ``self.method()`` within a
-  class), with re-exports through ``__init__.py`` chased at link time;
+  (imported names — relative imports resolved against the package
+  layout — module-level functions, ``self.method()`` within a class),
+  with re-exports through ``__init__.py`` chased at link time;
 * per-function **fact lists** — nondeterminism sinks, RNG
   constructions with seed-lineage classification, nested
   callables/closures, and per-argument shapes at call sites — the raw
@@ -39,7 +38,7 @@ from .nondet import is_rng_constructor, sink_kind
 
 #: Bump when the summary shape or extraction semantics change: a cache
 #: written by an older extractor is invalidated wholesale.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: The pseudo-function holding module-level (import-time) statements.
 MODULE_BODY = "<module>"
@@ -81,8 +80,6 @@ class _Scope:
         self.aliases: Dict[str, str] = {}
         #: module-level def/class name -> qualified name
         self.local_defs: Dict[str, str] = {}
-        #: dotted module paths this module depends on (pre-link candidates)
-        self.dep_candidates: Set[str] = set()
         #: module-level assigned names (constants; SEED001 lineage check)
         self.module_names: Set[str] = set()
         base = module.split(".") if is_package else module.split(".")[:-1]
@@ -92,7 +89,6 @@ class _Scope:
                     local = alias.asname or alias.name.split(".", 1)[0]
                     full = alias.name if alias.asname else alias.name.split(".", 1)[0]
                     self.aliases[local] = full
-                    self.dep_candidates.add(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 target = self._import_from_base(node, base)
                 if target is None:
@@ -102,8 +98,6 @@ class _Scope:
                         continue
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{target}.{alias.name}"
-                    self.dep_candidates.add(target)
-                    self.dep_candidates.add(f"{target}.{alias.name}")
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 self.local_defs[stmt.name] = f"{module}.{stmt.name}"
@@ -186,8 +180,6 @@ class ModuleSummary:
 
     relpath: str
     module: Optional[str]
-    #: dotted module-path candidates this file imports (linked later)
-    dep_candidates: List[str] = dataclasses.field(default_factory=list)
     #: module-level re-export table: local name -> dotted target
     exports: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: function suffix -> facts
@@ -453,7 +445,6 @@ def extract_summary(relpath: str, source: str, tree: ast.Module) -> ModuleSummar
         return summary
     is_package = relpath.endswith("/__init__.py")
     scope = _Scope(module, is_package, tree)
-    summary.dep_candidates = sorted(scope.dep_candidates)
     summary.exports = dict(sorted(scope.aliases.items()))
 
     def extract_into(
@@ -511,9 +502,8 @@ def extract_summary(relpath: str, source: str, tree: ast.Module) -> ModuleSummar
 class ProjectIndex:
     """Linked whole-program view over the per-module summaries.
 
-    Construction resolves dep candidates against the known module set
-    (module graph), indexes every function by qualified name, and keeps
-    the export tables for re-export chasing.  All traversals are over
+    Construction indexes every function by qualified name and keeps the
+    export tables for re-export chasing.  All traversals are over
     sorted structures, so rule output is machine-independent.
     """
 
@@ -533,18 +523,6 @@ class ProjectIndex:
                 continue
             for suffix, facts in s.functions.items():
                 self._functions[f"{s.module}.{suffix}"] = (s.relpath, facts)
-        #: module -> modules it imports (within the project)
-        self.deps: Dict[str, Set[str]] = {}
-        known = set(self.by_module)
-        for s in self.summaries.values():
-            if s.module is None:
-                continue
-            edges = set()
-            for candidate in s.dep_candidates:
-                target = self._longest_known_prefix(candidate, known)
-                if target is not None and target != s.module:
-                    edges.add(target)
-            self.deps[s.module] = edges
         self._known: Set[str] = set(self.by_module)
 
     @staticmethod

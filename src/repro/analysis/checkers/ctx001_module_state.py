@@ -8,10 +8,12 @@ so one concurrent run's writes become another's reads, exactly the
 cross-talk the refactor removed.
 
 Run it with ``PYTHONPATH=src python -m repro.analysis`` (``--rules
-CTX001`` for this rule alone).  The old globals allowlist lives on as
-baseline entries in ``analysis/baseline.json``, keyed the same way (``NAME`` for assignments,
-``global:NAME`` for ``global`` statements) with each entry's original
-justification as the mandatory reason string.
+CTX001`` for this rule alone).  Findings are keyed ``NAME`` for
+assignments and ``global:NAME`` for ``global`` statements.  A constant
+table is made read-only (``MappingProxyType``, ``frozenset``, a tuple),
+which this rule does not flag; state that is process-wide by design
+carries an inline ``# reprolint: disable=CTX001 -- <why>`` on the
+flagged line.
 
 Flagged (at module top level, or ``global`` anywhere):
 
@@ -100,8 +102,9 @@ class ModuleStateChecker(Checker):
     rule_id = "CTX001"
     title = "no module-level mutable state; services live on the RunContext"
     hint = (
-        "move the state onto repro.runtime.RunContext, or baseline it in "
-        "analysis/baseline.json with a justification"
+        "move the state onto repro.runtime.RunContext, make a constant "
+        "table read-only (MappingProxyType, frozenset, tuple), or add "
+        "`# reprolint: disable=CTX001 -- <why>` to the line"
     )
     invariant = (
         "zero cross-talk between concurrently active RunContexts (two runs "

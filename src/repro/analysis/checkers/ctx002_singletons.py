@@ -49,9 +49,6 @@ SINGLETONS: Mapping[str, Tuple[str, ...]] = MappingProxyType({
     "reset_default_context": ("src/repro/runtime/",),
     "_process_default": ("src/repro/runtime/",),
     "REGISTRY": ("src/repro/experiments/registry.py",),
-    # The per-process installed chaos policy: everyone else goes through
-    # repro.harness.chaos.install() / active_policy().
-    "_ProcessChaos": ("src/repro/harness/chaos.py",),
 })
 
 

@@ -34,7 +34,7 @@ Sanctioned fix::
         return Node(node_id, rng)
 
 Deliberate fixed streams (e.g. a documented fallback default) carry an
-inline ``# reprolint: disable=SEED001 -- <why>`` or a baseline entry.
+inline ``# reprolint: disable=SEED001 -- <why>`` on the flagged line.
 """
 
 from __future__ import annotations

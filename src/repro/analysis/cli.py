@@ -1,7 +1,8 @@
 """Command-line interface: ``PYTHONPATH=src python -m repro.analysis``.
 
-Exit codes: 0 — gate passes (all findings fixed, baselined, or warnings);
-1 — at least one unbaselined error; 2 — usage or configuration error.
+Exit codes: 0 — gate passes (no error findings; warnings allowed);
+1 — at least one error finding; 2 — usage error.  A finding is exempted
+only by an inline ``# reprolint: disable=RULE -- reason`` on its line.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH, Baseline, BaselineError, merged_with_findings,
-)
 from .cache import DEFAULT_CACHE_PATH
 from .engine import find_repo_root, run_analysis
 from .registry import all_rule_ids, explain_rule, is_known_rule, rule_descriptions
@@ -49,25 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to this file instead of stdout",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE_PATH} under the root)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report every finding as new)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to cover current findings (placeholder "
-             "reasons for new entries; stale entries dropped)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=0,
         help="worker processes (0 = auto, 1 = serial)",
-    )
-    parser.add_argument(
-        "--show-baselined", action="store_true",
-        help="include baselined findings in text output",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -139,13 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     root = (args.root or find_repo_root()).resolve()
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE_PATH)
-    try:
-        baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-    except BaselineError as exc:
-        sys.stderr.write(f"reprolint: {exc}\n")
-        return 2
-
     cache_path: Optional[Path] = None
     if not args.no_cache:
         cache_path = args.cache or (root / DEFAULT_CACHE_PATH)
@@ -154,28 +128,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         root,
         paths=args.paths or None,
         rules=rules,
-        baseline=baseline,
         jobs=_resolve_jobs(args.jobs),
         cache_path=cache_path,
     )
-
-    if args.write_baseline:
-        updated = merged_with_findings(
-            baseline, result.findings + result.baselined
-        )
-        updated.save(baseline_path)
-        sys.stderr.write(
-            f"reprolint: wrote {len(updated)} baseline entries to "
-            f"{baseline_path}\n"
-        )
-        return 0
 
     if args.format == "json":
         report = render_json(result)
     elif args.format == "sarif":
         report = render_sarif(result)
     else:
-        report = render_text(result, show_baselined=args.show_baselined)
+        report = render_text(result)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(report, encoding="utf-8")

@@ -18,10 +18,12 @@ One :func:`run_analysis` call is one lint pass:
    pool for the misses — then run the whole-program checkers over the
    index, filter their findings to the analysed set, and honour inline
    suppressions through the index (summaries record suppression lines,
-   so even a cache-hit file keeps its exemptions).
-4. **Apply the baseline**: covered findings pass (marked ``baselined``),
-   uncovered *error* findings fail the gate, and stale baseline entries
-   are surfaced as warnings so the baseline only ratchets down.
+   so even a cache-hit file keeps its exemptions).  A suppression naming
+   only whole-program rules that covered none of their findings is
+   reported stale (SUP002), as the per-file pass does for per-file rules.
+
+Inline ``# reprolint: disable=RULE -- reason`` comments are the only
+exemption: every *error* finding left after step 3 fails the gate.
 
 Results are stable-sorted at every merge point, so neither worker
 scheduling nor cache state ever shows in the report: a warm incremental
@@ -34,15 +36,17 @@ import ast
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .base import Checker, ModuleSource
-from .baseline import Baseline, BaselineEntry
 from .cache import AnalysisCache, content_sha, rules_fingerprint
 from .callgraph import ModuleSummary, ProjectIndex, extract_summary
 from .findings import ERROR, Finding, sort_findings
+from .project import ProjectChecker
 from .registry import build_checkers, build_project_checkers
-from .suppressions import apply_suppressions, parse_suppressions
+from .suppressions import (
+    apply_suppressions, parse_suppressions, unused_suppression,
+)
 
 #: Roots scanned when no explicit paths are given.
 DEFAULT_ROOTS = ("src/repro", "tests", "examples", "benchmarks", "tools")
@@ -187,6 +191,27 @@ def build_project_index(
     return ProjectIndex(summaries)
 
 
+def _unused_project_suppressions(
+    index: ProjectIndex,
+    project_checkers: Sequence[ProjectChecker],
+    analyzed: Set[str],
+    used: Set[Tuple[str, int]],
+) -> Iterator[Finding]:
+    """SUP002 for project-rule suppressions that covered no finding.
+
+    A comment is judged only when every rule it names ran as a project
+    rule for its file, mirroring :func:`apply_suppressions` for per-file
+    rules; a comment mixing per-file and project rules is judged by
+    neither pass.  *used* holds the ``(path, line)`` of every suppression
+    that covered a project finding this run.
+    """
+    for relpath in sorted(analyzed & index.summaries.keys()):
+        active = {c.rule_id for c in project_checkers if c.applies_to(relpath)}
+        for line, rules in index.summaries[relpath].suppressed.items():
+            if (relpath, int(line)) not in used and set(rules) <= active:
+                yield unused_suppression(relpath, int(line), rules)
+
+
 # ----------------------------------------------------------------------
 # The full pass
 # ----------------------------------------------------------------------
@@ -194,12 +219,8 @@ def build_project_index(
 class AnalysisResult:
     """Outcome of one :func:`run_analysis` pass."""
 
-    #: Unbaselined findings (errors here fail the gate) plus warnings.
+    #: Unsuppressed findings: errors here fail the gate, warnings do not.
     findings: List[Finding]
-    #: Findings covered by the baseline (reported, never failing).
-    baselined: List[Finding]
-    #: Baseline entries that covered nothing (the violation was fixed).
-    stale_entries: List[BaselineEntry]
     #: Number of files analysed.
     files_scanned: int
     #: Rule ids that ran.
@@ -219,7 +240,7 @@ class AnalysisResult:
 
     @property
     def ok(self) -> bool:
-        """True when the gate passes (no unbaselined errors)."""
+        """True when the gate passes (no error findings)."""
         return not self.errors
 
 
@@ -227,11 +248,10 @@ def run_analysis(
     root: Path,
     paths: Optional[Sequence[str]] = None,
     rules: Optional[List[str]] = None,
-    baseline: Optional[Baseline] = None,
     jobs: int = 1,
     cache_path: Optional[Path] = None,
 ) -> AnalysisResult:
-    """Run the configured checkers over the tree and apply the baseline.
+    """Run the configured checkers over the tree.
 
     ``cache_path=None`` (the library default) disables the incremental
     cache entirely; the CLI passes the repo-root cache file.
@@ -276,37 +296,27 @@ def run_analysis(
 
     if index is not None:
         analyzed = {rel for _, rel in files}
+        used: Set[Tuple[str, int]] = set()
         for project_checker in project_checkers:
             for finding in project_checker.check_project(index):
                 if finding.path not in analyzed:
                     continue
                 if index.suppressed(finding.path, finding.line, finding.rule):
+                    used.add((finding.path, finding.line))
                     continue
                 all_findings.append(finding)
+        all_findings.extend(
+            _unused_project_suppressions(index, project_checkers, analyzed, used)
+        )
 
     cache.save(keep=set(shas))
-    all_findings = sort_findings(all_findings)
-    if baseline is None:
-        baseline = Baseline()
-    new, covered, stale = baseline.apply(all_findings)
     active = (
         sorted(set(rule_ids) | {c.rule_id for c in project_checkers})
         if rules is None
         else sorted(set(rules))
     )
-    # An entry is only provably stale when this run actually looked where
-    # it points: a narrowed run (paths / --rules) must
-    # not report entries for unanalysed files or inactive rules as fixed.
-    analyzed_rels = {rel for _, rel in files}
-    active_set = set(active)
-    stale = [
-        e for e in stale
-        if e.path in analyzed_rels and e.rule in active_set
-    ]
     return AnalysisResult(
-        findings=sort_findings(new),
-        baselined=sort_findings(covered),
-        stale_entries=stale,
+        findings=sort_findings(all_findings),
         files_scanned=len(files),
         rules=active,
         files_reanalyzed=len(misses),

@@ -10,8 +10,8 @@ are designed to diff cleanly across machines and CI runs:
   reports regardless of filesystem walk order or worker scheduling;
 * every finding carries a **stable key** — a checker-chosen fingerprint
   that does *not* include the line number (e.g. the offending symbol name
-  or resolved call target), so baseline entries survive unrelated edits
-  that shift lines.
+  or resolved call target), so a finding's identity (the SARIF
+  ``partialFingerprints``) survives unrelated edits that shift lines.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import dataclasses
 from typing import Any, Dict, List, Sequence, Tuple
 
 #: Severity levels.  ``error`` findings fail the gate (exit code 1) unless
-#: baselined or suppressed; ``warning`` findings are reported but never
-#: change the exit code (stale baseline entries, unused suppressions).
+#: suppressed inline; ``warning`` findings (unused suppressions) are
+#: reported but never change the exit code.
 ERROR = "error"
 WARNING = "warning"
 
@@ -45,13 +45,10 @@ class Finding:
     message:
         Human-readable statement of the violation.
     key:
-        Line-number-independent fingerprint used for baseline matching;
-        baseline entries match on ``(rule, path, key)``.
+        Line-number-independent fingerprint; ``(rule, path, key)`` is
+        the finding's identity across edits that shift lines.
     hint:
         How to fix (or how to legitimately suppress) the violation.
-    baselined:
-        True when a baseline entry covers this finding (informational in
-        reports; baselined findings never fail the gate).
     """
 
     rule: str
@@ -62,7 +59,6 @@ class Finding:
     message: str
     key: str
     hint: str = ""
-    baselined: bool = False
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
@@ -85,10 +81,6 @@ class Finding:
         if unknown:
             raise ValueError(f"unknown finding fields: {sorted(unknown)}")
         return cls(**data)
-
-    def with_baselined(self) -> "Finding":
-        """A copy marked as covered by a baseline entry."""
-        return dataclasses.replace(self, baselined=True)
 
     @property
     def location(self) -> str:

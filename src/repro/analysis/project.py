@@ -3,18 +3,19 @@
 Per-file rules (:class:`repro.analysis.base.Checker`) see one
 :class:`~repro.analysis.base.ModuleSource` at a time.  Project rules see
 the linked :class:`~repro.analysis.callgraph.ProjectIndex` — every
-module summary, the module graph and the approximate call graph — and
+module summary and the approximate call graph — and
 reason about properties no single file exhibits: call chains that reach
 a nondeterminism sink (DET004), RNG streams whose seed lineage crosses
 files (SEED001), what a spawn boundary can reach (PKL001), and twin
 scalar/batch API surfaces kept in lock-step (PAR001).
 
 Project rules still emit ordinary :class:`~repro.analysis.findings.Finding`
-objects anchored at a concrete file/line, so baselining, inline
-suppressions and every report format work unchanged.  Inline
-suppressions are honoured through the index (the engine consults
-:meth:`ProjectIndex.suppressed` — summaries record suppression lines, so
-even a cache-hit file keeps its exemptions).
+objects anchored at a concrete file/line, so inline suppressions and
+every report format work unchanged.  Inline suppressions are honoured
+through the index (the engine consults :meth:`ProjectIndex.suppressed` —
+summaries record suppression lines, so even a cache-hit file keeps its
+exemptions), and one that covered no finding of the project rules it
+names is reported stale (SUP002).
 
 Two contracts keep incremental analysis exact:
 

@@ -22,11 +22,11 @@ from .project import ProjectChecker
 
 #: rule id -> checker class.  Append-only, id-keyed, populated at import
 #: of :mod:`repro.analysis.checkers` — process-global by design, like the
-#: experiment registry (baselined under CTX001 with that justification).
-_CHECKERS: Dict[str, Type[Checker]] = {}
+#: experiment registry (exempted from CTX001 inline, with that justification).
+_CHECKERS: Dict[str, Type[Checker]] = {}  # reprolint: disable=CTX001 -- The checker plugin registry: append-only, rule-id-keyed, populated at import — process-global by design, like the experiment registry.
 
 #: rule id -> project (whole-program) checker class.  Same lifecycle.
-_PROJECT_CHECKERS: Dict[str, Type[ProjectChecker]] = {}
+_PROJECT_CHECKERS: Dict[str, Type[ProjectChecker]] = {}  # reprolint: disable=CTX001 -- The whole-program checker registry: append-only, rule-id-keyed, populated at import — same lifecycle as _CHECKERS.
 
 #: Engine-owned rules (emitted by the engine itself, not a checker).
 #: Read-only mapping, so CTX001 has nothing to object to.

@@ -1,18 +1,15 @@
 """Report rendering: human text, machine JSON, and SARIF 2.1.0.
 
-All formats are **stable**: repo-relative POSIX paths, findings sorted by
-``(file, line, col, rule, key)``, baseline entries sorted by
-``(path, rule, key)`` — so two runs over the same tree produce
-byte-identical reports on any machine, and CI artifacts diff cleanly
-across runs.
+All formats are **stable**: repo-relative POSIX paths and findings
+sorted by ``(file, line, col, rule, key)`` — so two runs over the same
+tree produce byte-identical reports on any machine, and CI artifacts
+diff cleanly across runs.
 
 The SARIF output targets code-scanning UIs (GitHub's
 ``upload-sarif`` action): every rule that ran is described in the
-driver's rule table, every finding carries a line-independent
-``partialFingerprint`` (the same ``(rule, path, key)`` identity the
-baseline matches on, so alert identity survives unrelated edits), and
-baselined findings are emitted with an ``external`` suppression rather
-than dropped — the UI shows them as reviewed, not as new.
+driver's rule table, and every finding carries a line-independent
+``partialFingerprint`` (its ``(rule, path, key)`` identity), so alert
+identity survives unrelated edits.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from .findings import ERROR, Finding
 from .registry import rule_descriptions
 
 #: Schema identifier carried by every JSON report.
-REPORT_SCHEMA = "reprolint-v1"
+REPORT_SCHEMA = "reprolint-v2"
 
 #: The SARIF version emitted by :func:`render_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -35,37 +32,21 @@ SARIF_SCHEMA_URI = (
 )
 
 
-def render_text(result: AnalysisResult, *, show_baselined: bool = False) -> str:
+def render_text(result: AnalysisResult) -> str:
     """Human-readable report, one ``path:line:col RULE severity`` per finding."""
     lines: List[str] = []
-
-    def emit(finding: Finding) -> None:
-        tag = " [baselined]" if finding.baselined else ""
+    for finding in result.findings:
         lines.append(
-            f"{finding.location} {finding.rule} {finding.severity}{tag}: "
+            f"{finding.location} {finding.rule} {finding.severity}: "
             f"{finding.message}"
         )
-        if finding.hint and not finding.baselined:
+        if finding.hint:
             lines.append(f"    hint: {finding.hint}")
-
-    for finding in result.findings:
-        emit(finding)
-    if show_baselined:
-        for finding in result.baselined:
-            emit(finding)
-    for entry in result.stale_entries:
-        lines.append(
-            f"{entry.path} {entry.rule} warning: stale baseline entry "
-            f"(key {entry.key!r}) — violation fixed, remove the entry"
-        )
     errors = len(result.errors)
     warnings = len(result.warnings)
     lines.append(
         f"reprolint: {errors} error{'s' if errors != 1 else ''}, "
-        f"{warnings} warning{'s' if warnings != 1 else ''}, "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.stale_entries)} stale baseline "
-        f"entr{'ies' if len(result.stale_entries) != 1 else 'y'} "
+        f"{warnings} warning{'s' if warnings != 1 else ''} "
         f"({result.files_scanned} files)"
     )
     return "\n".join(lines) + "\n"
@@ -79,14 +60,10 @@ def render_json_dict(result: AnalysisResult) -> Dict[str, Any]:
         "counts": {
             "errors": len(result.errors),
             "warnings": len(result.warnings),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_entries),
             "files": result.files_scanned,
         },
         "ok": result.ok,
         "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "stale_baseline": [e.to_dict() for e in result.stale_entries],
     }
 
 
@@ -97,18 +74,16 @@ def render_json(result: AnalysisResult) -> str:
 def parse_json_report(data: Dict[str, Any]) -> List[Finding]:
     """Reconstruct the findings of a JSON report (round-trip helper).
 
-    Returns unbaselined and baselined findings concatenated, in report
-    order.  Raises ``ValueError`` on schema mismatch.
+    Returns the findings in report order.  Raises ``ValueError`` on
+    schema mismatch.
     """
     if data.get("schema") != REPORT_SCHEMA:
         raise ValueError(f"not a {REPORT_SCHEMA} report: {data.get('schema')!r}")
-    findings = [Finding.from_dict(raw) for raw in data.get("findings", [])]
-    findings += [Finding.from_dict(raw) for raw in data.get("baselined", [])]
-    return findings
+    return [Finding.from_dict(raw) for raw in data.get("findings", [])]
 
 
 def exit_code(result: AnalysisResult) -> int:
-    """0 when the gate passes, 1 when any unbaselined error remains."""
+    """0 when the gate passes, 1 when any error finding remains."""
     return 0 if result.ok else 1
 
 
@@ -116,7 +91,7 @@ def exit_code(result: AnalysisResult) -> int:
 # SARIF 2.1.0
 # ----------------------------------------------------------------------
 def _sarif_result(finding: Finding) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
+    return {
         "ruleId": finding.rule,
         "level": "error" if finding.severity == ERROR else "warning",
         "message": {"text": finding.message},
@@ -132,18 +107,12 @@ def _sarif_result(finding: Finding) -> Dict[str, Any]:
                 },
             },
         }],
-        # The baseline identity — line-independent, so code-scanning alert
-        # identity survives edits that only shift code.
+        # Line-independent, so code-scanning alert identity survives
+        # edits that only shift code.
         "partialFingerprints": {
             "reprolintKey/v1": f"{finding.rule}:{finding.path}:{finding.key}",
         },
     }
-    if finding.baselined:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "covered by analysis/baseline.json",
-        }]
-    return result
 
 
 def render_sarif_dict(result: AnalysisResult) -> Dict[str, Any]:
@@ -174,10 +143,7 @@ def render_sarif_dict(result: AnalysisResult) -> Dict[str, Any]:
                 },
             },
             "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "results": [
-                _sarif_result(f)
-                for f in (*result.findings, *result.baselined)
-            ],
+            "results": [_sarif_result(f) for f in result.findings],
         }],
     }
 

@@ -6,10 +6,13 @@ Grammar (one comment, applies to the physical line it sits on)::
     # reprolint: disable=DET001,SIM001 -- <reason covers both rules>
 
 The reason is **mandatory and non-empty** — an exemption without a
-justification is itself a violation (rule SUP001, error).  A well-formed
-suppression that matches no finding on its line is reported as SUP002
-(warning) so stale exemptions get cleaned up rather than silently
-accumulating.
+justification is itself a violation (rule SUP001, error).  Inline
+comments are the only way to exempt a finding, so each exemption sits on
+the line it excuses.  A well-formed suppression that matches no finding
+on its line is reported as SUP002 (warning) so stale exemptions get
+cleaned up rather than silently accumulating: the per-file pass judges
+comments naming per-file rules (:func:`apply_suppressions`), the engine's
+project pass those naming whole-program rules.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .findings import ERROR, WARNING, Finding
 from .registry import is_known_rule
@@ -148,17 +151,22 @@ def apply_suppressions(
             continue
         if active_rules is not None and not set(suppression.rules) <= active_rules:
             continue
-        unused.append(Finding(
-            rule="SUP002",
-            severity=WARNING,
-            path=relpath,
-            line=suppression.line,
-            col=0,
-            message=(
-                f"suppression of {', '.join(suppression.rules)} matches no "
-                "finding on this line — remove it"
-            ),
-            key=f"unused:{','.join(suppression.rules)}",
-            hint="delete the stale `# reprolint: disable=` comment",
-        ))
+        unused.append(unused_suppression(relpath, suppression.line, suppression.rules))
     return kept, unused
+
+
+def unused_suppression(relpath: str, line: int, rules: Sequence[str]) -> Finding:
+    """The SUP002 warning for a suppression of *rules* that covered nothing."""
+    return Finding(
+        rule="SUP002",
+        severity=WARNING,
+        path=relpath,
+        line=line,
+        col=0,
+        message=(
+            f"suppression of {', '.join(rules)} matches no finding on this "
+            "line — remove it"
+        ),
+        key=f"unused:{','.join(rules)}",
+        hint="delete the stale `# reprolint: disable=` comment",
+    )

@@ -23,12 +23,14 @@ matching the paper's reliance on CPU run-time EDMs (Table 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..errors import ProgramError
 
-#: Mnemonic -> opcode byte.
-OPCODES: Dict[str, int] = {
+#: Mnemonic -> opcode byte.  Read-only mapping (CTX001-clean), like every
+#: table below.
+OPCODES: Mapping[str, int] = MappingProxyType({
     "NOP": 0x01,
     "HALT": 0x02,
     "MOVE": 0x04,
@@ -65,21 +67,27 @@ OPCODES: Dict[str, int] = {
     "JSR": 0x2B,
     "RTS": 0x2C,
     "SIG": 0x30,
-}
+})
 
-MNEMONICS: Dict[int, str] = {code: name for name, code in OPCODES.items()}
+MNEMONICS: Mapping[int, str] = MappingProxyType(
+    {code: name for name, code in OPCODES.items()}
+)
 
 #: Instruction classes used by the decoder/executor.
-THREE_REG = {"ADD", "SUB", "MUL", "DIV", "AND", "OR", "XOR", "CMP"}
-TWO_REG_IMM = {"ADDI", "SUBI", "MULI", "DIVI", "ANDI", "ORI", "XORI", "SHL", "SHR", "LOAD", "STORE"}
-BRANCHES = {"BRA", "BEQ", "BNE", "BLT", "BGE"}
+THREE_REG = frozenset({"ADD", "SUB", "MUL", "DIV", "AND", "OR", "XOR", "CMP"})
+TWO_REG_IMM = frozenset({"ADDI", "SUBI", "MULI", "DIVI", "ANDI", "ORI", "XORI", "SHL", "SHR", "LOAD", "STORE"})
+BRANCHES = frozenset({"BRA", "BEQ", "BNE", "BLT", "BGE"})
 
 #: Per-mnemonic cycle costs (everything else costs 1 cycle).
-CYCLE_COSTS: Dict[str, int] = {"MUL": 2, "MULI": 2, "DIV": 4, "DIVI": 4, "JSR": 2, "RTS": 2}
+CYCLE_COSTS: Mapping[str, int] = MappingProxyType(
+    {"MUL": 2, "MULI": 2, "DIV": 4, "DIVI": 4, "JSR": 2, "RTS": 2}
+)
 
 #: Register designator <-> name tables.
 REGISTER_NAMES = tuple(f"D{i}" for i in range(8)) + tuple(f"A{i}" for i in range(7)) + ("SP",)
-REGISTER_INDEX: Dict[str, int] = {name: i for i, name in enumerate(REGISTER_NAMES)}
+REGISTER_INDEX: Mapping[str, int] = MappingProxyType(
+    {name: i for i, name in enumerate(REGISTER_NAMES)}
+)
 
 
 def register_name(designator: int) -> str:

@@ -326,7 +326,7 @@ class Machine:
 #: first fetch) instead of on every fetch.  Cached instructions are frozen
 #: and ops close over constants only, so one entry is shared across
 #: fetches and machines.
-_DECODE_CACHE: Dict[int, "tuple[Optional[Instruction], int, Op]"] = {}
+_DECODE_CACHE: Dict[int, "tuple[Optional[Instruction], int, Op]"] = {}  # reprolint: disable=CTX001 -- Decode memo (word -> instruction, cycles, pre-specialised op): keyed by immutable encodings, capped, shared across contexts by design (decoding is context-independent and ops close over constants only).
 
 #: Fault-injection campaigns flip bits in instruction memory, so the set of
 #: distinct words seen grows over a long campaign; cap the cache so a

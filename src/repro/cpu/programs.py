@@ -14,7 +14,8 @@ outputs at ``0x1900``, one result word unless noted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Tuple
+from types import MappingProxyType
+from typing import Callable, Mapping, Tuple
 
 from ..errors import ConfigurationError
 
@@ -168,11 +169,11 @@ moddone: RTS
     description="end-to-end message checksum (loops, subroutine, pointers)",
 )
 
-#: The canonical program registry.
-PROGRAMS: Dict[str, WorkloadProgram] = {
+#: The canonical program registry.  Read-only mapping (CTX001-clean).
+PROGRAMS: Mapping[str, WorkloadProgram] = MappingProxyType({
     program.name: program
     for program in (PID_CONTROLLER, FIR_FILTER, MESSAGE_CHECKSUM)
-}
+})
 
 
 def get_program(name: str) -> WorkloadProgram:

@@ -51,7 +51,7 @@ def _make_harness(variant: str) -> TemInjectionHarness:
 
 #: Worker-side harness cache, one per ablation variant (golden run once
 #: per process, not once per trial).
-_HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}
+_HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}  # reprolint: disable=CTX001 -- Per-worker-process harness memo: deliberately process-local so a campaign worker builds its golden execution once per process.
 
 
 def _cached_harness(variant: str) -> TemInjectionHarness:

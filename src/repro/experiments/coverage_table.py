@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,8 +88,11 @@ ramp:   ADD   D6, D6, D4
 #: Checkpoints embedded above, in execution order.
 BRAKE_TASK_CHECKPOINTS = (17, 23, 29)
 
-#: Paper anchors for the parameter comparison.
-PAPER_PARAMETERS = {"C_D": 0.99, "P_T": 0.90, "P_OM": 0.05, "P_FS": 0.05}
+#: Paper anchors for the parameter comparison.  Read-only mapping
+#: (CTX001-clean).
+PAPER_PARAMETERS: Mapping[str, float] = MappingProxyType(
+    {"C_D": 0.99, "P_T": 0.90, "P_OM": 0.05, "P_FS": 0.05}
+)
 
 
 def make_brake_workload(
@@ -135,7 +139,7 @@ BATCH_CHUNK = 1024
 #: Worker-side harness cache: building a :class:`TemInjectionHarness` runs
 #: the golden execution, so it is built once per (worker) process and
 #: configuration, not once per trial.
-_HARNESS_CACHE: Dict[int, TemInjectionHarness] = {}
+_HARNESS_CACHE: Dict[int, TemInjectionHarness] = {}  # reprolint: disable=CTX001 -- Per-worker-process harness memo: deliberately process-local so a campaign worker builds its golden execution once per process.
 
 
 def e5_fault_payloads(

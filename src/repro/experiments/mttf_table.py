@@ -13,17 +13,18 @@ system's is that of the product of its two subsystem chains.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from ..models import BbwParameters, build_all_configurations
 from ..units import HOURS_PER_YEAR
 from .asciiplot import render_table
 
-#: Paper anchors.
-PAPER = {
-    ("fs", "degraded"): {"r_1y": 0.45, "mttf_years": 1.2},
-    ("nlft", "degraded"): {"r_1y": 0.70, "mttf_years": 1.9},
-}
+#: Paper anchors.  Read-only mappings, outer and inner (CTX001-clean).
+PAPER: Mapping[Tuple[str, str], Mapping[str, float]] = MappingProxyType({
+    ("fs", "degraded"): MappingProxyType({"r_1y": 0.45, "mttf_years": 1.2}),
+    ("nlft", "degraded"): MappingProxyType({"r_1y": 0.70, "mttf_years": 1.9}),
+})
 
 
 @dataclasses.dataclass

@@ -18,7 +18,7 @@ generalized k-out-of-n models (which reproduce the paper's Figures 6/7 and
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..models import BbwParameters, nodes_needed, redundancy_study
 from ..models.generalized import RedundancyPoint, build_redundant_subsystem
@@ -26,7 +26,9 @@ from ..units import HOURS_PER_YEAR
 from .asciiplot import render_table
 
 #: Replication levels evaluated (node_type filled per study).
-DEFAULT_LEVELS = [(4, 3), (5, 3), (6, 3), (2, 1), (3, 1), (2, 2), (3, 2)]
+DEFAULT_LEVELS: Tuple[Tuple[int, int], ...] = (
+    (4, 3), (5, 3), (6, 3), (2, 1), (3, 1), (2, 2), (3, 2),
+)
 
 #: Mission for the node-savings question (a 1000 h maintenance interval —
 #: with the paper's coverage, year-long targets are coverage-limited).
@@ -93,7 +95,7 @@ class RedundancyResult:
 
 def compute_redundancy_table(
     params: Optional[BbwParameters] = None,
-    levels: Optional[List[Tuple[int, int]]] = None,
+    levels: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> RedundancyResult:
     """Run the E9 redundancy study."""
     params = params if params is not None else BbwParameters.paper()

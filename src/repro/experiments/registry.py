@@ -180,7 +180,7 @@ class ExperimentRegistry:
 #: The central registry every consumer resolves through.  Append-only and
 #: id-keyed (re-registration of the same module is idempotent), so module
 #: reloads and repeated ``load_all`` calls are safe.
-REGISTRY = ExperimentRegistry()
+REGISTRY = ExperimentRegistry()  # reprolint: disable=CTX001 -- The experiment registry: append-only, id-keyed, populated at import.
 
 
 def experiment(

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -29,11 +30,12 @@ from ..types import Result
 from .asciiplot import render_table
 
 #: Representative inputs per workload (must be fault-free golden runs).
-WORKLOAD_INPUTS: Dict[str, Result] = {
+#: Read-only mapping (CTX001-clean).
+WORKLOAD_INPUTS: Mapping[str, Result] = MappingProxyType({
     "pid_controller": (500, 430, 25),
     "fir_filter": (120, 140, 160, 150, 130),
     "message_checksum": (410, 77, 995, 3),
-}
+})
 
 
 def make_workload(program: WorkloadProgram, max_copies: int = 3) -> TemWorkload:
@@ -57,7 +59,7 @@ def make_workload(program: WorkloadProgram, max_copies: int = 3) -> TemWorkload:
 
 
 #: Worker-side harness cache, one per library program.
-_HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}
+_HARNESS_CACHE: Dict[str, TemInjectionHarness] = {}  # reprolint: disable=CTX001 -- Per-worker-process harness memo: deliberately process-local so a campaign worker builds its golden execution once per process.
 
 
 def _cached_harness(name: str) -> TemInjectionHarness:

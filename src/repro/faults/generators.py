@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from typing import Iterator, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .types import Fault, FaultTarget, FaultType
 #: Default sampling weights over targets for random campaigns.  Roughly
 #: area-proportional for a microcontroller-class device: most flips land in
 #: registers/data during computation; the PC/SP are small but consequential.
-DEFAULT_TARGET_WEIGHTS = {
+#: Read-only mapping (CTX001-clean).
+DEFAULT_TARGET_WEIGHTS: Mapping[FaultTarget, float] = MappingProxyType({
     FaultTarget.DATA_REGISTER: 0.35,
     FaultTarget.ADDRESS_REGISTER: 0.15,
     FaultTarget.PC: 0.08,
@@ -29,10 +31,10 @@ DEFAULT_TARGET_WEIGHTS = {
     FaultTarget.STATUS_REGISTER: 0.05,
     FaultTarget.CODE_MEMORY: 0.10,
     FaultTarget.DATA_MEMORY: 0.20,
-}
+})
 
 
-def _normalised_table(table: dict) -> "tuple[list, list]":
+def _normalised_table(table: Mapping) -> "tuple[list, list]":
     """``(targets, cdf)`` of a target-weight table.
 
     *cdf* is exactly the table ``Generator.choice(n, p=...)`` inverts for

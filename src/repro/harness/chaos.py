@@ -62,7 +62,7 @@ class ChaosPolicy:
     """A deterministic, seeded schedule of harness-level fault injections.
 
     Immutable and picklable: the same policy object travels to the shard
-    runner processes (installed process-wide via :func:`install`) and is
+    runner processes (as an argument of the runner's entry point) and is
     consulted by the coordinator at takeover.
     """
 
@@ -206,26 +206,3 @@ class ChaosPolicy:
             raise ConfigurationError(f"unknown corruption mode {mode!r}")
         return mode
 
-
-class _ProcessChaos:
-    """Process-scoped installed chaos policy.
-
-    Exists per *process* by design — the shard-runner bootstrap
-    install the campaign's policy here so harness code deep in the trial
-    loop can consult it without threading it through every signature.
-    Everyone outside this module goes through :func:`install` /
-    :func:`active_policy`; direct access to this holder is fenced by
-    reprolint's CTX002 home-module map.
-    """
-
-    policy: Optional[ChaosPolicy] = None
-
-
-def install(policy: Optional[ChaosPolicy]) -> None:
-    """Install (or clear, with ``None``) this process's chaos policy."""
-    _ProcessChaos.policy = policy
-
-
-def active_policy() -> Optional[ChaosPolicy]:
-    """The chaos policy installed in this process (``None`` = no chaos)."""
-    return _ProcessChaos.policy

@@ -239,7 +239,6 @@ def _shard_runner_main(
     """
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    chaos_mod.install(policy)
     coordinator_pid = os.getppid()
     stalled = threading.Event()
 

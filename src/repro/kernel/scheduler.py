@@ -342,7 +342,7 @@ class Scheduler:
         """The fault-realisation generator (seed 0 when none was given)."""
         if not isinstance(self._rng, np.random.Generator):
             seed = self._rng
-            self._rng = np.random.default_rng(0) if seed is None else np.random.default_rng(seed)
+            self._rng = np.random.default_rng(0) if seed is None else np.random.default_rng(seed)  # reprolint: disable=SEED001 -- Documented fallback: a Kernel constructed without an explicit generator gets a fixed default stream for standalone use; every campaign path injects a derive_seed-derived RNG.
         return self._rng
 
     # ------------------------------------------------------------------

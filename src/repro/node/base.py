@@ -47,7 +47,7 @@ class NodeBase:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else np.random.default_rng(0)  # reprolint: disable=SEED001 -- Documented fallback: a Node constructed without an explicit generator gets a fixed default stream for standalone use; every campaign path injects a derive_seed-derived RNG.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.network = network
         self.restart_controller = (

@@ -123,7 +123,7 @@ class RunContext:
 
 #: The activation variable.  ``None`` means "no explicit activation" —
 #: resolution falls back to the process-default context below.
-_current: contextvars.ContextVar[Optional[RunContext]] = contextvars.ContextVar(
+_current: contextvars.ContextVar[Optional[RunContext]] = contextvars.ContextVar(  # reprolint: disable=CTX001 -- The runtime's own root: the ContextVar carrying the active context — this is the mechanism that scopes everything else.
     "repro_run_context", default=None
 )
 
@@ -136,7 +136,7 @@ _process_default: Optional[RunContext] = None
 
 def default_context() -> RunContext:
     """The process-default :class:`RunContext` (created on first use)."""
-    global _process_default
+    global _process_default  # reprolint: disable=CTX001 -- The lazily-created process-default fallback context; rebinding from function scope is its construction-on-first-use.
     if _process_default is None:
         _process_default = RunContext(RunConfig())
     return _process_default
@@ -144,7 +144,7 @@ def default_context() -> RunContext:
 
 def reset_default_context() -> RunContext:
     """Replace the process-default context with a fresh one (tests)."""
-    global _process_default
+    global _process_default  # reprolint: disable=CTX001 -- The lazily-created process-default fallback context; rebinding from function scope is its construction-on-first-use.
     _process_default = RunContext(RunConfig())
     return _process_default
 

@@ -56,7 +56,6 @@ class TestRelativeImports:
         )
         _, facts = idx.lookup("repro.pkg.b.caller")
         assert list(idx.call_edges(facts)) == [("repro.pkg.a.helper", 3)]
-        assert idx.deps["repro.pkg.b"] == {"repro.pkg.a"}
 
     def test_double_dot_climbs_a_package(self):
         idx = index_of(
@@ -126,18 +125,6 @@ class TestReExports:
             "numpy.random.default_rng"
         )
         assert idx.lookup("repro.a.missing") is None
-
-
-# ----------------------------------------------------------------------
-# The module graph
-# ----------------------------------------------------------------------
-class TestModuleGraph:
-    def test_from_import_of_a_symbol_creates_the_module_edge(self):
-        idx = index_of(
-            ("src/repro/base.py", "def b():\n    return 1\n"),
-            ("src/repro/user.py", "from repro.base import b\n"),
-        )
-        assert idx.deps["repro.user"] == {"repro.base"}
 
 
 # ----------------------------------------------------------------------

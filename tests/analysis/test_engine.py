@@ -1,12 +1,24 @@
-"""The engine: discovery, parallel == serial, SYNTAX."""
+"""The engine: discovery, parallel == serial, SYNTAX, stale suppressions."""
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import discover_files, find_repo_root, run_analysis
 
 from .conftest import write_module
 
 BAD_RNG = "import random\n\n\ndef draw():\n    return random.random()\n"
 CLEAN = "def double(x):\n    return 2 * x\n"
+LITERAL_SEED = (
+    "import numpy as np\n\n\n"
+    "def make():\n"
+    "    return np.random.default_rng(0)"
+    "  # reprolint: disable=SEED001 -- fixed fallback stream\n"
+)
+#: The same comment left behind after the literal seed was fixed.
+STALE_SEED = (
+    "import numpy as np\n\n\n"
+    "def make(seed):\n"
+    "    return np.random.default_rng(seed)"
+    "  # reprolint: disable=SEED001 -- fixed fallback stream\n"
+)
 
 
 class TestDiscovery:
@@ -52,15 +64,17 @@ class TestRunAnalysis:
         result = run_analysis(tmp_repo)
         assert [f.rule for f in result.errors] == ["SYNTAX"]
 
-    def test_baseline_is_applied(self, tmp_repo):
-        write_module(tmp_repo, "src/repro/sim/bad.py", BAD_RNG)
-        baseline = Baseline([BaselineEntry(
-            rule="DET002", path="src/repro/sim/bad.py",
-            key="random.random", reason="fixture",
-        )])
-        result = run_analysis(tmp_repo, baseline=baseline)
+    def test_inline_suppression_is_applied(self, tmp_repo):
+        write_module(
+            tmp_repo, "src/repro/sim/bad.py",
+            BAD_RNG.replace(
+                "random.random()\n",
+                "random.random()  # reprolint: disable=DET002 -- fixture\n",
+            ),
+        )
+        result = run_analysis(tmp_repo)
         assert result.ok
-        assert len(result.baselined) == 1
+        assert result.findings == []
 
     def test_rule_selection_narrows_the_run(self, tmp_repo):
         write_module(tmp_repo, "src/repro/sim/bad.py", BAD_RNG)
@@ -79,29 +93,36 @@ class TestRunAnalysis:
 
 
 class TestStaleScoping:
-    """Staleness is only judged where the run actually looked."""
+    """A project-rule suppression that covers nothing is SUP002 — judged
+    only where the run actually looked."""
 
-    ENTRY = BaselineEntry(
-        "DET002", "src/repro/sim/bad.py", "random.random", "legacy draw"
-    )
+    def test_live_project_rule_suppression_is_silent(self, tmp_repo):
+        write_module(tmp_repo, "src/repro/sim/rng.py", LITERAL_SEED)
+        result = run_analysis(tmp_repo)
+        assert result.findings == []
 
     def test_full_run_reports_genuinely_fixed_entry(self, tmp_repo):
-        write_module(tmp_repo, "src/repro/sim/bad.py", CLEAN)  # fixed
-        result = run_analysis(tmp_repo, baseline=Baseline([self.ENTRY]))
-        assert [e.key for e in result.stale_entries] == ["random.random"]
+        write_module(tmp_repo, "src/repro/sim/rng.py", STALE_SEED)
+        result = run_analysis(tmp_repo)
+        assert [(f.rule, f.line, f.key) for f in result.findings] == [
+            ("SUP002", 5, "unused:SEED001"),
+        ]
+        assert result.ok  # a warning, like every SUP002
 
     def test_narrowed_paths_do_not_report_unanalysed_files(self, tmp_repo):
-        write_module(tmp_repo, "src/repro/sim/bad.py", BAD_RNG)
+        write_module(tmp_repo, "src/repro/sim/rng.py", STALE_SEED)
         write_module(tmp_repo, "src/repro/sim/other.py", CLEAN)
-        result = run_analysis(
-            tmp_repo, paths=["src/repro/sim/other.py"],
-            baseline=Baseline([self.ENTRY]),
-        )
-        assert result.stale_entries == []
+        result = run_analysis(tmp_repo, paths=["src/repro/sim/other.py"])
+        assert result.findings == []
 
     def test_narrowed_rules_do_not_report_inactive_rules(self, tmp_repo):
-        write_module(tmp_repo, "src/repro/sim/bad.py", BAD_RNG)
-        result = run_analysis(
-            tmp_repo, rules=["DET001"], baseline=Baseline([self.ENTRY])
-        )
-        assert result.stale_entries == []
+        write_module(tmp_repo, "src/repro/sim/rng.py", STALE_SEED)
+        result = run_analysis(tmp_repo, rules=["DET001"])
+        assert result.findings == []
+
+    def test_out_of_scope_path_is_not_judged(self, tmp_repo):
+        # SEED001 never anchors findings under src/repro/analysis/, so it
+        # cannot judge a SEED001 comment there (as for per-file rules).
+        write_module(tmp_repo, "src/repro/analysis/rng.py", STALE_SEED)
+        result = run_analysis(tmp_repo)
+        assert result.findings == []

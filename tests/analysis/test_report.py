@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.engine import AnalysisResult
 from repro.analysis.findings import ERROR, WARNING, Finding, sort_findings
 from repro.analysis.report import (
@@ -14,18 +13,16 @@ from repro.analysis.report import (
 
 
 def finding(rule="DET001", path="src/repro/sim/a.py", line=3, col=4,
-            key="time.time", severity=ERROR, baselined=False):
+            key="time.time", severity=ERROR):
     return Finding(
         rule=rule, severity=severity, path=path, line=line, col=col,
         message=f"violation of {rule}", key=key, hint="fix it",
-        baselined=baselined,
     )
 
 
-def result(findings=(), baselined=(), stale=(), files=5):
+def result(findings=(), files=5):
     return AnalysisResult(
-        findings=list(findings), baselined=list(baselined),
-        stale_entries=list(stale), files_scanned=files,
+        findings=list(findings), files_scanned=files,
         rules=["CTX001", "DET001"],
     )
 
@@ -71,27 +68,22 @@ class TestJsonReport:
     def test_schema_and_counts(self):
         data = render_json_dict(result(
             findings=[finding(), finding(key="w", severity=WARNING)],
-            baselined=[finding(rule="CTX001", key="T", baselined=True)],
-            stale=[BaselineEntry("CTX001", "src/repro/x.py", "GONE", "r")],
         ))
         assert data["schema"] == REPORT_SCHEMA
-        assert data["counts"] == {
-            "errors": 1, "warnings": 1, "baselined": 1,
-            "stale_baseline": 1, "files": 5,
-        }
+        assert data["counts"] == {"errors": 1, "warnings": 1, "files": 5}
         assert data["ok"] is False
+        assert set(data) == {"schema", "rules", "counts", "ok", "findings"}
 
     def test_round_trip_recovers_all_findings(self):
         original = result(
-            findings=[finding()],
-            baselined=[finding(rule="CTX001", key="T", baselined=True)],
+            findings=[finding(), finding(rule="CTX001", key="T", line=7)],
         )
         # Through actual JSON text, as CI artifacts are consumed.
         recovered = parse_json_report(json.loads(render_json(original)))
-        assert recovered == original.findings + original.baselined
+        assert recovered == original.findings
 
     def test_wrong_schema_rejected(self):
-        with pytest.raises(ValueError, match="reprolint-v1"):
+        with pytest.raises(ValueError, match="reprolint-v2"):
             parse_json_report({"schema": "something-else"})
 
     def test_json_is_deterministic(self):
@@ -108,15 +100,8 @@ class TestTextReport:
     def test_summary_line_counts(self):
         text = render_text(result(findings=[finding()]))
         assert text.strip().endswith(
-            "reprolint: 1 error, 0 warnings, 0 baselined, "
-            "0 stale baseline entries (5 files)"
+            "reprolint: 1 error, 0 warnings (5 files)"
         )
-
-    def test_baselined_shown_only_on_request(self):
-        r = result(baselined=[finding(baselined=True)])
-        # Default output: just the summary line, no per-finding row.
-        assert render_text(r).count("\n") == 1
-        assert "[baselined]" in render_text(r, show_baselined=True)
 
 
 class TestExitCode:
@@ -126,12 +111,8 @@ class TestExitCode:
     def test_error_is_one(self):
         assert exit_code(result(findings=[finding()])) == 1
 
-    def test_warnings_and_baselined_stay_zero(self):
-        r = result(
-            findings=[finding(severity=WARNING)],
-            baselined=[finding(baselined=True)],
-            stale=[BaselineEntry("CTX001", "src/repro/x.py", "GONE", "r")],
-        )
+    def test_warnings_stay_zero(self):
+        r = result(findings=[finding(severity=WARNING)])
         assert exit_code(r) == 0
 
 
@@ -168,31 +149,17 @@ class TestSarifReport:
         log = self._log(findings=[finding(severity=WARNING)])
         assert log["runs"][0]["results"][0]["level"] == "warning"
 
-    def test_fingerprint_matches_baseline_identity(self):
-        log = self._log(findings=[finding()])
-        prints = log["runs"][0]["results"][0]["partialFingerprints"]
-        # Line-independent, same identity the JSON baseline uses.
-        assert prints == {
+    def test_fingerprint_is_line_independent(self):
+        prints = [
+            self._log(findings=[finding(line=line)])["runs"][0]["results"][0][
+                "partialFingerprints"
+            ]
+            for line in (3, 40)
+        ]
+        # (rule, path, key): an edit that only shifts the line keeps it.
+        assert prints == [{
             "reprolintKey/v1": "DET001:src/repro/sim/a.py:time.time"
-        }
-
-    def test_baselined_findings_carry_suppressions(self):
-        log = self._log(
-            findings=[finding(key="live")],
-            baselined=[finding(key="old", baselined=True)],
-        )
-        results = log["runs"][0]["results"]
-        assert len(results) == 2
-        by_key = {
-            r["partialFingerprints"]["reprolintKey/v1"]: r for r in results
-        }
-        live = by_key["DET001:src/repro/sim/a.py:live"]
-        old = by_key["DET001:src/repro/sim/a.py:old"]
-        assert "suppressions" not in live
-        assert old["suppressions"] == [{
-            "kind": "external",
-            "justification": "covered by analysis/baseline.json",
-        }]
+        }] * 2
 
     def test_render_sarif_is_valid_deterministic_json(self):
         r = result(findings=[finding()])

@@ -16,7 +16,6 @@ from repro.harness import (
     SupervisorConfig,
     TrialEntry,
 )
-from repro.harness import chaos as chaos_mod
 
 
 class TestChaosSpec:
@@ -52,15 +51,6 @@ class TestChaosSpec:
         assert policy.stalls_after(80) and not policy.stalls_after(40)
         assert policy.corruption_mode(1) == "garbage"
         assert policy.corruption_mode(0) is None
-
-    def test_install_and_active_policy(self):
-        policy = ChaosPolicy.from_spec("die:1")
-        chaos_mod.install(policy)
-        try:
-            assert chaos_mod.active_policy() is policy
-        finally:
-            chaos_mod.install(None)
-        assert chaos_mod.active_policy() is None
 
 
 class TestCorruptJournal:
