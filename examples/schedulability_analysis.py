@@ -15,7 +15,7 @@ import dataclasses
 
 from repro.experiments import compute_schedulability, wheel_node_task_set
 from repro.kernel import FaultHypothesis, analyse_ft, max_tolerable_faults
-from repro.units import ms, us
+from repro.units import us
 
 
 def main() -> None:

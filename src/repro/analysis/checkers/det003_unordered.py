@@ -37,7 +37,7 @@ Sanctioned fix::
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Union
 
 from ..base import Checker, ModuleSource
 from ..findings import Finding

@@ -29,7 +29,7 @@ extend the differential gate to exercise it), or neither.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..callgraph import ProjectIndex
 from ..findings import Finding

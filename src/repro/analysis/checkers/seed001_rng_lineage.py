@@ -39,7 +39,7 @@ inline ``# reprolint: disable=SEED001 -- <why>`` on the flagged line.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
 from ..callgraph import ProjectIndex
 from ..findings import Finding

@@ -21,7 +21,7 @@ nodes (TEM vs fail-silent reaction); faults are injected per node via
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..cpu.profiles import ManifestationProfile
 from ..errors import ConfigurationError

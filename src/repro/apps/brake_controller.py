@@ -16,7 +16,7 @@ bit-exactly under TEM and across the duplex CU pair (replica determinism).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .pedal import PEDAL_SCALE

@@ -37,7 +37,7 @@ from typing import Callable, List, Optional
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..types import Result
-from .comparison import majority_vote, results_match
+from .comparison import majority_vote
 
 
 #: Mechanism marker recorded when a recovery is skipped because the task's

@@ -22,7 +22,7 @@ accounting of fault-injection campaigns.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..errors import MachineError
 from .exceptions import BusError, EccUncorrectableError

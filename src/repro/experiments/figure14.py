@@ -97,16 +97,12 @@ def compute_figure14(
     grid = [
         (coverage, scale) for coverage in coverages for scale in rate_scales
     ]
+    # One parameter record per grid point, shared by both node types.
+    scaled = [base.with_transient_scale(s) for s in rate_scales]
+    points = [p.with_coverage(c) for c in coverages for p in scaled]
     reliability: Dict[str, Dict[Tuple[float, float], float]] = {"fs": {}, "nlft": {}}
     for node_type in ("fs", "nlft"):
-        models = [
-            build_bbw_system(
-                base.with_coverage(c).with_transient_scale(s),
-                node_type,
-                "degraded",
-            )
-            for c, s in grid
-        ]
+        models = [build_bbw_system(point, node_type, "degraded") for point in points]
         r_cu = sweep_solver.reliability_batch(
             [m.central_unit for m in models], [mission_hours]
         )[:, 0]

@@ -62,7 +62,6 @@ from ..core.control_flow import ControlFlowError, SignatureMonitor
 from ..core.diagnosis import PermanentFaultSuspector
 from ..core.tem import TemOutcome, TemReport, run_tem_direct
 from ..cpu.exceptions import HardwareException
-from ..cpu.machine import Machine
 from ..cpu.memory import Memory
 from ..errors import ConfigurationError
 from ..kernel.task import MachineExecutable, MKWindow

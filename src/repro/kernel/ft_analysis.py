@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError, SchedulingError
 from .analysis import AnalysisResult, ResponseTimeResult, higher_priority, jobs_in

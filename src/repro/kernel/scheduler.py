@@ -50,7 +50,6 @@ from .cores import CoreSet, PlacementPolicy
 from .resources import ResourceManager, ResourceProtocol
 from .task import (
     CopyPlan,
-    Criticality,
     Executable,
     MKWindow,
     Result,

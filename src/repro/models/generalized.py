@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..reliability import MarkovChain

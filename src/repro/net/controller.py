@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import NetworkError
 from .frame import Frame, ReceivedFrame
 
 

@@ -10,7 +10,7 @@ lets the receiving node detect corruption introduced *before* transmission
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..core.integrity import crc16, words_to_bytes
 from ..errors import NetworkError

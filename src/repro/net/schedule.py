@@ -16,7 +16,7 @@ communication cycle:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
 

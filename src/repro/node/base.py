@@ -12,7 +12,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..faults.types import FaultType
 from ..net.controller import NetworkInterface
 from ..sim import Simulator, TraceRecorder

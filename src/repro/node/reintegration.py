@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..core.diagnosis import DIAGNOSIS_TICKS, REINTEGRATION_TICKS, OfflineDiagnosis
+from ..core.diagnosis import REINTEGRATION_TICKS, OfflineDiagnosis
 from ..errors import ConfigurationError
 from ..sim import PRIORITY_KERNEL, Simulator, TraceRecorder
 

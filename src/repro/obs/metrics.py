@@ -50,7 +50,7 @@ import contextlib
 import math
 import time
 from collections import Counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import runtime as _runtime
 

@@ -2,8 +2,10 @@
 
 This is the core model type of the reliability engine: the paper's central
 unit and wheel-node subsystems (Figures 6, 7, 9, 10, 11) are all small CTMCs
-with absorbing failure states.  The class stores a transition-rate dictionary
-and materialises the infinitesimal generator matrix Q on demand.
+with absorbing failure states.  The class stores its transitions as
+``(source index, target index, rate, label)`` tuples and materialises the
+infinitesimal generator matrix Q on demand; :func:`generator_stack` builds
+the generators of many chains over one state list in a single pass.
 
 Conventions
 -----------
@@ -32,12 +34,14 @@ class Transition:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ModelError(
-                f"negative rate {self.rate} on transition {self.source}->{self.target}"
-            )
-        if self.source == self.target:
-            raise ModelError(f"self-loop on state {self.source!r} is meaningless in a CTMC")
+        _check_transition(self.source, self.target, self.rate)
+
+
+def _check_transition(source: str, target: str, rate: float) -> None:
+    if rate < 0:
+        raise ModelError(f"negative rate {rate} on transition {source}->{target}")
+    if source == target:
+        raise ModelError(f"self-loop on state {source!r} is meaningless in a CTMC")
 
 
 class MarkovChain:
@@ -64,7 +68,8 @@ class MarkovChain:
         self.name = name
         self._states: List[str] = states
         self._index: Dict[str, int] = {s: i for i, s in enumerate(states)}
-        self._transitions: List[Transition] = []
+        #: ``(i, j, rate, label)`` per transition, in insertion order.
+        self._transitions: List[Tuple[int, int, float, str]] = []
         self._initial = np.zeros(len(states))
         self._initial[0] = 1.0
 
@@ -79,7 +84,11 @@ class MarkovChain:
     @property
     def transitions(self) -> List[Transition]:
         """All transitions in insertion order."""
-        return list(self._transitions)
+        states = self._states
+        return [
+            Transition(states[i], states[j], rate, label)
+            for i, j, rate, label in self._transitions
+        ]
 
     def state_index(self, state: str) -> int:
         """Index of *state*; raises :class:`ModelError` if unknown."""
@@ -95,10 +104,9 @@ class MarkovChain:
         model builders write parameter-dependent rates without special-casing
         degenerate parameter values (e.g. coverage = 1.0).
         """
-        self.state_index(source)
-        self.state_index(target)
-        transition = Transition(source, target, float(rate), label)
-        self._transitions.append(transition)
+        i, j, rate = self.state_index(source), self.state_index(target), float(rate)
+        _check_transition(source, target, rate)
+        self._transitions.append((i, j, rate, label))
 
     def set_initial(self, distribution: "str | Mapping[str, float]") -> None:
         """Set the initial distribution.
@@ -128,19 +136,12 @@ class MarkovChain:
     # ------------------------------------------------------------------
     def generator_matrix(self) -> np.ndarray:
         """The infinitesimal generator Q (rows sum to zero)."""
-        n = len(self._states)
-        q = np.zeros((n, n))
-        for t in self._transitions:
-            i, j = self._index[t.source], self._index[t.target]
-            q[i, j] += t.rate
-        np.fill_diagonal(q, 0.0)
-        q[np.diag_indices(n)] = -q.sum(axis=1)
-        return q
+        return generator_stack([self])[0]
 
     def absorbing_states(self) -> List[str]:
         """States with no outgoing transitions of positive rate."""
-        outgoing = {t.source for t in self._transitions if t.rate > 0}
-        return [s for s in self._states if s not in outgoing]
+        outgoing = {i for i, _, rate, _ in self._transitions if rate > 0}
+        return [s for i, s in enumerate(self._states) if i not in outgoing]
 
     # ------------------------------------------------------------------
     # Analysis front-ends (delegate to repro.reliability.solvers)
@@ -194,7 +195,7 @@ class MarkovChain:
     def describe(self) -> str:
         """Readable dump of states and transitions (for docs and debugging)."""
         lines = [f"MarkovChain {self.name!r}: states={self._states}"]
-        for t in self._transitions:
+        for t in self.transitions:
             tag = f"  [{t.label}]" if t.label else ""
             lines.append(f"  {t.source} -> {t.target}  rate={t.rate:.6g}{tag}")
         for s in self.absorbing_states():
@@ -206,6 +207,43 @@ class MarkovChain:
             f"MarkovChain(name={self.name!r}, states={len(self._states)}, "
             f"transitions={len(self._transitions)})"
         )
+
+
+def generator_stack(chains: Sequence[MarkovChain]) -> np.ndarray:
+    """The generators of C chains over one state list — shape ``(C, n, n)``.
+
+    Parallel transitions add up in insertion order, starting from 0.0, and
+    each diagonal entry is minus its row sum, so every slice is the
+    chain's :meth:`MarkovChain.generator_matrix`, bit for bit.
+    """
+    if not chains:
+        raise ModelError("need at least one chain")
+    states = chains[0]._states
+    for chain in chains[1:]:
+        if chain._states != states:
+            raise ModelError(
+                "chains need one shared state list; "
+                f"{chain.name!r} differs from {chains[0].name!r}"
+            )
+    n, count = len(states), len(chains)
+    cells = [
+        c * n * n + i * n + j
+        for c, chain in enumerate(chains)
+        for i, j, _, _ in chain._transitions
+    ]
+    rates = [rate for chain in chains for _, _, rate, _ in chain._transitions]
+    # bincount adds its weights one by one in index order, as a loop of
+    # q[i, j] += rate over each chain's transitions would.  With no
+    # weights at all it returns integers, hence the astype.
+    flat = np.bincount(
+        np.array(cells, dtype=np.intp),
+        weights=np.array(rates, dtype=float),
+        minlength=count * n * n,
+    ).astype(float, copy=False).reshape(count, n * n)
+    q = flat.reshape(count, n, n)
+    # Every (n + 1)-th entry of a flattened n x n matrix is on its diagonal.
+    flat[:, :: n + 1] = -np.add.reduce(q, axis=-1)
+    return q
 
 
 def rate_sum(chain: MarkovChain, source: str, target: str) -> float:

@@ -1,19 +1,24 @@
 """Batched reliability solves: whole parameter sweeps in one stacked expm.
 
 The reliability experiments evaluate R(t) over parameter grids: Figure 14
-sweeps a (coverage, fault-rate) grid of structurally identical chains at
-one mission time.  The point solver
+sweeps a (coverage, fault-rate) grid of chains at one mission time.  The
+chains of one sweep share a state list; their transition rates differ,
+and so may their transitions.  The point solver
 (:func:`repro.reliability.solvers.transient_distribution`) answers one
 ``(chain, t)`` pair per call, paying the Python overhead of the front-end
 for every point.
 
-:func:`reliability_batch` stacks the C generators into one ``(C, n, n)``
-array and calls :func:`scipy.linalg.expm` once per requested time.  scipy
-exponentiates the slices of a stacked array with the same scaling-and-
-squaring Pade routine it applies to a single matrix, so each chain's
-distribution ``pi0 @ expm(Q t)`` goes through exactly the arithmetic of
-the ``expm`` point solve, followed by the same row-wise ``_clip`` (once per
-``(C, n)`` batch) and the same left-to-right failure-mass sum.
+:func:`reliability_batch` builds the C generators as one ``(C, n, n)``
+stack with :func:`repro.reliability.ctmc.generator_stack` (the builder
+behind ``MarkovChain.generator_matrix`` too) and calls
+:func:`scipy.linalg.expm` once per requested time.  scipy exponentiates
+the slices of a stacked array with the same scaling-and-squaring Pade
+routine it applies to a single matrix, and one stacked ``np.matmul``
+forms every chain's ``pi0 @ expm(Q t)`` with the vector-matrix kernel
+of the point solve, so each distribution goes through exactly the
+arithmetic of the ``expm`` point solve, followed by the same row-wise
+``_clip`` (once per ``(C, n)`` batch) and the same left-to-right
+failure-mass sum.
 
 Equivalence contract
 --------------------
@@ -35,7 +40,7 @@ from scipy.linalg import expm
 
 from ..errors import ModelError
 from ..obs import metrics as obs_metrics
-from .ctmc import MarkovChain
+from .ctmc import MarkovChain, generator_stack
 from .solvers import _clip
 
 
@@ -59,21 +64,14 @@ def reliability_batch(
     times: Sequence[float],
     failure_states: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
-    """``R(t)`` of C structurally identical chains — shape ``(C, T)``.
+    """``R(t)`` of C chains over one state list — shape ``(C, T)``.
 
     The chains must share their state list (same names, same order), as
-    the parameter-sweep chains of Figure 14 do.  Each chain counts its own
-    absorbing states as failures unless *failure_states* names them.
+    the parameter-sweep chains of Figure 14 do; their transitions may
+    differ.  Each chain counts its own absorbing states as failures unless
+    *failure_states* names them.
     """
-    if not chains:
-        raise ModelError("need at least one chain")
-    reference = chains[0]
-    for chain in chains[1:]:
-        if chain.states != reference.states:
-            raise ModelError(
-                "reliability_batch needs structurally identical chains; "
-                f"{chain.name!r} differs from {reference.name!r}"
-            )
+    qs = generator_stack(chains)
     times = [float(t) for t in times]
     if not times:
         raise ModelError("time grid must not be empty")
@@ -85,7 +83,6 @@ def reliability_batch(
     columns = np.array([f + [-1] * (width - len(f)) for f in failures]).T
     rows = np.arange(len(chains))
     pi0s = np.stack([chain.initial_distribution for chain in chains])
-    qs = np.stack([chain.generator_matrix() for chain in chains])
     out = np.empty((len(chains), len(times)))
     for i, t in enumerate(times):
         if t == 0.0:
@@ -93,7 +90,8 @@ def reliability_batch(
         else:
             with obs_metrics.span("solver.expm_batch"):
                 steps = expm(qs * t)
-            dists = _clip(np.stack([pi0 @ step for pi0, step in zip(pi0s, steps)]))
+            # (C, 1, n) @ (C, n, n): every chain's pi0 @ step in one call.
+            dists = _clip(np.matmul(pi0s[:, None, :], steps)[:, 0])
         # Summed left to right as the point path's sum() is; a pad adds 0.0.
         mass = 0.0
         for column in columns:

@@ -13,8 +13,8 @@ supervisor reads them from the active context once per run.  It is
 * **plain data** — every field is a primitive, so a config pickles
   (the shard coordinator hands it to every runner, which activates it
   explicitly rather than relying on fork inheritance) and serialises to JSON
-  (:meth:`to_dict` / :meth:`from_dict` / :meth:`from_file`, the CLI's
-  ``--config FILE``).
+  (:meth:`to_dict` / :meth:`from_dict`; the CLI's ``--config FILE`` reads
+  its JSON object with :func:`read_config_file`).
 
 ``smoke`` chooses how *much* work runs: smoke-test campaign sizes (the
 experiment runner's ``--fast`` CLI flag) instead of the full paper-scale
@@ -150,11 +150,6 @@ class RunConfig:
                 f"known keys: {sorted(known)}"
             )
         return cls(**dict(data))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "RunConfig":
-        """Load a JSON config file (the CLI's ``--config FILE``)."""
-        return cls.from_dict(read_config_file(path))
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with *changes* applied (frozen-dataclass convenience)."""

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from .conftest import write_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

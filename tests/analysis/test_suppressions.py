@@ -1,7 +1,5 @@
 """Suppression grammar: mandatory reasons, hygiene rules SUP001/SUP002."""
 
-import pytest
-
 from repro.analysis.findings import ERROR, Finding
 from repro.analysis.suppressions import (
     Suppression, apply_suppressions, parse_suppressions,

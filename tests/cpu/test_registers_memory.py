@@ -8,7 +8,6 @@ from repro.cpu.registers import (
     ALL_REGISTERS,
     FLAG_NEGATIVE,
     FLAG_ZERO,
-    WORD_MASK,
     RegisterFile,
 )
 from repro.errors import MachineError

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cpu.machine import Machine
-from repro.cpu.assembler import assemble
 from repro.errors import ConfigurationError
 from repro.faults import (
     CampaignStatistics,

@@ -1,6 +1,5 @@
 """End-to-end integration: kernel nodes + bus + duplex pair + fault injection."""
 
-import numpy as np
 import pytest
 
 from repro.apps import BbwConfig, BbwSimulation, step_brake

@@ -15,7 +15,7 @@ from repro.node import (
     RestartController,
 )
 from repro.node.fs_node import make_fs_kernel_node
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import TraceRecorder
 from repro.units import seconds
 
 

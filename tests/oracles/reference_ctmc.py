@@ -1,4 +1,9 @@
-"""Per-point CTMC transient solves: the results production must match.
+"""Per-point CTMC transient solves and the generator: what production must match.
+
+:func:`generator_matrix` is the transition-by-transition build of Q that
+production replaced with one stacked builder
+(:func:`repro.reliability.ctmc.generator_stack`); production must equal it
+bit for bit.
 
 Every call computes one matrix exponential (or one uniformization / ODE
 pass) per time point — no step-matrix propagation — and post-processes it
@@ -45,6 +50,18 @@ def clip(pi: np.ndarray) -> np.ndarray:
     return pi / total
 
 
+def generator_matrix(chain: MarkovChain) -> np.ndarray:
+    """Q built one transition at a time, parallel ones added in order."""
+    n = len(chain.states)
+    q = np.zeros((n, n))
+    for t in chain.transitions:
+        i, j = chain.state_index(t.source), chain.state_index(t.target)
+        q[i, j] += t.rate
+    np.fill_diagonal(q, 0.0)
+    q[np.diag_indices(n)] = -q.sum(axis=1)
+    return q
+
+
 def transient_distribution(
     chain: MarkovChain, t: float, method: str = "expm", tol: float = 1e-12
 ) -> np.ndarray:
@@ -56,7 +73,7 @@ def transient_distribution(
     pi0 = chain.initial_distribution
     if t == 0:
         return pi0
-    q = chain.generator_matrix()
+    q = generator_matrix(chain)
     if method == "expm":
         return clip(pi0 @ expm(q * t))
     if method == "uniformization":

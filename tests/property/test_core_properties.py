@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.comparison import majority_vote, results_match
 from repro.core.control_flow import fold_signature
-from repro.core.integrity import ChecksummedBlock, crc16, words_to_bytes
+from repro.core.integrity import ChecksummedBlock, crc16
 from repro.core.tem import TemOutcome, run_tem_direct
 from repro.cpu.isa import decode, encode, OPCODES
 from repro.cpu.memory import Memory

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) of the reliability engine."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, NotAbsorbingError
+from repro.models import BbwParameters
+from repro.models.central_unit import build_cu_nlft
+from repro.models.wheel_nodes import build_wn_fs_degraded
 from repro.reliability import (
     MarkovChain,
+    Transition,
     mean_time_to_absorption,
     rate_sum,
     steady_state,
@@ -80,6 +84,87 @@ class TestConstruction:
         text = absorbing_chain().describe()
         assert "up -> failed" in text
         assert "absorbing: failed" in text
+
+
+class TestPublicSurface:
+    """What the chain shows of its transitions, pinned against the store
+    of index tuples behind it."""
+
+    def test_transitions_are_records_in_insertion_order(self):
+        chain = MarkovChain(["a", "b", "c"])
+        chain.add_transition("b", "c", 2, label="late")
+        chain.add_transition("a", "b", 0.5)
+        chain.add_transition("b", "c", 0.0, label="zero")
+        chain.add_transition("c", "a", 1.25, label="back")
+        assert chain.transitions == [
+            Transition("b", "c", 2.0, "late"),
+            Transition("a", "b", 0.5, ""),
+            Transition("b", "c", 0.0, "zero"),
+            Transition("c", "a", 1.25, "back"),
+        ]
+        assert all(type(t.rate) is float for t in chain.transitions)
+        chain.transitions.clear()
+        assert len(chain.transitions) == 4
+
+    def test_bbw_transitions_keep_their_rates_and_order(self):
+        params = BbwParameters.paper()
+        remaining = 3 * params.fs_failure_rate
+        assert build_wn_fs_degraded(params).transitions == [
+            Transition("0", "1", 4 * params.lambda_p * params.coverage,
+                       "detected permanent fault in one of four nodes"),
+            Transition("0", "2", 4 * params.lambda_t * params.coverage,
+                       "detected transient fault -> fail-silent restart"),
+            Transition("0", "F", 4 * params.uncovered_rate,
+                       "non-covered error (pessimistic: system failure)"),
+            Transition("1", "F", remaining, "any fault among the three remaining nodes"),
+            Transition("2", "0", params.mu_restart, "reintegration"),
+            Transition("2", "F", remaining,
+                       "any fault among the three working nodes during restart"),
+        ]
+
+    def test_describe_central_unit(self):
+        assert build_cu_nlft(BbwParameters.paper()).describe() == "\n".join([
+            "MarkovChain 'CU-NLFT': states=['0', '1', '2', '3', 'F']",
+            "  0 -> 1  rate=3.6036e-05  [detected permanent fault in one of two nodes]",
+            "  0 -> 2  rate=1.8018e-05  "
+            "[detected transient -> fail-silent failure (kernel error)]",
+            "  0 -> 3  rate=1.8018e-05  "
+            "[detected transient -> omission failure (no time to recover)]",
+            "  0 -> F  rate=4.004e-06  [non-covered error (pessimistic: system failure)]",
+            "  1 -> F  rate=3.8038e-05  [unmasked fault in the remaining NLFT node]",
+            "  2 -> F  rate=3.8038e-05  [unmasked fault in the remaining NLFT node]",
+            "  2 -> 0  rate=1200  [repair/reintegration]",
+            "  3 -> F  rate=3.8038e-05  [unmasked fault in the remaining NLFT node]",
+            "  3 -> 0  rate=2250  [repair/reintegration]",
+            "  absorbing: F",
+        ])
+
+    def test_describe_wheel_subsystem(self):
+        assert build_wn_fs_degraded(BbwParameters.paper()).describe() == "\n".join([
+            "MarkovChain 'WN-FS-degraded': states=['0', '1', '2', 'F']",
+            "  0 -> 1  rate=7.2072e-05  [detected permanent fault in one of four nodes]",
+            "  0 -> 2  rate=0.00072072  [detected transient fault -> fail-silent restart]",
+            "  0 -> F  rate=8.008e-06  [non-covered error (pessimistic: system failure)]",
+            "  1 -> F  rate=0.0006006  [any fault among the three remaining nodes]",
+            "  2 -> 0  rate=1200  [reintegration]",
+            "  2 -> F  rate=0.0006006  "
+            "[any fault among the three working nodes during restart]",
+            "  absorbing: F",
+        ])
+
+    def test_state_whose_only_exit_has_rate_zero_is_absorbing(self):
+        chain = MarkovChain(["ok", "deg", "F"])
+        chain.add_transition("ok", "deg", 1.0)
+        chain.add_transition("deg", "F", 0.0)
+        assert chain.absorbing_states() == ["deg", "F"]
+        chain.add_transition("deg", "F", 0.5)
+        assert chain.absorbing_states() == ["F"]
+
+    def test_direct_transition_validates(self):
+        with pytest.raises(ModelError, match="negative rate"):
+            Transition("a", "b", -0.5)
+        with pytest.raises(ModelError, match="self-loop"):
+            Transition("a", "a", 1.0)
 
 
 class TestTransientAnalysis:

@@ -1,7 +1,5 @@
 """Tests of component importance measures."""
 
-import math
-
 import pytest
 
 from repro.errors import ModelError

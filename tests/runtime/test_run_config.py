@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import DEFAULT_HORIZON_HOURS, RunConfig
+from repro.runtime.config import read_config_file
 
 
 class TestDefaults:
@@ -92,16 +93,16 @@ class TestSerialisation:
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"root_seed": 3, "jobs": 2, "smoke": True}))
-        cfg = RunConfig.from_file(path)
+        cfg = RunConfig.from_dict(read_config_file(path))
         assert cfg.root_seed == 3 and cfg.jobs == 2 and cfg.smoke
 
     def test_from_file_errors(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_file(tmp_path / "missing.json")
+        with pytest.raises(ConfigurationError, match="cannot read config"):
+            RunConfig.from_dict(read_config_file(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         with pytest.raises(ConfigurationError, match="JSON object"):
-            RunConfig.from_file(bad)
+            RunConfig.from_dict(read_config_file(bad))
 
     def test_pickles(self):
         cfg = RunConfig(root_seed=3, jobs=2, smoke=True)
