@@ -17,7 +17,9 @@ from repro.experiments import (
     wheel_node_task_set,
 )
 from repro.experiments.asciiplot import render_chart, render_table
+from repro.experiments.multicore_tem import run_multicore_experiment
 from repro.experiments.simulation_study import compare_braking_under_faults
+from repro.experiments.weakly_hard import run_weakly_hard_experiment
 from repro.faults.outcomes import OutcomeClass
 from repro.models import BbwParameters
 
@@ -105,6 +107,42 @@ class TestSchedulability:
 
     def test_render(self):
         assert "utilization" in compute_schedulability().render()
+
+
+class TestRtaReportNumbers:
+    """The report figures response-time analysis derives, pinned exactly:
+    any change to the analysis that moves one of them changes the
+    reproduction's results."""
+
+    def test_e7_response_times(self):
+        result = compute_schedulability()
+        assert [row.plain_response for row in result.rows] == [
+            600, 1000, 1300, 3300, 6900,
+        ]
+        assert [row.ft_response for row in result.rows] == [
+            1840, 2660, 3280, 6500, 9500,
+        ]
+        assert result.max_faults_tolerated == 6
+
+    def test_e14_headroom(self):
+        result = run_weakly_hard_experiment(experiments=12)
+        assert (result.hard_headroom, result.mk_headroom) == (6, 7)
+
+    def test_e15_schedulable_utilisation(self):
+        result = run_multicore_experiment(trials=4)
+        assert [
+            (row.cores, row.placement, row.tem_mode, row.utilisation)
+            for row in result.utilisation
+        ] == [
+            (1, "partitioned", "temporal", 0.44279998540878296),
+            (1, "global", "temporal", 0.44279998540878296),
+            (2, "partitioned", "temporal", 0.7980499267578125),
+            (2, "global", "temporal", 0.7257999181747437),
+            (2, "partitioned", "spatial", 1.0000499486923218),
+            (4, "partitioned", "temporal", 1.328399896621704),
+            (4, "global", "temporal", 1.0654997825622559),
+            (4, "partitioned", "spatial", 2.0000498294830322),
+        ]
 
 
 class TestCoverageCampaign:
