@@ -14,7 +14,7 @@ Run:  python examples/schedulability_analysis.py
 import dataclasses
 
 from repro.experiments import compute_schedulability, wheel_node_task_set
-from repro.kernel import FaultHypothesis, analyse_ft, max_tolerable_faults
+from repro.kernel import FaultHypothesis, analyse, max_tolerable_faults
 from repro.units import us
 
 
@@ -26,8 +26,8 @@ def main() -> None:
     print("Anticipated fault count vs schedulability (slack dimensioning):")
     tasks = wheel_node_task_set()
     for faults in range(0, 7):
-        result = analyse_ft(tasks, FaultHypothesis(max_faults=faults),
-                            comparison_cost=us(20))
+        result = analyse(tasks, FaultHypothesis(max_faults=faults),
+                         comparison_cost=us(20))
         verdict = "schedulable" if result.schedulable else "NOT schedulable"
         worst = max(
             (row.response_time or 10**9) for row in result.per_task

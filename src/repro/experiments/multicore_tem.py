@@ -24,7 +24,7 @@ The experiment measures both sides of the trade on the DES kernel:
   across fault arrival rates.
 * **Schedulable utilisation** — the largest raw utilisation a synthetic
   task family keeps schedulable under the multicore FT-RTA
-  (:func:`repro.kernel.ft_analysis.analyse_ft_mc`) across core counts:
+  (:func:`repro.kernel.analysis.analyse`) across core counts:
   temporal TEM doubles demand on one core; spatial TEM places single
   copies on two cores (the analysis transform of
   :func:`spatial_analysis_tasks`), trading cores for slack.
@@ -42,7 +42,7 @@ import numpy as np
 from ..cpu.profiles import FaultEffect
 from ..faults.generators import critical_section_arrivals
 from ..kernel.cores import PlacementPolicy
-from ..kernel.ft_analysis import FaultHypothesis, analyse_ft_mc
+from ..kernel.analysis import FaultHypothesis, analyse
 from ..kernel.resources import CriticalSection, ResourceProtocol
 from ..kernel.scheduler import KernelConfig, Scheduler
 from ..kernel.task import CallableExecutable, Criticality, TaskSpec, TemMode
@@ -360,7 +360,7 @@ def max_schedulable_utilisation(
     steps: int = 24,
 ) -> float:
     """Binary-search the largest raw utilisation of the synthetic family
-    that :func:`analyse_ft_mc` keeps schedulable on *cores* cores."""
+    that :func:`~repro.kernel.analysis.analyse` keeps schedulable on *cores* cores."""
 
     def schedulable(utilisation: float) -> bool:
         tasks = _task_family(utilisation)
@@ -368,7 +368,7 @@ def max_schedulable_utilisation(
             if cores < 2:
                 return False
             tasks = spatial_analysis_tasks(tasks, cores)
-        result = analyse_ft_mc(
+        result = analyse(
             tasks, hypothesis, cores=cores, placement=placement,
             comparison_cost=comparison_cost,
         )

@@ -20,12 +20,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-from ..kernel.analysis import analyse, utilization
-from ..kernel.ft_analysis import (
+from ..kernel.analysis import (
     FaultHypothesis,
-    analyse_ft,
+    analyse,
     max_tolerable_faults,
     tem_utilization,
+    utilization,
 )
 from ..kernel.priority import assign_criticality_monotonic
 from ..kernel.task import Criticality, TaskSpec
@@ -111,7 +111,7 @@ def compute_schedulability(
     task_list = list(tasks) if tasks is not None else wheel_node_task_set()
     hypothesis = FaultHypothesis(max_faults=faults)
     plain = analyse(task_list)
-    ft = analyse_ft(task_list, hypothesis, comparison_cost=comparison_cost)
+    ft = analyse(task_list, hypothesis, comparison_cost=comparison_cost)
     rows = []
     for task in sorted(task_list, key=lambda t: t.priority):
         plain_r = plain.response_time(task.name)

@@ -25,8 +25,8 @@ window state: the mean number of jobs until the first (m,k) *violation*
 violation.  Scaled by the control period this yields MTTF and one-year
 mission reliability across fault rates — the headroom the weakly-hard
 contract buys.  The schedulability side of the same story is reported via
-:func:`repro.kernel.ft_analysis.mk_max_tolerable_faults` on the wheel-node
-task set.
+:func:`repro.kernel.analysis.max_tolerable_faults` on the wheel-node
+task set, hard and with the (m,k) budget attached.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..faults.outcomes import (
 )
 from ..faults.types import Fault
 from ..harness import SupervisorConfig, run_experiment_campaign
-from ..kernel.ft_analysis import max_tolerable_faults, mk_max_tolerable_faults
+from ..kernel.analysis import max_tolerable_faults
 from ..kernel.task import MKWindow, TaskSpec, WeaklyHardConstraint
 from ..units import us
 from .asciiplot import render_table
@@ -506,7 +506,7 @@ def run_weakly_hard_experiment(
         window_violations=violations,
         rates=rates,
         hard_headroom=max_tolerable_faults(tasks, comparison_cost=comparison_cost),
-        mk_headroom=mk_max_tolerable_faults(soft_tasks, comparison_cost=comparison_cost),
+        mk_headroom=max_tolerable_faults(soft_tasks, comparison_cost=comparison_cost),
     )
 
 

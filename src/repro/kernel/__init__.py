@@ -7,33 +7,22 @@ tasks (see :mod:`repro.core.tem`).
 
 from .analysis import (
     AnalysisResult,
+    FaultHypothesis,
     ResponseTimeResult,
     analyse,
     higher_priority,
     jobs_in,
+    max_tolerable_faults,
+    mk_absorbable_misses,
+    partition_tasks,
+    recovery_cost,
     response_time,
+    tem_cost,
+    tem_utilization,
     utilization,
 )
 from .budget import DEFAULT_BUDGET_FACTOR, ExecutionBudget, budget_for_wcet
 from .cores import CoreSet, PlacementPolicy
-from .ft_analysis import (
-    FaultHypothesis,
-    analyse_ft,
-    analyse_ft_mc,
-    analyse_mk,
-    analyse_mk_mc,
-    ft_response_time,
-    ft_response_time_mc,
-    max_tolerable_faults,
-    mk_absorbable_misses,
-    mk_max_tolerable_faults,
-    mk_response_time,
-    mk_response_time_mc,
-    partition_tasks,
-    recovery_cost,
-    tem_cost,
-    tem_utilization,
-)
 from .priority import assign_criticality_monotonic
 from .resources import (
     CriticalSection,
@@ -85,21 +74,12 @@ __all__ = [
     "TemMode",
     "WeaklyHardConstraint",
     "analyse",
-    "analyse_ft",
-    "analyse_ft_mc",
-    "analyse_mk",
-    "analyse_mk_mc",
     "assign_criticality_monotonic",
     "budget_for_wcet",
-    "ft_response_time",
-    "ft_response_time_mc",
     "higher_priority",
     "jobs_in",
     "max_tolerable_faults",
     "mk_absorbable_misses",
-    "mk_max_tolerable_faults",
-    "mk_response_time",
-    "mk_response_time_mc",
     "partition_tasks",
     "recovery_cost",
     "response_time",

@@ -17,7 +17,7 @@ ready job may use which core:
 The :class:`CoreSet` itself is policy-free bookkeeping: slot occupancy and
 deterministic slot selection.  The dispatch logic lives in
 :class:`repro.kernel.scheduler.Scheduler`, the schedulability side in
-:func:`repro.kernel.ft_analysis.analyse_ft_mc`.
+:func:`repro.kernel.analysis.analyse` (``cores``, ``placement``).
 """
 
 from __future__ import annotations

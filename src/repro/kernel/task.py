@@ -209,8 +209,9 @@ class TaskSpec:
         Optional (m,k) constraint: the task tolerates up to m deadline
         misses in any k consecutive jobs (``None`` = hard deadline, the
         paper's default).  Consumed by the miss-budget-aware recovery
-        policy (:mod:`repro.core.tem`) and the (m,k)-aware FT-RTA
-        (:func:`repro.kernel.ft_analysis.mk_response_time`).
+        policy (:mod:`repro.core.tem`) and the response-time analysis
+        (:func:`repro.kernel.analysis.response_time`), whose recovery
+        term skips the recoveries the budget absorbs.
     core:
         Home core under partitioned multicore scheduling (``None`` =
         core 0, which on an M = 1 node is the paper's single processor).

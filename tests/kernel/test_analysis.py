@@ -1,19 +1,22 @@
 """Tests of response-time analysis (plain and fault-tolerant) and priorities."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.kernel.analysis import analyse, response_time, utilization
-from repro.kernel.budget import ExecutionBudget, budget_for_wcet
-from repro.kernel.ft_analysis import (
+from repro.kernel.analysis import (
     FaultHypothesis,
-    analyse_ft,
-    ft_response_time,
+    analyse,
     max_tolerable_faults,
     recovery_cost,
+    response_time,
     tem_cost,
     tem_utilization,
+    utilization,
 )
+from repro.kernel.budget import ExecutionBudget, budget_for_wcet
+from repro.kernel.cores import PlacementPolicy
 from repro.kernel.priority import assign_criticality_monotonic
 from repro.kernel.task import Criticality, TaskSpec
 
@@ -76,21 +79,21 @@ class TestFtRta:
     def test_ft_response_at_least_doubled(self):
         tasks = [task("t1", 100, 10, 0), task("t2", 200, 20, 1)]
         plain = response_time(tasks, tasks[1])
-        ft = ft_response_time(tasks, tasks[1], FaultHypothesis(max_faults=0))
+        ft = response_time(tasks, tasks[1], FaultHypothesis(max_faults=0))
         assert ft >= 2 * plain - tasks[1].wcet  # doubled own + doubled hp
 
     def test_each_anticipated_fault_adds_recovery_slack(self):
         tasks = [task("t1", 1000, 10, 0)]
-        r0 = ft_response_time(tasks, tasks[0], FaultHypothesis(max_faults=0))
-        r1 = ft_response_time(tasks, tasks[0], FaultHypothesis(max_faults=1))
-        r2 = ft_response_time(tasks, tasks[0], FaultHypothesis(max_faults=2))
+        r0 = response_time(tasks, tasks[0], FaultHypothesis(max_faults=0))
+        r1 = response_time(tasks, tasks[0], FaultHypothesis(max_faults=1))
+        r2 = response_time(tasks, tasks[0], FaultHypothesis(max_faults=2))
         assert r1 - r0 == 10  # one extra copy
         assert r2 - r1 == 10
 
     def test_recovery_cost_uses_worst_hep_task(self):
         tasks = [task("big", 1000, 50, 0), task("small", 1000, 5, 1)]
-        r_small_f0 = ft_response_time(tasks, tasks[1], FaultHypothesis(0))
-        r_small_f1 = ft_response_time(tasks, tasks[1], FaultHypothesis(1))
+        r_small_f0 = response_time(tasks, tasks[1], FaultHypothesis(0))
+        r_small_f1 = response_time(tasks, tasks[1], FaultHypothesis(1))
         # The fault may hit 'big' (higher priority), so its recovery (50)
         # delays 'small'.
         assert r_small_f1 - r_small_f0 == 50
@@ -109,7 +112,7 @@ class TestFtRta:
     def test_unschedulable_even_fault_free(self):
         tasks = [task("t", 10, 6, 0)]  # TEM doubles to 12 > deadline 10
         assert max_tolerable_faults(tasks) == -1
-        assert not analyse_ft(tasks, FaultHypothesis(0)).schedulable
+        assert not analyse(tasks, FaultHypothesis(0)).schedulable
 
     def test_tem_utilization(self):
         tasks = [task("c", 10, 2, 0), task("n", 10, 2, 1, critical=False)]
@@ -120,6 +123,30 @@ class TestFtRta:
             FaultHypothesis(max_faults=-1)
         with pytest.raises(ConfigurationError):
             FaultHypothesis(max_faults=1, window=0)
+
+
+class TestPinValidation:
+    """A core pin outside the node is a configuration error on one core as
+    on many, as the scheduler rejects it; global placement ignores pins."""
+
+    def pinned(self):
+        return [task("a", 100, 10, 0), dataclasses.replace(task("b", 200, 20, 1), core=1)]
+
+    def test_pin_outside_a_single_core_node_rejected(self):
+        tasks = self.pinned()
+        with pytest.raises(ConfigurationError):
+            analyse(tasks, FaultHypothesis(max_faults=1))
+        with pytest.raises(ConfigurationError):
+            response_time(tasks, tasks[0])
+        with pytest.raises(ConfigurationError):
+            max_tolerable_faults(tasks)
+
+    def test_global_placement_ignores_pins(self):
+        tasks = self.pinned()
+        unpinned = [dataclasses.replace(t, core=None) for t in tasks]
+        hypothesis = FaultHypothesis(max_faults=1)
+        pinned = analyse(tasks, hypothesis, placement=PlacementPolicy.GLOBAL)
+        assert pinned.per_task == analyse(unpinned, hypothesis).per_task
 
 
 class TestPriorityAssignment:

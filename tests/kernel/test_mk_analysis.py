@@ -1,29 +1,29 @@
 """Miss-pattern-aware FT-RTA for weakly-hard (m,k) task sets.
 
-ISSUE 8 tentpole, kernel layer: :func:`repro.kernel.ft_analysis.mk_response_time`
-discounts recovery slack by the misses a task set's (m,k) constraints can
-absorb.  The gate here is the degeneracy: with hard constraints (or none)
-the mk analysis must agree with :func:`analyse_ft` term for term, and a
-real miss budget must only ever *shrink* response times and *grow* the
+:func:`repro.kernel.analysis.response_time` discounts recovery slack by
+the misses a task set's own (m,k) constraints can absorb.  The gate here
+is the degeneracy: with hard constraints (or none) the analysis must
+agree with the classic fault-tolerant iteration term for term, and a real
+miss budget must only ever *shrink* response times and *grow* the
 tolerable-fault headroom.
 """
 
+import contextlib
 import dataclasses
+import signal
 
 import pytest
 
-from repro.kernel.analysis import jobs_in
-from repro.kernel.ft_analysis import (
+from repro.kernel.analysis import (
     FaultHypothesis,
-    analyse_ft,
-    analyse_mk,
-    ft_response_time,
+    analyse,
+    jobs_in,
     max_tolerable_faults,
     mk_absorbable_misses,
-    mk_max_tolerable_faults,
-    mk_response_time,
+    response_time,
 )
 from repro.kernel.task import Criticality, TaskSpec, WeaklyHardConstraint
+from tests.oracles import reference_rta
 
 
 def task(name, period, wcet, priority, critical=True, weakly_hard=None):
@@ -96,60 +96,68 @@ class TestDegeneracy:
         tasks = wheel_set(constraint)
         hypothesis = FaultHypothesis(max_faults=faults)
         for t in tasks:
-            assert mk_response_time(tasks, t, hypothesis) == ft_response_time(
+            assert response_time(tasks, t, hypothesis) == reference_rta.ft_response_time(
                 tasks, t, hypothesis
             ), t.name
 
     def test_analyse_mk_matches_analyse_ft_when_hard(self):
-        tasks = wheel_set(HARD)
         hypothesis = FaultHypothesis(max_faults=2)
-        mk = analyse_mk(tasks, hypothesis)
-        ft = analyse_ft(tasks, hypothesis)
-        assert {t.name: mk.response_time(t.name) for t in tasks} == {
-            t.name: ft.response_time(t.name) for t in tasks
-        }
+        mk = analyse(wheel_set(HARD), hypothesis)
+        ft = analyse(wheel_set(), hypothesis)
+        assert mk.per_task == ft.per_task
         assert mk.schedulable == ft.schedulable
 
     def test_headroom_degenerates(self):
-        tasks = wheel_set(HARD)
-        assert mk_max_tolerable_faults(tasks) == max_tolerable_faults(tasks)
+        assert max_tolerable_faults(wheel_set(HARD)) == max_tolerable_faults(wheel_set())
 
 
 class TestBudgetShrinksResponse:
     def test_mk_response_never_exceeds_ft(self):
-        tasks = wheel_set(ONE_OF_FOUR)
+        soft, hard = wheel_set(ONE_OF_FOUR), wheel_set()
         hypothesis = FaultHypothesis(max_faults=3)
-        for t in tasks:
-            mk = mk_response_time(tasks, t, hypothesis)
-            ft = ft_response_time(tasks, t, hypothesis)
+        for s, h in zip(soft, hard):
+            mk = response_time(soft, s, hypothesis)
+            ft = response_time(hard, h, hypothesis)
             assert mk is not None and ft is not None
-            assert mk <= ft, t.name
+            assert mk <= ft, s.name
 
     def test_absorbed_fault_costs_no_recovery_slack(self):
         # Sense's busy period spans a single job, so (1,4) absorbs exactly
         # one miss there: a single anticipated fault costs no recovery
         # slack, a second one pays full recovery.
-        tasks = wheel_set(ONE_OF_FOUR)
-        fault_free = ft_response_time(tasks, tasks[0], FaultHypothesis(0))
-        assert (
-            mk_response_time(tasks, tasks[0], FaultHypothesis(1)) == fault_free
-        )
-        one_recovery = ft_response_time(tasks, tasks[0], FaultHypothesis(1))
-        assert (
-            mk_response_time(tasks, tasks[0], FaultHypothesis(2)) == one_recovery
-        )
+        soft, hard = wheel_set(ONE_OF_FOUR), wheel_set()
+        fault_free = response_time(hard, hard[0], FaultHypothesis(0))
+        assert response_time(soft, soft[0], FaultHypothesis(1)) == fault_free
+        one_recovery = response_time(hard, hard[0], FaultHypothesis(1))
+        assert response_time(soft, soft[0], FaultHypothesis(2)) == one_recovery
 
     def test_headroom_grows_with_budget(self):
-        hard = mk_max_tolerable_faults(wheel_set(HARD))
-        relaxed = mk_max_tolerable_faults(wheel_set(ONE_OF_FOUR))
+        hard = max_tolerable_faults(wheel_set(HARD))
+        relaxed = max_tolerable_faults(wheel_set(ONE_OF_FOUR))
         assert relaxed > hard
 
     def test_divergence_still_detected(self):
         tasks = constrain(
             [task("t1", 10, 6, 0), task("t2", 10, 6, 1)], ONE_OF_FOUR
         )
-        assert mk_response_time(tasks, tasks[1], FaultHypothesis(1)) is None
-        assert not analyse_mk(tasks, FaultHypothesis(1)).schedulable
+        assert response_time(tasks, tasks[1], FaultHypothesis(1)) is None
+        assert not analyse(tasks, FaultHypothesis(1)).schedulable
+
+
+@contextlib.contextmanager
+def terminates_within(seconds):
+    """Fail, rather than hang, when the body runs past *seconds*."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"analysis did not terminate within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestOscillationTerminates:
@@ -172,12 +180,15 @@ class TestOscillationTerminates:
 
     def test_mk_response_time_terminates(self):
         tasks = self.oscillating_set()
-        r = mk_response_time(tasks, tasks[0], FaultHypothesis(max_faults=2))
+        with terminates_within(10):
+            r = response_time(tasks, tasks[0], FaultHypothesis(max_faults=2))
+            schedulable = analyse(tasks, FaultHypothesis(max_faults=2)).schedulable
         # The returned bound must actually satisfy demand(r) <= r.
         assert r == 30
-        assert not analyse_mk(tasks, FaultHypothesis(max_faults=2)).schedulable
+        assert not schedulable
 
     def test_headroom_terminates(self):
-        # mk_max_tolerable_faults sweeps F upward and hits the
-        # oscillating configuration at F = 2.
-        assert mk_max_tolerable_faults(self.oscillating_set()) == 1
+        # max_tolerable_faults sweeps F upward and hits the oscillating
+        # configuration at F = 2.
+        with terminates_within(10):
+            assert max_tolerable_faults(self.oscillating_set()) == 1

@@ -5,15 +5,8 @@ import pytest
 
 from repro.cpu.profiles import FaultEffect
 from repro.errors import ConfigurationError
+from repro.kernel.analysis import FaultHypothesis, analyse, partition_tasks
 from repro.kernel.cores import CoreSet, PlacementPolicy
-from repro.kernel.ft_analysis import (
-    FaultHypothesis,
-    analyse_ft,
-    analyse_ft_mc,
-    analyse_mk,
-    analyse_mk_mc,
-    partition_tasks,
-)
 from repro.kernel.resources import CriticalSection, ResourceProtocol
 from repro.kernel.scheduler import KernelConfig, Scheduler
 from repro.kernel.task import (
@@ -24,6 +17,7 @@ from repro.kernel.task import (
     WeaklyHardConstraint,
 )
 from repro.sim import Simulator, TraceRecorder
+from tests.oracles import reference_rta
 
 
 def make_scheduler(config=None):
@@ -381,8 +375,8 @@ class TestSchedulerMkWindows:
 
 
 class TestMulticoreAnalysisDegeneracy:
-    """ISSUE 9 gate: the M-core analyses reduce to the single-core ones
-    term for term at cores=1."""
+    """The M-core analysis reduces to the single-core iterations term for
+    term at cores=1, under either placement."""
 
     def tasks(self):
         from repro.experiments.schedulability_table import wheel_node_task_set
@@ -394,12 +388,12 @@ class TestMulticoreAnalysisDegeneracy:
     def test_ft_mc_degenerates(self, placement, comparison_cost):
         tasks = self.tasks()
         hyp = FaultHypothesis(max_faults=1)
-        single = analyse_ft(tasks, hyp, comparison_cost)
-        multi = analyse_ft_mc(
+        multi = analyse(
             tasks, hyp, cores=1, placement=placement, comparison_cost=comparison_cost
         )
-        assert multi.per_task == single.per_task
-        assert multi.schedulable == single.schedulable
+        assert [r.response_time for r in multi.per_task] == [
+            reference_rta.ft_response_time(tasks, t, hyp, comparison_cost) for t in tasks
+        ]
 
     @pytest.mark.parametrize("placement", list(PlacementPolicy))
     def test_mk_mc_degenerates(self, placement):
@@ -413,15 +407,16 @@ class TestMulticoreAnalysisDegeneracy:
             for t in self.tasks()
         ]
         hyp = FaultHypothesis(max_faults=2)
-        single = analyse_mk(tasks, hyp, 20)
-        multi = analyse_mk_mc(tasks, hyp, cores=1, placement=placement, comparison_cost=20)
-        assert multi.per_task == single.per_task
+        multi = analyse(tasks, hyp, cores=1, placement=placement, comparison_cost=20)
+        assert [r.response_time for r in multi.per_task] == [
+            reference_rta.mk_response_time(tasks, t, hyp, 20) for t in tasks
+        ]
 
     def test_more_cores_never_hurt_partitioned(self):
         tasks = self.tasks()
         hyp = FaultHypothesis(max_faults=1)
-        r1 = analyse_ft_mc(tasks, hyp, cores=1)
-        r2 = analyse_ft_mc(tasks, hyp, cores=2)
+        r1 = analyse(tasks, hyp, cores=1)
+        r2 = analyse(tasks, hyp, cores=2)
         for a, b in zip(r1.per_task, r2.per_task):
             if a.response_time is not None and b.response_time is not None:
                 assert b.response_time <= a.response_time
