@@ -18,9 +18,9 @@ One :func:`run_analysis` call is one lint pass:
    pool for the misses — then run the whole-program checkers over the
    index, filter their findings to the analysed set, and honour inline
    suppressions through the index (summaries record suppression lines,
-   so even a cache-hit file keeps its exemptions).  A suppression naming
-   only whole-program rules that covered none of their findings is
-   reported stale (SUP002), as the per-file pass does for per-file rules.
+   so even a cache-hit file keeps its exemptions).  A suppression whose
+   rules all ran, in either pass, and that covered no finding of either
+   is reported stale (SUP002).
 
 Inline ``# reprolint: disable=RULE -- reason`` comments are the only
 exemption: every *error* finding left after step 3 fails the gate.
@@ -36,17 +36,14 @@ import ast
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .base import Checker, ModuleSource
 from .cache import AnalysisCache, content_sha, rules_fingerprint
 from .callgraph import ModuleSummary, ProjectIndex, extract_summary
 from .findings import ERROR, Finding, sort_findings
-from .project import ProjectChecker
 from .registry import build_checkers, build_project_checkers
-from .suppressions import (
-    apply_suppressions, parse_suppressions, unused_suppression,
-)
+from .suppressions import apply_suppressions, parse_suppressions
 
 #: Roots scanned when no explicit paths are given.
 DEFAULT_ROOTS = ("src/repro", "tests", "examples", "benchmarks", "tools")
@@ -116,10 +113,21 @@ def discover_files(
 # Per-file analysis
 # ----------------------------------------------------------------------
 def analyze_file(
-    path: Path, relpath: str, checkers: Sequence[Checker]
+    path: Path,
+    relpath: str,
+    checkers: Sequence[Checker],
+    rules_run: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """All findings for one file: checker hits minus suppressions, plus
-    suppression-hygiene findings (SUP001/SUP002) and parse errors."""
+    suppression-hygiene findings (SUP001/SUP002) and parse errors.
+
+    *rules_run* is every rule id the run evaluates, whole-program ones
+    included (default: the *checkers*' own).  A suppression is judged once
+    every rule it names is among them: one that covered no finding here
+    is reported SUP002, and the engine withdraws the report when the
+    comment covered a whole-program finding.  A rule that never applies
+    to *relpath* counts as run, so a comment naming it is reported.
+    """
     try:
         module = ModuleSource.parse(path, relpath)
     except SyntaxError as exc:
@@ -130,14 +138,14 @@ def analyze_file(
             hint="fix the parse error",
         )]
     raw: List[Finding] = []
-    active = set()
     for checker in checkers:
         if checker.applies_to(relpath):
             raw.extend(checker.check(module))
-            active.add(checker.rule_id)
+    if rules_run is None:
+        rules_run = [c.rule_id for c in checkers]
     suppressions, problems = parse_suppressions(module.source, relpath)
     kept, unused = apply_suppressions(
-        raw, suppressions, relpath, active_rules=frozenset(active)
+        raw, suppressions, relpath, active_rules=frozenset(rules_run)
     )
     return sort_findings(kept + problems + unused)
 
@@ -146,7 +154,7 @@ def _analyze_one(args: Tuple[str, str, Tuple[str, ...]]) -> List[Finding]:
     """Process-pool worker: re-resolve checkers by rule id, then analyse."""
     path_str, relpath, rule_ids = args
     checkers = build_checkers(list(rule_ids))
-    return analyze_file(Path(path_str), relpath, checkers)
+    return analyze_file(Path(path_str), relpath, checkers, rule_ids)
 
 
 # ----------------------------------------------------------------------
@@ -189,27 +197,6 @@ def build_project_index(
                 cache.put_summary(rel, sha, summary)
             summaries.append(summary)
     return ProjectIndex(summaries)
-
-
-def _unused_project_suppressions(
-    index: ProjectIndex,
-    project_checkers: Sequence[ProjectChecker],
-    analyzed: Set[str],
-    used: Set[Tuple[str, int]],
-) -> Iterator[Finding]:
-    """SUP002 for project-rule suppressions that covered no finding.
-
-    A comment is judged only when every rule it names ran as a project
-    rule for its file, mirroring :func:`apply_suppressions` for per-file
-    rules; a comment mixing per-file and project rules is judged by
-    neither pass.  *used* holds the ``(path, line)`` of every suppression
-    that covered a project finding this run.
-    """
-    for relpath in sorted(analyzed & index.summaries.keys()):
-        active = {c.rule_id for c in project_checkers if c.applies_to(relpath)}
-        for line, rules in index.summaries[relpath].suppressed.items():
-            if (relpath, int(line)) not in used and set(rules) <= active:
-                yield unused_suppression(relpath, int(line), rules)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +247,7 @@ def run_analysis(
     # absolute root or discovery falls back to machine-dependent paths
     checkers = build_checkers(rules)
     project_checkers = build_project_checkers(rules)
-    rule_ids = tuple(c.rule_id for c in checkers)
+    rule_ids = tuple(c.rule_id for c in [*checkers, *project_checkers])
     fingerprint = rules_fingerprint(rule_ids)
     files = discover_files(root, paths)
     cache = AnalysisCache.load(cache_path)
@@ -290,7 +277,7 @@ def run_analysis(
                 all_findings.extend(result)
     else:
         for path, rel, sha in misses:
-            result = analyze_file(path, rel, checkers)
+            result = analyze_file(path, rel, checkers, rule_ids)
             cache.put_findings(rel, sha, fingerprint, result)
             all_findings.extend(result)
 
@@ -305,16 +292,15 @@ def run_analysis(
                     used.add((finding.path, finding.line))
                     continue
                 all_findings.append(finding)
-        all_findings.extend(
-            _unused_project_suppressions(index, project_checkers, analyzed, used)
-        )
+        # The per-file pass reported every suppression it saw cover
+        # nothing; withdraw those that covered a whole-program finding.
+        all_findings = [
+            f for f in all_findings
+            if f.rule != "SUP002" or (f.path, f.line) not in used
+        ]
 
     cache.save(keep=set(shas))
-    active = (
-        sorted(set(rule_ids) | {c.rule_id for c in project_checkers})
-        if rules is None
-        else sorted(set(rules))
-    )
+    active = sorted(rule_ids) if rules is None else sorted(set(rules))
     return AnalysisResult(
         findings=sort_findings(all_findings),
         files_scanned=len(files),

@@ -14,8 +14,8 @@ objects anchored at a concrete file/line, so inline suppressions and
 every report format work unchanged.  Inline suppressions are honoured
 through the index (the engine consults :meth:`ProjectIndex.suppressed` —
 summaries record suppression lines, so even a cache-hit file keeps its
-exemptions), and one that covered no finding of the project rules it
-names is reported stale (SUP002).
+exemptions), and one that covered no finding of any rule it names, in
+either pass, is reported stale (SUP002).
 
 Two contracts keep incremental analysis exact:
 

@@ -10,9 +10,10 @@ justification is itself a violation (rule SUP001, error).  Inline
 comments are the only way to exempt a finding, so each exemption sits on
 the line it excuses.  A well-formed suppression that matches no finding
 on its line is reported as SUP002 (warning) so stale exemptions get
-cleaned up rather than silently accumulating: the per-file pass judges
-comments naming per-file rules (:func:`apply_suppressions`), the engine's
-project pass those naming whole-program rules.
+cleaned up rather than silently accumulating.  A comment is judged once
+every rule it names has run (per-file or whole-program; a rule that
+never applies to the comment's path has run there too), and is stale
+when it covered no finding of either pass.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ def apply_suppressions(
     Returns ``(kept_findings, unused_warnings)`` where *unused_warnings*
     are SUP002 findings for suppressions that covered nothing.  A
     suppression is only judged unused when every rule it names is in
-    *active_rules* (the checkers that actually ran on this file) — a
-    partial run (``--rules CTX001``) must not flag a DET001 suppression
-    it never evaluated.  ``active_rules=None`` judges everything.
+    *active_rules* (the rules the run evaluates) — a partial run
+    (``--rules CTX001``) must not flag a DET001 suppression it never
+    evaluated.  ``active_rules=None`` judges everything.
     """
     used: Dict[int, bool] = {id(s): False for s in suppressions}
     kept: List[Finding] = []

@@ -20,6 +20,18 @@ STALE_SEED = (
     "  # reprolint: disable=SEED001 -- fixed fallback stream\n"
 )
 
+#: A wall-clock read exempted from DET001.
+HOST_TIMER = (
+    "import time\n\n\n"
+    "def stamp():\n"
+    "    return time.time()  # reprolint: disable=DET001 -- host timer\n"
+)
+
+
+def mixed(source):
+    """*source* with its SEED001 comment also naming the per-file DET002."""
+    return source.replace("disable=SEED001", "disable=DET002,SEED001")
+
 
 class TestDiscovery:
     def test_files_sorted_by_relpath(self, tmp_repo):
@@ -120,9 +132,50 @@ class TestStaleScoping:
         result = run_analysis(tmp_repo, rules=["DET001"])
         assert result.findings == []
 
-    def test_out_of_scope_path_is_not_judged(self, tmp_repo):
-        # SEED001 never anchors findings under src/repro/analysis/, so it
-        # cannot judge a SEED001 comment there (as for per-file rules).
+    def test_out_of_scope_path_is_reported(self, tmp_repo):
+        # SEED001 never anchors findings under src/repro/analysis/, so a
+        # SEED001 comment there can never cover anything.
         write_module(tmp_repo, "src/repro/analysis/rng.py", STALE_SEED)
         result = run_analysis(tmp_repo)
-        assert result.findings == []
+        assert [(f.rule, f.line, f.key) for f in result.findings] == [
+            ("SUP002", 5, "unused:SEED001"),
+        ]
+
+    def test_inapplicable_per_file_rule_is_reported(self, tmp_repo):
+        # DET001 does not look at src/repro/obs/: its comment there is stale.
+        write_module(tmp_repo, "src/repro/obs/clock.py", HOST_TIMER)
+        result = run_analysis(tmp_repo)
+        assert [(f.rule, f.line, f.key) for f in result.findings] == [
+            ("SUP002", 5, "unused:DET001"),
+        ]
+        assert run_analysis(tmp_repo, rules=["CTX001"]).findings == []
+
+
+class TestMixedRuleSuppressions:
+    """A comment naming per-file and whole-program rules is judged once
+    both passes ran: stale only when it covered a finding of neither."""
+
+    def test_covering_nothing_is_reported(self, tmp_repo):
+        write_module(tmp_repo, "src/repro/sim/rng.py", mixed(STALE_SEED))
+        result = run_analysis(tmp_repo)
+        assert [(f.rule, f.line, f.key) for f in result.findings] == [
+            ("SUP002", 5, "unused:DET002,SEED001"),
+        ]
+
+    def test_covering_a_project_finding_is_silent(self, tmp_repo):
+        write_module(tmp_repo, "src/repro/sim/rng.py", mixed(LITERAL_SEED))
+        assert run_analysis(tmp_repo).findings == []
+
+    def test_covering_a_per_file_finding_is_silent(self, tmp_repo):
+        write_module(
+            tmp_repo, "src/repro/sim/bad.py",
+            BAD_RNG.replace(
+                "random.random()\n",
+                "random.random()  # reprolint: disable=DET002,SEED001 -- fixture\n",
+            ),
+        )
+        assert run_analysis(tmp_repo).findings == []
+
+    def test_partial_run_does_not_judge_it(self, tmp_repo):
+        write_module(tmp_repo, "src/repro/sim/rng.py", mixed(STALE_SEED))
+        assert run_analysis(tmp_repo, rules=["DET002"]).findings == []
