@@ -116,13 +116,13 @@ def analyze_file(
     path: Path,
     relpath: str,
     checkers: Sequence[Checker],
-    rules_run: Optional[Sequence[str]] = None,
+    rules_run: Sequence[str],
 ) -> List[Finding]:
     """All findings for one file: checker hits minus suppressions, plus
     suppression-hygiene findings (SUP001/SUP002) and parse errors.
 
     *rules_run* is every rule id the run evaluates, whole-program ones
-    included (default: the *checkers*' own).  A suppression is judged once
+    included.  A suppression is judged once
     every rule it names is among them: one that covered no finding here
     is reported SUP002, and the engine withdraws the report when the
     comment covered a whole-program finding.  A rule that never applies
@@ -141,8 +141,6 @@ def analyze_file(
     for checker in checkers:
         if checker.applies_to(relpath):
             raw.extend(checker.check(module))
-    if rules_run is None:
-        rules_run = [c.rule_id for c in checkers]
     suppressions, problems = parse_suppressions(module.source, relpath)
     kept, unused = apply_suppressions(
         raw, suppressions, relpath, active_rules=frozenset(rules_run)

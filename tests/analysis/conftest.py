@@ -22,7 +22,7 @@ def run_rule():
         assert checker.applies_to(relpath), (
             f"{rule_id} does not apply to {relpath}; fix the test's relpath"
         )
-        return analyze_file(FIXTURES / fixture, relpath, [checker])
+        return analyze_file(FIXTURES / fixture, relpath, [checker], [rule_id])
 
     return run
 
