@@ -173,8 +173,9 @@ class TemInjectionHarness:
         if miss_window is not None:
             return self._replay(fault, None, miss_window)
         record, _ = self.settled_reply(fault)
-        with obs_metrics.span("injection.experiment"):
-            obs_metrics.merge_into_active(self._settled[2])
+        registry = obs_metrics.active()
+        with registry.span("injection.experiment"):
+            registry.merge_snapshot(self._settled[2])
         return record
 
     def settled_reply(self, fault: Fault) -> "Tuple[ExperimentRecord, dict]":

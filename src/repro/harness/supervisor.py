@@ -59,6 +59,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -173,7 +174,9 @@ class SupervisorConfig:
         and the run returns degraded: this is how a caller stops a
         campaign early.  Shard runners (``workers >= 1``) replace it
         with their own hook for chaos death/stall points.  Never called
-        for trials replayed from the journal on resume.
+        for trials replayed from the journal on resume.  A hook, like a
+        journal, keeps an unbatched run at one commit per trial, so the
+        hook sees each trial as soon as it is recorded.
     batch_size / batch_runner:
         Serial-mode vectorised execution.  When ``batch_size`` > 0 and a
         ``batch_runner`` is supplied, the serial path slices pending
@@ -188,12 +191,18 @@ class SupervisorConfig:
         fault-injection campaigns).  The journal differs in grain only: a
         chunk is one group commit (one ``chunk`` record with the chunk's
         snapshots merged in trial order), so a crash loses at most the
-        in-flight chunk, which resume re-runs whole.  If the runner
-        raises, the chunk falls back to scalar per-trial execution (and
-        per-trial commits) with the usual retry machinery (counted as
-        ``harness.batch_fallbacks``).  Profiled runs force the scalar
-        path, since per-trial profiles require per-trial calls.  With
-        ``workers >= 1`` every shard runner batches its own slice.
+        in-flight chunk, which resume re-runs whole.  Without a runner,
+        a serial run with no journal and no ``after_trial`` hook is
+        chunked too: each fixed-size chunk calls ``trial_fn`` in process
+        per payload (each call timed, and under its own ``timeout_s``
+        alarm) into one metrics capture and commits once.  Either way,
+        if the chunk raises, its metrics are discarded and its trials
+        rerun one at a time with per-trial commits and the usual retry
+        and timeout handling (counted as ``harness.batch_fallbacks``); a
+        trial that raised in process is charged that failed attempt.
+        Profiled runs take the per-trial path, since per-trial profiles
+        require per-trial calls.  With ``workers >= 1`` every shard
+        runner batches its own slice.
     """
 
     workers: int = 0
@@ -228,9 +237,10 @@ class SupervisorResult:
     degraded: bool
     elapsed_s: float
     resumed_trials: int = 0
-    #: Metrics snapshots, one per journal commit — a trial's own, or a
-    #: batch chunk's merged snapshot — keyed by the commit's first trial
-    #: id; the same in memory and on replay.
+    #: Metrics snapshots, one per commit — a trial's own, or a chunk's
+    #: (a batch chunk, or the in-process chunk of an unjournaled serial
+    #: run) — keyed by the commit's first trial id; the same in memory and
+    #: on journal replay.
     trial_metrics: Dict[int, dict] = dataclasses.field(default_factory=dict)
     #: The supervisor's own infrastructure metrics (dispatch counts,
     #: retries, shard-runner spawns, trial-duration histogram).  Kept separate
@@ -352,33 +362,51 @@ def _replay_entries(
 # Per-trial timeout enforcement
 # ----------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
-    """Raise :class:`TrialTimeoutError` after *timeout_s* (best effort).
+def _alarm_budget(timeout_s: Optional[float]) -> Optional[float]:
+    """*timeout_s* when ``SIGALRM`` can enforce it here, else ``None``.
 
-    Uses ``SIGALRM``, so it only works on POSIX main threads; elsewhere the
-    budget is skipped.  A shard runner executes trials on its process's
-    main thread, so the budget holds there too.
+    ``SIGALRM`` only works on POSIX main threads; elsewhere the budget is
+    skipped.  A shard runner executes trials on its process's main thread,
+    so the budget holds there too.
     """
     usable = (
         timeout_s is not None
         and hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     )
-    if not usable:
-        yield
-        return
+    return float(timeout_s) if usable else None
+
+
+@contextlib.contextmanager
+def _alarm_handler(budget: float) -> Iterator[None]:
+    """Turn ``SIGALRM`` into :class:`TrialTimeoutError` inside the block.
+
+    The caller arms the real-time timer (``signal.setitimer``) per trial;
+    on exit the timer is disarmed and the previous handler restored.
+    """
 
     def _on_alarm(signum: int, frame: Any) -> None:
-        raise TrialTimeoutError(f"trial exceeded {timeout_s:.3f}s budget")
+        raise TrialTimeoutError(f"trial exceeded {budget:.3f}s budget")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
+    """Raise :class:`TrialTimeoutError` after *timeout_s* (best effort,
+    see :func:`_alarm_budget`)."""
+    budget = _alarm_budget(timeout_s)
+    if budget is None:
+        yield
+        return
+    with _alarm_handler(budget):
+        signal.setitimer(signal.ITIMER_REAL, budget)
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +442,20 @@ def _run_one_trial(
     return result, snapshot, time.perf_counter() - started, profile_text
 
 
+#: Trials per chunk of an unjournaled, unhooked serial run: one metrics
+#: capture and one commit per chunk.  A chunk that raises reruns its trials
+#: one at a time, so this also bounds the work redone after a failure.
+_SERIAL_CHUNK = 64
+
+class _ChunkTrialError(Exception):
+    """Trial *index* of an in-process chunk raised *cause*."""
+
+    def __init__(self, index: int, cause: Exception) -> None:
+        super().__init__(index, cause)
+        self.index = index
+        self.cause = cause
+
+
 # ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
@@ -433,6 +475,13 @@ class _RunState:
     reporter: Optional[ProgressReporter] = None
     #: Set when ``after_trial`` asked to stop dispatching.
     stop_requested: bool = False
+
+
+#: A chunk's replies: results and per-trial durations in payload order, and
+#: the chunk's one metrics snapshot (``None`` when nothing was recorded).
+_Replies = Tuple[List[Any], List[float], Optional[dict]]
+#: How a chunk gets its replies: ``(payloads, seeds, state) -> _Replies``.
+_ChunkReplies = Callable[[Sequence[Any], Sequence[int], _RunState], _Replies]
 
 
 class CampaignSupervisor:
@@ -624,121 +673,181 @@ class CampaignSupervisor:
     def _run_serial(self, pending: Deque["tuple[int, Any]"], state: _RunState) -> bool:
         config = self.config
         profiled = state.hot_trials is not None
-        # Vectorised fast path: profiling needs per-trial calls, so it
-        # always wins over batching.
-        batched = config.batch_size > 0 and config.batch_runner is not None and not profiled
+        # Chunked execution commits once per chunk.  Profiling needs
+        # per-trial calls, and a journal or an ``after_trial`` hook observes
+        # every commit, so those runs keep the per-trial grain unless the
+        # caller asked for batches.
+        replies: Optional[_ChunkReplies] = None
+        size = 0
+        if not profiled and config.batch_size > 0 and config.batch_runner is not None:
+            replies, size = self._batch_replies, config.batch_size
+        elif not profiled and state.journal is None and config.after_trial is None:
+            replies, size = self._in_process_replies, _SERIAL_CHUNK
         while pending:
             if state.stop_requested:
                 return True
-            if batched:
-                chunk = [
-                    pending.popleft()
-                    for _ in range(min(config.batch_size, len(pending)))
-                ]
-                if not self._run_batch_chunk(chunk, state):
-                    # The runner raised: fall back to scalar execution for
-                    # this chunk (usual retry/containment machinery), then
-                    # keep batching — a bad payload poisons one chunk only.
-                    for trial_id, payload in chunk:
-                        self._run_serial_trial(trial_id, payload, state, profiled)
+            if replies is None:
+                trial_id, payload = pending.popleft()
+                self._run_serial_trial(trial_id, payload, state, profiled)
                 continue
-            trial_id, payload = pending.popleft()
-            self._run_serial_trial(trial_id, payload, state, profiled)
+            chunk = [pending.popleft() for _ in range(min(size, len(pending)))]
+            self._run_chunk(chunk, state, replies)
         return False
 
     def _run_serial_trial(
-        self, trial_id: int, payload: Any, state: _RunState, profiled: bool
+        self,
+        trial_id: int,
+        payload: Any,
+        state: _RunState,
+        profiled: bool,
+        failed: Optional[Exception] = None,
     ) -> None:
-        """One trial, in process, with timeout/retry containment."""
+        """One trial, in process, with timeout/retry containment.
+
+        *failed* is the exception of an attempt already made inside a
+        chunk; it counts as the first attempt, so the trial ends with the
+        same attempts, detail and record as on this path alone.
+        """
         config = self.config
         seed = derive_seed(config.master_seed, trial_id)
         attempts = 0
         while True:
             attempts += 1
             state.harness.inc("harness.trials_dispatched")
-            try:
-                with _alarm(state.timeout_s):
-                    result, snapshot, duration, profile_text = _run_one_trial(
-                        self.trial_fn, payload, seed, profiled
+            if failed is None:
+                try:
+                    with _alarm(state.timeout_s):
+                        result, snapshot, duration, profile_text = _run_one_trial(
+                            self.trial_fn, payload, seed, profiled
+                        )
+                except Exception as exc:  # noqa: BLE001 — isolation boundary
+                    failed = exc
+                else:
+                    state.harness.observe("harness.trial_duration_s", duration)
+                    entry = self._record_success(
+                        state, trial_id, result, attempts,
+                        duration_s=duration, profile_text=profile_text,
                     )
-            except TrialTimeoutError as exc:
+                    self._commit(
+                        state, [trial_id], [] if entry is None else [entry], snapshot
+                    )
+                    return
+            if isinstance(failed, TrialTimeoutError):
                 self._record_failure(
                     state,
                     HarnessFailure(trial_id, OutcomeClass.HARNESS_TIMEOUT,
-                                   str(exc), attempts),
+                                   str(failed), attempts),
                 )
                 return
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                if attempts > MAX_RETRIES:
-                    self._record_failure(
-                        state,
-                        HarnessFailure(
-                            trial_id, OutcomeClass.HARNESS_CRASH,
-                            f"{type(exc).__name__}: {exc}", attempts,
-                        ),
-                    )
-                    return
-                state.harness.inc("harness.retries")
-                time.sleep(backoff_s(attempts))
-            else:
-                state.harness.observe("harness.trial_duration_s", duration)
-                entry = self._record_success(
-                    state, trial_id, result, attempts,
-                    duration_s=duration, profile_text=profile_text,
-                )
-                self._commit(
-                    state, [trial_id], [] if entry is None else [entry], snapshot
+            if attempts > MAX_RETRIES:
+                self._record_failure(
+                    state,
+                    HarnessFailure(
+                        trial_id, OutcomeClass.HARNESS_CRASH,
+                        f"{type(failed).__name__}: {failed}", attempts,
+                    ),
                 )
                 return
+            state.harness.inc("harness.retries")
+            time.sleep(backoff_s(attempts))
+            failed = None
 
-    def _run_batch_chunk(
-        self, chunk: List["tuple[int, Any]"], state: _RunState
-    ) -> bool:
-        """Run one chunk through ``config.batch_runner``.
+    def _run_chunk(
+        self,
+        chunk: List["tuple[int, Any]"],
+        state: _RunState,
+        replies: _ChunkReplies,
+    ) -> None:
+        """Run one chunk of trials and commit it once.
 
-        Returns False when the runner raised (caller falls back to scalar
-        execution of the same trials); a short or misshapen reply list is
-        treated the same way.  On success every trial is recorded as the
-        scalar path would have (attempts=1, the chunk wall-clock split
-        evenly across trials: per-trial timing is not observable in
-        lockstep), and the chunk is committed once: one journal record
-        and one metrics snapshot, the runner's per-trial snapshots merged
-        in trial order.
+        *replies* produces the chunk's results, per-trial durations and one
+        metrics snapshot: :meth:`_in_process_replies` calls the trial
+        function under one capture, :meth:`_batch_replies` asks
+        ``config.batch_runner``.  Every trial is then recorded as the
+        per-trial path would have (attempts=1), and the chunk is committed
+        once: one journal record and one metrics snapshot.
+
+        If *replies* raises, the chunk's metrics are discarded and its
+        trials rerun one at a time through :meth:`_run_serial_trial` with
+        the usual retry and timeout handling (counted as
+        ``harness.batch_fallbacks``); a trial that raised in process is
+        charged that attempt.
         """
         config = self.config
         seeds = [derive_seed(config.master_seed, tid) for tid, _ in chunk]
         state.harness.inc("harness.batch_chunks")
-        started = time.perf_counter()
         try:
-            replies = config.batch_runner([p for _, p in chunk], seeds)
-            if len(replies) != len(chunk):
-                raise ReproError(
-                    f"batch_runner returned {len(replies)} replies "
-                    f"for {len(chunk)} payloads"
-                )
-        except Exception:  # noqa: BLE001 — isolation boundary
-            # Visible in harness metrics; the scalar rerun provides the
-            # per-trial error reporting and dispatch accounting.
+            results, durations, snapshot = replies([p for _, p in chunk], seeds, state)
+        except Exception as exc:  # noqa: BLE001 — isolation boundary
             state.harness.inc("harness.batch_fallbacks")
-            return False
-        per_trial_s = (time.perf_counter() - started) / len(chunk)
+            failed_at = exc.index if isinstance(exc, _ChunkTrialError) else None
+            for index, (trial_id, payload) in enumerate(chunk):
+                self._run_serial_trial(
+                    trial_id, payload, state, profiled=False,
+                    failed=exc.cause if index == failed_at else None,
+                )
+            return
         state.harness.inc("harness.trials_dispatched", len(chunk))
-        state.harness.observe(
-            "harness.trial_duration_s", per_trial_s, count=len(chunk)
-        )
         entries: List[TrialEntry] = []
-        snapshots: List[dict] = []
-        for (trial_id, _), (result, snapshot) in zip(chunk, replies):
+        for (trial_id, _), result, duration in zip(chunk, results, durations):
+            state.harness.observe("harness.trial_duration_s", duration)
             entry = self._record_success(
-                state, trial_id, result, attempts=1, duration_s=per_trial_s
+                state, trial_id, result, attempts=1, duration_s=duration
             )
             if entry is not None:
                 entries.append(entry)
-            if snapshot is not None:
-                snapshots.append(snapshot)
-        merged = obs_metrics.merge_snapshots(*snapshots) if snapshots else None
-        self._commit(state, [tid for tid, _ in chunk], entries, merged)
-        return True
+        self._commit(state, [tid for tid, _ in chunk], entries, snapshot)
+
+    def _in_process_replies(
+        self, payloads: Sequence[Any], seeds: Sequence[int], state: _RunState
+    ) -> _Replies:
+        """Call the trial function for each payload under one metrics
+        capture, each call timed and (with ``timeout_s``) under its own
+        ``SIGALRM`` budget.  A raising trial raises :class:`_ChunkTrialError`
+        carrying its index; the capture is then dropped with the chunk."""
+        trial_fn = self.trial_fn
+        budget = _alarm_budget(state.timeout_s)
+        results: List[Any] = []
+        durations: List[float] = []
+        with contextlib.ExitStack() as stack:
+            registry = stack.enter_context(obs_metrics.capture())
+            if budget is not None:
+                stack.enter_context(_alarm_handler(budget))
+            for index, (payload, seed) in enumerate(zip(payloads, seeds)):
+                started = time.perf_counter()
+                try:
+                    if budget is not None:
+                        signal.setitimer(signal.ITIMER_REAL, budget)
+                    results.append(trial_fn(payload, seed))
+                    if budget is not None:
+                        signal.setitimer(signal.ITIMER_REAL, 0.0)
+                except Exception as exc:  # noqa: BLE001 — charged to its trial
+                    raise _ChunkTrialError(index, exc) from exc
+                durations.append(time.perf_counter() - started)
+        snapshot = registry.snapshot()
+        return results, durations, None if obs_metrics.snapshot_is_empty(snapshot) else snapshot
+
+    def _batch_replies(
+        self, payloads: Sequence[Any], seeds: Sequence[int], state: _RunState
+    ) -> _Replies:
+        """Ask ``config.batch_runner`` for the chunk.  A short or misshapen
+        reply list raises like the runner itself.  Per-trial timing is not
+        observable in lockstep, so the chunk's wall-clock is split evenly;
+        the runner's per-trial snapshots are merged in trial order."""
+        started = time.perf_counter()
+        replies = self.config.batch_runner(payloads, seeds)
+        if len(replies) != len(payloads):
+            raise ReproError(
+                f"batch_runner returned {len(replies)} replies "
+                f"for {len(payloads)} payloads"
+            )
+        per_trial_s = (time.perf_counter() - started) / len(payloads)
+        snapshots = [snapshot for _, snapshot in replies if snapshot is not None]
+        return (
+            [result for result, _ in replies],
+            [per_trial_s] * len(payloads),
+            obs_metrics.merge_snapshots(*snapshots) if snapshots else None,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.experiments.coverage_table import (
 from repro.faults.campaign import TemInjectionHarness
 from repro.faults.generators import random_fault_list
 from repro.harness import CampaignSupervisor, SupervisorConfig
+from repro.harness import supervisor as supervisor_mod
 from repro.obs import metrics
 from repro.obs.profile import DEFAULT_TOP_K
 
@@ -60,6 +61,18 @@ def _run(payloads, workers=0, journal_path=None):
         ).run(payloads)
 
 
+def _assert_campaign_totals(result):
+    snap = result.metrics_snapshot()
+    assert snap["counters"]["tem.jobs"] == EXPERIMENTS
+    assert snap["counters"]["injection.experiments"] == EXPERIMENTS
+    # Effective faults split across the outcome counters completely.
+    outcomes = sum(
+        count for name, count in snap["counters"].items()
+        if name.startswith("tem.outcome.")
+    )
+    assert outcomes == EXPERIMENTS
+
+
 class _InterruptAt:
     """Trial wrapper raising KeyboardInterrupt *before* trial N runs.
 
@@ -89,16 +102,17 @@ class TestModeIndependence:
         return _run(payloads)
 
     def test_trials_produce_metrics(self, serial):
-        assert len(serial.trial_metrics) == EXPERIMENTS
-        snap = serial.metrics_snapshot()
-        assert snap["counters"]["tem.jobs"] == EXPERIMENTS
-        assert snap["counters"]["injection.experiments"] == EXPERIMENTS
-        # Effective faults split across the outcome counters completely.
-        outcomes = sum(
-            count for name, count in snap["counters"].items()
-            if name.startswith("tem.outcome.")
-        )
-        assert outcomes == EXPERIMENTS
+        """An unjournaled serial run commits one snapshot per chunk, keyed
+        by the chunk's first trial."""
+        chunk = supervisor_mod._SERIAL_CHUNK
+        assert sorted(serial.trial_metrics) == list(range(0, EXPERIMENTS, chunk))
+        _assert_campaign_totals(serial)
+
+    def test_journaled_trials_produce_metrics_per_trial(self, payloads, tmp_path):
+        """A journaled run keeps the per-trial grain: one snapshot each."""
+        journaled = _run(payloads, journal_path=tmp_path / "e5-per-trial.jsonl")
+        assert sorted(journaled.trial_metrics) == list(range(EXPERIMENTS))
+        _assert_campaign_totals(journaled)
 
     def test_harness_metrics_kept_separate(self, serial):
         assert "harness.trials_ok" in serial.harness_metrics["counters"]
